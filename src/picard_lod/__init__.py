@@ -29,6 +29,7 @@ from .graded_core import (
     product_constants,
     solve_equation,
     w_prime_diagnostic,
+    weissinger_row,
     weissinger_sum,
 )
 from .linear_series import (
@@ -56,7 +57,7 @@ from .picard_pde import (
     eval_G,
     initial_polynomial,
     lambda_bar,
-    lambda_recursion,
+    log_lambda_bar,
     residual,
     solve,
 )

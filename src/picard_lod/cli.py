@@ -11,8 +11,8 @@ Exit codes: 0 converged, 1 error, 2 diverging certificate, 3 inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -136,15 +136,6 @@ EXIT_DIVERGING = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _bound_threads() -> None:
-    """Honor PICARD_LOD_THREADS by capping the BLAS/OpenMP pools."""
-    v = os.environ.get("PICARD_LOD_THREADS")
-    if not v:
-        return
-    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(name, v)
-
-
 def _load_json(path: Path) -> dict:
     try:
         text = path.read_text()
@@ -163,12 +154,19 @@ class CliError(Exception):
     pass
 
 
-def _validate(doc: dict, path: Path) -> None:
-    import jsonschema
+@functools.cache
+def _problem_validator():
+    """Validator of PROBLEM_SCHEMA, built once; a test checks the schema itself."""
+    from jsonschema.validators import validator_for
 
-    try:
-        jsonschema.validate(doc, PROBLEM_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    return validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
+
+
+def _validate(doc: dict, path: Path) -> None:
+    from jsonschema.exceptions import best_match
+
+    exc = best_match(_problem_validator().iter_errors(doc))
+    if exc is not None:
         loc = "/".join(str(p) for p in exc.absolute_path) or "(root)"
         raise CliError(f"{path}: schema violation at {loc}: {exc.message}") from exc
 
@@ -316,7 +314,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    from .expr import placeholders_in
+    from .expr import is_affine_in_placeholders, placeholders_in
     from .linear_series import burgers_demo
     from .picard_pde import certify_weissinger, estimate_lipschitz
 
@@ -326,7 +324,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
     mode = {"conservative": "recursion", "paper": "paper", None: None}[args.mode]
     # quadratic transport-type demo problems take the dedicated divergence path
     quadratic = any(
-        len(placeholders_in(e)) > 1 for e in problem.rhs
+        len(placeholders_in(e)) > 1 and not is_affine_in_placeholders(e)
+        for e in problem.rhs
     )
     if quadratic:
         cert = burgers_demo(problem, radii, tuple(config.k_check), args.nmax)
@@ -496,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _bound_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -28,6 +28,7 @@ __all__ = [
     "IterationStop",
     "IterationResult",
     "product_constants",
+    "weissinger_row",
     "weissinger_sum",
     "iterate_to_fixed_point",
     "a_posteriori_bound",
@@ -102,7 +103,8 @@ def product_constants(
 class LodConstants:
     """Contraction constants alpha(k, n) with loss L per application.
 
-    alpha(k, 0) is always 1 regardless of the underlying table or rule.
+    alpha(k, 0) is always 1 regardless of the underlying table or rule; a
+    zero constant (a map that does not depend on its argument) is allowed.
     """
 
     L: int
@@ -113,8 +115,8 @@ class LodConstants:
         if n == 0:
             return 1.0
         a = float(self._alpha(k, n))
-        if not a > 0:
-            raise GradedCoreError(f"alpha({k},{n}) must be positive, got {a}")
+        if not a >= 0:
+            raise GradedCoreError(f"alpha({k},{n}) must be nonnegative, got {a}")
         return a
 
     @classmethod
@@ -288,6 +290,25 @@ class LodCertificate:
         }
 
 
+def weissinger_row(
+    k: int,
+    terms: Sequence[float],
+    *,
+    window: int = DEFAULT_WINDOW,
+    margin: float = DEFAULT_MARGIN,
+    rel_floor: float = DEFAULT_REL_FLOOR,
+    meta: dict | None = None,
+) -> WeissingerRow:
+    """The Weissinger row of given terms, with its windowed verdict."""
+    verdict, ratio = series_verdict(
+        terms, window=window, margin=margin, rel_floor=rel_floor
+    )
+    return WeissingerRow(
+        k, tuple(terms), verdict, ratio, window, margin, rel_floor,
+        {} if meta is None else meta,
+    )
+
+
 def weissinger_sum(
     constants: LodConstants,
     increment_norms: Callable[[int], float],
@@ -308,10 +329,9 @@ def weissinger_sum(
         if math.isnan(t):
             raise GradedCoreError(f"non-finite term at n={n}")
         terms.append(t)
-    verdict, ratio = series_verdict(
-        terms, window=window, margin=margin, rel_floor=rel_floor
+    return weissinger_row(
+        k, terms, window=window, margin=margin, rel_floor=rel_floor
     )
-    return WeissingerRow(k, tuple(terms), verdict, ratio, window, margin, rel_floor)
 
 
 def a_posteriori_bound(
@@ -382,7 +402,6 @@ def iterate_to_fixed_point(
     *,
     store_iterates: bool = True,
     check_candidate: bool = True,
-    on_step: Callable[[int, Any], None] | None = None,
 ) -> IterationResult:
     """Drive y, P(y), P^2(y), ... until increments fall below tolerance.
 
@@ -419,8 +438,6 @@ def iterate_to_fixed_point(
                 raise GradedCoreError("seminorms are not nondecreasing in k")
         if store_iterates:
             iterates.append(y_next)
-        if on_step is not None:
-            on_step(n + 1, y_next)
         y = y_next
         n_done = n + 1
         if max(step.values()) < stop.tol:
@@ -643,10 +660,4 @@ def w_prime_diagnostic(
                 # P(y0) = y0: every increment is zero
                 alphas.append(0.0)
         rows.append(WPrimeRow(k, tuple(sums), verdict, tuple(alphas), fallback_from))
-    if any(r.verdict == DIVERGING for r in rows):
-        verdict = DIVERGING
-    elif rows and all(r.verdict == CONVERGED for r in rows):
-        verdict = CONVERGED
-    else:
-        verdict = INCONCLUSIVE
-    return WPrimeReport(tuple(rows), verdict)
+    return WPrimeReport(tuple(rows), LodCertificate.from_rows(rows).verdict)

@@ -27,6 +27,7 @@ from .expr import (
     Placeholder,
     eval_expr,
     free_variables,
+    is_affine_in_placeholders,
     parse_expression,
     placeholders_in,
     symbolic_partial,
@@ -45,8 +46,8 @@ from .graded_core import (
     DIVERGING,
     INCONCLUSIVE,
     LodCertificate,
-    WeissingerRow,
     series_verdict,
+    weissinger_row,
 )
 
 __all__ = [
@@ -966,7 +967,8 @@ def burgers_demo(
     for e in problem.rhs:
         phs = placeholders_in(e)
         orders = sorted(ph.alpha for ph in phs)
-        if len(orders) == 2 and sum(orders[0]) == 0 and sum(orders[1]) > 0:
+        if (len(orders) == 2 and sum(orders[0]) == 0 and sum(orders[1]) > 0
+                and not is_affine_in_placeholders(e)):
             mu = orders[1]
     if mu is None:
         raise LinearSeriesError(
@@ -997,9 +999,8 @@ def burgers_demo(
             log_inc = log_model(n)
             lt = log_bar + log_inc
             terms.append(math.exp(lt) if lt < 700 else math.inf)
-        verdict, ratio = series_verdict(terms, window=window, margin=margin)
-        rows.append(WeissingerRow(
-            k, tuple(terms), verdict, ratio, window, margin,
+        rows.append(weissinger_row(
+            k, terms, window=window, margin=margin,
             meta={"sigma": sigma, "L": L},
         ))
     if sigma == 1.0 and L == 1:

@@ -47,9 +47,14 @@ from .funcspace import (
 from .graded_core import (
     CONVERGED,
     DIVERGING,
+    GradedCoreError,
+    GradedSpaceHandle,
+    IterationStop,
     LodCertificate,
-    WeissingerRow,
-    series_verdict,
+    LodConstants,
+    iterate_to_fixed_point,
+    weissinger_row,
+    weissinger_sum,
 )
 
 __all__ = [
@@ -70,7 +75,7 @@ __all__ = [
     "residual",
     "extract_linear_structure",
     "estimate_lipschitz",
-    "lambda_recursion",
+    "log_lambda_bar",
     "lambda_bar",
     "paper_lambda_bar_log",
     "constant_bounds",
@@ -463,13 +468,12 @@ def _sum_exprs(parts: Sequence[Expr]) -> Expr:
 class LipschitzFactors:
     """Per-k Lipschitz factors of the composed right-hand side.
 
-    Constant mode stores a nondecreasing table extended by its rule; function
-    mode stores per-k space-time factor fields.
+    Constant mode stores a nondecreasing table extended by its last entry;
+    function mode stores per-k space-time factor fields.
     """
 
     mode: str  # "constant" | "function"
     table: tuple[float, ...] = ()
-    rule: Callable[[int], float] | None = field(default=None, compare=False)
     funcs: tuple[SepFunc, ...] = ()
     is_zero: bool = False
     meta: dict = field(default_factory=dict, compare=False)
@@ -479,9 +483,7 @@ class LipschitzFactors:
         if self.mode == "function":
             f = self.funcs[min(k, len(self.funcs) - 1)]
             return graded_norm(f, 0)
-        if self.rule is not None:
-            v = float(self.rule(k))
-        elif k < len(self.table):
+        if k < len(self.table):
             v = self.table[k]
         else:
             v = self.table[-1]
@@ -656,9 +658,6 @@ class _ConstantRecursion:
         self.tbar = tbar
         self._memo: dict[tuple[int, int], list[np.ndarray]] = {}
 
-    def _u(self, tau: np.ndarray) -> np.ndarray:
-        return 2.0 * np.asarray(tau) / self.tbar - 1.0
-
     def branches(self, k: int, n: int) -> list[np.ndarray]:
         if n == 0:
             return [np.array([1.0])] * self.d
@@ -684,16 +683,11 @@ class _ConstantRecursion:
         self._memo[key] = out
         return out
 
-    def profile(self, k: int, n: int, tau: np.ndarray) -> np.ndarray:
-        """Values of each branch j = 1..d at the given tau points."""
-        return np.stack([
-            cheb.chebval(self._u(tau), c) for c in self.branches(k, n)
-        ])
-
     def bar(self, k: int, n: int) -> float:
+        """Largest branch value at |t - t0| = Tbar."""
         if n == 0:
             return 1.0
-        return float(np.max(self.profile(k, n, np.array([self.tbar]))))
+        return float(max(cheb.chebval(1.0, c) for c in self.branches(k, n)))
 
 
 def _trim_rows(coef: np.ndarray, rel_eps: float = 1e-15) -> np.ndarray:
@@ -778,43 +772,6 @@ class _FunctionRecursion:
         ))
 
 
-@dataclass(frozen=True)
-class LambdaRecursionResult:
-    j_values: tuple[float, ...]  # branch values at |t - t0| = Tbar (j = 1..d)
-    bar: float
-
-
-def _make_recursion(
-    factors: LipschitzFactors, d: int, L: int, domain: Domain
-):
-    if factors.mode == "function":
-        return _FunctionRecursion(factors, d, L, domain)
-    return _ConstantRecursion(factors.at, d, L, domain.tbar)
-
-
-def lambda_recursion(
-    factors: LipschitzFactors,
-    d: int,
-    L: int,
-    domain: Domain,
-    k: int,
-    n: int,
-) -> LambdaRecursionResult:
-    """Literal recursion for the n-fold contraction profile and its bound."""
-    rec = _make_recursion(factors, d, L, domain)
-    if isinstance(rec, _ConstantRecursion):
-        prof = rec.profile(k, n, np.array([domain.tbar]))[:, 0] if n > 0 else np.ones(d)
-        return LambdaRecursionResult(tuple(float(v) for v in prof), rec.bar(k, n))
-    tbar = np.array([rec.rdom.tbar])
-    xg = [np.linspace(lo, hi, 33) for lo, hi in rec.rdom.S]
-    if n == 0:
-        return LambdaRecursionResult(tuple(1.0 for _ in range(d)), 1.0)
-    vals = tuple(
-        float(np.max(np.abs(f.eval_grid(tbar, xg)))) for f in rec.branches(k, n)
-    )
-    return LambdaRecursionResult(vals, max(vals))
-
-
 def paper_lambda_bar_log(
     factors: LipschitzFactors, d: int, L: int, tbar: float, k: int, n: int
 ) -> float:
@@ -829,6 +786,39 @@ def paper_lambda_bar_log(
     return acc
 
 
+def log_lambda_bar(
+    factors: LipschitzFactors,
+    d: int,
+    L: int,
+    domain: Domain,
+    mode: str = "recursion",
+) -> Callable[[int, int], float]:
+    """log LambdaBar_{k,n} as a function of (k, n).
+
+    "recursion" runs the literal recursion, built once so that its branch
+    memo serves every (k, n); "paper" uses the constant-factor closed form.
+    A zero factor gives -inf for every n > 0.
+    """
+    if mode == "recursion":
+        rec = (
+            _FunctionRecursion(factors, d, L, domain)
+            if factors.mode == "function"
+            else _ConstantRecursion(factors.at, d, L, domain.tbar)
+        )
+    elif mode != "paper":
+        raise PicardError(f"unknown lambda mode {mode!r}")
+
+    def log_bar(k: int, n: int) -> float:
+        if factors.is_zero and n > 0:
+            return -math.inf
+        if mode == "paper":
+            return paper_lambda_bar_log(factors, d, L, domain.tbar, k, n)
+        v = rec.bar(k, n)
+        return math.log(v) if v > 0 else -math.inf
+
+    return log_bar
+
+
 def lambda_bar(
     factors: LipschitzFactors,
     d: int,
@@ -838,13 +828,7 @@ def lambda_bar(
     n: int,
     mode: str = "recursion",
 ) -> float:
-    if factors.is_zero and n > 0:
-        return 0.0
-    if mode == "paper":
-        return math.exp(paper_lambda_bar_log(factors, d, L, domain.tbar, k, n))
-    if mode != "recursion":
-        raise PicardError(f"unknown lambda mode {mode!r}")
-    return _make_recursion(factors, d, L, domain).bar(k, n)
+    return math.exp(log_lambda_bar(factors, d, L, domain, mode)(k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -1029,19 +1013,7 @@ def certify_weissinger(
     if mode is None:
         mode = "paper" if norm_source == "growth_model" else "recursion"
     L = problem.L
-    tbar = problem.domain.tbar
-    rec = None if mode == "paper" else _make_recursion(
-        factors, problem.d, L, problem.domain
-    )
-
-    def log_bar(k: int, n: int) -> float:
-        if factors.is_zero and n > 0:
-            return -math.inf
-        if mode == "paper":
-            return paper_lambda_bar_log(factors, problem.d, L, tbar, k, n)
-        v = rec.bar(k, n)
-        return math.log(v) if v > 0 else -math.inf
-
+    log_bar = log_lambda_bar(factors, problem.d, L, problem.domain, mode)
     rows = []
     meta = {
         "mode": mode,
@@ -1060,18 +1032,17 @@ def certify_weissinger(
         if any(v < 0 for v in n_hi_of.values()):
             raise PicardError(f"some k in {k_list} exceeds the numeric norm cap {k_cap}")
         norms = graded_norms_upto(inc, max(k + n_hi_of[k] * L for k in k_list))
+        constants = LodConstants.from_function(
+            L, lambda k, n: math.exp(log_bar(k, n))
+        )
         for k in k_list:
             n_hi = n_hi_of[k]
-            terms = [
-                math.exp(log_bar(k, n)) * float(norms[k + n * L])
-                if not math.isinf(log_bar(k, n))
-                else 0.0
-                for n in range(n_hi + 1)
-            ]
-            verdict, ratio = series_verdict(terms, window=window, margin=margin)
-            rows.append(WeissingerRow(
-                k, tuple(terms), verdict, ratio, window, margin,
-                meta={"truncated_at_n": n_hi if n_hi < n_max else None},
+            row = weissinger_sum(
+                constants, lambda idx: norms[idx], k, n_hi,
+                window=window, margin=margin,
+            )
+            rows.append(replace(
+                row, meta={"truncated_at_n": n_hi if n_hi < n_max else None}
             ))
     elif norm_source == "growth_model":
         from . import linear_series as ls
@@ -1083,9 +1054,8 @@ def certify_weissinger(
             for n in range(n_max + 1):
                 lt = log_bar(k, n) + ls.increment_bound_log(lp, growth, k, n)
                 terms.append(math.exp(lt) if lt < 700 else math.inf)
-            verdict, ratio = series_verdict(terms, window=window, margin=margin)
-            rows.append(WeissingerRow(
-                k, tuple(terms), verdict, ratio, window, margin,
+            rows.append(weissinger_row(
+                k, terms, window=window, margin=margin,
                 meta={"growth": [getattr(g, "kind", "?") for g in growth]},
             ))
     else:
@@ -1197,36 +1167,45 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
 
     k_ball = cfg.k_ball if cfg.k_ball is not None else max(cfg.k_check)
     k_top = max(cfg.k_check)
-    increments: dict[int, list[float]] = {k: [] for k in cfg.k_check}
     ball_log: list[dict] = []
     truncation: list[float] = []
-    iterates = [i0] if cfg.store_iterates else None
+    last_norms: list = [None, None]  # (difference, its norms up to k_top)
 
-    y = i0
-    status = "inconclusive"
-    n_done = 0
-    for n in range(cfg.n_max):
+    def step(y: SepFunc) -> SepFunc:
         y_next = apply_P(problem, y, i0, cfg.colloc)
         truncation.append(y_next.truncation or 0.0)
-        report = ball_check(y_next, i0, cfg.radii, k_ball)
-        ball_log.append({"n": n + 1, **report.to_json_dict()})
+        return y_next
+
+    def in_ball(y: SepFunc) -> bool:
+        # i0 is the centre of the ball: neither checked nor logged
+        if y is i0:
+            return True
+        report = ball_check(y, i0, cfg.radii, k_ball)
+        n = len(ball_log) + 1
+        ball_log.append({"n": n, **report.to_json_dict()})
         if not report.member:
             bad = next(r for r in report.rows if not r.within)
-            raise BallEscape(n + 1, bad.k, bad.distance, bad.radius)
-        norms = graded_norms_upto((y_next - y).trim(), k_top)
-        for k in cfg.k_check:
-            increments[k].append(float(norms[k]))
-        if cfg.store_iterates:
-            iterates.append(y_next)
-        y = y_next
-        n_done = n + 1
-        if max(float(norms[k]) for k in cfg.k_check) < cfg.tol:
-            status = CONVERGED
-            break
+            raise BallEscape(n, bad.k, bad.distance, bad.radius)
+        return True
+
+    def seminorm(diff: SepFunc, k: int) -> float:
+        # one norm sweep per step serves every k in k_check
+        if last_norms[0] is not diff:
+            last_norms[:] = [diff, graded_norms_upto(diff, k_top)]
+        return float(last_norms[1][k])
+
+    space = GradedSpaceHandle(
+        seminorm, lambda a, b: (a - b).trim(), P=step, membership=in_ball
+    )
+    run = iterate_to_fixed_point(
+        space, i0, IterationStop(cfg.k_check, cfg.tol, cfg.n_max),
+        store_iterates=cfg.store_iterates, check_candidate=False,
+    )
+    y = run.candidate
 
     residuals = None
     residual_ok = None
-    if status == CONVERGED:
+    if run.converged:
         residuals = residual(problem, y)
         residual_ok = bool(
             residuals.pde_residual <= cfg.residual_tol
@@ -1240,20 +1219,20 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
         for k in cfg.k_check:
             try:
                 row = certificate.row(k)
-            except Exception:
+            except GradedCoreError:
                 continue
             if row.verdict != CONVERGED:
                 continue
-            tails = [row.tail_bound(n) for n in range(n_done + 1)]
+            tails = [row.tail_bound(n) for n in range(run.n_steps + 1)]
             bounds[k] = [t.value for t in tails]
             estimates = estimates or any(t.is_estimate for t in tails)
         if not bounds:
             bounds = None
 
     return SolveReport(
-        status=status,
-        n_steps=n_done,
-        increments=increments,
+        status=run.status,
+        n_steps=run.n_steps,
+        increments=run.increments,
         candidate=y,
         certificate=certificate,
         certificate_note=note,
@@ -1264,7 +1243,7 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
         ball_log=ball_log,
         membership="checked" if not cfg.radii.is_infinite() else "vacuous (infinite radii)",
         truncation=truncation,
-        iterates=iterates,
+        iterates=run.iterates,
         config=cfg,
         wall_clock=time.perf_counter() - t_start,
     )

@@ -11,6 +11,7 @@ from picard_lod.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
+    PROBLEM_SCHEMA,
     main,
 )
 
@@ -33,6 +34,11 @@ def write_problem(path: Path, **overrides) -> Path:
 
 
 class TestSchema:
+    def test_schema_is_valid(self):
+        from jsonschema.validators import validator_for
+
+        validator_for(PROBLEM_SCHEMA).check_schema(PROBLEM_SCHEMA)
+
     def test_missing_key_names_it(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         doc = json.loads(write_problem(tmp_path / "ok.json").read_text())
@@ -142,6 +148,13 @@ class TestCertifyCommand:
             == EXIT_DIVERGING
         cert = json.loads((tmp_path / "burgers.certificate.report.json").read_text())
         assert "hyperfactorial" in cert["meta"]["witness"]
+
+    def test_affine_two_placeholders_skips_quadratic_demo(self, tmp_path, capsys):
+        # Dx2(y1)+y1 is affine: it takes the Lipschitz path, not burgers_demo
+        p = write_problem(tmp_path / "heatplus.json", rhs="Dx2(y1)+y1")
+        assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert "sampled Lipschitz estimation needs finite radii" in capsys.readouterr().err
+        assert not (tmp_path / "heatplus.certificate.report.json").exists()
 
     def test_numeric_only_certificate_is_inconclusive(self, tmp_path):
         p = write_problem(tmp_path / "nogrowth.json")

@@ -17,6 +17,7 @@ from picard_lod.graded_core import (
     series_verdict,
     solve_equation,
     w_prime_diagnostic,
+    weissinger_row,
     weissinger_sum,
 )
 
@@ -100,6 +101,21 @@ class TestWeissingerSum:
     def test_alpha_k0_is_one(self):
         c = LodConstants.from_function(0, lambda k, n: 99.0)
         assert c.alpha(3, 0) == 1.0
+
+    def test_alpha_accepts_zero_rejects_negative_and_nan(self):
+        # zero is the constant of a map that ignores its argument
+        assert LodConstants.from_function(0, lambda k, n: 0.0).alpha(0, 1) == 0.0
+        for bad in (-1.0, math.nan):
+            c = LodConstants.from_function(0, lambda k, n, v=bad: v)
+            with pytest.raises(GradedCoreError, match="nonnegative"):
+                c.alpha(0, 1)
+
+    def test_row_builder_matches_sum(self):
+        c = LodConstants.from_function(1, lambda k, n: 0.5**n)
+        inc = {idx: 1.0 / (idx + 1) for idx in range(40)}
+        row = weissinger_sum(c, inc.__getitem__, 2, 30, window=6, margin=0.1)
+        terms = [c.alpha(2, n) * inc[2 + n] for n in range(31)]
+        assert weissinger_row(2, terms, window=6, margin=0.1) == row
 
 
 class TestIterateToFixedPoint:

@@ -397,6 +397,14 @@ class TestBurgersDemo:
         with pytest.raises(ls.LinearSeriesError, match="y \\* d_x"):
             ls.burgers_demo(lp.to_cauchy(), Radii.constant(1.0), (0,), 10)
 
+    def test_rejects_affine_with_two_placeholders(self):
+        # Dx1(y1) + y1 has two placeholders but is linear: not the demo's class
+        prob = self._problem()
+        F = parse_expression("Dx1(y1)+y1", Arity(s=1, m=1, L=1, p=0))
+        prob = pp.CauchyProblem(prob.domain, 1, 1, 0, 1, (F,), prob.initial)
+        with pytest.raises(ls.LinearSeriesError, match="y \\* d_x"):
+            ls.burgers_demo(prob, Radii.constant(1.0), (0,), 10)
+
 
 def test_series_residual_across_catalog():
     for case in ("heat", "wave", "transport", "mixed_dt_dx", "dt2_dx"):

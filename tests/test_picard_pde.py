@@ -269,8 +269,9 @@ class TestEstimateLipschitz:
 class TestLambdaRecursion:
     def test_n_zero_is_one(self):
         fac = pp.LipschitzFactors.constant(7.0)
-        res = pp.lambda_recursion(fac, 3, 1, Domain(0, 0.5, 0.5, ((-1, 1),)), 0, 0)
-        assert res.bar == 1.0 and all(v == 1.0 for v in res.j_values)
+        dom = Domain(0, 0.5, 0.5, ((-1, 1),))
+        for mode in ("recursion", "paper"):
+            assert pp.lambda_bar(fac, 3, 1, dom, 0, 0, mode) == 1.0
 
     def test_hand_unrolled_constant_case(self):
         fac = pp.LipschitzFactors.constant(2.0)
@@ -450,6 +451,31 @@ class TestSolve:
             bar = pp.lambda_bar(fac, 1, 2, prob.domain, 0, n)
             rhs = bar * float(norms0[2 * n])
             assert lhs <= rhs * (1 + 1e-6) + 1e-14
+
+    def test_driver_sweeps_norms_once_per_step(self, monkeypatch):
+        calls = {"norms": 0, "ball": []}
+        norms_upto, ball = pp.graded_norms_upto, pp.ball_check
+
+        def counted_norms(f, k_max, **kw):
+            calls["norms"] += 1
+            return norms_upto(f, k_max, **kw)
+
+        def counted_ball(f, center, radii, k_max, **kw):
+            calls["ball"].append(f is center)
+            return ball(f, center, radii, k_max, **kw)
+
+        monkeypatch.setattr(pp, "graded_norms_upto", counted_norms)
+        monkeypatch.setattr(pp, "ball_check", counted_ball)
+        cfg = pp.SolveConfig(
+            radii=Radii.constant(50.0), k_check=(0, 1, 3), tol=1e-11, n_max=10
+        )
+        rep = pp.solve(heat_problem(), cfg)
+        assert rep.converged
+        assert all(len(rep.increments[k]) == rep.n_steps for k in (0, 1, 3))
+        # one sweep per step, plus the numeric certificate's single sweep
+        assert calls["norms"] == rep.n_steps + 1
+        assert len(calls["ball"]) == rep.n_steps and not any(calls["ball"])
+        assert [e["n"] for e in rep.ball_log] == list(range(1, rep.n_steps + 1))
 
     def test_ball_escape_reported(self):
         prob = heat_problem()
