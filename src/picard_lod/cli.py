@@ -372,6 +372,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from . import funcspace as fs
     from .linear_series import (
         LinearProblem, LinearSeriesError, picard_closed_form, series_solution,
     )
@@ -393,18 +394,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for _ in range(n):
             y = apply_P(problem, y, i0)
         cf = picard_closed_form(lp, n, x_degree=x_deg[0] if x_deg else 24)
-        a, b = np.asarray(y.coeffs), np.asarray(cf.coeffs)
-        shape = tuple(max(x, z) for x, z in zip(a.shape, b.shape))
-        pa = np.pad(a, [(0, s - x) for s, x in zip(shape, a.shape)])
-        pb = np.pad(b, [(0, s - x) for s, x in zip(shape, b.shape)])
+        pa, pb = fs.pad_to_common(y.coeffs, cf.coeffs)
         dev = float(np.max(np.abs(pa - pb)))
         payload = {"against": "generic", "n": n, "max_coefficient_deviation": dev}
     else:
         rep = solve(problem, config)
         sol, diag = series_solution(lp, args.terms, growth=growth)
-        pts = [
-            np.linspace(lo, hi, 65) for lo, hi in problem.domain.intervals()
-        ]
+        pts = fs.uniform_grid(problem.domain, fs.CHECK_GRID_POINTS)
         va = rep.candidate.eval_grid(pts[0], pts[1:])
         vb = sol.eval_grid(pts[0], pts[1:])
         dev = float(np.max(np.abs(va - vb)))
@@ -422,6 +418,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_demo(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from . import funcspace as fs
     from .linear_series import LinearSeriesError, example_catalog, series_solution
 
     out_dir = Path(args.out) if args.out else Path.cwd()
@@ -432,10 +429,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     sol, diag = series_solution(case.problem, args.terms)
     dom = case.problem.domain
-    pts = [np.linspace(lo, hi, 65) for lo, hi in dom.intervals()]
+    pts = fs.uniform_grid(dom, fs.CHECK_GRID_POINTS)
     vals = sol.eval_grid(pts[0], pts[1:])[0]
-    tg, xg = np.meshgrid(pts[0], pts[1], indexing="ij")
-    oracle_vals = case.oracle(tg, xg)
+    grid = fs.grid_bindings(pts)
+    oracle_vals = case.oracle(grid["t"], grid["x1"])
     dev = float(np.max(np.abs(vals - oracle_vals)))
     payload = {
         "case": case.name,

@@ -5,6 +5,12 @@ over the time interval and each spatial interval (all affinely mapped to
 [-1, 1]).  Differentiation and nested time integration act exactly on
 coefficients; the graded seminorms take the sup of partial derivatives on a
 dense sampling grid (the grid density is part of every reported norm).
+
+Every sampling grid of the program is built here, and its sizes are the
+module constants below, not options: equispaced norm grids of
+NORM_GRID_FACTOR * degree + 1 points per axis (at least NORM_GRID_MIN, or
+RESIDUAL_GRID_MIN for residuals), CHECK_GRID_POINTS per axis for the
+comparison grids, and Chebyshev extrema for interpolation.
 """
 
 from __future__ import annotations
@@ -28,6 +34,13 @@ __all__ = [
     "BallReport",
     "FuncSpaceError",
     "interpolate",
+    "from_values",
+    "chebyshev_nodes",
+    "uniform_grid",
+    "norm_grid",
+    "grid_bindings",
+    "eval_on_grid",
+    "pad_to_common",
     "partial_derivative",
     "iterated_time_integral",
     "graded_norm",
@@ -40,6 +53,8 @@ __all__ = [
 DEGREE_CAP = 128
 NORM_GRID_FACTOR = 4
 NORM_GRID_MIN = 64
+RESIDUAL_GRID_MIN = 128
+CHECK_GRID_POINTS = 65
 
 
 class FuncSpaceError(Exception):
@@ -97,19 +112,15 @@ def _nodes(deg: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _vander(npts_key: tuple, deg: int) -> np.ndarray:
-    kind, n = npts_key
-    if kind == "cheb":
-        u = _nodes(n - 1)
-    else:
-        u = np.linspace(-1.0, 1.0, n)
-    return cheb.chebvander(u, deg)
+def _vander(n: int) -> np.ndarray:
+    """Chebyshev-Vandermonde matrix of degree n - 1 at the n Chebyshev extrema."""
+    return cheb.chebvander(_nodes(n - 1), n - 1)
 
 
 def _values_to_coeffs(vals: np.ndarray, axis: int) -> np.ndarray:
     """Invert chebvander sampling at Chebyshev extrema along one axis."""
     n = vals.shape[axis]
-    V = _vander(("cheb", n), n - 1)
+    V = _vander(n)
     moved = np.moveaxis(vals, axis, 0)
     flat = moved.reshape(n, -1)
     coef = np.linalg.solve(V, flat).reshape(moved.shape)
@@ -122,6 +133,12 @@ def _eval_axis(coeffs: np.ndarray, axis: int, u: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def pad_to_common(*arrays: np.ndarray) -> list[np.ndarray]:
+    """Zero-pad every array at the end of each axis to their common shape."""
+    shape = tuple(max(sizes) for sizes in zip(*(a.shape for a in arrays)))
+    return [np.pad(a, [(0, s - n) for s, n in zip(shape, a.shape)]) for a in arrays]
+
+
 # ---------------------------------------------------------------------------
 # SepFunc
 # ---------------------------------------------------------------------------
@@ -131,7 +148,9 @@ def _eval_axis(coeffs: np.ndarray, axis: int, u: np.ndarray) -> np.ndarray:
 class SepFunc:
     """Element of C^p_t C^inf_x(T x S, R^m) as a coefficient tensor.
 
-    ``coeffs`` has shape (m, deg_t+1, deg_x1+1, ..., deg_xs+1).
+    ``coeffs`` has shape (m, deg_t+1, deg_x1+1, ..., deg_xs+1).  Equality
+    and hash cover the domain, m, p and the coefficient tensor (shape and
+    values), so zero-padded copies of one function compare unequal.
     """
 
     domain: Domain
@@ -156,6 +175,19 @@ class SepFunc:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SepFunc):
+            return NotImplemented
+        return (
+            (self.domain, self.m, self.p) == (other.domain, other.m, other.p)
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
+
+    def __hash__(self) -> int:
+        # the coefficient array is read-only, so the hash is stable
+        return hash((self.domain, self.m, self.p, self.coeffs.shape,
+                     self.coeffs.tobytes()))
+
     # -- shape helpers ----------------------------------------------------
 
     @property
@@ -171,10 +203,6 @@ class SepFunc:
         shape = (m, *[d + 1 for d in degrees])
         return cls(domain, m, p, np.zeros(shape))
 
-    def _padded(self, shape: tuple[int, ...]) -> np.ndarray:
-        pad = [(0, s - c) for s, c in zip(shape, self.coeffs.shape)]
-        return np.pad(self.coeffs, pad)
-
     def _check_compatible(self, other: "SepFunc") -> None:
         if self.domain != other.domain or self.m != other.m or self.p != other.p:
             raise FuncSpaceError("mismatched domains or shapes")
@@ -183,19 +211,13 @@ class SepFunc:
 
     def __add__(self, other: "SepFunc") -> "SepFunc":
         self._check_compatible(other)
-        shape = tuple(
-            max(a, b) for a, b in zip(self.coeffs.shape, other.coeffs.shape)
-        )
-        return SepFunc(self.domain, self.m, self.p,
-                       self._padded(shape) + other._padded(shape))
+        a, b = pad_to_common(self.coeffs, other.coeffs)
+        return SepFunc(self.domain, self.m, self.p, a + b)
 
     def __sub__(self, other: "SepFunc") -> "SepFunc":
         self._check_compatible(other)
-        shape = tuple(
-            max(a, b) for a, b in zip(self.coeffs.shape, other.coeffs.shape)
-        )
-        return SepFunc(self.domain, self.m, self.p,
-                       self._padded(shape) - other._padded(shape))
+        a, b = pad_to_common(self.coeffs, other.coeffs)
+        return SepFunc(self.domain, self.m, self.p, a - b)
 
     def __mul__(self, scalar: float) -> "SepFunc":
         return SepFunc(self.domain, self.m, self.p, self.coeffs * float(scalar))
@@ -342,19 +364,13 @@ def interpolate(
     degrees: Sequence[int],
     m: int = 1,
     p: int = 0,
-    *,
-    t_constant: bool = False,
 ) -> SepFunc:
     """Chebyshev interpolant of closed-form expressions on the domain.
 
-    ``degrees`` has one entry per axis (t first); with ``t_constant`` the
-    expressions may not mention ``t`` and degree 0 is forced on the t axis.
-    The max error sampled on a 3x finer grid is attached as ``interp_error``.
+    ``degrees`` has one entry per axis (t first).  The max error sampled on
+    a 3x finer equispaced grid is attached as ``interp_error``.
     """
-    if isinstance(exprs, (list, tuple)):
-        elist = list(exprs)
-    else:
-        elist = [exprs]
+    elist = list(exprs) if isinstance(exprs, (list, tuple)) else [exprs]
     if len(elist) != m:
         raise FuncSpaceError(f"expected {m} component expressions, got {len(elist)}")
     degrees = list(degrees)
@@ -362,51 +378,24 @@ def interpolate(
         raise FuncSpaceError("degrees must cover the t axis plus each x axis")
     if any(d > DEGREE_CAP for d in degrees):
         raise FuncSpaceError(f"degree cap {DEGREE_CAP} exceeded: {degrees}")
-    allowed = {"t", *[f"x{i}" for i in range(1, dom.s + 1)]}
+    allowed = set(_axis_names(dom.s))
     for e in elist:
         fv = free_variables(e)
         if not fv <= allowed:
             raise FuncSpaceError(f"expression uses undeclared variables {fv - allowed}")
 
-    def sample(n_per_axis: list[np.ndarray]) -> np.ndarray:
-        grids = np.meshgrid(*n_per_axis, indexing="ij") if n_per_axis else []
-        bindings = {}
-        names = ["t", *[f"x{i}" for i in range(1, dom.s + 1)]]
-        for name, g in zip(names, grids):
-            bindings[name] = g
-        vals = []
-        for e in elist:
-            v = eval_expr(e, bindings)
-            v = np.broadcast_to(np.asarray(v, dtype=float),
-                                tuple(len(a) for a in n_per_axis))
-            vals.append(v)
-        return np.stack(vals)
-
-    intervals = dom.intervals()
-    node_pts = []
-    for deg, iv in zip(degrees, intervals):
-        u = _nodes(deg)
-        lo, hi = iv
-        node_pts.append((lo + hi) / 2 + (hi - lo) / 2 * u)
-    vals = sample(node_pts)
+    nodes = chebyshev_nodes(dom, degrees)
+    vals = eval_on_grid(elist, grid_bindings(nodes), tuple(len(g) for g in nodes))
     if not np.all(np.isfinite(vals)):
         raise FuncSpaceError("non-finite sample value during interpolation")
-    coef = vals
-    for axis in range(1, vals.ndim):
-        coef = _values_to_coeffs(coef, axis)
+    f = from_values(vals, dom, m, p)
 
-    # error sampled on a 3x finer grid
-    fine_pts = []
-    for deg, iv in zip(degrees, intervals):
-        lo, hi = iv
-        fine_pts.append(np.linspace(lo, hi, 3 * (deg + 1) + 1))
-    fine_vals = sample(fine_pts)
-    approx = coef
-    for axis, (pts, iv) in enumerate(zip(fine_pts, intervals), start=1):
-        approx = _eval_axis(approx, axis, _to_unit(pts, iv))
+    fine = uniform_grid(dom, [3 * (deg + 1) + 1 for deg in degrees])
+    shape = tuple(len(g) for g in fine)
+    fine_vals = eval_on_grid(elist, grid_bindings(fine), shape)
+    approx = f.eval_grid(fine[0], fine[1:])
     err = float(np.max(np.abs(fine_vals - approx))) if fine_vals.size else 0.0
-
-    return SepFunc(dom, m, p, coef, interp_error=err)
+    return replace(f, interp_error=err)
 
 
 def from_values(
@@ -421,6 +410,15 @@ def from_values(
     return SepFunc(dom, m, p, coef)
 
 
+# ---------------------------------------------------------------------------
+# Sampling grids
+# ---------------------------------------------------------------------------
+
+
+def _axis_names(s: int) -> list[str]:
+    return ["t", *[f"x{i}" for i in range(1, s + 1)]]
+
+
 def chebyshev_nodes(dom: Domain, degrees: Sequence[int]) -> list[np.ndarray]:
     """Physical tensor-product interpolation nodes for the given degrees."""
     pts = []
@@ -429,6 +427,36 @@ def chebyshev_nodes(dom: Domain, degrees: Sequence[int]) -> list[np.ndarray]:
         lo, hi = iv
         pts.append((lo + hi) / 2 + (hi - lo) / 2 * u)
     return pts
+
+
+def uniform_grid(dom: Domain, counts: int | Sequence[int]) -> list[np.ndarray]:
+    """Equispaced points on every axis (t first): one count for all, or one per axis."""
+    if isinstance(counts, int):
+        counts = [counts] * (1 + dom.s)
+    return [np.linspace(lo, hi, n) for (lo, hi), n in zip(dom.intervals(), counts)]
+
+
+def norm_grid(f: SepFunc, min_points: int = NORM_GRID_MIN) -> list[np.ndarray]:
+    """Equispaced grid of NORM_GRID_FACTOR * degree + 1 (at least min_points) per axis."""
+    return uniform_grid(
+        f.domain, [max(min_points, NORM_GRID_FACTOR * deg + 1) for deg in f.degrees]
+    )
+
+
+def grid_bindings(pts: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
+    """Bind t, x1, ..., xs to the coordinates of the tensor grid of ``pts``."""
+    grids = np.meshgrid(*pts, indexing="ij")
+    return dict(zip(_axis_names(len(pts) - 1), grids))
+
+
+def eval_on_grid(
+    exprs: Sequence[Expr], bindings: dict, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Values of each expression on a grid of ``shape``, stacked on a leading axis."""
+    return np.stack([
+        np.broadcast_to(np.asarray(eval_expr(e, bindings), dtype=float), shape)
+        for e in exprs
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +502,6 @@ def iterated_time_integral(f: SepFunc, j: int) -> SepFunc:
 # ---------------------------------------------------------------------------
 
 
-def _norm_grid(f: SepFunc, grid_factor: int, min_points: int) -> list[np.ndarray]:
-    pts = []
-    for deg, iv in zip(f.degrees, f.domain.intervals()):
-        n = max(min_points, grid_factor * deg + 1)
-        pts.append(np.linspace(iv[0], iv[1], n))
-    return pts
-
-
 def _multi_indices(total_max: int, dims: int) -> Iterator[tuple[int, ...]]:
     if dims == 0:
         yield ()
@@ -498,17 +518,10 @@ def _sup_on_grid(f: SepFunc, grid: list[np.ndarray]) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def graded_norms_upto(
-    f: SepFunc,
-    k_max: int,
-    *,
-    p: int | None = None,
-    grid_factor: int = NORM_GRID_FACTOR,
-    min_points: int = NORM_GRID_MIN,
-) -> np.ndarray:
+def graded_norms_upto(f: SepFunc, k_max: int, *, p: int | None = None) -> np.ndarray:
     """Vector of graded norms for k = 0..k_max in one sweep."""
     p_eff = f.p if p is None else p
-    grid = _norm_grid(f, grid_factor, min_points)
+    grid = norm_grid(f)
     best = np.zeros(k_max + 1)
     for beta in _multi_indices(k_max, 1 + f.domain.s):
         if beta[0] > p_eff:
@@ -520,37 +533,18 @@ def graded_norms_upto(
     return best
 
 
-def graded_norm(
-    f: SepFunc,
-    k: int,
-    *,
-    p: int | None = None,
-    grid_factor: int = NORM_GRID_FACTOR,
-    min_points: int = NORM_GRID_MIN,
-) -> float:
-    """Graded seminorm: sup over derivatives with |beta| <= k, beta_t <= p."""
+def graded_norm(f: SepFunc, k: int) -> float:
+    """Graded seminorm: sup over derivatives with |beta| <= k, beta_t <= f.p."""
     if k < 0:
         raise FuncSpaceError("norm index must be nonnegative")
-    return float(
-        graded_norms_upto(f, k, p=p, grid_factor=grid_factor, min_points=min_points)[k]
-    )
+    return float(graded_norms_upto(f, k)[k])
 
 
-def joint_norm(
-    f: SepFunc,
-    k: int,
-    *,
-    grid_factor: int = NORM_GRID_FACTOR,
-    min_points: int = NORM_GRID_MIN,
-) -> float:
+def joint_norm(f: SepFunc, k: int) -> float:
     """Jointly graded norm: no restriction on the time order (contrast norm)."""
     if k < 0:
         raise FuncSpaceError("norm index must be nonnegative")
-    return float(
-        graded_norms_upto(
-            f, k, p=k, grid_factor=grid_factor, min_points=min_points
-        )[k]
-    )
+    return float(graded_norms_upto(f, k, p=k)[k])
 
 
 # ---------------------------------------------------------------------------
@@ -587,16 +581,10 @@ def ball_check(
     center: SepFunc,
     radii: Radii,
     k_max: int,
-    *,
-    grid_factor: int = NORM_GRID_FACTOR,
-    min_points: int = NORM_GRID_MIN,
 ) -> BallReport:
     """Distances ||f - center||_k against r_k for k = 0..k_max."""
     f._check_compatible(center)
-    diff = f - center
-    norms = graded_norms_upto(
-        diff, k_max, grid_factor=grid_factor, min_points=min_points
-    )
+    norms = graded_norms_upto(f - center, k_max)
     rows = []
     for k in range(k_max + 1):
         r = radii.value(k)

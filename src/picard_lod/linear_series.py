@@ -71,6 +71,10 @@ __all__ = [
 ]
 
 
+# x degree of the interpolated data and forcing unless a caller sets one
+SERIES_X_DEGREE = 24
+
+
 class LinearSeriesError(Exception):
     pass
 
@@ -218,19 +222,17 @@ def _is_zero(e: Expr) -> bool:
 
 
 def _probe_q_bound(q: Sequence[Expr], domain: Domain, probe_order: int) -> float:
-    pts = [np.linspace(lo, hi, 65) for lo, hi in domain.intervals()]
-    grids = np.meshgrid(*pts, indexing="ij")
-    bindings = {"t": grids[0]}
-    for i, g in enumerate(grids[1:], start=1):
-        bindings[f"x{i}"] = g
+    pts = fs.uniform_grid(domain, fs.CHECK_GRID_POINTS)
+    bindings = fs.grid_bindings(pts)
+    shape = tuple(len(g) for g in pts)
     best = 0.0
     for e in q:
         for nu in fs._multi_indices(probe_order, domain.s):
             de = e
             for dim, order in enumerate(nu, start=1):
                 de = symbolic_partial(de, f"x{dim}", order)
-            v = np.asarray(eval_expr(de, bindings), dtype=float)
-            best = max(best, float(np.max(np.abs(v))) if v.size else abs(float(v)))
+            v = fs.eval_on_grid([de], bindings, shape)
+            best = max(best, float(np.max(np.abs(v))))
     return best
 
 
@@ -239,25 +241,18 @@ def _probe_q_bound(q: Sequence[Expr], domain: Domain, probe_order: int) -> float
 # ---------------------------------------------------------------------------
 
 
-def _t_interp_matrix(problem: LinearProblem, t_degree: int | None) -> np.ndarray:
+def _t_interp_matrix(problem: LinearProblem) -> np.ndarray:
     """Chebyshev coefficients on T of every p entry, adaptively resolved."""
-    lo, hi = problem.domain.t_interval
-    deg = t_degree or 16
+    dom = problem.domain
+    t_dom = Domain(dom.t0, dom.a, dom.b)
+    deg = 16
     while True:
-        u = cheb.chebpts2(deg + 1) if deg > 0 else np.array([0.0])
-        ts = (lo + hi) / 2 + (hi - lo) / 2 * u
-        V = cheb.chebvander(u, deg)
-        out = np.zeros((problem.m, problem.m, deg + 1))
-        for h in range(problem.m):
-            for l in range(problem.m):
-                vals = np.broadcast_to(
-                    np.asarray(eval_expr(problem.p_coef[h][l], {"t": ts}), dtype=float),
-                    ts.shape,
-                )
-                out[h, l] = np.linalg.solve(V, vals)
-        scale = np.max(np.abs(out)) or 1.0
-        tail = np.max(np.abs(out[..., -2:])) / scale if deg >= 2 else 0.0
-        if t_degree is not None or tail < 1e-13 or deg >= 64:
+        out = np.array([
+            [interpolate(e, t_dom, (deg,)).coeffs[0] for e in row]
+            for row in problem.p_coef
+        ])
+        tail = np.max(np.abs(out[..., -2:])) / (np.max(np.abs(out)) or 1.0)
+        if tail < 1e-13 or deg >= 64:
             return out
         deg *= 2
 
@@ -276,9 +271,7 @@ def _mat_t_product(P: np.ndarray, M: np.ndarray) -> np.ndarray:
         for j in range(m):
             acc = np.zeros(1)
             for l in range(m):
-                term = _chebmul_trunc(P[h, l], M[l, j])
-                n = max(len(acc), len(term))
-                acc = np.pad(acc, (0, n - len(acc))) + np.pad(term, (0, n - len(term)))
+                acc = np.add(*fs.pad_to_common(acc, _chebmul_trunc(P[h, l], M[l, j])))
             out[h, j, : len(acc)] = acc
     return out
 
@@ -317,19 +310,9 @@ def _p_times_sep(problem: LinearProblem, P: np.ndarray, f: SepFunc) -> SepFunc:
                 col = _chebmul_trunc(P[h, l], e)
                 op[: len(col), i] = col
             term = np.tensordot(op, f.coeffs[l], axes=(1, 0))
-            acc = term if acc is None else _pad_add(acc, term)
+            acc = term if acc is None else np.add(*fs.pad_to_common(acc, term))
         comps.append(acc)
-    shape = tuple(max(c.shape[i] for c in comps) for i in range(comps[0].ndim))
-    comps = [np.pad(c, [(0, s - cs) for s, cs in zip(shape, c.shape)]) for c in comps]
-    return SepFunc(problem.domain, problem.m, problem.p, np.stack(comps))
-
-
-def _pad_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    shape = tuple(max(x, y) for x, y in zip(a.shape, b.shape))
-    return (
-        np.pad(a, [(0, s - x) for s, x in zip(shape, a.shape)])
-        + np.pad(b, [(0, s - x) for s, x in zip(shape, b.shape)])
-    )
+    return SepFunc(problem.domain, problem.m, problem.p, np.stack(fs.pad_to_common(*comps)))
 
 
 @dataclass
@@ -352,8 +335,7 @@ def mu_eta_recursions(
     h_max: int,
     *,
     variant: str = "literal",
-    t_degree: int | None = None,
-    x_degree: int = 24,
+    x_degree: int = SERIES_X_DEGREE,
 ) -> MuEta:
     """Exact polynomial recursions for the iterate formula's coefficients.
 
@@ -364,7 +346,7 @@ def mu_eta_recursions(
     """
     if variant not in ("literal", "picard"):
         raise LinearSeriesError(f"unknown recursion variant {variant!r}")
-    P = _t_interp_matrix(problem, t_degree)
+    P = _t_interp_matrix(problem)
     mu: dict[int, list[np.ndarray]] = {}
     for j in range(problem.gamma, problem.d):
         if variant == "literal":
@@ -440,15 +422,12 @@ def _series_terms(
     problem: LinearProblem,
     n: int,
     *,
-    x_degree: int = 24,
-    t_degree: int | None = None,
+    x_degree: int = SERIES_X_DEGREE,
 ) -> tuple[SepFunc, list[SepFunc]]:
     """i0 and the per-step contributions of the explicit iterate formula."""
     cauchy = problem.to_cauchy()
     i0 = pp.initial_polynomial(cauchy, (x_degree,) * problem.domain.s)
-    rec = mu_eta_recursions(
-        problem, n, variant="picard", t_degree=t_degree, x_degree=x_degree
-    )
+    rec = mu_eta_recursions(problem, n, variant="picard", x_degree=x_degree)
     terms: list[SepFunc] = []
     for h in range(1, n + 1):
         acc = rec.eta[h]
@@ -464,18 +443,12 @@ def _series_terms(
                     if not np.any(tc):
                         continue
                     block = np.tensordot(tc, xf.coeffs[l][0], axes=0) * scale
-                    comp = block if comp is None else _pad_add(comp, block)
+                    comp = block if comp is None else np.add(*fs.pad_to_common(comp, block))
                 if comp is None:
                     comp = np.zeros((1,) * (1 + problem.domain.s))
                 comps.append(comp)
-            shape = tuple(
-                max(c.shape[i] for c in comps) for i in range(comps[0].ndim)
-            )
-            comps = [
-                np.pad(c, [(0, s - cs) for s, cs in zip(shape, c.shape)])
-                for c in comps
-            ]
-            term = SepFunc(problem.domain, problem.m, problem.p, np.stack(comps))
+            term = SepFunc(problem.domain, problem.m, problem.p,
+                           np.stack(fs.pad_to_common(*comps)))
             acc = acc + term
         terms.append(acc.trim())
     return i0, terms
@@ -485,11 +458,10 @@ def picard_closed_form(
     problem: LinearProblem,
     n: int,
     *,
-    x_degree: int = 24,
-    t_degree: int | None = None,
+    x_degree: int = SERIES_X_DEGREE,
 ) -> SepFunc:
     """The n-th Picard iterate assembled from the coefficient recursions."""
-    i0, terms = _series_terms(problem, n, x_degree=x_degree, t_degree=t_degree)
+    i0, terms = _series_terms(problem, n, x_degree=x_degree)
     out = i0
     for term in terms:
         out = out + term
@@ -501,8 +473,7 @@ def series_solution(
     N: int,
     *,
     growth: Sequence[GrowthClass] | None = None,
-    x_degree: int = 24,
-    t_degree: int | None = None,
+    x_degree: int = SERIES_X_DEGREE,
 ) -> tuple[SepFunc, dict]:
     """Partial sum of the series solution with a last-term tail diagnostic."""
     if N < 1:
@@ -514,7 +485,7 @@ def series_solution(
             raise LinearSeriesError(
                 "series requested for a problem classified as diverging"
             )
-    i0, terms = _series_terms(problem, N, x_degree=x_degree, t_degree=t_degree)
+    i0, terms = _series_terms(problem, N, x_degree=x_degree)
     out = i0
     for term in terms:
         out = out + term
@@ -902,9 +873,6 @@ def parameter_limit_experiment(
     family: Callable[[float], LinearProblem],
     eps_list: Sequence[float],
     N: int = 20,
-    *,
-    x_degree: int = 24,
-    grid_points: int = 65,
 ) -> ExperimentReport:
     """Sup distance of truncated series solutions to the eps = 0 member.
 
@@ -914,8 +882,8 @@ def parameter_limit_experiment(
     """
     warnings = []
     base_prob = family(0.0)
-    base, _ = series_solution(base_prob, N, x_degree=x_degree)
-    pts = [np.linspace(lo, hi, grid_points) for lo, hi in base_prob.domain.intervals()]
+    base, _ = series_solution(base_prob, N)
+    pts = fs.uniform_grid(base_prob.domain, fs.CHECK_GRID_POINTS)
     base_vals = base.eval_grid(pts[0], pts[1:])
 
     premise_ok = True
@@ -924,7 +892,7 @@ def parameter_limit_experiment(
         sups = []
         for j in range(prob.gamma, prob.d):
             for h in range(N + 1):
-                xf = _x_derivative_interp(prob, prob.initial[j], h, x_degree)
+                xf = _x_derivative_interp(prob, prob.initial[j], h, SERIES_X_DEGREE)
                 sups.append(graded_norm(xf, 0))
         tail = sups[-6:]
         if len(tail) >= 4 and all(b > a for a, b in zip(tail, tail[1:])):
@@ -936,7 +904,7 @@ def parameter_limit_experiment(
 
     rows = []
     for eps in eps_list:
-        sol, _ = series_solution(family(eps), N, x_degree=x_degree)
+        sol, _ = series_solution(family(eps), N)
         vals = sol.eval_grid(pts[0], pts[1:])
         rows.append((float(eps), float(np.max(np.abs(vals - base_vals)))))
     return ExperimentReport(tuple(rows), premise_ok, tuple(warnings))

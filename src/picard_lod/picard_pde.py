@@ -26,7 +26,6 @@ from .expr import (
     Expr,
     Placeholder,
     Unary,
-    eval_expr,
     free_variables,
     is_affine_in_placeholders,
     placeholder_key,
@@ -59,7 +58,6 @@ from .graded_core import (
 
 __all__ = [
     "CauchyProblem",
-    "CollocationConfig",
     "LipschitzFactors",
     "LinearStructure",
     "SolveConfig",
@@ -86,6 +84,25 @@ __all__ = [
 ]
 
 EPS_FLOOR = 1e-300
+
+# collocation of the composed right-hand side: t degree of the iterate plus
+# COLLOC_T_MARGIN; x degrees at least COLLOC_MIN_X_DEGREE, scaled by
+# COLLOC_NONLINEAR_X_FACTOR unless the right-hand side is affine in y
+COLLOC_T_MARGIN = 12
+COLLOC_MIN_X_DEGREE = 8
+COLLOC_NONLINEAR_X_FACTOR = 2
+# sampled Lipschitz estimate: equispaced points per axis, safety factor
+LIPSCHITZ_GRID_POINTS = 17
+LIPSCHITZ_INFLATION = 1.25
+# equispaced points per axis of the constant-bound slab, and per placeholder
+BOUNDS_GRID_POINTS = 25
+BOUNDS_Z_SAMPLES = 5
+BOUNDS_COMBO_BUDGET = 4096
+# t points of the coefficient-matrix sup norm of the linear class
+MATRIX_NORM_POINTS = 257
+# function-mode recursion: tau degree added per level, points per x axis
+FUNCTION_TAU_DEGREE = 48
+FUNCTION_X_POINTS = 33
 
 
 class PicardError(Exception):
@@ -186,17 +203,6 @@ class CauchyProblem:
         return sorted(seen, key=lambda ph: (ph.gamma, ph.alpha, ph.comp))
 
 
-@dataclass(frozen=True)
-class CollocationConfig:
-    """Degree policy for re-interpolating the composed right-hand side."""
-
-    t_margin: int = 12
-    min_x_degree: int = 8
-    nonlinear_x_factor: int = 2
-    degree_cap: int = fs.DEGREE_CAP
-    trim_eps: float = 1e-14
-
-
 # ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
@@ -225,61 +231,41 @@ def initial_polynomial(
                          m=problem.m, p=problem.p)
         tc = _tpoly_cheb(problem.domain, j)
         block = xf.coeffs[:, 0]
-        pad = [(0, t - c) for t, c in zip(shape_x, block.shape[1:])]
-        block = np.pad(block, [(0, 0), *pad])
         tcol = tc.reshape((1, len(tc)) + (1,) * s)
         coeffs[:, : len(tc)] += tcol * block[:, None]
     out = SepFunc(problem.domain, problem.m, problem.p, coeffs)
     return out.trim()
 
 
-def _grid_bindings(
-    problem: CauchyProblem,
-    y: SepFunc,
-    t_pts: np.ndarray,
-    x_pts: Sequence[np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Bind t, x and every placeholder of the right-hand side on a grid."""
-    shape = (len(t_pts), *[len(g) for g in x_pts])
-    grids = np.meshgrid(t_pts, *x_pts, indexing="ij")
-    bindings: dict[str, np.ndarray] = {"t": grids[0]}
-    for i, g in enumerate(grids[1:], start=1):
-        bindings[f"x{i}"] = g
+def _rhs_on_grid(
+    problem: CauchyProblem, y: SepFunc, pts: Sequence[np.ndarray]
+) -> np.ndarray:
+    """The right-hand side composed with y on the tensor grid of ``pts``."""
+    shape = tuple(len(g) for g in pts)
+    bindings = fs.grid_bindings(pts)
     for ph in problem.placeholders():
         df = partial_derivative(y, (ph.gamma, *ph.alpha))
-        vals = df.eval_grid(t_pts, x_pts)
+        vals = df.eval_grid(pts[0], pts[1:])
         bindings[placeholder_key(ph)] = np.broadcast_to(vals[ph.comp - 1], shape)
-    return bindings
+    return fs.eval_on_grid(problem.rhs, bindings, shape)
 
 
-def _g_degrees(problem: CauchyProblem, y: SepFunc, colloc: CollocationConfig) -> tuple[int, ...]:
-    cap = colloc.degree_cap
-    dt = min(cap, y.deg_t + colloc.t_margin)
+def _g_degrees(problem: CauchyProblem, y: SepFunc) -> tuple[int, ...]:
+    cap = fs.DEGREE_CAP
+    dt = min(cap, y.deg_t + COLLOC_T_MARGIN)
     affine = all(is_affine_in_placeholders(e) for e in problem.rhs)
-    fac = 1 if affine else colloc.nonlinear_x_factor
+    fac = 1 if affine else COLLOC_NONLINEAR_X_FACTOR
     dx = tuple(
-        min(cap, max(colloc.min_x_degree, fac * d)) for d in y.degrees[1:]
+        min(cap, max(COLLOC_MIN_X_DEGREE, fac * d)) for d in y.degrees[1:]
     )
     return (dt, *dx)
 
 
-def eval_G(
-    problem: CauchyProblem,
-    y: SepFunc,
-    colloc: CollocationConfig = CollocationConfig(),
-    out_degrees: Sequence[int] | None = None,
-) -> SepFunc:
+def eval_G(problem: CauchyProblem, y: SepFunc) -> SepFunc:
     """The composed right-hand side G(t, x, y) as a new interpolant."""
-    degrees = tuple(out_degrees) if out_degrees is not None else _g_degrees(problem, y, colloc)
-    nodes = fs.chebyshev_nodes(problem.domain, degrees)
-    bindings = _grid_bindings(problem, y, nodes[0], nodes[1:])
-    shape = tuple(len(g) for g in nodes)
-    vals = np.stack([
-        np.broadcast_to(np.asarray(eval_expr(e, bindings), dtype=float), shape)
-        for e in problem.rhs
-    ])
-    out = fs.from_values(vals, problem.domain, problem.m, problem.p)
-    out = out.trim(colloc.trim_eps)
+    degrees = _g_degrees(problem, y)
+    vals = _rhs_on_grid(problem, y, fs.chebyshev_nodes(problem.domain, degrees))
+    out = fs.from_values(vals, problem.domain, problem.m, problem.p).trim()
     # tail magnitude of the representation, as a truncation indicator
     tail = 0.0
     arr = np.asarray(out.coeffs)
@@ -294,14 +280,13 @@ def apply_P(
     problem: CauchyProblem,
     y: SepFunc,
     i0: SepFunc | None = None,
-    colloc: CollocationConfig = CollocationConfig(),
 ) -> SepFunc:
     """One Picard step: i0 plus the d-fold nested time integral of G."""
     if i0 is None:
         i0 = initial_polynomial(problem, [max(8, d) for d in y.degrees[1:]])
-    g = eval_G(problem, y, colloc)
+    g = eval_G(problem, y)
     out = i0 + iterated_time_integral(g, problem.d)
-    return replace(out.trim(colloc.trim_eps), truncation=g.truncation)
+    return replace(out.trim(), truncation=g.truncation)
 
 
 @dataclass(frozen=True)
@@ -316,41 +301,22 @@ class ResidualReport:
         }
 
 
-def residual(
-    problem: CauchyProblem,
-    y: SepFunc,
-    *,
-    grid_factor: int = 4,
-    min_points: int = 128,
-) -> ResidualReport:
+def residual(problem: CauchyProblem, y: SepFunc) -> ResidualReport:
     """Max-grid defect of the PDE and of each initial condition."""
-    pts = []
-    for deg, iv in zip(y.degrees, problem.domain.intervals()):
-        n = max(min_points, grid_factor * deg + 1)
-        pts.append(np.linspace(iv[0], iv[1], n))
-    lhs = partial_derivative(y, (problem.d, *([0] * problem.domain.s)))
+    pts = fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)
+    zeros_x = [0] * problem.domain.s
+    lhs = partial_derivative(y, (problem.d, *zeros_x))
     lhs_vals = lhs.eval_grid(pts[0], pts[1:])
-    bindings = _grid_bindings(problem, y, pts[0], pts[1:])
-    shape = tuple(len(g) for g in pts)
-    rhs_vals = np.stack([
-        np.broadcast_to(np.asarray(eval_expr(e, bindings), dtype=float), shape)
-        for e in problem.rhs
-    ])
-    pde_res = float(np.max(np.abs(lhs_vals - rhs_vals)))
+    pde_res = float(np.max(np.abs(lhs_vals - _rhs_on_grid(problem, y, pts))))
 
-    x_pts = pts[1:]
-    t0 = np.array([problem.domain.t0])
+    # the initial conditions on the slice t = t0 of the same x grid
+    slice_pts = [np.array([problem.domain.t0]), *pts[1:]]
+    bindings = fs.grid_bindings(slice_pts)
+    shape = tuple(len(g) for g in slice_pts)
     ics = []
-    x_shape = tuple(len(g) for g in x_pts)
-    xg = np.meshgrid(*x_pts, indexing="ij") if x_pts else []
-    xbind = {f"x{i}": g for i, g in enumerate(xg, start=1)}
     for j, row in enumerate(problem.initial):
-        dj = partial_derivative(y, (j, *([0] * problem.domain.s)))
-        got = dj.eval_grid(t0, x_pts)[:, 0]
-        want = np.stack([
-            np.broadcast_to(np.asarray(eval_expr(e, xbind), dtype=float), x_shape)
-            for e in row
-        ])
+        got = partial_derivative(y, (j, *zeros_x)).eval_grid(slice_pts[0], pts[1:])
+        want = fs.eval_on_grid(row, bindings, shape)
         ics.append(float(np.max(np.abs(got - want))) if got.size else 0.0)
     return ResidualReport(pde_res, tuple(ics))
 
@@ -513,19 +479,14 @@ class LipschitzFactors:
         return cls("constant", table=tuple(vals), meta=meta or {})
 
 
-def _matrix_sup_norm(
-    p_exprs: tuple[tuple[Expr, ...], ...], domain: Domain, n_pts: int = 257
-) -> float:
+def _matrix_sup_norm(p_exprs: tuple[tuple[Expr, ...], ...], domain: Domain) -> float:
     """sup_T of the max-row-sum norm of the t-coefficient matrix."""
-    lo, hi = domain.t_interval
-    ts = np.linspace(lo, hi, n_pts)
-    rows = []
-    for row in p_exprs:
-        acc = np.zeros_like(ts)
-        for e in row:
-            acc = acc + np.abs(np.asarray(eval_expr(e, {"t": ts}), dtype=float))
-        rows.append(acc)
-    return float(np.max(np.stack(rows)))
+    ts = fs.uniform_grid(domain, MATRIX_NORM_POINTS)[0]
+    bindings = {"t": ts}
+    return float(max(
+        np.max(np.sum(np.abs(fs.eval_on_grid(row, bindings, ts.shape)), axis=0))
+        for row in p_exprs
+    ))
 
 
 def estimate_lipschitz(
@@ -536,9 +497,7 @@ def estimate_lipschitz(
     k_max: int = 8,
     n_pairs: int = 64,
     seed: int = 0,
-    inflation: float = 1.25,
     x_degrees: Sequence[int] | None = None,
-    grid_points: int = 17,
 ) -> LipschitzFactors:
     """Exact factors for the linear class, or a sampled non-certified estimate.
 
@@ -572,9 +531,7 @@ def estimate_lipschitz(
     x_degrees = tuple(x_degrees) if x_degrees is not None else (12,) * s
     i0 = initial_polynomial(problem, x_degrees)
     rng = np.random.default_rng(seed)
-    pts = []
-    for iv in problem.domain.intervals():
-        pts.append(np.linspace(iv[0], iv[1], grid_points))
+    pts = fs.uniform_grid(problem.domain, LIPSCHITZ_GRID_POINTS)
     shape = tuple(len(g) for g in pts)
 
     def random_member() -> SepFunc:
@@ -627,12 +584,12 @@ def estimate_lipschitz(
             if np.any(mask):
                 best[k] = max(best[k], float(np.max(num[mask] / den[mask])))
     return LipschitzFactors.from_table(
-        tuple(best * inflation),
+        tuple(best * LIPSCHITZ_INFLATION),
         {
             "method": "sampled",
             "n_pairs": n_pairs,
             "seed": seed,
-            "inflation": inflation,
+            "inflation": LIPSCHITZ_INFLATION,
             "certified": False,
         },
     )
@@ -710,15 +667,13 @@ class _FunctionRecursion:
     Branch profiles are chebyshev coefficient columns, one per x point.
     """
 
-    def __init__(self, factors: LipschitzFactors, d: int, L: int, domain: Domain,
-                 tau_degree: int = 48, x_points: int = 33):
+    def __init__(self, factors: LipschitzFactors, d: int, L: int, domain: Domain):
         self.factors = factors
         self.d = d
         self.L = L
         self.domain = domain
         self.tbar = domain.tbar
-        self.tau_degree = tau_degree
-        self.x_grids = [np.linspace(lo, hi, x_points) for lo, hi in domain.S]
+        self.x_grids = fs.uniform_grid(domain, FUNCTION_X_POINTS)[1:]
         shape = tuple(len(g) for g in self.x_grids)
         self.nx = int(np.prod(shape)) if shape else 1
         self._memo: dict[tuple[int, int], list[np.ndarray]] = {}
@@ -746,7 +701,7 @@ class _FunctionRecursion:
         if key in self._memo:
             return self._memo[key]
         prev = self.branches(k + self.L, n - 1)
-        deg = max(c.shape[0] for c in prev) - 1 + self.tau_degree
+        deg = max(c.shape[0] for c in prev) - 1 + FUNCTION_TAU_DEGREE
         deg = min(deg, fs.DEGREE_CAP)
         u = cheb.chebpts2(deg + 1)
         taus = self._tau_nodes(deg)
@@ -840,12 +795,6 @@ def constant_bounds(
     problem: CauchyProblem,
     radii: Radii,
     k: int,
-    *,
-    i0: SepFunc | None = None,
-    z_samples: int = 5,
-    grid_points: int = 25,
-    combo_budget: int = 4096,
-    seed: int = 0,
 ) -> float:
     """Grid maximum of |d_x^nu G| over the compact slab around the data.
 
@@ -856,8 +805,7 @@ def constant_bounds(
     r = radii.value(k + problem.L + problem.p)
     if math.isinf(r):
         raise PicardError("constant bounds need a finite radius r_{k+L+p}")
-    if i0 is None:
-        i0 = initial_polynomial(problem)
+    i0 = initial_polynomial(problem)
     s = problem.domain.s
 
     exprs: list[Expr] = []
@@ -878,13 +826,8 @@ def constant_bounds(
         {ph for e in exprs for ph in placeholders_in(e)},
         key=lambda ph: (ph.gamma, ph.alpha, ph.comp),
     )
-    pts = []
-    for iv in problem.domain.intervals():
-        pts.append(np.linspace(iv[0], iv[1], grid_points))
-    grids = np.meshgrid(*pts, indexing="ij")
-    base: dict[str, np.ndarray] = {"t": grids[0]} if grids else {}
-    for i, g in enumerate(grids[1:], start=1):
-        base[f"x{i}"] = g
+    pts = fs.uniform_grid(problem.domain, BOUNDS_GRID_POINTS)
+    base = fs.grid_bindings(pts)
 
     ranges = []
     for ph in phs:
@@ -892,8 +835,9 @@ def constant_bounds(
         vals = df.eval_grid(pts[0], pts[1:])[ph.comp - 1]
         ranges.append((float(np.min(vals)) - r, float(np.max(vals)) + r))
 
+    z_samples = BOUNDS_Z_SAMPLES
     n_combo = z_samples ** len(phs) if phs else 1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = 0.0
     shape = tuple(len(g) for g in pts)
 
@@ -901,19 +845,15 @@ def constant_bounds(
         b = dict(base)
         for ph, z in zip(phs, zvals):
             b[placeholder_key(ph)] = float(z)
-        worst = 0.0
-        for e in exprs:
-            v = np.asarray(eval_expr(e, b), dtype=float)
-            v = np.broadcast_to(v, shape) if shape else v
-            worst = max(worst, float(np.max(np.abs(v))))
-        return worst
+        vals = fs.eval_on_grid(exprs, b, shape)
+        return max([0.0, *(float(np.max(np.abs(v))) for v in vals)])
 
-    if n_combo <= combo_budget:
+    if n_combo <= BOUNDS_COMBO_BUDGET:
         axes = [np.linspace(lo, hi, z_samples) for lo, hi in ranges]
         for combo in np.ndindex(*[z_samples] * len(phs)):
             best = max(best, eval_all([axes[i][c] for i, c in enumerate(combo)]))
     else:
-        for _ in range(combo_budget):
+        for _ in range(BOUNDS_COMBO_BUDGET):
             zs = [rng.uniform(lo, hi) for lo, hi in ranges]
             best = max(best, eval_all(zs))
         for corner in ([lo for lo, _ in ranges], [hi for _, hi in ranges]):
@@ -995,7 +935,6 @@ def certify_weissinger(
     growth: Sequence[Any] | None = None,
     k_cap: int = 8,
     x_degrees: Sequence[int] | None = None,
-    colloc: CollocationConfig = CollocationConfig(),
     window: int = 10,
     margin: float = 0.05,
 ) -> LodCertificate:
@@ -1025,7 +964,7 @@ def certify_weissinger(
     }
     if norm_source == "numeric":
         i0 = initial_polynomial(problem, x_degrees)
-        inc = (apply_P(problem, i0, i0, colloc) - i0).trim()
+        inc = (apply_P(problem, i0, i0) - i0).trim()
         n_hi_of = {
             k: (n_max if L == 0 else min(n_max, (k_cap - k) // L)) for k in k_list
         }
@@ -1075,17 +1014,13 @@ class SolveConfig:
     tol: float = 1e-10
     n_max: int = 10
     certify_first: bool = False
-    certify_k: tuple[int, ...] = (0,)
     certify_n_max: int = 25
-    norm_source: str = "auto"
     lambda_mode: str | None = None
     residual_tol: float = 1e-7
     x_degrees: tuple[int, ...] | None = None
-    colloc: CollocationConfig = field(default_factory=CollocationConfig)
     growth: tuple[Any, ...] | None = None
     seed: int = 0
     store_iterates: bool = False
-    k_ball: int | None = None  # ball membership checked for k <= this
 
 
 @dataclass
@@ -1153,9 +1088,8 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
             problem, cfg.radii, "auto", seed=cfg.seed, x_degrees=x_degrees
         )
         certificate = certify_weissinger(
-            problem, factors, cfg.radii, cfg.certify_k, cfg.certify_n_max,
-            norm_source=cfg.norm_source, mode=cfg.lambda_mode,
-            growth=cfg.growth, x_degrees=x_degrees, colloc=cfg.colloc,
+            problem, factors, cfg.radii, (0,), cfg.certify_n_max,
+            mode=cfg.lambda_mode, growth=cfg.growth, x_degrees=x_degrees,
         )
     except PicardError as exc:
         note = f"certificate unavailable: {exc}"
@@ -1165,14 +1099,13 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
         if certificate.verdict == DIVERGING:
             raise CertifiedDivergence(certificate)
 
-    k_ball = cfg.k_ball if cfg.k_ball is not None else max(cfg.k_check)
     k_top = max(cfg.k_check)
     ball_log: list[dict] = []
     truncation: list[float] = []
     last_norms: list = [None, None]  # (difference, its norms up to k_top)
 
     def step(y: SepFunc) -> SepFunc:
-        y_next = apply_P(problem, y, i0, cfg.colloc)
+        y_next = apply_P(problem, y, i0)
         truncation.append(y_next.truncation or 0.0)
         return y_next
 
@@ -1180,7 +1113,7 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
         # i0 is the centre of the ball: neither checked nor logged
         if y is i0:
             return True
-        report = ball_check(y, i0, cfg.radii, k_ball)
+        report = ball_check(y, i0, cfg.radii, k_top)
         n = len(ball_log) + 1
         ball_log.append({"n": n, **report.to_json_dict()})
         if not report.member:

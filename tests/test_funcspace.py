@@ -254,3 +254,41 @@ def test_trim_drops_negligible_tail():
     c[0, 2, 4] = 1e-20
     f = SepFunc(SQUARE, 1, 0, c)
     assert f.trim().degrees == (0, 0)
+
+
+class TestEquality:
+    def test_coefficients_take_part_in_eq_and_hash(self):
+        f = SepFunc(SQUARE, 1, 0, np.ones((1, 1, 2)))
+        g = SepFunc(SQUARE, 1, 0, 5 * np.ones((1, 1, 3)))
+        assert f != g
+        assert hash(f) != hash(g)
+        assert len({f, g}) == 2
+
+    def test_equal_tensors_are_equal_and_hash_alike(self):
+        c = np.arange(6.0).reshape(1, 2, 3)
+        f, g = SepFunc(SQUARE, 1, 0, c), SepFunc(SQUARE, 1, 0, c.copy())
+        assert f == g and hash(f) == hash(g)
+        assert f != SepFunc(SQUARE, 1, 0, c * (1 + 1e-15) + 1e-300)
+        assert f != SepFunc(UNIT_T, 1, 0, c)
+        assert f.__eq__("not a function") is NotImplemented
+
+    def test_zero_padding_changes_the_tensor(self):
+        f = SepFunc(SQUARE, 1, 0, np.ones((1, 1, 2)))
+        assert f != SepFunc(SQUARE, 1, 0, np.pad(f.coeffs, [(0, 0), (0, 0), (0, 1)]))
+
+    def test_function_mode_factors_compare_their_fields(self):
+        from picard_lod.picard_pde import LipschitzFactors
+
+        a = LipschitzFactors("function", funcs=(SepFunc(SQUARE, 1, 0, np.ones((1, 1, 2))),))
+        b = LipschitzFactors("function", funcs=(SepFunc(SQUARE, 1, 0, 2 * np.ones((1, 1, 2))),))
+        assert a != b and hash(a) != hash(b)
+        assert a == LipschitzFactors("function", funcs=a.funcs)
+
+
+def test_pad_to_common():
+    from picard_lod.funcspace import pad_to_common
+
+    a, b = pad_to_common(np.ones((1, 2, 1)), np.full((1, 1, 3), 2.0))
+    assert a.shape == b.shape == (1, 2, 3)
+    assert np.array_equal(a[0], [[1, 0, 0], [1, 0, 0]])
+    assert np.array_equal(b[0], [[2, 2, 2], [0, 0, 0]])

@@ -205,6 +205,37 @@ class TestResidual:
         assert pp.residual(prob, i0).pde_residual == pytest.approx(2.0, abs=1e-12)
 
 
+    def test_two_components_in_two_dimensions(self):
+        # y1'' = d_x1 y2, y2'' = d_x2 y1 + x1; the iteration ends after two
+        # steps at y1 = x1^2 + tau x2 + tau^4/24, y2 = x2^2 + tau^3/6 + x1 tau^2/2
+        # with tau = t - t0
+        ar = Arity(s=2, m=2, L=1, p=0)
+        rhs = (parse_expression("Dx1(y2)", ar), parse_expression("Dx2(y1)+x1", ar))
+        x = Arity(s=2)
+        initial = (
+            (parse_expression("x1^2", x), parse_expression("x2^2", x)),
+            (parse_expression("x2", x), parse_expression("0", x)),
+        )
+        dom = Domain(0.1, 0.3, 0.4, ((-1, 2), (0, 1)))
+        prob = pp.CauchyProblem(dom, 2, 2, 0, 1, rhs, initial)
+        i0 = pp.initial_polynomial(prob, (4, 4))
+        y = i0
+        for _ in range(3):
+            y = pp.apply_P(prob, y, i0)
+        res = pp.residual(prob, y)
+        assert res.pde_residual <= 1e-12
+        assert len(res.ic_residuals) == 2
+        assert max(res.ic_residuals) <= 1e-12
+        tau, x1, x2 = 0.35, 1.5, 0.25
+        got = y.eval_grid(np.array([dom.t0 + tau]), [np.array([x1]), np.array([x2])])
+        want = [x1**2 + tau * x2 + tau**4 / 24, x2**2 + tau**3 / 6 + x1 * tau**2 / 2]
+        assert got.ravel() == pytest.approx(want, abs=1e-12)
+        # i0 meets the data exactly; its defect is max |tau + x1| = 0.4 + 2
+        res0 = pp.residual(prob, i0)
+        assert res0.pde_residual == pytest.approx(2.4, abs=1e-12)
+        assert res0.ic_residuals == pytest.approx((0.0, 0.0), abs=1e-13)
+
+
 class TestLinearStructure:
     def test_heat(self):
         st = pp.extract_linear_structure(heat_problem(a=2.5))
