@@ -172,7 +172,7 @@ def _validate(doc: dict, path: Path) -> None:
 
 
 def load_problem(path: Path):
-    """Parse and validate a problem file; returns the assembled pieces."""
+    """Parse and validate a problem file into (problem, solve config)."""
     from .expr import Arity, ParseError, parse_expression
     from .funcspace import Domain, Radii
     from .linear_series import GrowthClass
@@ -232,7 +232,7 @@ def load_problem(path: Path):
         growth=growth,
         seed=sol.get("seed", 0),
     )
-    return problem, config, growth, radii, doc
+    return problem, config
 
 
 def _write_report(out_dir: Path, stem: str, payload: dict) -> Path:
@@ -272,7 +272,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     from .picard_pde import BallEscape, CertifiedDivergence, solve
 
     path = Path(args.file)
-    problem, config, growth, radii, _ = load_problem(path)
+    problem, config = load_problem(path)
     if args.certify_first:
         config.certify_first = True
     if args.paper_mode:
@@ -293,7 +293,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except BallEscape as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    payload = report.to_json_dict(include_timings=False)
+    payload = report.to_json_dict()
     rp = _write_report(out_dir, stem, payload)
     np_ = _write_norms_csv(out_dir, stem, report.increments)
     elapsed = time.perf_counter() - t0
@@ -319,7 +319,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     from .picard_pde import certify_weissinger, estimate_lipschitz
 
     path = Path(args.file)
-    problem, config, growth, radii, _ = load_problem(path)
+    problem, config = load_problem(path)
     out_dir = Path(args.out) if args.out else path.parent
     mode = {"conservative": "recursion", "paper": "paper", None: None}[args.mode]
     # quadratic transport-type demo problems take the dedicated divergence path
@@ -328,12 +328,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
         for e in problem.rhs
     )
     if quadratic:
-        cert = burgers_demo(problem, radii, tuple(config.k_check), args.nmax)
+        cert = burgers_demo(problem, config.radii, tuple(config.k_check), args.nmax)
     else:
-        factors = estimate_lipschitz(problem, radii, seed=config.seed)
+        factors = estimate_lipschitz(problem, config.radii, seed=config.seed)
         cert = certify_weissinger(
-            problem, factors, radii, tuple(config.k_check), args.nmax,
-            growth=growth, mode=mode,
+            problem, factors, config.radii, tuple(config.k_check), args.nmax,
+            growth=config.growth, mode=mode,
         )
     payload = cert.to_json_dict()
     rp = _write_report(out_dir, f"{path.stem}.certificate", payload)
@@ -345,7 +345,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     from .linear_series import LinearProblem, LinearSeriesError, series_solution
 
     path = Path(args.file)
-    problem, config, growth, radii, _ = load_problem(path)
+    problem, config = load_problem(path)
     out_dir = Path(args.out) if args.out else path.parent
     try:
         lp = LinearProblem.from_cauchy(problem)
@@ -355,7 +355,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             f"p(t)*Dx^mu Dt^gamma y + q: {exc}", file=sys.stderr,
         )
         return EXIT_ERROR
-    sol, diag = series_solution(lp, args.terms, growth=growth)
+    sol, diag = series_solution(lp, args.terms, growth=config.growth)
     payload = {
         "terms": args.terms,
         "diagnostics": diag,
@@ -379,7 +379,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .picard_pde import apply_P, initial_polynomial, solve
 
     path = Path(args.file)
-    problem, config, growth, radii, _ = load_problem(path)
+    problem, config = load_problem(path)
     out_dir = Path(args.out) if args.out else path.parent
     try:
         lp = LinearProblem.from_cauchy(problem)
@@ -389,6 +389,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.against == "generic":
         n = args.terms
         x_deg = (config.x_degrees or (24,) * problem.domain.s)
+        if len(set(x_deg)) > 1:  # the closed form takes one x degree for all axes
+            raise CliError(
+                f"compare --against generic needs equal x degrees, got {list(x_deg)}"
+            )
         i0 = initial_polynomial(problem, x_deg)
         y = i0
         for _ in range(n):
@@ -399,7 +403,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         payload = {"against": "generic", "n": n, "max_coefficient_deviation": dev}
     else:
         rep = solve(problem, config)
-        sol, diag = series_solution(lp, args.terms, growth=growth)
+        sol, diag = series_solution(lp, args.terms, growth=config.growth)
         pts = fs.uniform_grid(problem.domain, fs.CHECK_GRID_POINTS)
         va = rep.candidate.eval_grid(pts[0], pts[1:])
         vb = sol.eval_grid(pts[0], pts[1:])

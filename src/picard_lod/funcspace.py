@@ -42,9 +42,11 @@ __all__ = [
     "eval_on_grid",
     "pad_to_common",
     "partial_derivative",
+    "derivatives_on_grid",
     "iterated_time_integral",
     "graded_norm",
     "graded_norms_upto",
+    "graded_indices",
     "joint_norm",
     "ball_check",
     "DEGREE_CAP",
@@ -395,7 +397,9 @@ def interpolate(
     fine_vals = eval_on_grid(elist, grid_bindings(fine), shape)
     approx = f.eval_grid(fine[0], fine[1:])
     err = float(np.max(np.abs(fine_vals - approx))) if fine_vals.size else 0.0
-    return replace(f, interp_error=err)
+    # f is still private here: attach the error without a second copy
+    object.__setattr__(f, "interp_error", err)
+    return f
 
 
 def from_values(
@@ -482,6 +486,33 @@ def partial_derivative(f: SepFunc, beta: Sequence[int]) -> SepFunc:
     return SepFunc(f.domain, f.m, f.p, coef)
 
 
+def derivatives_on_grid(
+    f: SepFunc, betas: Iterable[Sequence[int]], pts: Sequence[np.ndarray]
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Yield (beta, values of D^beta f on the tensor grid of pts) for each beta.
+
+    Each derivative is one partial_derivative step from its parent (beta with
+    its last nonzero axis lowered by one), kept for this call only.  The steps
+    run axis by axis, t first, as in partial_derivative(f, beta), so the
+    values equal its values bit for bit.
+    """
+    built = {(0,) * (1 + f.domain.s): f}
+
+    def build(beta: tuple[int, ...]) -> SepFunc:
+        if beta not in built:
+            axis = max(i for i, b in enumerate(beta) if b)
+            step = tuple(int(i == axis) for i in range(len(beta)))
+            parent = build(tuple(b - d for b, d in zip(beta, step)))
+            built[beta] = partial_derivative(parent, step)
+        return built[beta]
+
+    for beta in betas:
+        beta = tuple(int(b) for b in beta)
+        if len(beta) != 1 + f.domain.s or min(beta) < 0:
+            raise FuncSpaceError(f"invalid multi-index {beta}")
+        yield beta, build(beta).eval_grid(pts[0], pts[1:])
+
+
 def iterated_time_integral(f: SepFunc, j: int) -> SepFunc:
     """The j-fold nested antiderivative from t0, exact on coefficients."""
     if j < 1:
@@ -511,25 +542,19 @@ def _multi_indices(total_max: int, dims: int) -> Iterator[tuple[int, ...]]:
             yield (head, *rest)
 
 
-def _sup_on_grid(f: SepFunc, grid: list[np.ndarray]) -> float:
-    vals = f.eval_grid(grid[0], grid[1:])
-    if not np.all(np.isfinite(vals)):
-        raise FuncSpaceError("non-finite derivative values on norm grid")
-    return float(np.max(np.abs(vals)))
+def graded_indices(k_max: int, s: int, t_max: int) -> list[tuple[int, ...]]:
+    """Multi-indices (t first) with |beta| <= k_max and beta_t <= t_max."""
+    return [beta for beta in _multi_indices(k_max, 1 + s) if beta[0] <= t_max]
 
 
 def graded_norms_upto(f: SepFunc, k_max: int, *, p: int | None = None) -> np.ndarray:
     """Vector of graded norms for k = 0..k_max in one sweep."""
-    p_eff = f.p if p is None else p
-    grid = norm_grid(f)
+    betas = graded_indices(k_max, f.domain.s, f.p if p is None else p)
     best = np.zeros(k_max + 1)
-    for beta in _multi_indices(k_max, 1 + f.domain.s):
-        if beta[0] > p_eff:
-            continue
-        df = partial_derivative(f, beta)
-        sup = _sup_on_grid(df, grid)
-        k_from = sum(beta)
-        best[k_from:] = np.maximum(best[k_from:], sup)
+    for beta, vals in derivatives_on_grid(f, betas, norm_grid(f)):
+        if not np.all(np.isfinite(vals)):
+            raise FuncSpaceError("non-finite derivative values on norm grid")
+        best[sum(beta):] = np.maximum(best[sum(beta):], float(np.max(np.abs(vals))))
     return best
 
 

@@ -10,7 +10,6 @@ derivatives L (the highest spatial order on the right-hand side).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
@@ -41,7 +40,6 @@ from .funcspace import (
     graded_norms_upto,
     interpolate,
     iterated_time_integral,
-    partial_derivative,
 )
 from .graded_core import (
     CONVERGED,
@@ -243,9 +241,9 @@ def _rhs_on_grid(
     """The right-hand side composed with y on the tensor grid of ``pts``."""
     shape = tuple(len(g) for g in pts)
     bindings = fs.grid_bindings(pts)
-    for ph in problem.placeholders():
-        df = partial_derivative(y, (ph.gamma, *ph.alpha))
-        vals = df.eval_grid(pts[0], pts[1:])
+    phs = problem.placeholders()
+    derivs = fs.derivatives_on_grid(y, [(ph.gamma, *ph.alpha) for ph in phs], pts)
+    for ph, (_, vals) in zip(phs, derivs):
         bindings[placeholder_key(ph)] = np.broadcast_to(vals[ph.comp - 1], shape)
     return fs.eval_on_grid(problem.rhs, bindings, shape)
 
@@ -305,19 +303,16 @@ def residual(problem: CauchyProblem, y: SepFunc) -> ResidualReport:
     """Max-grid defect of the PDE and of each initial condition."""
     pts = fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)
     zeros_x = [0] * problem.domain.s
-    lhs = partial_derivative(y, (problem.d, *zeros_x))
-    lhs_vals = lhs.eval_grid(pts[0], pts[1:])
+    [(_, lhs_vals)] = fs.derivatives_on_grid(y, [(problem.d, *zeros_x)], pts)
     pde_res = float(np.max(np.abs(lhs_vals - _rhs_on_grid(problem, y, pts))))
 
     # the initial conditions on the slice t = t0 of the same x grid
     slice_pts = [np.array([problem.domain.t0]), *pts[1:]]
     bindings = fs.grid_bindings(slice_pts)
     shape = tuple(len(g) for g in slice_pts)
-    ics = []
-    for j, row in enumerate(problem.initial):
-        got = partial_derivative(y, (j, *zeros_x)).eval_grid(slice_pts[0], pts[1:])
-        want = fs.eval_on_grid(row, bindings, shape)
-        ics.append(float(np.max(np.abs(got - want))) if got.size else 0.0)
+    derivs = fs.derivatives_on_grid(y, [(j, *zeros_x) for j in range(problem.d)], slice_pts)
+    ics = [float(np.max(np.abs(got - fs.eval_on_grid(row, bindings, shape))))
+           for row, (_, got) in zip(problem.initial, derivs)]
     return ResidualReport(pde_res, tuple(ics))
 
 
@@ -546,40 +541,21 @@ def estimate_lipschitz(
         )
         return i0 + pert * (0.9 * min(1.0, scale) if math.isfinite(scale) else 0.0)
 
+    def graded_sweep(f: SepFunc, k_top: int, t_max: int) -> np.ndarray:
+        # level k: pointwise max over components and |beta| <= k, beta_t <= t_max
+        levels = np.zeros((k_top + 1, *shape))
+        for beta, vals in fs.derivatives_on_grid(f, fs.graded_indices(k_top, s, t_max), pts):
+            k_from = sum(beta)
+            levels[k_from:] = np.maximum(levels[k_from:], np.max(np.abs(vals), axis=0))
+        return levels
+
     best = np.zeros(k_max + 1)
-    denom_orders = [
-        (g, a)
-        for g in range(problem.p + 1)
-        for a in fs._multi_indices(k_max + problem.L, s)
-    ]
     for _ in range(n_pairs):
         u, v = random_member(), random_member()
-        gu = eval_G(problem, u)
-        gv = eval_G(problem, v)
-        gd = gu - gv
-        ud = u - v
-        den_by_order: dict[int, np.ndarray] = {}
-        for g, a in denom_orders:
-            order = g + sum(a)
-            vals = np.max(
-                np.abs(partial_derivative(ud, (g, *a)).eval_grid(pts[0], pts[1:])),
-                axis=0,
-            )
-            vals = np.broadcast_to(vals, shape)
-            cur = den_by_order.get(order)
-            den_by_order[order] = vals if cur is None else np.maximum(cur, vals)
+        dens = graded_sweep(u - v, k_max + problem.L, problem.p)
+        nums = graded_sweep(eval_G(problem, u) - eval_G(problem, v), k_max, 0)
         for k in range(k_max + 1):
-            den = np.zeros(shape)
-            for order in range(k + problem.L + 1):
-                if order in den_by_order:
-                    den = np.maximum(den, den_by_order[order])
-            num = np.zeros(shape)
-            for a in fs._multi_indices(k, s):
-                vals = np.max(
-                    np.abs(partial_derivative(gd, (0, *a)).eval_grid(pts[0], pts[1:])),
-                    axis=0,
-                )
-                num = np.maximum(num, np.broadcast_to(vals, shape))
+            den, num = dens[k + problem.L], nums[k]
             mask = den > 1e-13
             if np.any(mask):
                 best[k] = max(best[k], float(np.max(num[mask] / den[mask])))
@@ -829,11 +805,9 @@ def constant_bounds(
     pts = fs.uniform_grid(problem.domain, BOUNDS_GRID_POINTS)
     base = fs.grid_bindings(pts)
 
-    ranges = []
-    for ph in phs:
-        df = partial_derivative(i0, (ph.gamma, *ph.alpha))
-        vals = df.eval_grid(pts[0], pts[1:])[ph.comp - 1]
-        ranges.append((float(np.min(vals)) - r, float(np.max(vals)) + r))
+    derivs = fs.derivatives_on_grid(i0, [(ph.gamma, *ph.alpha) for ph in phs], pts)
+    comp_vals = [vals[ph.comp - 1] for ph, (_, vals) in zip(phs, derivs)]
+    ranges = [(float(np.min(v)) - r, float(np.max(v)) + r) for v in comp_vals]
 
     z_samples = BOUNDS_Z_SAMPLES
     n_combo = z_samples ** len(phs) if phs else 1
@@ -1040,14 +1014,13 @@ class SolveReport:
     truncation: list[float]
     iterates: list[SepFunc] | None
     config: SolveConfig
-    wall_clock: float = 0.0
 
     @property
     def converged(self) -> bool:
         return self.status == CONVERGED
 
-    def to_json_dict(self, include_timings: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "status": self.status,
             "n_steps": self.n_steps,
             "increments": {str(k): v for k, v in self.increments.items()},
@@ -1063,9 +1036,6 @@ class SolveReport:
             "candidate": self.candidate.to_json_dict(),
             "iterates": [f.to_json_dict() for f in self.iterates] if self.iterates else None,
         }
-        if include_timings:
-            out["wall_clock"] = self.wall_clock
-        return out
 
 
 def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveReport:
@@ -1076,7 +1046,6 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
     of the configured radii.
     """
     cfg = config or SolveConfig()
-    t_start = time.perf_counter()
     s = problem.domain.s
     x_degrees = cfg.x_degrees or (24,) * s
     i0 = initial_polynomial(problem, x_degrees)
@@ -1178,5 +1147,4 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
         truncation=truncation,
         iterates=run.iterates,
         config=cfg,
-        wall_clock=time.perf_counter() - t_start,
     )

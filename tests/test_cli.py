@@ -203,6 +203,37 @@ class TestCompareCommand:
         assert rep["max_grid_deviation"] <= 1e-8
 
 
+class TestCompareXDegrees:
+    """The closed form takes one x degree, so generic compare needs equal ones."""
+
+    def _write(self, tmp_path, x):
+        return write_problem(
+            tmp_path / "heat2.json",
+            domain={"t0": 0.0, "a": 0.1, "b": 0.1, "S": [[-PI, PI], [-PI, PI]]},
+            rhs="Dx1(Dx1(y1))", initial=["sin(x1)*cos(x2)"],
+            solver={"degrees": {"x": x}},
+        )
+
+    @pytest.mark.parametrize("x", [[8, 24], [24, 8]])
+    def test_unequal_x_degrees_exit_with_error(self, tmp_path, capsys, x):
+        p = self._write(tmp_path, x)
+        assert main([
+            "compare", str(p), "--against", "generic", "--terms", "4",
+            "--out", str(tmp_path),
+        ]) == EXIT_ERROR
+        assert f"needs equal x degrees, got {x}" in capsys.readouterr().err
+        assert not (tmp_path / "heat2.compare.report.json").exists()
+
+    def test_equal_x_degrees_still_compare(self, tmp_path):
+        p = self._write(tmp_path, [8, 8])
+        assert main([
+            "compare", str(p), "--against", "generic", "--terms", "4",
+            "--out", str(tmp_path),
+        ]) == EXIT_OK
+        rep = json.loads((tmp_path / "heat2.compare.report.json").read_text())
+        assert rep["max_coefficient_deviation"] < 1e-2
+
+
 class TestDemoCommand:
     @pytest.mark.parametrize("case", ["heat", "transport", "wave", "mixed_dt_dx", "dt2_dx"])
     def test_catalog_cases(self, tmp_path, case):

@@ -292,3 +292,101 @@ def test_pad_to_common():
     assert a.shape == b.shape == (1, 2, 3)
     assert np.array_equal(a[0], [[1, 0, 0], [1, 0, 0]])
     assert np.array_equal(b[0], [[2, 2, 2], [0, 0, 0]])
+
+
+CUBE = Domain(0.1, 0.25, 0.5, ((-1.0, 2.0), (0.0, 1.0)))
+DOMAINS = {0: HALF, 1: SQUARE, 2: CUBE}
+
+
+@st.composite
+def functions_and_betas(draw):
+    """A random SepFunc (s in 0..2, m in 1..2, degrees 0..6) and a beta list.
+
+    The list is unsorted, repeats entries and reaches orders past the degree.
+    """
+    s = draw(st.integers(0, 2))
+    m = draw(st.integers(1, 2))
+    degrees = draw(st.lists(st.integers(0, 6), min_size=1 + s, max_size=1 + s))
+    shape = (m, *[d + 1 for d in degrees])
+    coeffs = draw(st.lists(
+        st.floats(-10, 10, allow_nan=False), min_size=math.prod(shape),
+        max_size=math.prod(shape),
+    ))
+    if draw(st.booleans()):  # the zero function, with signed zeros
+        coeffs = [0.0 * c for c in coeffs]
+    f = SepFunc(DOMAINS[s], m, 0, np.array(coeffs).reshape(shape))
+    beta = st.tuples(*[st.integers(0, 8)] * (1 + s))
+    betas = draw(st.lists(beta, min_size=1, max_size=12))
+    betas += draw(st.lists(st.sampled_from(betas), max_size=4))
+    return f, draw(st.permutations(betas))
+
+
+class TestDerivativesOnGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(functions_and_betas())
+    def test_bit_identical_to_partial_derivative(self, case):
+        from picard_lod.funcspace import derivatives_on_grid, uniform_grid
+
+        f, betas = case
+        pts = uniform_grid(f.domain, 5)
+        got = list(derivatives_on_grid(f, betas, pts))
+        assert [beta for beta, _ in got] == [tuple(b) for b in betas]
+        for beta, vals in got:
+            want = partial_derivative(f, beta).eval_grid(pts[0], pts[1:])
+            assert np.array_equal(vals, want)
+            assert vals.tobytes() == want.tobytes()  # down to the sign of zero
+
+    def test_each_derivative_is_one_step_from_its_parent(self, monkeypatch):
+        import picard_lod.funcspace as fs
+
+        steps = []
+        original = fs.partial_derivative
+
+        def spy(f, beta):
+            steps.append(tuple(beta))
+            return original(f, beta)
+
+        monkeypatch.setattr(fs, "partial_derivative", spy)
+        f = SepFunc(SQUARE, 1, 0, np.ones((1, 4, 4)))
+        pts = fs.uniform_grid(SQUARE, 3)
+        list(fs.derivatives_on_grid(f, [(2, 1), (0, 0), (2, 1), (1, 0)], pts))
+        # (2, 1) is built from (2, 0) from (1, 0) from f; repeats build nothing
+        assert steps == [(1, 0), (1, 0), (0, 1)]
+
+    @pytest.mark.parametrize("beta", [(0,), (0, 0, 0), (1, -1), (-1, 2)])
+    def test_rejects_bad_multi_indices(self, beta):
+        from picard_lod.funcspace import derivatives_on_grid, uniform_grid
+
+        f = SepFunc(SQUARE, 1, 0, np.ones((1, 2, 2)))
+        with pytest.raises(FuncSpaceError, match="multi-index"):
+            list(derivatives_on_grid(f, [beta], uniform_grid(SQUARE, 3)))
+
+
+def test_partial_derivative_outside_funcspace_only_in_the_eta_step():
+    """Every derivative on a grid goes through funcspace.derivatives_on_grid.
+
+    The only other call of partial_derivative is the coefficient-space eta
+    step of linear_series.mu_eta_recursions, which never touches a grid.
+    """
+    import ast
+    from pathlib import Path
+
+    import picard_lod
+
+    def calls(node, where):
+        # (enclosing function, or "<module>") of every partial_derivative call
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "partial_derivative":
+                yield where
+        for child in ast.iter_child_nodes(node):
+            yield from calls(child, where)
+
+    callers = []
+    for path in sorted(Path(picard_lod.__file__).parent.glob("*.py")):
+        if path.name != "funcspace.py":
+            tree = ast.parse(path.read_text())
+            callers += [f"{path.stem}.{fn}" for fn in calls(tree, "<module>")]
+    assert callers == ["linear_series.mu_eta_recursions"]

@@ -562,3 +562,14 @@ def test_eval_g_surfaces_division_by_zero():
     y = pp.initial_polynomial(prob, (4,))  # identically zero data
     with pytest.raises(EvalError, match="division by zero"):
         pp.eval_G(prob, y)
+
+
+def test_sampled_lipschitz_table_is_pinned():
+    # float.hex of the table computed before the graded sweeps went through
+    # funcspace.derivatives_on_grid; the rewrite must not move a single bit
+    fac = pp.estimate_lipschitz(
+        burgers_problem(), Radii.constant(0.5), "sampled", k_max=2, n_pairs=4
+    )
+    assert [float(v).hex() for v in fac.table] == [
+        "0x1.387e94eb2e60fp+1", "0x1.af4eb1a39fe1bp+1", "0x1.3b0b80941355ap+2",
+    ]
