@@ -129,10 +129,41 @@ def _values_to_coeffs(vals: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(coef, 0, axis)
 
 
-def _eval_axis(coeffs: np.ndarray, axis: int, u: np.ndarray) -> np.ndarray:
-    V = cheb.chebvander(np.asarray(u, dtype=float), coeffs.shape[axis] - 1)
-    out = np.tensordot(V, np.moveaxis(coeffs, axis, 0), axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
+def _axis_to_front(ndim: int, axis: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Transpositions that move ``axis`` to the front and back again."""
+    rest = range(axis + 1, ndim)
+    return (axis, *range(axis), *rest), (*range(1, axis + 1), 0, *rest)
+
+
+def _grid_evaluator(
+    f: SepFunc, pts: Sequence[np.ndarray]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluate on the tensor grid of pts any coefficient tensor no larger than f's.
+
+    One Chebyshev-Vandermonde matrix per axis at f's degree is built here; a
+    tensor of n coefficients on that axis uses its leading n columns, which
+    the recurrence builds in order, so they equal chebvander(u, n - 1) bit
+    for bit.  Each axis is one gemm, the call that tensordot makes.
+    """
+    if len(pts) != 1 + f.domain.s:
+        raise FuncSpaceError("grid rank does not match spatial dimension")
+    steps = [
+        (axis, cheb.chebvander(_to_unit(u, iv), n - 1), *_axis_to_front(f.coeffs.ndim, axis))
+        for axis, (u, iv, n) in enumerate(
+            zip(pts, f.domain.intervals(), f.coeffs.shape[1:]), start=1
+        )
+    ]
+
+    def evaluate(coeffs: np.ndarray) -> np.ndarray:
+        out = coeffs
+        for axis, V, front, back in steps:
+            n = out.shape[axis]
+            moved = out.transpose(front)
+            prod = np.dot(V[:, :n], moved.reshape(n, -1))
+            out = prod.reshape(V.shape[:1] + moved.shape[1:]).transpose(back)
+        return out
+
+    return evaluate
 
 
 def pad_to_common(*arrays: np.ndarray) -> list[np.ndarray]:
@@ -233,13 +264,7 @@ class SepFunc:
 
     def eval_grid(self, t_pts: np.ndarray, x_grids: Sequence[np.ndarray] = ()) -> np.ndarray:
         """Values on the tensor grid; result shape (m, len(t), len(x1), ...)."""
-        if len(x_grids) != self.domain.s:
-            raise FuncSpaceError("grid rank does not match spatial dimension")
-        out = self.coeffs
-        intervals = self.domain.intervals()
-        for axis, (pts, iv) in enumerate(zip([t_pts, *x_grids], intervals), start=1):
-            out = _eval_axis(out, axis, _to_unit(pts, iv))
-        return out
+        return _grid_evaluator(self, [t_pts, *x_grids])(self.coeffs)
 
     def trim(self, rel_eps: float = 1e-14) -> "SepFunc":
         """Zero out relatively negligible coefficients and drop trailing slices."""
@@ -468,6 +493,29 @@ def eval_on_grid(
 # ---------------------------------------------------------------------------
 
 
+def _chebder_step(coef: np.ndarray, axis: int, scl: float) -> np.ndarray:
+    """cheb.chebder(coef, m=1, scl=scl, axis=axis) with numpy's float operations.
+
+    numpy runs c *= scl, then c[j-2] += (j*c[j])/(j-2) for j = n..3, and
+    sets der[j-1] = (2j)*c[j], der[0] = c[1].  The chains of even and odd j
+    are independent, so both advance in one array operation here; der is
+    formed in one multiply at the end, since c[j] is final once step j ran.
+    Every element sees the same operations in the same order.  Needs at
+    least two coefficients on the axis.
+    """
+    front, back = _axis_to_front(coef.ndim, axis)
+    c = coef.transpose(front) * scl
+    n = len(c) - 1
+    j = np.arange(n + 1.0).reshape(-1, *[1] * (c.ndim - 1))
+    for hi in range(n, 2, -2):
+        lo = max(hi - 1, 3)
+        c[lo - 2:hi - 1] += (j[lo:hi + 1] * c[lo:hi + 1]) / (j[lo:hi + 1] - 2)
+    der = np.empty_like(c[:n])
+    der[0] = c[1]
+    der[1:] = (2 * j[2:]) * c[2:]
+    return der.transpose(back)
+
+
 def partial_derivative(f: SepFunc, beta: Sequence[int]) -> SepFunc:
     """Exact partial derivative; orders beyond the degree give the zero function."""
     beta = tuple(int(b) for b in beta)
@@ -482,7 +530,8 @@ def partial_derivative(f: SepFunc, beta: Sequence[int]) -> SepFunc:
             continue
         if order > coef.shape[axis] - 1:
             return SepFunc.zeros(f.domain, f.m, f.p, [0] * (1 + f.domain.s))
-        coef = cheb.chebder(coef, m=order, scl=1.0 / _halfwidth(iv), axis=axis)
+        for _ in range(order):
+            coef = _chebder_step(coef, axis, 1.0 / _halfwidth(iv))
     return SepFunc(f.domain, f.m, f.p, coef)
 
 
@@ -494,23 +543,35 @@ def derivatives_on_grid(
     Each derivative is one partial_derivative step from its parent (beta with
     its last nonzero axis lowered by one), kept for this call only.  The steps
     run axis by axis, t first, as in partial_derivative(f, beta), so the
-    values equal its values bit for bit.
+    values equal its values bit for bit.  A step from a parent of one
+    coefficient on the step axis gives the zero function; the first such
+    step is built, and every later one reuses it.  All derivatives share
+    one Vandermonde matrix per axis, built at f's degrees.
     """
+    evaluate = _grid_evaluator(f, pts)
     built = {(0,) * (1 + f.domain.s): f}
+    zero = None
 
     def build(beta: tuple[int, ...]) -> SepFunc:
+        nonlocal zero
         if beta not in built:
             axis = max(i for i, b in enumerate(beta) if b)
             step = tuple(int(i == axis) for i in range(len(beta)))
             parent = build(tuple(b - d for b, d in zip(beta, step)))
-            built[beta] = partial_derivative(parent, step)
+            past_degree = parent.coeffs.shape[1 + axis] == 1
+            if past_degree and zero is not None:
+                built[beta] = zero
+            else:
+                built[beta] = partial_derivative(parent, step)
+                if past_degree:
+                    zero = built[beta]
         return built[beta]
 
     for beta in betas:
         beta = tuple(int(b) for b in beta)
         if len(beta) != 1 + f.domain.s or min(beta) < 0:
             raise FuncSpaceError(f"invalid multi-index {beta}")
-        yield beta, build(beta).eval_grid(pts[0], pts[1:])
+        yield beta, evaluate(build(beta).coeffs)
 
 
 def iterated_time_integral(f: SepFunc, j: int) -> SepFunc:

@@ -1,8 +1,10 @@
-"""Shared test oracles: finite-difference derivatives and bisection roots."""
+"""Shared test oracles: finite-difference derivatives, bisection roots, and the
+numpy formulas that Chebyshev derivatives and grid values must match bit for bit."""
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 
 def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
@@ -34,6 +36,37 @@ def fd_derivative(f, x0: float, order: int, h: float = 0.08, npts: int = 11) -> 
     nodes = x0 + offsets
     w = fornberg_weights(x0, nodes, order)
     return float(np.dot(w, [f(x) for x in nodes]))
+
+
+def to_unit(pts, lo: float, hi: float) -> np.ndarray:
+    """The affine map of [lo, hi] onto [-1, 1], in funcspace's operation order."""
+    return (2.0 * np.asarray(pts) - lo - hi) / (hi - lo)
+
+
+def chebder_partial(coeffs: np.ndarray, intervals, beta) -> np.ndarray:
+    """D^beta of a coefficient tensor (m, n_t, n_x1, ...) by cheb.chebder, axis by axis.
+
+    An order past the degree on any axis gives the degree-0 zero tensor.
+    """
+    if any(b > n - 1 for b, n in zip(beta, coeffs.shape[1:])):
+        return np.zeros((coeffs.shape[0], *[1] * len(beta)))
+    for axis, (order, (lo, hi)) in enumerate(zip(beta, intervals), start=1):
+        if order:
+            coeffs = cheb.chebder(coeffs, m=order, scl=1.0 / ((hi - lo) / 2.0), axis=axis)
+    return coeffs
+
+
+def tensordot_eval_grid(coeffs: np.ndarray, intervals, grids) -> np.ndarray:
+    """Values of a coefficient tensor on the tensor grid of ``grids`` (t first).
+
+    Per axis: chebvander at that axis's degree, contracted by tensordot with
+    the axis moved to the front, then moved back.
+    """
+    out = coeffs
+    for axis, (pts, (lo, hi)) in enumerate(zip(grids, intervals), start=1):
+        V = cheb.chebvander(to_unit(pts, lo, hi), out.shape[axis] - 1)
+        out = np.moveaxis(np.tensordot(V, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
+    return out
 
 
 def bisection_root(f, lo: float, hi: float, iters: int = 200) -> float:

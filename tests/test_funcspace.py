@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import chebder_partial, tensordot_eval_grid
 from picard_lod.expr import Arity, parse_expression
 from picard_lod.funcspace import (
     Domain,
@@ -360,6 +361,87 @@ class TestDerivativesOnGrid:
         f = SepFunc(SQUARE, 1, 0, np.ones((1, 2, 2)))
         with pytest.raises(FuncSpaceError, match="multi-index"):
             list(derivatives_on_grid(f, [beta], uniform_grid(SQUARE, 3)))
+
+
+    def test_zero_function_is_built_once_per_call(self, monkeypatch):
+        import picard_lod.funcspace as fs
+
+        steps = []
+        original = fs.partial_derivative
+
+        def spy(f, beta):
+            steps.append(tuple(beta))
+            return original(f, beta)
+
+        monkeypatch.setattr(fs, "partial_derivative", spy)
+        f = SepFunc(SQUARE, 1, 0, np.ones((1, 2, 2)))
+        betas = [(0, k) for k in range(7)]
+        got = list(fs.derivatives_on_grid(f, betas, fs.uniform_grid(SQUARE, 3)))
+        # (0, 1) is a real step, (0, 2) builds the zero function, (0, 3)... reuse it
+        assert steps == [(0, 1), (0, 1)]
+        assert [beta for beta, _ in got] == betas
+        assert all(not np.any(vals) for _, vals in got[2:])
+
+
+@st.composite
+def wide_functions(draw):
+    """A SepFunc with s in 0..2, m in 1..2, degrees 0..30 and signed zeros.
+
+    Coefficient magnitudes range from 1e-8 to 1e8; a drawn share of them
+    (none, some or all) are zeros of either sign.
+    """
+    s = draw(st.integers(0, 2))
+    m = draw(st.integers(1, 2))
+    degrees = draw(st.lists(st.integers(0, 30), min_size=1 + s, max_size=1 + s))
+    shape = (m, *[d + 1 for d in degrees])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    coeffs[zeros] = np.copysign(0.0, rng.standard_normal(shape))[zeros]
+    return SepFunc(DOMAINS[s], m, 0, coeffs)
+
+
+@st.composite
+def functions_and_orders(draw):
+    """A wide function and a multi-index reaching two orders past its degrees."""
+    f = draw(wide_functions())
+    beta = tuple(draw(st.integers(0, d + 2)) for d in f.degrees)
+    return f, beta
+
+
+@st.composite
+def functions_and_grids(draw):
+    """A wide function and, per axis, unsorted points with endpoints and repeats."""
+    f = draw(wide_functions())
+    grids = []
+    for lo, hi in f.domain.intervals():
+        fracs = draw(st.lists(st.floats(0.0, 1.0), max_size=8))
+        pts = [lo, hi, *[lo + (hi - lo) * x for x in fracs]]
+        pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+        grids.append(np.array(draw(st.permutations(pts))))
+    return f, grids
+
+
+class TestNumpyReference:
+    """The derivative and evaluation paths against numpy's own formulas, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(functions_and_orders())
+    def test_partial_derivative_is_numpy_chebder(self, case):
+        f, beta = case
+        got = partial_derivative(f, beta).coeffs
+        want = chebder_partial(f.coeffs, f.domain.intervals(), beta)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(functions_and_grids())
+    def test_eval_grid_is_the_tensordot_formula(self, case):
+        f, grids = case
+        got = f.eval_grid(grids[0], grids[1:])
+        want = tensordot_eval_grid(f.coeffs, f.domain.intervals(), grids)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_partial_derivative_outside_funcspace_only_in_the_eta_step():

@@ -1,0 +1,17 @@
+"""The maintenance scripts under tools/."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_same_reports_finds_a_tree_identical_to_itself():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "same_reports.py"), str(ROOT), str(ROOT),
+         "--workload", "burgers-1d", "--seed", "0"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("identical: 2 report files, commands run: 1 ")

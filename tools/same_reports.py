@@ -1,0 +1,133 @@
+"""Check that two source trees write byte-identical CLI reports.
+
+    python3 tools/same_reports.py OLD_ROOT NEW_ROOT
+    python3 tools/same_reports.py OLD_ROOT NEW_ROOT --workload burgers-1d --seed 0
+
+Runs every command of the benchmark workloads (default: all three, seeds 0
+and 1) once per tree, in one fresh interpreter per tree with
+``PYTHONPATH=<root>/src`` and the BLAS/OpenMP pools pinned to one thread.
+The commands and problem files come from ``perfbench/workloads.py`` of the
+repository holding this script, so both trees see the same inputs at the
+same paths.  Compared: every report file byte for byte, and each command's
+exit code, standard output, and standard error without its ``elapsed:``
+line.  Prints what differs; exits 0 if nothing does, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "perfbench"))
+
+import workloads  # noqa: E402
+
+PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def run_tree(work: Path, names: list[str], seeds: list[int]) -> dict:
+    """Child side: run every command under ``work``; return their exit codes and output."""
+    import picard_lod.cli as cli
+
+    results = {}
+    for name in names:
+        for seed in seeds:
+            base = work / f"{name}-{seed}"
+            wl = workloads.build(name, seed, base / "problems", base / "reports")
+            for cmd in wl.commands:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(list(cmd.argv))
+                    except SystemExit as exc:
+                        code = exc.code
+                stderr = "".join(line for line in err.getvalue().splitlines(keepends=True)
+                                 if not line.startswith("elapsed:"))
+                key = f"{name}-{seed}/{cmd.out.name}"
+                results[key] = {"code": code, "stdout": out.getvalue(), "stderr": stderr}
+    return {"package": cli.__file__, "commands": results}
+
+
+def run_child(root: Path, work: Path, names: list[str], seeds: list[int]) -> dict:
+    env = {**os.environ, **PINNED, "PYTHONPATH": str(root / "src")}
+    args = [sys.executable, str(Path(__file__).resolve()), "--child", str(work),
+            "--workload", *names, "--seed", *map(str, seeds)]
+    proc = subprocess.run(args, env=env, cwd=work.parent, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"run on {root} failed ({proc.returncode}):\n{proc.stderr[-2000:]}")
+    res = json.loads(proc.stdout)
+    if not Path(res["package"]).resolve().is_relative_to((root / "src").resolve()):
+        raise RuntimeError(f"run on {root} imported picard_lod from {res['package']}")
+    return res["commands"]
+
+
+def report_files(tree: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(tree)): p.read_bytes()
+            for p in sorted(tree.glob("*/reports/**/*")) if p.is_file()}
+
+
+def compare(old_root: Path, new_root: Path, names: list[str], seeds: list[int]) -> list[str]:
+    """Lines naming every difference between the two trees' runs."""
+    diffs = []
+    with tempfile.TemporaryDirectory(prefix="same_reports_") as tmp:
+        work = Path(tmp) / "run"
+        runs, files = [], []
+        for label, root in (("old", old_root), ("new", new_root)):
+            work.mkdir()
+            runs.append(run_child(root, work, names, seeds))
+            # both trees write to the same paths, in case a report names them
+            work.rename(Path(tmp) / label)
+            files.append(report_files(Path(tmp) / label))
+    (old_cmds, new_cmds), (old_files, new_files) = runs, files
+    for key in sorted(old_cmds.keys() | new_cmds.keys()):
+        a, b = old_cmds.get(key), new_cmds.get(key)
+        if a is None or b is None:
+            diffs.append(f"{key}: command only in the {'new' if a is None else 'old'} run")
+            continue
+        for what in ("code", "stdout", "stderr"):
+            if a[what] != b[what]:
+                diffs.append(f"{key}: {what} differs: {a[what]!r} != {b[what]!r}")
+    for name in sorted(old_files.keys() | new_files.keys()):
+        if name not in new_files or name not in old_files:
+            diffs.append(f"{name}: file only in the {'new' if name in new_files else 'old'} tree")
+        elif old_files[name] != new_files[name]:
+            diffs.append(f"{name}: contents differ")
+    if not diffs:
+        print(f"identical: {len(old_files)} report files, commands run: {len(old_cmds)} "
+              f"({', '.join(names)}; seeds {', '.join(map(str, seeds))})")
+    return diffs
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_root", type=Path, nargs="?")
+    parser.add_argument("new_root", type=Path, nargs="?")
+    parser.add_argument("--workload", nargs="+", choices=workloads.WORKLOADS,
+                        default=list(workloads.WORKLOADS))
+    parser.add_argument("--seed", nargs="+", type=int, default=[0, 1])
+    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child is not None:
+        print(json.dumps(run_tree(args.child, args.workload, args.seed)))
+        return 0
+    if args.old_root is None or args.new_root is None:
+        parser.error("OLD_ROOT and NEW_ROOT are required")
+    for root in (args.old_root, args.new_root):
+        if not (root / "src" / "picard_lod" / "cli.py").is_file():
+            parser.error(f"no picard_lod sources under {root / 'src'}")
+    diffs = compare(args.old_root.resolve(), args.new_root.resolve(), args.workload, args.seed)
+    for line in diffs:
+        print(line)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
