@@ -314,7 +314,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    from .expr import is_affine_in_placeholders, placeholders_in
     from .linear_series import burgers_demo
     from .picard_pde import certify_weissinger, estimate_lipschitz
 
@@ -322,12 +321,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
     problem, config = load_problem(path)
     out_dir = Path(args.out) if args.out else path.parent
     mode = {"conservative": "recursion", "paper": "paper", None: None}[args.mode]
-    # quadratic transport-type demo problems take the dedicated divergence path
-    quadratic = any(
-        len(placeholders_in(e)) > 1 and not is_affine_in_placeholders(e)
-        for e in problem.rhs
-    )
-    if quadratic:
+    # the quadratic y * d_x^mu y takes the dedicated divergence demo
+    if problem.rhs_class.kind == "quadratic":
         cert = burgers_demo(problem, config.radii, tuple(config.k_check), args.nmax)
     else:
         factors = estimate_lipschitz(problem, config.radii, seed=config.seed)

@@ -689,7 +689,9 @@ def is_affine_in_placeholders(e: Expr) -> bool:
             return is_affine_in_placeholders(e.arg)
         return not _contains_placeholder(e.arg)
     if isinstance(e, Power):
-        return not _contains_placeholder(e.base) or e.exponent <= 1
+        if e.exponent == 1:
+            return is_affine_in_placeholders(e.base)
+        return e.exponent == 0 or not _contains_placeholder(e.base)
     if isinstance(e, Binary):
         if e.op in "+-":
             return is_affine_in_placeholders(e.lhs) and is_affine_in_placeholders(e.rhs)

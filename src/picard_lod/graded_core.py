@@ -103,13 +103,12 @@ def product_constants(
 class LodConstants:
     """Contraction constants alpha(k, n) with loss L per application.
 
-    alpha(k, 0) is always 1 regardless of the underlying table or rule; a
+    alpha(k, 0) is always 1 regardless of the underlying rule; a
     zero constant (a map that does not depend on its argument) is allowed.
     """
 
     L: int
     _alpha: Callable[[int, int], float] = field(compare=False)
-    source: str = "function"
 
     def alpha(self, k: int, n: int) -> float:
         if n == 0:
@@ -121,23 +120,7 @@ class LodConstants:
 
     @classmethod
     def from_function(cls, L: int, fn: Callable[[int, int], float]) -> "LodConstants":
-        return cls(L, fn, "function")
-
-    @classmethod
-    def from_base_sequence(
-        cls, L: int, alpha_base: Sequence[float] | Callable[[int], float]
-    ) -> "LodConstants":
-        return cls(L, lambda k, n: product_constants(alpha_base, L, k, n), "product")
-
-    @classmethod
-    def from_table(cls, L: int, table: Mapping[tuple[int, int], float]) -> "LodConstants":
-        def fn(k: int, n: int) -> float:
-            try:
-                return table[(k, n)]
-            except KeyError:
-                raise GradedCoreError(f"no alpha entry for (k={k}, n={n})") from None
-
-        return cls(L, fn, "table")
+        return cls(L, fn)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,7 @@ from .expr import (
     Placeholder,
     eval_expr,
     free_variables,
-    is_affine_in_placeholders,
     parse_expression,
-    placeholders_in,
     symbolic_partial,
 )
 from .funcspace import (
@@ -203,7 +201,7 @@ class LinearProblem:
     def from_cauchy(
         cls, problem: pp.CauchyProblem, Q: float | None = None, probe_order: int = 6
     ) -> "LinearProblem":
-        st = pp.extract_linear_structure(problem)
+        st = problem.rhs_class.linear
         if st is None:
             raise LinearSeriesError("right-hand side is not of the linear class")
         if sum(st.mu) == 0:
@@ -931,13 +929,7 @@ def burgers_demo(
     the hyperfactorial when sigma = 1 and L = 1, so the terms blow up no
     matter how small the time interval is.
     """
-    mu = None
-    for e in problem.rhs:
-        phs = placeholders_in(e)
-        orders = sorted(ph.alpha for ph in phs)
-        if (len(orders) == 2 and sum(orders[0]) == 0 and sum(orders[1]) > 0
-                and not is_affine_in_placeholders(e)):
-            mu = orders[1]
+    mu = problem.rhs_class.mu
     if mu is None:
         raise LinearSeriesError(
             "demo expects a right-hand side of the form y * d_x^mu y"

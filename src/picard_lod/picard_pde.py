@@ -58,6 +58,7 @@ __all__ = [
     "CauchyProblem",
     "LipschitzFactors",
     "LinearStructure",
+    "RhsClass",
     "SolveConfig",
     "SolveReport",
     "ResidualReport",
@@ -70,6 +71,7 @@ __all__ = [
     "apply_P",
     "residual",
     "extract_linear_structure",
+    "classify_rhs",
     "estimate_lipschitz",
     "log_lambda_bar",
     "lambda_bar",
@@ -139,6 +141,7 @@ class CauchyProblem:
     ``rhs`` holds one expression per component with placeholders restricted
     to |alpha| <= L and gamma <= p; ``initial`` is the d-by-m table of
     initial-condition expressions in the spatial variables only.
+    ``rhs_class`` is the form of ``rhs``, set once by ``classify_rhs``.
     """
 
     domain: Domain
@@ -148,6 +151,7 @@ class CauchyProblem:
     L: int
     rhs: tuple[Expr, ...]
     initial: tuple[tuple[Expr, ...], ...]
+    rhs_class: RhsClass = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -185,6 +189,7 @@ class CauchyProblem:
                     raise PicardError("initial data must not contain placeholders")
                 if not free_variables(e) <= x_names:
                     raise PicardError("initial data must depend on x only")
+        object.__setattr__(self, "rhs_class", classify_rhs(self))
 
     @property
     def Lhat(self) -> int:
@@ -193,12 +198,6 @@ class CauchyProblem:
     @property
     def arity(self) -> Arity:
         return Arity(self.domain.s, self.m, self.L, self.p)
-
-    def placeholders(self) -> list[Placeholder]:
-        seen: set[Placeholder] = set()
-        for e in self.rhs:
-            seen |= placeholders_in(e)
-        return sorted(seen, key=lambda ph: (ph.gamma, ph.alpha, ph.comp))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +240,7 @@ def _rhs_on_grid(
     """The right-hand side composed with y on the tensor grid of ``pts``."""
     shape = tuple(len(g) for g in pts)
     bindings = fs.grid_bindings(pts)
-    phs = problem.placeholders()
+    phs = problem.rhs_class.placeholders
     derivs = fs.derivatives_on_grid(y, [(ph.gamma, *ph.alpha) for ph in phs], pts)
     for ph, (_, vals) in zip(phs, derivs):
         bindings[placeholder_key(ph)] = np.broadcast_to(vals[ph.comp - 1], shape)
@@ -251,8 +250,8 @@ def _rhs_on_grid(
 def _g_degrees(problem: CauchyProblem, y: SepFunc) -> tuple[int, ...]:
     cap = fs.DEGREE_CAP
     dt = min(cap, y.deg_t + COLLOC_T_MARGIN)
-    affine = all(is_affine_in_placeholders(e) for e in problem.rhs)
-    fac = 1 if affine else COLLOC_NONLINEAR_X_FACTOR
+    nonlinear = problem.rhs_class.kind in ("quadratic", "general")
+    fac = COLLOC_NONLINEAR_X_FACTOR if nonlinear else 1
     dx = tuple(
         min(cap, max(COLLOC_MIN_X_DEGREE, fac * d)) for d in y.degrees[1:]
     )
@@ -317,7 +316,7 @@ def residual(problem: CauchyProblem, y: SepFunc) -> ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# Linear structure extraction (class p(t) d_x^mu d_t^gamma y + q)
+# Right-hand-side classification, with the linear class p(t) d_x^mu d_t^gamma y + q
 # ---------------------------------------------------------------------------
 
 
@@ -420,6 +419,58 @@ def _sum_exprs(parts: Sequence[Expr]) -> Expr:
     return out
 
 
+@dataclass(frozen=True)
+class RhsClass:
+    """The form of the right-hand side, decided once per problem.
+
+    ``kind`` is one of constant, linear, affine, quadratic or general;
+    ``linear`` is set for the linear kind and ``mu`` for the quadratic one.
+    """
+
+    kind: str
+    placeholders: tuple[Placeholder, ...]
+    linear: LinearStructure | None = None
+    mu: tuple[int, ...] | None = None
+
+
+def _quadratic_mu(e: Expr) -> tuple[int, ...] | None:
+    """mu when e is c * y_i * d_x^mu y_i with |mu| > 0 and c free of y, else None."""
+    factors, stack = [], [e]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Unary) and f.op == "neg":
+            stack.append(f.arg)
+        elif isinstance(f, Binary) and f.op == "*":
+            stack += [f.lhs, f.rhs]
+        elif placeholders_in(f):
+            factors.append(f)
+    if len(factors) != 2 or not all(isinstance(f, Placeholder) for f in factors):
+        return None
+    lo, hi = sorted(factors, key=lambda ph: ph.order)
+    if lo.comp != hi.comp or lo.gamma or hi.gamma or lo.order or not hi.order:
+        return None
+    return hi.alpha
+
+
+def classify_rhs(problem: CauchyProblem) -> RhsClass:
+    """Classify F; every route that depends on the form of F reads this."""
+    phs = tuple(sorted(
+        {ph for e in problem.rhs for ph in placeholders_in(e)},
+        key=lambda ph: (ph.gamma, ph.alpha, ph.comp),
+    ))
+    if not phs:
+        return RhsClass("constant", phs)
+    structure = extract_linear_structure(problem)
+    if structure is not None:
+        return RhsClass("linear", phs, linear=structure)
+    if all(is_affine_in_placeholders(e) for e in problem.rhs):
+        return RhsClass("affine", phs)
+    mus = {_quadratic_mu(e) for e in problem.rhs}
+    if len(mus) == 1 and None not in mus:
+        return RhsClass("quadratic", phs, mu=mus.pop())
+    return RhsClass("general", phs)
+
+
 # ---------------------------------------------------------------------------
 # Lipschitz factors
 # ---------------------------------------------------------------------------
@@ -487,35 +538,28 @@ def _matrix_sup_norm(p_exprs: tuple[tuple[Expr, ...], ...], domain: Domain) -> f
 def estimate_lipschitz(
     problem: CauchyProblem,
     radii: Radii,
-    method: str = "auto",
     *,
     k_max: int = 8,
     n_pairs: int = 64,
     seed: int = 0,
     x_degrees: Sequence[int] | None = None,
 ) -> LipschitzFactors:
-    """Exact factors for the linear class, or a sampled non-certified estimate.
+    """Zero for a constant, exact factors for the linear class, else sampled.
 
-    The sampled estimator draws random pairs inside the ball around i0,
-    measures the pointwise ratio of the composed right-hand side's spatial
-    derivatives against the shifted difference norm, and inflates the max by
-    a safety factor.  Sampling metadata is recorded on the result.
+    The sampled, non-certified estimator draws random pairs inside the ball
+    around i0, measures the pointwise ratio of the composed right-hand side's
+    spatial derivatives against the shifted difference norm, and inflates the
+    max by a safety factor.  Sampling metadata is recorded on the result.
     """
-    if not any(placeholders_in(e) for e in problem.rhs):
+    rc = problem.rhs_class
+    if rc.kind == "constant":
         # the composed right-hand side does not depend on the unknown at all
-        return LipschitzFactors.constant(0.0, {"method": method})
-    structure = extract_linear_structure(problem)
-    if method == "auto":
-        method = "linear_exact" if structure is not None else "sampled"
-    if method == "linear_exact":
-        if structure is None:
-            raise PicardError("right-hand side is not of the linear class")
-        norm_p = _matrix_sup_norm(structure.p, problem.domain)
+        return LipschitzFactors.constant(0.0, {"method": "auto"})
+    if rc.linear is not None:
+        norm_p = _matrix_sup_norm(rc.linear.p, problem.domain)
         return LipschitzFactors.constant(
             norm_p, {"method": "linear_exact", "matrix_norm": "max-row-sum"}
         )
-    if method != "sampled":
-        raise PicardError(f"unknown Lipschitz method {method!r}")
 
     probe_k = k_max + problem.L + problem.p
     r_hi = radii.value(probe_k)
@@ -960,6 +1004,9 @@ def certify_weissinger(
     elif norm_source == "growth_model":
         from . import linear_series as ls
 
+        linear = problem.rhs_class.linear
+        if linear is None or not any(linear.mu):
+            raise PicardError("growth-model increments need the linear class with |mu| > 0")
         lp = ls.LinearProblem.from_cauchy(problem)
         growth = tuple(growth or ())
         for k in k_list:
@@ -1054,7 +1101,7 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
     note = None
     try:
         factors = estimate_lipschitz(
-            problem, cfg.radii, "auto", seed=cfg.seed, x_degrees=x_degrees
+            problem, cfg.radii, seed=cfg.seed, x_degrees=x_degrees
         )
         certificate = certify_weissinger(
             problem, factors, cfg.radii, (0,), cfg.certify_n_max,

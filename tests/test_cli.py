@@ -33,6 +33,29 @@ def write_problem(path: Path, **overrides) -> Path:
     return path
 
 
+# 1-D problem of the quadratic demo; certify's routes depend on the form of F
+BURGERS = dict(
+    domain={"t0": 0.0, "a": 0.25, "b": 0.25, "S": [[0.0, 1.0]]},
+    order={"d": 1, "p": 0, "L": 1},
+    initial=["x1"],
+    radii=[1.0],
+    growth=[{"kind": "sigma", "sigma": 1.0}],
+)
+
+
+def certify_without_growth(tmp_path, rhs):
+    """Run certify on BURGERS with another rhs and no growth block; the report."""
+    p = write_problem(tmp_path / "f.json", **{**BURGERS, "rhs": rhs})
+    doc = json.loads(p.read_text())
+    del doc["growth"]
+    p.write_text(json.dumps(doc))
+    code = main(["certify", str(p), "--out", str(tmp_path), "--nmax", "20"])
+    cert = json.loads((tmp_path / "f.certificate.report.json").read_text())
+    assert code == {"converged": EXIT_OK, "diverging": EXIT_DIVERGING}.get(
+        cert["verdict"], EXIT_INCONCLUSIVE)
+    return cert
+
+
 class TestSchema:
     def test_schema_is_valid(self):
         from jsonschema.validators import validator_for
@@ -103,6 +126,40 @@ class TestSolveCommand:
             (out2 / "het.report.json").read_bytes()
         assert (out1 / "het.norms.csv").read_bytes() == \
             (out2 / "het.norms.csv").read_bytes()
+
+    def test_growth_on_a_nonlinear_rhs_leaves_a_certificate_note(self, tmp_path):
+        # the growth model needs the linear class; solve still iterates
+        p = write_problem(tmp_path / "negb.json", **{
+            **BURGERS, "rhs": "-y1*Dx1(y1)",
+            "domain": {"t0": 0.0, "a": 0.1, "b": 0.1, "S": [[0.0, 1.0]]},
+            "solver": {"tol": 1e-10, "n_max": 40, "k_check": [0]},
+        })
+        assert main(["solve", str(p), "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "negb.report.json").read_text())
+        assert report["certificate_note"] == (
+            "certificate unavailable: growth-model increments need the linear "
+            "class with |mu| > 0"
+        )
+
+
+class TestCertifyRoutes:
+    @pytest.mark.parametrize("rhs", ["y1^3+Dx1(y1)", "sin(y1)*Dx1(y1)"])
+    def test_general_rhs_is_sampled_not_the_demo(self, tmp_path, rhs):
+        cert = certify_without_growth(tmp_path, rhs)
+        assert "demo" not in cert["meta"]
+        assert cert["meta"]["lambda_meta"]["method"] == "sampled"
+
+    @pytest.mark.parametrize("rhs", ["-y1*Dx1(y1)", "0.5*y1*Dx1(y1)"])
+    def test_quadratic_rhs_reaches_the_demo(self, tmp_path, rhs):
+        cert = certify_without_growth(tmp_path, rhs)
+        assert cert["verdict"] == "diverging"
+        assert "hyperfactorial" in cert["meta"]["witness"]
+
+    def test_growth_on_a_general_rhs_is_an_error(self, tmp_path, capsys):
+        p = write_problem(tmp_path / "g.json", **{**BURGERS, "rhs": "sin(y1)*Dx1(y1)"})
+        assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert "growth-model increments need the linear class" in capsys.readouterr().err
+        assert not (tmp_path / "g.certificate.report.json").exists()
 
 
 class TestCertifyCommand:

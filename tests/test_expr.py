@@ -223,3 +223,13 @@ def test_structure_queries():
     assert not is_affine_in_placeholders(parse_expression("y1*Dx1(y1)", AR))
     assert not is_affine_in_placeholders(parse_expression("sin(y1)", AR))
     assert is_affine_in_placeholders(parse_expression("y1/(1+t^2)", AR))
+
+
+@pytest.mark.parametrize("text, affine", [
+    ("(t*y1+x1)^1", True),
+    ("(y1*Dx1(y1))^0", True),
+    ("(y1*Dx1(y1))^1", False),
+    ("sin(y1)^1", False),
+])
+def test_first_power_is_affine_only_over_an_affine_base(text, affine):
+    assert is_affine_in_placeholders(parse_expression(text, AR)) is affine

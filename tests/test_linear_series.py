@@ -405,6 +405,31 @@ class TestBurgersDemo:
         with pytest.raises(ls.LinearSeriesError, match="y \\* d_x"):
             ls.burgers_demo(prob, Radii.constant(1.0), (0,), 10)
 
+    def _with_rhs(self, rhs, L=1):
+        prob = self._problem()
+        F = parse_expression(rhs, Arity(s=1, m=1, L=L, p=0))
+        return pp.CauchyProblem(prob.domain, 1, 1, 0, L, (F,), prob.initial)
+
+    @pytest.mark.parametrize("rhs, kind", [
+        ("2.0+x1", "constant"),
+        ("t*Dx1(y1)+x1", "linear"),
+        ("x1*Dx1(y1)+y1", "affine"),
+        ("y1^3+Dx1(y1)", "general"),
+        ("sin(y1)*Dx1(y1)", "general"),
+        ("y1*Dx1(y1)+x1", "general"),
+    ])
+    def test_rejects_every_other_kind(self, rhs, kind):
+        prob = self._with_rhs(rhs)
+        assert prob.rhs_class.kind == kind
+        with pytest.raises(ls.LinearSeriesError, match="y \\* d_x"):
+            ls.burgers_demo(prob, Radii.constant(1.0), (0,), 10)
+
+    def test_mu_comes_from_the_class(self):
+        prob = self._with_rhs("Dx2(y1)*y1", L=2)
+        assert prob.rhs_class.mu == (2,)
+        cert = ls.burgers_demo(prob, Radii.constant(1.0), (0,), 10)
+        assert cert.rows[0].meta["L"] == 2
+
 
 def test_series_residual_across_catalog():
     for case in ("heat", "wave", "transport", "mixed_dt_dx", "dt2_dx"):

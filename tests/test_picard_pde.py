@@ -1,9 +1,23 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from picard_lod.expr import Arity, Const, parse_expression
+from picard_lod.expr import (
+    Arity,
+    Binary,
+    Const,
+    Placeholder,
+    Power,
+    Unary,
+    Var,
+    eval_expr,
+    parse_expression,
+    placeholder_key,
+)
 from picard_lod.funcspace import (
     Domain,
     Radii,
@@ -261,6 +275,155 @@ class TestLinearStructure:
         assert eval_expr(st.q[0], {"t": 0.0, "x1": 0.5}) == 0.25
 
 
+def rhs_problem(*rhs, s=1, L=2):
+    """A problem on (t, x) in [-0.5, 0.5] x [-1, 1]^s with zero data.
+
+    One right-hand side per component, each a tree or its text.
+    """
+    m = len(rhs)
+    ar = Arity(s=s, m=m, L=L, p=0)
+    F = tuple(parse_expression(e, ar) if isinstance(e, str) else e for e in rhs)
+    return pp.CauchyProblem(
+        Domain(0, 0.5, 0.5, ((-1, 1),) * s), m, 1, 0, L, F, ((Const(0.0),) * m,),
+    )
+
+
+Y, DX1, DX2 = (Placeholder((a,), 0, 1) for a in range(3))
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Unary, st.sampled_from(["sin", "cos"]), sub),
+            st.builds(Binary, st.sampled_from(["+", "-", "*"]), sub, sub),
+            st.builds(Power, sub, st.just(2)),
+        ),
+        max_leaves=6,
+    )
+
+
+_consts = st.builds(Const, st.sampled_from([-1.5, -0.5, 0.25, 2.0]))
+_free_trees = _trees(st.one_of(_consts, st.sampled_from([Var("t"), Var("x", 1)])))
+_affine_terms = st.one_of(
+    _free_trees,
+    st.builds(lambda c, ph: Binary("*", c, ph), _free_trees, st.sampled_from([Y, DX1, DX2])),
+)
+rhs_trees = st.one_of(
+    _trees(st.one_of(_consts, st.sampled_from([Y, DX1, DX2, Var("t"), Var("x", 1)]))),
+    # sums of c * (placeholder), and products c * y1 * d_x^mu y1 and their near
+    # misses, are rare among random trees: draw them on purpose
+    st.recursive(_affine_terms, lambda sub: st.builds(Binary, st.sampled_from(["+", "-"]), sub, sub),
+                 max_leaves=3),
+    st.builds(lambda c, phs: functools.reduce(lambda a, b: Binary("*", a, b), phs, c),
+              _free_trees, st.lists(st.sampled_from([Y, DX1, DX2, Power(Y, 2), Unary("sin", DX1)]),
+                                    min_size=2, max_size=3)),
+)
+
+
+class TestClassifyRhs:
+    @pytest.mark.parametrize("rhs, kind", [
+        ("3.0", "constant"),
+        ("sin(t)*x1^2", "constant"),
+        ("Dx2(y1)", "linear"),
+        ("cos(t)*Dx1(y1)+x1^2", "linear"),
+        ("Dx2(y1)+y1", "affine"),
+        ("x1*Dx1(y1)", "affine"),
+        ("y1*Dx1(y1)", "quadratic"),
+        ("-0.5*y1*Dx2(y1)", "quadratic"),
+        ("y1*Dx1(y1)+x1", "general"),
+        ("sin(y1)*Dx1(y1)", "general"),
+        ("y1*y1", "general"),
+        ("y1*Dx1(y1)*Dx2(y1)", "general"),
+        ("y1*sin(y1)*Dx1(y1)", "general"),
+    ])
+    def test_kind_table(self, rhs, kind):
+        rc = rhs_problem(rhs).rhs_class
+        assert rc.kind == kind
+        assert (rc.linear is not None) == (kind == "linear")
+        assert (rc.mu is not None) == (kind == "quadratic")
+
+    def test_quadratic_mu_and_sorted_placeholders(self):
+        rc = rhs_problem("-0.5*y1*Dx2(y1)").rhs_class
+        assert rc.mu == (2,)
+        assert rc.placeholders == (Y, DX2)
+        assert rhs_problem("Dx2(y1)+Dx1(y1)*y1").rhs_class.placeholders == (Y, DX1, DX2)
+
+    @pytest.mark.parametrize("rhs, kind", [
+        (("y1*Dx1(y1)", "-t*y2*Dx1(y2)"), "quadratic"),
+        (("y1*Dx1(y1)", "y2*Dx2(y2)"), "general"),  # mu differs between components
+        (("y1*Dx1(y2)", "y2*Dx1(y1)"), "general"),  # mixes components
+        (("y1*Dx1(y1)", "x1"), "general"),
+    ])
+    def test_quadratic_in_every_component(self, rhs, kind):
+        assert rhs_problem(*rhs, s=2, L=1).rhs_class.kind == kind
+
+    def test_product_of_two_derivatives_is_general(self):
+        assert rhs_problem("Dx1(y1)*Dx2(y1)", s=2, L=1).rhs_class.kind == "general"
+
+    # bindings away from 0, where products vanish whatever their form
+    @settings(max_examples=200, deadline=None)
+    @given(rhs_trees, st.lists(st.floats(0.125, 1.0), min_size=9, max_size=9))
+    def test_each_kind_means_what_it_says(self, e, r):
+        rc = rhs_problem(e).rhs_class
+        t, x = r[0], r[1]
+
+        def F(z):
+            return eval_expr(e, {"t": t, "x1": x,
+                                 **{placeholder_key(ph): v for ph, v in zip((Y, DX1, DX2), z)}})
+
+        z0, z1 = r[2:5], r[5:8]
+        close = functools.partial(math.isclose, rel_tol=1e-9, abs_tol=1e-9)
+        if rc.kind == "constant":
+            assert F(z0) == F(z1)
+        if rc.kind in ("constant", "linear", "affine"):
+            w = r[8]
+            zw = [(1 - w) * a + w * b for a, b in zip(z0, z1)]
+            assert close(F(zw), (1 - w) * F(z0) + w * F(z1))
+        if rc.kind == "linear":
+            lin = rc.linear
+            z = dict(zip((Y, DX1, DX2), z0))[Placeholder(lin.mu, lin.gamma, 1)]
+            p = eval_expr(lin.p[0][0], {"t": t})
+            q = eval_expr(lin.q[0], {"t": t, "x1": x})
+            assert close(F(z0), p * z + q)
+        if rc.kind == "quadratic":
+            # c * z_lo * z_hi, whatever the placeholders outside the pair hold
+            hi = (Y, DX1, DX2).index(Placeholder(rc.mu, 0, 1))
+
+            def Fq(a, b, rest):
+                return F([a if i == 0 else b if i == hi else v for i, v in enumerate(rest)])
+
+            a, b = z0[0], z1[0]
+            assert close(Fq(a, b, z0), a * b * Fq(1.0, 1.0, z1))
+            assert Fq(0.0, b, z0) == 0.0 and Fq(a, 0.0, z1) == 0.0
+
+
+def test_rhs_form_is_decided_only_in_classify_rhs():
+    """Only classify_rhs calls the rules for the form of the right-hand side."""
+    import ast
+    from pathlib import Path
+
+    import picard_lod
+
+    rules = {"is_affine_in_placeholders", "extract_linear_structure"}
+
+    def calls(node, where):
+        # (enclosing function, or "<module>") of every call of a rule
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in rules and name != where:  # a rule may recurse into itself
+                yield where
+        for child in ast.iter_child_nodes(node):
+            yield from calls(child, where)
+
+    callers = set()
+    for path in sorted(Path(picard_lod.__file__).parent.glob("*.py")):
+        callers |= {f"{path.stem}.{fn}" for fn in calls(ast.parse(path.read_text()), "<module>")}
+    assert callers == {"picard_pde.classify_rhs"}
+
+
 class TestEstimateLipschitz:
     def test_heat_exact(self):
         fac = pp.estimate_lipschitz(heat_problem(), Radii.infinite())
@@ -281,7 +444,7 @@ class TestEstimateLipschitz:
     def test_sampled_against_closed_form(self):
         prob = burgers_problem()
         radii = Radii.constant(0.5)
-        fac = pp.estimate_lipschitz(prob, radii, "sampled", k_max=2, n_pairs=24)
+        fac = pp.estimate_lipschitz(prob, radii, k_max=2, n_pairs=24)
         assert fac.meta["certified"] is False
         # cross-check against 2^k (r_{k+L} + sup-range of d^alpha i0) with
         # i0 = x on [0, 1]; the sampled value carries the extra product-rule
@@ -294,7 +457,7 @@ class TestEstimateLipschitz:
 
     def test_sampled_needs_finite_radii(self):
         with pytest.raises(pp.PicardError, match="finite"):
-            pp.estimate_lipschitz(burgers_problem(), Radii.infinite(), "sampled")
+            pp.estimate_lipschitz(burgers_problem(), Radii.infinite())
 
 
 class TestLambdaRecursion:
@@ -568,7 +731,7 @@ def test_sampled_lipschitz_table_is_pinned():
     # float.hex of the table computed before the graded sweeps went through
     # funcspace.derivatives_on_grid; the rewrite must not move a single bit
     fac = pp.estimate_lipschitz(
-        burgers_problem(), Radii.constant(0.5), "sampled", k_max=2, n_pairs=4
+        burgers_problem(), Radii.constant(0.5), k_max=2, n_pairs=4
     )
     assert [float(v).hex() for v in fac.table] == [
         "0x1.387e94eb2e60fp+1", "0x1.af4eb1a39fe1bp+1", "0x1.3b0b80941355ap+2",
