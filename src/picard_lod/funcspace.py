@@ -44,6 +44,7 @@ __all__ = [
     "partial_derivative",
     "derivatives_on_grid",
     "iterated_time_integral",
+    "cheb_integral",
     "graded_norm",
     "graded_norms_upto",
     "graded_indices",
@@ -584,9 +585,43 @@ def iterated_time_integral(f: SepFunc, j: int) -> SepFunc:
         )
     iv = f.domain.t_interval
     u0 = float(_to_unit(np.array(f.domain.t0), iv))
-    coef = cheb.chebint(np.asarray(f.coeffs), m=j, lbnd=u0,
-                        scl=_halfwidth(iv), axis=1)
+    coef = cheb_integral(f.coeffs, j, lbnd=u0, scl=_halfwidth(iv), axis=1)
     return SepFunc(f.domain, f.m, f.p, coef)
+
+
+def cheb_integral(
+    coef: np.ndarray, m: int, *, lbnd: float, scl: float, axis: int = 0
+) -> np.ndarray:
+    """cheb.chebint(coef, m, lbnd=lbnd, scl=scl, axis=axis) with numpy's float operations.
+
+    Per fold numpy runs c *= scl, then tmp[0] = c[0]*0, tmp[1] = c[0],
+    tmp[2] = c[1]/4 and, for j = 2..n-1, tmp[j+1] = c[j]/(2(j+1)) and
+    tmp[j-1] -= c[j]/(2(j-1)); last, tmp[0] += 0 - chebval(lbnd, tmp).
+    Every tmp[j-1] is assigned before its one subtraction, so the loop is
+    two slice operations here.  A fold of the zero constant adds 0 to it
+    instead, as numpy does.  The result has numpy's axis order and strides.
+    """
+    c = np.array(coef, dtype=np.double, ndmin=1)
+    if m == 0:
+        return c
+    c = np.moveaxis(c, axis, 0)
+    for _ in range(m):
+        n = len(c)
+        c *= scl
+        if n == 1 and np.all(c[0] == 0):
+            c[0] += 0
+            continue
+        tmp = np.empty((n + 1,) + c.shape[1:])
+        tmp[0] = c[0] * 0
+        tmp[1] = c[0]
+        if n > 1:
+            tmp[2] = c[1] / 4
+        j = np.arange(2, n).reshape(-1, *[1] * (c.ndim - 1))
+        tmp[3:] = c[2:] / (2 * (j + 1))
+        tmp[1:n - 1] -= c[2:] / (2 * (j - 1))
+        tmp[0] += 0 - cheb.chebval(lbnd, tmp)
+        c = tmp
+    return np.moveaxis(c, 0, axis)
 
 
 # ---------------------------------------------------------------------------

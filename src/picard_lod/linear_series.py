@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -28,6 +28,7 @@ from .expr import (
     eval_expr,
     free_variables,
     parse_expression,
+    print_expression,
     symbolic_partial,
 )
 from .funcspace import (
@@ -277,7 +278,7 @@ def _mat_t_product(P: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _mat_int(problem: LinearProblem, M: np.ndarray, folds: int) -> np.ndarray:
     lo, hi = problem.domain.t_interval
     u0 = (2 * problem.domain.t0 - lo - hi) / (hi - lo)
-    return cheb.chebint(M, m=folds, lbnd=u0, scl=(hi - lo) / 2, axis=2)
+    return fs.cheb_integral(M, folds, lbnd=u0, scl=(hi - lo) / 2, axis=2)
 
 
 def _mat_der(problem: LinearProblem, M: np.ndarray, order: int) -> np.ndarray:
@@ -399,21 +400,40 @@ def mu_eta_recursions(
 # ---------------------------------------------------------------------------
 
 
-def _x_derivative_interp(
-    problem: LinearProblem, row: Sequence[Expr], h: int, x_degree: int
-) -> SepFunc:
-    """Interpolant of d_x^{h mu} applied to a row of initial data."""
-    exprs = []
-    for e in row:
-        de = e
-        for dim, order in enumerate(problem.mu, start=1):
-            if order:
-                de = symbolic_partial(de, f"x{dim}", order * h)
-        exprs.append(de)
-    return interpolate(
-        exprs, problem.domain, (0, *(x_degree,) * problem.domain.s),
-        m=problem.m, p=problem.p,
-    ).trim()
+def _x_derivative_tower(
+    problem: LinearProblem,
+    row: Sequence[Expr],
+    n: int,
+    x_degree: int,
+    seen: dict[str, SepFunc],
+    h_from: int = 0,
+) -> Iterator[SepFunc]:
+    """Interpolants of d_x^{h mu} applied to a row of initial data, h = h_from..n.
+
+    Step h takes order * h symbolic steps per axis of mu, axes in order.  The
+    first axis's chain is extended from step h - 1; the later axes are redone
+    from it.  A row is interpolated only if its repr (which keeps -0.0 apart
+    from 0.0) is not yet in ``seen``, the caller's dict for one computation:
+    derivatives of sin data repeat with period 4, and of polynomials end in 0.
+    """
+    axes = [(f"x{dim}", order) for dim, order in enumerate(problem.mu, start=1) if order]
+    chain = list(row)
+    for h in range(n + 1):
+        if h and axes:
+            var, order = axes[0]
+            chain = [symbolic_partial(e, var, order) for e in chain]
+        exprs = chain
+        for var, order in axes[1:]:
+            exprs = [symbolic_partial(e, var, order * h) for e in exprs]
+        if h < h_from:
+            continue
+        key = repr(exprs)
+        if key not in seen:
+            seen[key] = interpolate(
+                exprs, problem.domain, (0, *(x_degree,) * problem.domain.s),
+                m=problem.m, p=problem.p,
+            ).trim()
+        yield seen[key]
 
 
 def _series_terms(
@@ -426,11 +446,14 @@ def _series_terms(
     cauchy = problem.to_cauchy()
     i0 = pp.initial_polynomial(cauchy, (x_degree,) * problem.domain.s)
     rec = mu_eta_recursions(problem, n, variant="picard", x_degree=x_degree)
+    seen: dict[str, SepFunc] = {}
+    towers = {j: _x_derivative_tower(problem, problem.initial[j], n, x_degree, seen, h_from=1)
+              for j in range(problem.gamma, problem.d)}
     terms: list[SepFunc] = []
     for h in range(1, n + 1):
         acc = rec.eta[h]
-        for j in range(problem.gamma, problem.d):
-            xf = _x_derivative_interp(problem, problem.initial[j], h, x_degree)
+        for j, tower in towers.items():
+            xf = next(tower)
             sigma = rec.mu[j][h]  # (m, m, nt)
             scale = 1.0 / math.factorial(j - problem.gamma)
             comps = []
@@ -887,10 +910,9 @@ def parameter_limit_experiment(
     premise_ok = True
     for eps in eps_list:
         prob = family(eps)
-        sups = []
+        sups, seen = [], {}
         for j in range(prob.gamma, prob.d):
-            for h in range(N + 1):
-                xf = _x_derivative_interp(prob, prob.initial[j], h, SERIES_X_DEGREE)
+            for xf in _x_derivative_tower(prob, prob.initial[j], N, SERIES_X_DEGREE, seen):
                 sups.append(graded_norm(xf, 0))
         tail = sups[-6:]
         if len(tail) >= 4 and all(b > a for a, b in zip(tail, tail[1:])):
@@ -923,17 +945,26 @@ def burgers_demo(
     window: int = 10,
     margin: float = 0.05,
 ) -> LodCertificate:
-    """Weissinger certificate for d_t^d y = y . d_x^mu y with power-scale data.
+    """Weissinger certificate for d_t^d y = c y . d_x^mu y with power-scale data.
 
-    The per-step factors 2^n prod_j (r_{k+jL} + ||i0||-model_{k+jL}) contain
-    the hyperfactorial when sigma = 1 and L = 1, so the terms blow up no
-    matter how small the time interval is.
+    The per-step factors (2|c|)^n prod_j (r_{k+jL} + ||i0||-model_{k+jL})
+    contain the hyperfactorial when sigma = 1 and L = 1, so the terms blow up
+    no matter how small the time interval is.  c must be a constant: for a
+    t- or x-dependent c a grid max would not bound sup|c| from above.
     """
-    mu = problem.rhs_class.mu
-    if mu is None:
+    rc = problem.rhs_class
+    if rc.mu is None:
         raise LinearSeriesError(
             "demo expects a right-hand side of the form y * d_x^mu y"
         )
+    if not all(isinstance(c, Const) for c in rc.coef):
+        raise LinearSeriesError(
+            "demo needs a constant coefficient c in c * y * d_x^mu y, got "
+            + ", ".join(print_expression(c) for c in rc.coef)
+        )
+    c = max(abs(c.value) for c in rc.coef)
+    log_2c = math.log(2.0 * c) if c else 0.0  # with c = 0 only n = 0 reads it
+    mu = rc.mu
     L = sum(mu)
     d = problem.d
     tbar = problem.domain.tbar
@@ -947,10 +978,13 @@ def burgers_demo(
     for k in k_list:
         terms = []
         for n in range(n_max + 1):
+            if n and not c:
+                terms.append(0.0)  # F = 0 * y * d_x^mu y vanishes
+                continue
             log_bar = (
                 n * d * math.log(tbar)
                 - math.lgamma(n * d + 1)
-                + n * math.log(2.0)
+                + n * log_2c
             )
             for j in range(n):
                 r = radii.value(k + j * L)

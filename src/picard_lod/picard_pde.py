@@ -25,6 +25,7 @@ from .expr import (
     Expr,
     Placeholder,
     Unary,
+    fold,
     free_variables,
     is_affine_in_placeholders,
     placeholder_key,
@@ -424,32 +425,37 @@ class RhsClass:
     """The form of the right-hand side, decided once per problem.
 
     ``kind`` is one of constant, linear, affine, quadratic or general;
-    ``linear`` is set for the linear kind and ``mu`` for the quadratic one.
+    ``linear`` is set for the linear kind, and ``mu`` and the folded
+    coefficient c of each component for the quadratic one.
     """
 
     kind: str
     placeholders: tuple[Placeholder, ...]
     linear: LinearStructure | None = None
     mu: tuple[int, ...] | None = None
+    coef: tuple[Expr, ...] | None = None
 
 
-def _quadratic_mu(e: Expr) -> tuple[int, ...] | None:
-    """mu when e is c * y_i * d_x^mu y_i with |mu| > 0 and c free of y, else None."""
-    factors, stack = [], [e]
+def _quadratic_form(e: Expr) -> tuple[tuple[int, ...], Expr] | None:
+    """(mu, c) when e is c * y_i * d_x^mu y_i with |mu| > 0 and c free of y, else None."""
+    factors, coef, sign, stack = [], Const(1.0), 1.0, [e]
     while stack:
         f = stack.pop()
         if isinstance(f, Unary) and f.op == "neg":
+            sign = -sign
             stack.append(f.arg)
         elif isinstance(f, Binary) and f.op == "*":
             stack += [f.lhs, f.rhs]
         elif placeholders_in(f):
             factors.append(f)
+        else:
+            coef = Binary("*", coef, f)
     if len(factors) != 2 or not all(isinstance(f, Placeholder) for f in factors):
         return None
     lo, hi = sorted(factors, key=lambda ph: ph.order)
     if lo.comp != hi.comp or lo.gamma or hi.gamma or lo.order or not hi.order:
         return None
-    return hi.alpha
+    return hi.alpha, fold(Binary("*", Const(sign), coef))
 
 
 def classify_rhs(problem: CauchyProblem) -> RhsClass:
@@ -465,9 +471,9 @@ def classify_rhs(problem: CauchyProblem) -> RhsClass:
         return RhsClass("linear", phs, linear=structure)
     if all(is_affine_in_placeholders(e) for e in problem.rhs):
         return RhsClass("affine", phs)
-    mus = {_quadratic_mu(e) for e in problem.rhs}
-    if len(mus) == 1 and None not in mus:
-        return RhsClass("quadratic", phs, mu=mus.pop())
+    forms = [_quadratic_form(e) for e in problem.rhs]
+    if None not in forms and len({mu for mu, _ in forms}) == 1:
+        return RhsClass("quadratic", phs, mu=forms[0][0], coef=tuple(c for _, c in forms))
     return RhsClass("general", phs)
 
 
@@ -505,6 +511,11 @@ class LipschitzFactors:
         if self.mode != "function":
             return None
         return self.funcs[min(k, len(self.funcs) - 1)]
+
+    @property
+    def flat_from(self) -> int:
+        """The index from which at and func_at no longer change with k."""
+        return max(len(self.funcs if self.mode == "function" else self.table) - 1, 0)
 
     @classmethod
     def constant(cls, value: float, meta: dict | None = None) -> "LipschitzFactors":
@@ -620,16 +631,27 @@ def estimate_lipschitz(
 # ---------------------------------------------------------------------------
 
 
+def _folds(integrand: np.ndarray, d: int, tbar: float) -> list[np.ndarray]:
+    """The j-fold integrals in tau from 0 for j = 1..d, each one fold of the last."""
+    out, cur = [], integrand
+    for _ in range(d):
+        cur = fs.cheb_integral(cur, 1, lbnd=-1.0, scl=tbar / 2.0)
+        out.append(cur)
+    return out
+
+
 class _ConstantRecursion:
     """Literal nested-integral recursion with constant factors.
 
     Branch profiles are Chebyshev series in tau = |t - t0| on [0, Tbar];
     when one branch dominates the level maximum uniformly the step is exact
-    polynomial arithmetic.
+    polynomial arithmetic.  Levels depend on k only through the factors, so
+    the memo shares one level per n among every k past factors.flat_from.
     """
 
-    def __init__(self, lam: Callable[[int], float], d: int, L: int, tbar: float):
-        self.lam = lam
+    def __init__(self, factors: LipschitzFactors, d: int, L: int, tbar: float):
+        self.lam = factors.at
+        self.flat_from = factors.flat_from
         self.d = d
         self.L = L
         self.tbar = tbar
@@ -638,6 +660,7 @@ class _ConstantRecursion:
     def branches(self, k: int, n: int) -> list[np.ndarray]:
         if n == 0:
             return [np.array([1.0])] * self.d
+        k = min(k, self.flat_from)
         key = (k, n)
         if key in self._memo:
             return self._memo[key]
@@ -652,11 +675,7 @@ class _ConstantRecursion:
             env_vals = np.max(vals, axis=0)
             V = cheb.chebvander(nodes_u, len(nodes_u) - 1)
             env = np.linalg.solve(V, env_vals)
-        integrand = self.lam(k) * env
-        out = [
-            cheb.chebint(integrand, m=j, lbnd=-1.0, scl=self.tbar / 2.0)
-            for j in range(1, self.d + 1)
-        ]
+        out = _folds(self.lam(k) * env, self.d, self.tbar)
         self._memo[key] = out
         return out
 
@@ -684,7 +703,9 @@ class _FunctionRecursion:
     The recursion treats x as a parameter, so it runs per x-grid point on a
     Chebyshev grid in tau = |t - t0| over [0, Tbar].  The factor field is
     folded to tau by taking the larger of the two time branches inside T.
-    Branch profiles are chebyshev coefficient columns, one per x point.
+    Branch profiles are chebyshev coefficient columns, one per x point.  As
+    in _ConstantRecursion, one level per n serves every k past
+    factors.flat_from.
     """
 
     def __init__(self, factors: LipschitzFactors, d: int, L: int, domain: Domain):
@@ -697,7 +718,6 @@ class _FunctionRecursion:
         shape = tuple(len(g) for g in self.x_grids)
         self.nx = int(np.prod(shape)) if shape else 1
         self._memo: dict[tuple[int, int], list[np.ndarray]] = {}
-        self._rho: dict[int, np.ndarray] = {}
 
     def _tau_nodes(self, deg: int) -> np.ndarray:
         return (cheb.chebpts2(deg + 1) + 1.0) * (self.tbar / 2.0)
@@ -717,6 +737,7 @@ class _FunctionRecursion:
         """Per j = 1..d, coefficient arrays (n_coef, nx) in tau on [0, Tbar]."""
         if n == 0:
             return [np.ones((1, self.nx))] * self.d
+        k = min(k, self.factors.flat_from)
         key = (k, n)
         if key in self._memo:
             return self._memo[key]
@@ -732,10 +753,7 @@ class _FunctionRecursion:
         mvals = np.max(prev_vals, axis=0)
         integrand_vals = self.rho_values(k, taus) * mvals
         coef = _trim_rows(np.linalg.solve(V, integrand_vals))
-        out = [
-            _trim_rows(cheb.chebint(coef, m=j, lbnd=-1.0, scl=self.tbar / 2.0, axis=0))
-            for j in range(1, self.d + 1)
-        ]
+        out = [_trim_rows(c) for c in _folds(coef, self.d, self.tbar)]
         self._memo[key] = out
         return out
 
@@ -778,7 +796,7 @@ def log_lambda_bar(
         rec = (
             _FunctionRecursion(factors, d, L, domain)
             if factors.mode == "function"
-            else _ConstantRecursion(factors.at, d, L, domain.tbar)
+            else _ConstantRecursion(factors, d, L, domain.tbar)
         )
     elif mode != "paper":
         raise PicardError(f"unknown lambda mode {mode!r}")
