@@ -422,8 +422,25 @@ def functions_and_grids(draw):
     return f, grids
 
 
+@st.composite
+def integral_cases(draw):
+    """Arguments of cheb.chebint: a rank 1-3 tensor with signed zeros, m in 0..3, any axis.
+
+    lbnd is -1, 0 or a drawn point of [-1, 1]; coefficient magnitudes range
+    from 1e-8 to 1e8.
+    """
+    shape = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    coeffs[zeros] = np.copysign(0.0, rng.standard_normal(shape))[zeros]
+    lbnd = draw(st.sampled_from([-1.0, 0.0]) | st.floats(-1.0, 1.0))
+    return dict(c=coeffs, m=draw(st.integers(0, 3)), lbnd=lbnd,
+                scl=draw(st.floats(0.01, 10.0)), axis=draw(st.integers(0, len(shape) - 1)))
+
+
 class TestNumpyReference:
-    """The derivative and evaluation paths against numpy's own formulas, byte for byte."""
+    """The calculus and evaluation paths against numpy's own formulas, byte for byte."""
 
     @settings(max_examples=300, deadline=None)
     @given(functions_and_orders())
@@ -443,25 +460,33 @@ class TestNumpyReference:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(integral_cases())
+    def test_cheb_integral_is_numpy_chebint(self, case):
+        from numpy.polynomial import chebyshev as cheb
 
-def test_partial_derivative_outside_funcspace_only_in_the_eta_step():
-    """Every derivative on a grid goes through funcspace.derivatives_on_grid.
+        from picard_lod.funcspace import cheb_integral
 
-    The only other call of partial_derivative is the coefficient-space eta
-    step of linear_series.mu_eta_recursions, which never touches a grid.
-    """
+        want = cheb.chebint(**case)
+        c = case.pop("c")
+        got = cheb_integral(c, case.pop("m"), **case)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def callers_outside_funcspace(callee):
+    """module.function (or module.<module>) of every call of callee outside funcspace.py."""
     import ast
     from pathlib import Path
 
     import picard_lod
 
     def calls(node, where):
-        # (enclosing function, or "<module>") of every partial_derivative call
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name == "partial_derivative":
+            if name == callee:
                 yield where
         for child in ast.iter_child_nodes(node):
             yield from calls(child, where)
@@ -471,4 +496,18 @@ def test_partial_derivative_outside_funcspace_only_in_the_eta_step():
         if path.name != "funcspace.py":
             tree = ast.parse(path.read_text())
             callers += [f"{path.stem}.{fn}" for fn in calls(tree, "<module>")]
-    assert callers == ["linear_series.mu_eta_recursions"]
+    return callers
+
+
+def test_partial_derivative_outside_funcspace_only_in_the_eta_step():
+    """Every derivative on a grid goes through funcspace.derivatives_on_grid.
+
+    The only other call of partial_derivative is the coefficient-space eta
+    step of linear_series.mu_eta_recursions, which never touches a grid.
+    """
+    assert callers_outside_funcspace("partial_derivative") == ["linear_series.mu_eta_recursions"]
+
+
+def test_chebint_only_in_funcspace():
+    """Every Chebyshev integral goes through funcspace.cheb_integral."""
+    assert callers_outside_funcspace("chebint") == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
-from picard_lod.expr import Arity, parse_expression
+from picard_lod.expr import Arity, parse_expression, symbolic_partial
 from picard_lod.funcspace import Domain, Radii, graded_norm, graded_norms_upto
 from picard_lod.graded_core import CONVERGED, DIVERGING, INCONCLUSIVE
 import picard_lod.linear_series as ls
@@ -135,6 +135,69 @@ class TestPicardClosedForm:
         pa = np.pad(a, [(0, s - u) for s, u in zip(shape, a.shape)])
         pb = np.pad(b, [(0, s - u) for s, u in zip(shape, b.shape)])
         assert np.max(np.abs(pa - pb)) < 1e-10
+
+
+class TestDerivativeTower:
+    """d_x^{h mu} of the data, one step from the last, each distinct tree interpolated once."""
+
+    CUBE = Domain(0.0, 0.25, 0.25, ((-1.0, 1.0), (0.0, 2.0)))
+
+    @staticmethod
+    def _problem(domain, mu, rows, params=None):
+        ar = Arity(s=domain.s)
+        return ls.LinearProblem(
+            domain, 1, len(rows), 0, mu, ((parse_expression("1", Arity(s=0)),),),
+            (parse_expression("0", ar),), 0.0,
+            tuple((parse_expression(e, ar, params),) for e in rows),
+        )
+
+    @pytest.mark.parametrize("mu, rows", [
+        # d/dx1 of -(0*x1) folds to Const(-0.0), which must stay apart from 0
+        ((1,), ["x1^3*sin(2*x1)", "-(0*x1)", "0"]),
+        ((2,), ["3*cos(2*x1+1)", "x1^5", "0"]),
+        # interleaving the x1 and x2 steps would print cos(x1-2*x2)'s trees otherwise
+        ((1, 1), ["sin(x1)*cos(2*x2)+x1^3*x2^2", "cos(x1-2*x2)", "-x1"]),
+        ((0, 2), ["-x1", "0", "x1*x2^3"]),
+    ])
+    def test_trees_are_the_symbolic_partial_chain(self, monkeypatch, mu, rows):
+        class Tree:
+            def __init__(self, exprs, *args, **kwargs):
+                self.key = repr(exprs)
+
+            def trim(self):
+                return self
+
+        monkeypatch.setattr(ls, "interpolate", Tree)
+        lp = self._problem(SQUARE if len(mu) == 1 else self.CUBE, mu, rows)
+        seen = {}
+        for row in lp.initial:
+            got = [tree.key for tree in ls._x_derivative_tower(lp, row, 6, 8, seen)]
+            want = []
+            for h in range(7):
+                de = row[0]
+                for dim, order in enumerate(mu, start=1):
+                    if order:
+                        de = symbolic_partial(de, f"x{dim}", order * h)
+                want.append(repr([de]))
+            assert got == want
+
+    def test_sine_data_is_interpolated_at_most_four_times(self, monkeypatch):
+        dom = Domain(0.0, 0.25, 0.25, ((-PI, PI),))
+        lp = self._problem(dom, (2,), ["A*sin(x1+phi)"], {"A": 0.7, "phi": 1.3})
+        calls = []
+        real = ls.interpolate
+
+        def spy(exprs, *args, **kwargs):
+            calls.append(exprs)
+            return real(exprs, *args, **kwargs)
+
+        monkeypatch.setattr(ls, "interpolate", spy)
+        got = list(ls._x_derivative_tower(lp, lp.initial[0], 20, 24, {}))
+        assert len(got) == 21 and len(calls) <= 4
+        for h, xf in enumerate(got):
+            exprs = [symbolic_partial(lp.initial[0][0], "x1", 2 * h)]
+            want = real(exprs, dom, (0, 24), m=1, p=0).trim()
+            assert xf.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 class TestSeriesSolution:
@@ -429,6 +492,30 @@ class TestBurgersDemo:
         assert prob.rhs_class.mu == (2,)
         cert = ls.burgers_demo(prob, Radii.constant(1.0), (0,), 10)
         assert cert.rows[0].meta["L"] == 2
+
+    def test_factor_scales_with_the_coefficient(self):
+        def terms(rhs):
+            cert = ls.burgers_demo(
+                self._with_rhs(rhs), Radii.constant(1e-8), (0,), 40, sigma=0.01
+            )
+            return cert.rows[0].terms
+
+        one, five = terms("y1*Dx1(y1)"), terms("-5*y1*Dx1(y1)")
+        assert terms("-y1*Dx1(y1)") == one
+        for n, (a, b) in enumerate(zip(one, five)):
+            assert b == pytest.approx(5.0**n * a, rel=1e-12)
+
+    def test_zero_coefficient_gives_zero_terms(self):
+        cert = ls.burgers_demo(self._with_rhs("0*y1*Dx1(y1)"), Radii.infinite(), (0,), 10)
+        assert cert.rows[0].terms == (1.0,) + (0.0,) * 10
+        assert cert.verdict == CONVERGED
+
+    @pytest.mark.parametrize("rhs", ["x1*y1*Dx1(y1)", "y1*Dx1(y1)*sin(t)"])
+    def test_rejects_a_coefficient_that_is_not_constant(self, rhs):
+        prob = self._with_rhs(rhs)
+        assert prob.rhs_class.kind == "quadratic"
+        with pytest.raises(ls.LinearSeriesError, match="constant coefficient"):
+            ls.burgers_demo(prob, Radii.constant(1.0), (0,), 10)
 
 
 def test_series_residual_across_catalog():

@@ -511,6 +511,71 @@ class TestLambdaRecursion:
             paper = pp.lambda_bar(fac, 2, 2, dom, 0, n, "paper")
             assert rec >= paper
 
+    # Conservative bars pinned bit for bit: "d L table k n float.hex" lines
+    # for d, L and tables as below, k in (0, 1, 4) and n = 1..n_max, joined
+    # by newlines and hashed; a few lines are spelled out.
+    PINNED_BARS = {
+        "constant": (
+            (1, 2, 3), 8,
+            "c78affff7f99dc235e81a7fd518054624f17c1699a089421b2bb06b66e967131",
+            ["1 1 flat 0 8 0x1.dd704a7d0dcd0p-25",
+             "2 2 three 0 8 0x1.c8ebb6b5b05e5p-22",
+             "3 1 three 4 3 0x1.76f46508dfea0p-5"],
+        ),
+        "function": (
+            (1, 2), 6,
+            "c756e199f7da9bd23a273d3f21018d99fb23b624633f87c8f77508d5b91b37df",
+            ["1 2 three 0 6 0x1.599999999999ap-7",
+             "2 1 three 0 6 0x1.abe2be2be2be9p-8"],
+        ),
+    }
+
+    @staticmethod
+    def _factor_tables(mode):
+        dom = Domain(0.0, 0.25, 0.5, ((0.0, 1.0),))
+        if mode == "constant":
+            return dom, {
+                "flat": pp.LipschitzFactors.from_table((0.932902,)),
+                "three": pp.LipschitzFactors.from_table((0.7, 1.1, 1.3)),
+            }
+
+        def fields(*texts):
+            funcs = tuple(interpolate(parse_expression(t, Arity(s=1)), dom, (4, 4))
+                          for t in texts)
+            return pp.LipschitzFactors("function", funcs=funcs)
+
+        return dom, {"one": fields("1+x1^2"),
+                     "three": fields("1+x1^2", "1.5+t*x1", "2+x1")}
+
+    @pytest.mark.parametrize("mode", ["constant", "function"])
+    def test_conservative_bars_are_pinned(self, mode):
+        import hashlib
+
+        ds, n_max, digest, spelled = self.PINNED_BARS[mode]
+        dom, tables = self._factor_tables(mode)
+        lines = []
+        for d in ds:
+            for L in (1, 2):
+                for name, fac in tables.items():
+                    log_bar = pp.log_lambda_bar(fac, d, L, dom)
+                    lines += [f"{d} {L} {name} {k} {n} {math.exp(log_bar(k, n)).hex()}"
+                              for k in (0, 1, 4) for n in range(1, n_max + 1)]
+        assert set(spelled) <= set(lines)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode", ["constant", "function"])
+    def test_flat_factors_build_one_level_per_n(self, mode):
+        dom = Domain(0.0, 0.25, 0.25, ((0.0, 1.0),))
+        if mode == "constant":
+            # factor 1: other values make the d = 2 levels slow (ROADMAP item 3)
+            rec = pp._ConstantRecursion(pp.LipschitzFactors.constant(1.0), 2, 1, dom.tbar)
+        else:
+            fac = pp.LipschitzFactors("function", funcs=(interpolate(Const(2.0), dom, (0, 0)),))
+            rec = pp._FunctionRecursion(fac, 2, 1, dom)
+        for n in range(13):
+            rec.bar(0, n)
+        assert sorted(rec._memo) == [(0, n) for n in range(1, 13)]
+
 
 class TestConstantBounds:
     def _linear_prob(self):
