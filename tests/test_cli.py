@@ -155,6 +155,12 @@ class TestCertifyRoutes:
         assert cert["verdict"] == "diverging"
         assert "hyperfactorial" in cert["meta"]["witness"]
 
+    def test_quadratic_rhs_with_a_varying_coefficient_is_an_error(self, tmp_path, capsys):
+        p = write_problem(tmp_path / "c.json", **{**BURGERS, "rhs": "x1*y1*Dx1(y1)"})
+        assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert "constant coefficient" in capsys.readouterr().err
+        assert not (tmp_path / "c.certificate.report.json").exists()
+
     def test_growth_on_a_general_rhs_is_an_error(self, tmp_path, capsys):
         p = write_problem(tmp_path / "g.json", **{**BURGERS, "rhs": "sin(y1)*Dx1(y1)"})
         assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
