@@ -36,6 +36,7 @@ __all__ = [
     "invert_locally",
     "w_prime_diagnostic",
     "series_verdict",
+    "exp_or_inf",
 ]
 
 CONVERGED = "converged"
@@ -49,6 +50,11 @@ DEFAULT_REL_FLOOR = 1e-14
 
 class GradedCoreError(Exception):
     pass
+
+
+def exp_or_inf(log_value: float) -> float:
+    """exp of a log-scale term, or +inf where exp would overflow."""
+    return math.exp(log_value) if log_value < 700 else math.inf
 
 
 @dataclass
@@ -189,7 +195,7 @@ class WeissingerRow:
             out.append(acc)
         return tuple(out)
 
-    def tail_bound(self, n: int, *, extrapolate: bool = True) -> "TailBound":
+    def tail_bound(self, n: int) -> "TailBound":
         """Tail sum from index n, geometrically extrapolated past the data."""
         if self.verdict != CONVERGED:
             raise GradedCoreError(
@@ -198,7 +204,7 @@ class WeissingerRow:
         finite = math.fsum(self.terms[n:])
         extr = 0.0
         ratio = None
-        if extrapolate and len(self.terms) >= 2:
+        if len(self.terms) >= 2:
             t_last, t_prev = self.terms[-1], self.terms[-2]
             if t_last > 0 and t_prev > 0:
                 r = t_last / t_prev

@@ -45,6 +45,7 @@ from .graded_core import (
     DIVERGING,
     INCONCLUSIVE,
     LodCertificate,
+    exp_or_inf,
     series_verdict,
     weissinger_row,
 )
@@ -511,9 +512,9 @@ def series_solution(
     for term in terms:
         out = out + term
     tail = graded_norm(terms[-1], 0)
-    constant_case = all(
-        isinstance(e, Const) for row in problem.p_coef for e in row
-    ) and all(isinstance(e, Const) for e in problem.q)
+    constant_case = not any(
+        free_variables(e) for e in (*(e for row in problem.p_coef for e in row), *problem.q)
+    )
     return out.trim(), {
         "last_term_sup": tail,
         "terms": N,
@@ -593,7 +594,7 @@ def increment_bound(
     n: int,
 ) -> float:
     lv = increment_bound_log(problem, growth, k, n)
-    return math.exp(lv) if lv < 700 else math.inf
+    return exp_or_inf(lv)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +652,7 @@ def classify_convergence(
                 - math.lgamma(j - gamma + d + 1)
             )
         terms_log.append(log_p + n * (d * math.log(T) + log_p) + _logsumexp(parts))
-    terms = tuple(math.exp(v) if v < 700 else math.inf for v in terms_log)
+    terms = tuple(exp_or_inf(v) for v in terms_log)
     numeric_verdict, _ = series_verdict(terms)
 
     verdict = CONVERGED
@@ -721,8 +722,7 @@ def radii_from_series(
                 + (h * (d - gamma) + j) * math.log(T)
                 - h * math.lgamma(d - gamma + 1)
             )
-        lt = _logsumexp(parts)
-        t = math.exp(lt) if lt < 700 else math.inf
+        t = exp_or_inf(_logsumexp(parts))
         if math.isinf(t):
             return math.inf
         total += t
@@ -737,13 +737,12 @@ def radii_from_series(
             break
     if problem.Q > 0:
         for h in range(0, h_max + 1):
-            lt = (
+            t = exp_or_inf(
                 math.log(problem.Q)
                 + h * log_p
                 + (h + 1) * (d - gamma) * math.log(T)
                 - math.lgamma((h + 1) * (d - gamma) + 1)
             )
-            t = math.exp(lt) if lt < 700 else math.inf
             if math.isinf(t):
                 return math.inf
             total += t
@@ -942,8 +941,6 @@ def burgers_demo(
     n_max: int,
     *,
     sigma: float = 1.0,
-    window: int = 10,
-    margin: float = 0.05,
 ) -> LodCertificate:
     """Weissinger certificate for d_t^d y = c y . d_x^mu y with power-scale data.
 
@@ -990,13 +987,8 @@ def burgers_demo(
                 r = radii.value(k + j * L)
                 model = math.exp(min(log_model(j), 700))
                 log_bar += math.log(r + model) if not math.isinf(r) else math.inf
-            log_inc = log_model(n)
-            lt = log_bar + log_inc
-            terms.append(math.exp(lt) if lt < 700 else math.inf)
-        rows.append(weissinger_row(
-            k, terms, window=window, margin=margin,
-            meta={"sigma": sigma, "L": L},
-        ))
+            terms.append(exp_or_inf(log_bar + log_model(n)))
+        rows.append(weissinger_row(k, terms, meta={"sigma": sigma, "L": L}))
     if sigma == 1.0 and L == 1:
         hyper_log = sum(j * math.log(j) for j in range(1, n_max))
     return LodCertificate.from_rows(rows, {

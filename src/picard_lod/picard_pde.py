@@ -37,7 +37,6 @@ from .funcspace import (
     Radii,
     SepFunc,
     ball_check,
-    graded_norm,
     graded_norms_upto,
     interpolate,
     iterated_time_integral,
@@ -50,6 +49,7 @@ from .graded_core import (
     IterationStop,
     LodCertificate,
     LodConstants,
+    exp_or_inf,
     iterate_to_fixed_point,
     weissinger_row,
     weissinger_sum,
@@ -101,9 +101,8 @@ BOUNDS_Z_SAMPLES = 5
 BOUNDS_COMBO_BUDGET = 4096
 # t points of the coefficient-matrix sup norm of the linear class
 MATRIX_NORM_POINTS = 257
-# function-mode recursion: tau degree added per level, points per x axis
-FUNCTION_TAU_DEGREE = 48
-FUNCTION_X_POINTS = 33
+# highest graded index whose numeric increment norm a certificate reads
+NUMERIC_K_CAP = 8
 
 
 class PicardError(Exception):
@@ -486,46 +485,26 @@ def classify_rhs(problem: CauchyProblem) -> RhsClass:
 class LipschitzFactors:
     """Per-k Lipschitz factors of the composed right-hand side.
 
-    Constant mode stores a nondecreasing table extended by its last entry;
-    function mode stores per-k space-time factor fields.
+    A nondecreasing table of constants, extended by its last entry.
     """
 
-    mode: str  # "constant" | "function"
-    table: tuple[float, ...] = ()
-    funcs: tuple[SepFunc, ...] = ()
+    table: tuple[float, ...]
     is_zero: bool = False
     meta: dict = field(default_factory=dict, compare=False)
 
     def at(self, k: int) -> float:
-        """Scalar factor at index k (sup over the domain in function mode)."""
-        if self.mode == "function":
-            f = self.funcs[min(k, len(self.funcs) - 1)]
-            return graded_norm(f, 0)
-        if k < len(self.table):
-            v = self.table[k]
-        else:
-            v = self.table[-1]
-        return max(v, EPS_FLOOR)
-
-    def func_at(self, k: int) -> SepFunc | None:
-        if self.mode != "function":
-            return None
-        return self.funcs[min(k, len(self.funcs) - 1)]
+        """Factor at index k."""
+        return max(self.table[min(k, len(self.table) - 1)], EPS_FLOOR)
 
     @property
     def flat_from(self) -> int:
-        """The index from which at and func_at no longer change with k."""
-        return max(len(self.funcs if self.mode == "function" else self.table) - 1, 0)
+        """The index from which at no longer changes with k."""
+        return len(self.table) - 1
 
     @classmethod
     def constant(cls, value: float, meta: dict | None = None) -> "LipschitzFactors":
         v = float(value)
-        return cls(
-            "constant",
-            table=(max(v, EPS_FLOOR),),
-            is_zero=(v == 0.0),
-            meta=meta or {},
-        )
+        return cls((max(v, EPS_FLOOR),), is_zero=(v == 0.0), meta=meta or {})
 
     @classmethod
     def from_table(cls, values: Sequence[float], meta: dict | None = None) -> "LipschitzFactors":
@@ -533,7 +512,7 @@ class LipschitzFactors:
         for v in values:
             run = max(run, float(v))
             vals.append(run)
-        return cls("constant", table=tuple(vals), meta=meta or {})
+        return cls(tuple(vals), meta=meta or {})
 
 
 def _matrix_sup_norm(p_exprs: tuple[tuple[Expr, ...], ...], domain: Domain) -> float:
@@ -631,15 +610,6 @@ def estimate_lipschitz(
 # ---------------------------------------------------------------------------
 
 
-def _folds(integrand: np.ndarray, d: int, tbar: float) -> list[np.ndarray]:
-    """The j-fold integrals in tau from 0 for j = 1..d, each one fold of the last."""
-    out, cur = [], integrand
-    for _ in range(d):
-        cur = fs.cheb_integral(cur, 1, lbnd=-1.0, scl=tbar / 2.0)
-        out.append(cur)
-    return out
-
-
 class _ConstantRecursion:
     """Literal nested-integral recursion with constant factors.
 
@@ -675,7 +645,11 @@ class _ConstantRecursion:
             env_vals = np.max(vals, axis=0)
             V = cheb.chebvander(nodes_u, len(nodes_u) - 1)
             env = np.linalg.solve(V, env_vals)
-        out = _folds(self.lam(k) * env, self.d, self.tbar)
+        # the j-fold integrals in tau from 0 for j = 1..d, each one fold of the last
+        out, cur = [], self.lam(k) * env
+        for _ in range(self.d):
+            cur = fs.cheb_integral(cur, 1, lbnd=-1.0, scl=self.tbar / 2.0)
+            out.append(cur)
         self._memo[key] = out
         return out
 
@@ -684,85 +658,6 @@ class _ConstantRecursion:
         if n == 0:
             return 1.0
         return float(max(cheb.chebval(1.0, c) for c in self.branches(k, n)))
-
-
-def _trim_rows(coef: np.ndarray, rel_eps: float = 1e-15) -> np.ndarray:
-    """Drop trailing coefficient rows that are negligible relative to the max."""
-    scale = np.max(np.abs(coef))
-    if scale == 0:
-        return coef[:1]
-    n = coef.shape[0]
-    while n > 1 and np.max(np.abs(coef[n - 1])) < rel_eps * scale:
-        n -= 1
-    return coef[:n]
-
-
-class _FunctionRecursion:
-    """Recursion with space-time factor fields, pointwise in x.
-
-    The recursion treats x as a parameter, so it runs per x-grid point on a
-    Chebyshev grid in tau = |t - t0| over [0, Tbar].  The factor field is
-    folded to tau by taking the larger of the two time branches inside T.
-    Branch profiles are chebyshev coefficient columns, one per x point.  As
-    in _ConstantRecursion, one level per n serves every k past
-    factors.flat_from.
-    """
-
-    def __init__(self, factors: LipschitzFactors, d: int, L: int, domain: Domain):
-        self.factors = factors
-        self.d = d
-        self.L = L
-        self.domain = domain
-        self.tbar = domain.tbar
-        self.x_grids = fs.uniform_grid(domain, FUNCTION_X_POINTS)[1:]
-        shape = tuple(len(g) for g in self.x_grids)
-        self.nx = int(np.prod(shape)) if shape else 1
-        self._memo: dict[tuple[int, int], list[np.ndarray]] = {}
-
-    def _tau_nodes(self, deg: int) -> np.ndarray:
-        return (cheb.chebpts2(deg + 1) + 1.0) * (self.tbar / 2.0)
-
-    def rho_values(self, k: int, taus: np.ndarray) -> np.ndarray:
-        """Factor values on (tau, x-grid) as an (n_tau, nx) array."""
-        f = self.factors.func_at(k)
-        dom = self.domain
-        t_plus = np.where(taus <= dom.b, dom.t0 + taus, dom.t0 - taus)
-        t_minus = np.where(taus <= dom.a, dom.t0 - taus, dom.t0 + taus)
-        vplus = np.abs(f.eval_grid(t_plus, self.x_grids))
-        vminus = np.abs(f.eval_grid(t_minus, self.x_grids))
-        vals = np.maximum(vplus, vminus)[0]
-        return vals.reshape(len(taus), -1)
-
-    def branches(self, k: int, n: int) -> list[np.ndarray]:
-        """Per j = 1..d, coefficient arrays (n_coef, nx) in tau on [0, Tbar]."""
-        if n == 0:
-            return [np.ones((1, self.nx))] * self.d
-        k = min(k, self.factors.flat_from)
-        key = (k, n)
-        if key in self._memo:
-            return self._memo[key]
-        prev = self.branches(k + self.L, n - 1)
-        deg = max(c.shape[0] for c in prev) - 1 + FUNCTION_TAU_DEGREE
-        deg = min(deg, fs.DEGREE_CAP)
-        u = cheb.chebpts2(deg + 1)
-        taus = self._tau_nodes(deg)
-        V = cheb.chebvander(u, deg)
-        prev_vals = np.stack([
-            np.abs(V[:, : c.shape[0]] @ c[: deg + 1]) for c in prev
-        ])
-        mvals = np.max(prev_vals, axis=0)
-        integrand_vals = self.rho_values(k, taus) * mvals
-        coef = _trim_rows(np.linalg.solve(V, integrand_vals))
-        out = [_trim_rows(c) for c in _folds(coef, self.d, self.tbar)]
-        self._memo[key] = out
-        return out
-
-    def bar(self, k: int, n: int) -> float:
-        if n == 0:
-            return 1.0
-        return float(max(
-            np.max(np.abs(cheb.chebval(1.0, c))) for c in self.branches(k, n)
-        ))
 
 
 def paper_lambda_bar_log(
@@ -793,11 +688,7 @@ def log_lambda_bar(
     A zero factor gives -inf for every n > 0.
     """
     if mode == "recursion":
-        rec = (
-            _FunctionRecursion(factors, d, L, domain)
-            if factors.mode == "function"
-            else _ConstantRecursion(factors, d, L, domain.tbar)
-        )
+        rec = _ConstantRecursion(factors, d, L, domain.tbar)
     elif mode != "paper":
         raise PicardError(f"unknown lambda mode {mode!r}")
 
@@ -966,25 +857,21 @@ def certify_weissinger(
     k_list: Sequence[int],
     n_max: int,
     *,
-    norm_source: str = "auto",
     mode: str | None = None,
     growth: Sequence[Any] | None = None,
-    k_cap: int = 8,
     x_degrees: Sequence[int] | None = None,
-    window: int = 10,
-    margin: float = 0.05,
 ) -> LodCertificate:
     """Weissinger certificate: terms LambdaBar_{k,n} ||P(i0) - i0||_{k+nL}.
 
-    Numeric increments are limited to indices <= k_cap (spectral norms of
-    higher order are numerically meaningless); beyond that a growth model of
-    the initial data must supply the increments.  The contraction constants
-    come from the literal recursion by default, or from the constant-factor
-    closed form in "paper" mode (growth-model certificates default to paper
-    mode, which is the form the growth analysis is stated in).
+    Without ``growth`` the increments are numeric norms, limited to indices
+    <= NUMERIC_K_CAP (spectral norms of higher order are numerically
+    meaningless); with it, the growth model of the initial data supplies
+    them.  The contraction constants come from the literal recursion by
+    default, or from the constant-factor closed form in "paper" mode
+    (growth-model certificates default to paper mode, which is the form the
+    growth analysis is stated in).
     """
-    if norm_source == "auto":
-        norm_source = "growth_model" if growth is not None else "numeric"
+    norm_source = "growth_model" if growth is not None else "numeric"
     if mode is None:
         mode = "paper" if norm_source == "growth_model" else "recursion"
     L = problem.L
@@ -993,7 +880,7 @@ def certify_weissinger(
     meta = {
         "mode": mode,
         "norm_source": norm_source,
-        "k_cap": k_cap,
+        "k_cap": NUMERIC_K_CAP,
         "n_max": n_max,
         "lambda_meta": factors.meta,
         "norm_grid": {"factor": fs.NORM_GRID_FACTOR, "min_points": fs.NORM_GRID_MIN},
@@ -1002,42 +889,34 @@ def certify_weissinger(
         i0 = initial_polynomial(problem, x_degrees)
         inc = (apply_P(problem, i0, i0) - i0).trim()
         n_hi_of = {
-            k: (n_max if L == 0 else min(n_max, (k_cap - k) // L)) for k in k_list
+            k: (n_max if L == 0 else min(n_max, (NUMERIC_K_CAP - k) // L)) for k in k_list
         }
         if any(v < 0 for v in n_hi_of.values()):
-            raise PicardError(f"some k in {k_list} exceeds the numeric norm cap {k_cap}")
+            raise PicardError(f"some k in {k_list} exceeds the numeric norm cap {NUMERIC_K_CAP}")
         norms = graded_norms_upto(inc, max(k + n_hi_of[k] * L for k in k_list))
         constants = LodConstants.from_function(
             L, lambda k, n: math.exp(log_bar(k, n))
         )
         for k in k_list:
             n_hi = n_hi_of[k]
-            row = weissinger_sum(
-                constants, lambda idx: norms[idx], k, n_hi,
-                window=window, margin=margin,
-            )
+            row = weissinger_sum(constants, lambda idx: norms[idx], k, n_hi)
             rows.append(replace(
                 row, meta={"truncated_at_n": n_hi if n_hi < n_max else None}
             ))
-    elif norm_source == "growth_model":
+    else:
         from . import linear_series as ls
 
         linear = problem.rhs_class.linear
         if linear is None or not any(linear.mu):
             raise PicardError("growth-model increments need the linear class with |mu| > 0")
         lp = ls.LinearProblem.from_cauchy(problem)
-        growth = tuple(growth or ())
+        growth = tuple(growth)
         for k in k_list:
-            terms = []
-            for n in range(n_max + 1):
-                lt = log_bar(k, n) + ls.increment_bound_log(lp, growth, k, n)
-                terms.append(math.exp(lt) if lt < 700 else math.inf)
+            terms = [exp_or_inf(log_bar(k, n) + ls.increment_bound_log(lp, growth, k, n))
+                     for n in range(n_max + 1)]
             rows.append(weissinger_row(
-                k, terms, window=window, margin=margin,
-                meta={"growth": [getattr(g, "kind", "?") for g in growth]},
+                k, terms, meta={"growth": [getattr(g, "kind", "?") for g in growth]},
             ))
-    else:
-        raise PicardError(f"unknown norm source {norm_source!r}")
     return LodCertificate.from_rows(rows, meta)
 
 

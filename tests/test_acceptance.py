@@ -344,20 +344,8 @@ def test_criterion_9_lambda_consistency():
             rel = abs(rec - closed) / closed
             assert rel <= 1e-8, (k, n, rel)
             worst = max(worst, rel)
-    # function mode (quadrature) at constant fields
-    field = interpolate(parse_expression("1.5", Arity(1)), dom, (0, 0))
-    fac_fn = pp.LipschitzFactors("function", funcs=(field,))
-    ref = pp.LipschitzFactors.constant(1.5)
-    for k in range(3):
-        for n in range(11):
-            got = pp.lambda_bar(fac_fn, 1, 2, dom, k, n)
-            want = math.exp(pp.paper_lambda_bar_log(ref, 1, 2, dom.tbar, k, n))
-            rel = abs(got - want) / want
-            assert rel <= 1e-8, (k, n, rel)
-            worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
-    _passed(9, f"d=1 recursion matches the closed form to rel {worst:.2e} "
-               f"in both modes ({elapsed:.2f}s)")
+    _passed(9, f"d=1 recursion matches the closed form to rel {worst:.2e} ({elapsed:.2f}s)")
 
 
 def test_criterion_10_inverse_function_toy():
@@ -412,9 +400,7 @@ def test_criterion_12_ode_regression():
                 ((parse_expression("1", Arity(0)),),),
             )
             fac = pp.estimate_lipschitz(prob, Radii.infinite())
-            cert = pp.certify_weissinger(
-                prob, fac, Radii.infinite(), (0,), 120, norm_source="numeric"
-            )
+            cert = pp.certify_weissinger(prob, fac, Radii.infinite(), (0,), 120)
             assert cert.verdict == CONVERGED, (lam, tbar)
     elapsed = time.perf_counter() - t0
     _passed(12, f"scalar ODE certificates converged for every tested factor "

@@ -235,6 +235,17 @@ class TestSeriesCommand:
         assert rep["diagnostics"]["terms"] == 0
         assert rep["solution"]["degrees"][0] == 0  # time-constant
 
+    def test_parameter_coefficient_is_a_constant_case(self, tmp_path):
+        # a*Dx2(y1) with a = 1 is the heat equation: the coefficient tree
+        # a*1 is not a bare constant, but it has no free variables
+        p = write_problem(tmp_path / "heat_a.json", rhs="a*Dx2(y1)", params={"a": 1.0})
+        assert main(["series", str(p), "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["demo", "heat", "--out", str(tmp_path)]) == EXIT_OK
+        series = json.loads((tmp_path / "heat_a.series.report.json").read_text())
+        demo = json.loads((tmp_path / "demo_heat.report.json").read_text())
+        assert series["diagnostics"]["constant_case"] is True
+        assert series["diagnostics"]["constant_case"] == demo["diagnostics"]["constant_case"]
+
     def test_nonlinear_rejected_with_explanation(self, tmp_path, capsys):
         p = write_problem(
             tmp_path / "burgers.json",

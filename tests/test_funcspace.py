@@ -277,14 +277,6 @@ class TestEquality:
         f = SepFunc(SQUARE, 1, 0, np.ones((1, 1, 2)))
         assert f != SepFunc(SQUARE, 1, 0, np.pad(f.coeffs, [(0, 0), (0, 0), (0, 1)]))
 
-    def test_function_mode_factors_compare_their_fields(self):
-        from picard_lod.picard_pde import LipschitzFactors
-
-        a = LipschitzFactors("function", funcs=(SepFunc(SQUARE, 1, 0, np.ones((1, 1, 2))),))
-        b = LipschitzFactors("function", funcs=(SepFunc(SQUARE, 1, 0, 2 * np.ones((1, 1, 2))),))
-        assert a != b and hash(a) != hash(b)
-        assert a == LipschitzFactors("function", funcs=a.funcs)
-
 
 def test_pad_to_common():
     from picard_lod.funcspace import pad_to_common

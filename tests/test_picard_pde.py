@@ -424,10 +424,21 @@ def test_rhs_form_is_decided_only_in_classify_rhs():
     assert callers == {"picard_pde.classify_rhs"}
 
 
+class TestLipschitzFactors:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1e6, allow_nan=False), min_size=1, max_size=8))
+    def test_table_is_floored_nondecreasing_and_flat_past_flat_from(self, values):
+        # the recursion memo shares one level per n past flat_from on these grounds
+        fac = pp.LipschitzFactors.from_table(values)
+        ks = range(fac.flat_from + 4)
+        assert all(fac.at(k) >= pp.EPS_FLOOR for k in ks)
+        assert all(fac.at(k) <= fac.at(k + 1) for k in ks)
+        assert all(fac.at(k) == fac.at(fac.flat_from) for k in ks if k >= fac.flat_from)
+
+
 class TestEstimateLipschitz:
     def test_heat_exact(self):
         fac = pp.estimate_lipschitz(heat_problem(), Radii.infinite())
-        assert fac.mode == "constant"
         for k in range(5):
             assert fac.at(k) == 1.0
 
@@ -491,18 +502,6 @@ class TestLambdaRecursion:
             closed = math.exp(pp.paper_lambda_bar_log(fac, 1, 2, dom.tbar, k, n))
             assert rec == pytest.approx(closed, rel=1e-8)
 
-    def test_function_mode_quadrature_matches_constant(self):
-        dom = Domain(0.0, 0.4, 0.4, ((-1.0, 1.0),))
-        const_field = interpolate(Const(2.0), dom, (0, 0))
-        fac = pp.LipschitzFactors(
-            "function", funcs=(const_field,),
-        )
-        ref = pp.LipschitzFactors.constant(2.0)
-        for n in range(1, 8):
-            got = pp.lambda_bar(fac, 1, 1, dom, 0, n)
-            want = pp.lambda_bar(ref, 1, 1, dom, 0, n)
-            assert got == pytest.approx(want, rel=1e-8)
-
     def test_conservative_dominates_paper_for_d2(self):
         fac = pp.LipschitzFactors.constant(1.0)
         dom = Domain(0.0, 0.25, 0.25, ((-1, 1),))
@@ -522,37 +521,18 @@ class TestLambdaRecursion:
              "2 2 three 0 8 0x1.c8ebb6b5b05e5p-22",
              "3 1 three 4 3 0x1.76f46508dfea0p-5"],
         ),
-        "function": (
-            (1, 2), 6,
-            "c756e199f7da9bd23a273d3f21018d99fb23b624633f87c8f77508d5b91b37df",
-            ["1 2 three 0 6 0x1.599999999999ap-7",
-             "2 1 three 0 6 0x1.abe2be2be2be9p-8"],
-        ),
     }
 
-    @staticmethod
-    def _factor_tables(mode):
-        dom = Domain(0.0, 0.25, 0.5, ((0.0, 1.0),))
-        if mode == "constant":
-            return dom, {
-                "flat": pp.LipschitzFactors.from_table((0.932902,)),
-                "three": pp.LipschitzFactors.from_table((0.7, 1.1, 1.3)),
-            }
-
-        def fields(*texts):
-            funcs = tuple(interpolate(parse_expression(t, Arity(s=1)), dom, (4, 4))
-                          for t in texts)
-            return pp.LipschitzFactors("function", funcs=funcs)
-
-        return dom, {"one": fields("1+x1^2"),
-                     "three": fields("1+x1^2", "1.5+t*x1", "2+x1")}
-
-    @pytest.mark.parametrize("mode", ["constant", "function"])
-    def test_conservative_bars_are_pinned(self, mode):
+    @pytest.mark.parametrize("kind", sorted(PINNED_BARS))
+    def test_conservative_bars_are_pinned(self, kind):
         import hashlib
 
-        ds, n_max, digest, spelled = self.PINNED_BARS[mode]
-        dom, tables = self._factor_tables(mode)
+        ds, n_max, digest, spelled = self.PINNED_BARS[kind]
+        dom = Domain(0.0, 0.25, 0.5, ((0.0, 1.0),))
+        tables = {
+            "flat": pp.LipschitzFactors.from_table((0.932902,)),
+            "three": pp.LipschitzFactors.from_table((0.7, 1.1, 1.3)),
+        }
         lines = []
         for d in ds:
             for L in (1, 2):
@@ -563,18 +543,17 @@ class TestLambdaRecursion:
         assert set(spelled) <= set(lines)
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("mode", ["constant", "function"])
-    def test_flat_factors_build_one_level_per_n(self, mode):
-        dom = Domain(0.0, 0.25, 0.25, ((0.0, 1.0),))
-        if mode == "constant":
-            # factor 1: other values make the d = 2 levels slow (ROADMAP item 3)
-            rec = pp._ConstantRecursion(pp.LipschitzFactors.constant(1.0), 2, 1, dom.tbar)
+    @pytest.mark.parametrize("kind", ["constant", "table"])
+    def test_flat_factors_build_one_level_per_n(self, kind):
+        # factor 1 past k = 0: other values make the d = 2 levels slow (ROADMAP item 3)
+        if kind == "constant":
+            fac, shared = pp.LipschitzFactors.constant(1.0), []
         else:
-            fac = pp.LipschitzFactors("function", funcs=(interpolate(Const(2.0), dom, (0, 0)),))
-            rec = pp._FunctionRecursion(fac, 2, 1, dom)
+            fac, shared = pp.LipschitzFactors.from_table((0.5, 1.0)), [(1, n) for n in range(1, 12)]
+        rec = pp._ConstantRecursion(fac, 2, 1, 0.25)
         for n in range(13):
             rec.bar(0, n)
-        assert sorted(rec._memo) == [(0, n) for n in range(1, 13)]
+        assert sorted(rec._memo) == [(0, n) for n in range(1, 13)] + shared
 
 
 class TestConstantBounds:
@@ -643,9 +622,7 @@ class TestCertify:
                 dom, 1, 1, 0, 0, (F,), ((parse_expression("1", Arity(0)),),)
             )
             fac = pp.estimate_lipschitz(prob, Radii.infinite())
-            cert = pp.certify_weissinger(
-                prob, fac, Radii.infinite(), (0,), 40, norm_source="numeric"
-            )
+            cert = pp.certify_weissinger(prob, fac, Radii.infinite(), (0,), 40)
             assert cert.verdict == CONVERGED
 
     def test_heat_exponential_growth_converges(self):
