@@ -51,8 +51,6 @@ from .picard_pde import (
     SolveConfig,
     apply_P,
     certify_weissinger,
-    check_ball_invariance,
-    constant_bounds,
     estimate_lipschitz,
     eval_G,
     initial_polynomial,

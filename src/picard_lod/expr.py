@@ -33,7 +33,6 @@ __all__ = [
     "print_expression",
     "eval_expr",
     "symbolic_partial",
-    "total_x_derivative",
     "free_variables",
     "placeholders_in",
     "is_affine_in_placeholders",
@@ -564,15 +563,13 @@ def fold(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _diff1(e: Expr, match: Callable[[Expr], bool], bump: Callable[[Placeholder], Expr]) -> Expr:
-    if isinstance(e, Const):
+def _diff1(e: Expr, match: Callable[[Expr], bool]) -> Expr:
+    if isinstance(e, (Const, Placeholder)):
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0) if match(e) else Const(0.0)
-    if isinstance(e, Placeholder):
-        return bump(e)
     if isinstance(e, Unary):
-        d = _diff1(e.arg, match, bump)
+        d = _diff1(e.arg, match)
         if e.op == "neg":
             return Unary("neg", d)
         if e.op == "sin":
@@ -583,7 +580,7 @@ def _diff1(e: Expr, match: Callable[[Expr], bool], bump: Callable[[Placeholder],
             return Binary("*", Unary("exp", e.arg), d)
         raise DerivativeError(f"non-differentiable node {e.op!r}")
     if isinstance(e, Power):
-        d = _diff1(e.base, match, bump)
+        d = _diff1(e.base, match)
         if e.exponent == 0:
             return Const(0.0)
         return Binary(
@@ -592,8 +589,8 @@ def _diff1(e: Expr, match: Callable[[Expr], bool], bump: Callable[[Placeholder],
             d,
         )
     if isinstance(e, Binary):
-        dl = _diff1(e.lhs, match, bump)
-        dr = _diff1(e.rhs, match, bump)
+        dl = _diff1(e.lhs, match)
+        dr = _diff1(e.rhs, match)
         if e.op == "+":
             return Binary("+", dl, dr)
         if e.op == "-":
@@ -625,30 +622,7 @@ def symbolic_partial(e: Expr, variable: str, order: int = 1) -> Expr:
         match = lambda v: v.kind == "x" and v.index == idx
     out = e
     for _ in range(order):
-        out = fold(_diff1(out, match, lambda ph: Const(0.0)))
-    return out
-
-
-def total_x_derivative(e: Expr, dim: int, order: int = 1) -> Expr:
-    """Total derivative in ``x<dim>`` where placeholders chain to higher ones.
-
-    d/dx of the leaf for the (alpha, gamma) derivative of the unknown is the
-    leaf for (alpha + e_dim, gamma); this expands spatial derivatives of a
-    composed right-hand side without any knowledge of the unknown itself.
-    """
-
-    def match(v: Var) -> bool:
-        return v.kind == "x" and v.index == dim
-
-    def bump(ph: Placeholder) -> Expr:
-        alpha = tuple(
-            a + (1 if i == dim - 1 else 0) for i, a in enumerate(ph.alpha)
-        )
-        return Placeholder(alpha, ph.gamma, ph.comp)
-
-    out = e
-    for _ in range(order):
-        out = fold(_diff1(out, match, bump))
+        out = fold(_diff1(out, match))
     return out
 
 

@@ -30,7 +30,6 @@ from .expr import (
     is_affine_in_placeholders,
     placeholder_key,
     placeholders_in,
-    total_x_derivative,
 )
 from .funcspace import (
     Domain,
@@ -48,11 +47,9 @@ from .graded_core import (
     GradedSpaceHandle,
     IterationStop,
     LodCertificate,
-    LodConstants,
     exp_or_inf,
     iterate_to_fixed_point,
     weissinger_row,
-    weissinger_sum,
 )
 
 __all__ = [
@@ -63,7 +60,6 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "ResidualReport",
-    "BallInvarianceReport",
     "PicardError",
     "CertifiedDivergence",
     "BallEscape",
@@ -77,8 +73,6 @@ __all__ = [
     "log_lambda_bar",
     "lambda_bar",
     "paper_lambda_bar_log",
-    "constant_bounds",
-    "check_ball_invariance",
     "certify_weissinger",
     "solve",
     "EPS_FLOOR",
@@ -95,10 +89,6 @@ COLLOC_NONLINEAR_X_FACTOR = 2
 # sampled Lipschitz estimate: equispaced points per axis, safety factor
 LIPSCHITZ_GRID_POINTS = 17
 LIPSCHITZ_INFLATION = 1.25
-# equispaced points per axis of the constant-bound slab, and per placeholder
-BOUNDS_GRID_POINTS = 25
-BOUNDS_Z_SAMPLES = 5
-BOUNDS_COMBO_BUDGET = 4096
 # t points of the coefficient-matrix sup norm of the linear class
 MATRIX_NORM_POINTS = 257
 # highest graded index whose numeric increment norm a certificate reads
@@ -496,11 +486,6 @@ class LipschitzFactors:
         """Factor at index k."""
         return max(self.table[min(k, len(self.table) - 1)], EPS_FLOOR)
 
-    @property
-    def flat_from(self) -> int:
-        """The index from which at no longer changes with k."""
-        return len(self.table) - 1
-
     @classmethod
     def constant(cls, value: float, meta: dict | None = None) -> "LipschitzFactors":
         v = float(value)
@@ -606,58 +591,8 @@ def estimate_lipschitz(
 
 
 # ---------------------------------------------------------------------------
-# Contraction-constant recursion
+# Contraction constants
 # ---------------------------------------------------------------------------
-
-
-class _ConstantRecursion:
-    """Literal nested-integral recursion with constant factors.
-
-    Branch profiles are Chebyshev series in tau = |t - t0| on [0, Tbar];
-    when one branch dominates the level maximum uniformly the step is exact
-    polynomial arithmetic.  Levels depend on k only through the factors, so
-    the memo shares one level per n among every k past factors.flat_from.
-    """
-
-    def __init__(self, factors: LipschitzFactors, d: int, L: int, tbar: float):
-        self.lam = factors.at
-        self.flat_from = factors.flat_from
-        self.d = d
-        self.L = L
-        self.tbar = tbar
-        self._memo: dict[tuple[int, int], list[np.ndarray]] = {}
-
-    def branches(self, k: int, n: int) -> list[np.ndarray]:
-        if n == 0:
-            return [np.array([1.0])] * self.d
-        k = min(k, self.flat_from)
-        key = (k, n)
-        if key in self._memo:
-            return self._memo[key]
-        prev = self.branches(k + self.L, n - 1)
-        maxdeg = max(len(c) for c in prev) - 1
-        nodes_u = cheb.chebpts2(2 * (maxdeg + 1) + 9)
-        vals = np.stack([cheb.chebval(nodes_u, c) for c in prev])
-        hit = np.argmax(vals, axis=0)
-        if np.all(hit == hit[0]):
-            env = prev[hit[0]]
-        else:
-            env_vals = np.max(vals, axis=0)
-            V = cheb.chebvander(nodes_u, len(nodes_u) - 1)
-            env = np.linalg.solve(V, env_vals)
-        # the j-fold integrals in tau from 0 for j = 1..d, each one fold of the last
-        out, cur = [], self.lam(k) * env
-        for _ in range(self.d):
-            cur = fs.cheb_integral(cur, 1, lbnd=-1.0, scl=self.tbar / 2.0)
-            out.append(cur)
-        self._memo[key] = out
-        return out
-
-    def bar(self, k: int, n: int) -> float:
-        """Largest branch value at |t - t0| = Tbar."""
-        if n == 0:
-            return 1.0
-        return float(max(cheb.chebval(1.0, c) for c in self.branches(k, n)))
 
 
 def paper_lambda_bar_log(
@@ -683,24 +618,30 @@ def log_lambda_bar(
 ) -> Callable[[int, int], float]:
     """log LambdaBar_{k,n} as a function of (k, n).
 
-    "recursion" runs the literal recursion, built once so that its branch
-    memo serves every (k, n); "paper" uses the constant-factor closed form.
+    "paper" is the paper's constant-factor closed form.  "recursion" bounds
+    the literal recursion from above.  That recursion is
+    LambdaBar_{k,n} = prod_{i<n} Lambda_{k+iL} * E_n(Tbar), with E_0 = 1 and
+    E_m = max_{1<=j<=d} I^j E_{m-1}, I the integral in tau = |t - t0| from 0.
+    Every E_m is nonnegative and nondecreasing, and for such g Chebyshev's
+    integral inequality gives I^j g(tau) <= tau^{j-1}/j! * I g(tau).  Hence
+    E_m <= c * I E_{m-1} on [0, Tbar] with c = max_{1<=j<=d} Tbar^{j-1}/j!, and
+
+        LambdaBar_{k,n} <= prod_{i<n} Lambda_{k+iL} * (c Tbar)^n / n!,
+
+    the paper form with d = 1 and Tbar scaled by c.  For Tbar <= 2, c = 1 and
+    the bound is the recursion's exact value: with E_{m-1} = tau^{m-1}/(m-1)!,
+    branch j+1 over branch j is tau/(m+j) <= 1, so branch 1 is the maximum at
+    every level.  For d = 1 it is exact at any Tbar; past Tbar = 2 with
+    d >= 2 it is an upper bound that grows looser with Tbar.
     A zero factor gives -inf for every n > 0.
     """
-    if mode == "recursion":
-        rec = _ConstantRecursion(factors, d, L, domain.tbar)
-    elif mode != "paper":
+    tbar = domain.tbar
+    if mode == "paper":
+        return lambda k, n: paper_lambda_bar_log(factors, d, L, tbar, k, n)
+    if mode != "recursion":
         raise PicardError(f"unknown lambda mode {mode!r}")
-
-    def log_bar(k: int, n: int) -> float:
-        if factors.is_zero and n > 0:
-            return -math.inf
-        if mode == "paper":
-            return paper_lambda_bar_log(factors, d, L, domain.tbar, k, n)
-        v = rec.bar(k, n)
-        return math.log(v) if v > 0 else -math.inf
-
-    return log_bar
+    scaled = tbar * max(tbar ** (j - 1) / math.factorial(j) for j in range(1, d + 1))
+    return lambda k, n: paper_lambda_bar_log(factors, 1, L, scaled, k, n)
 
 
 def lambda_bar(
@@ -716,138 +657,22 @@ def lambda_bar(
 
 
 # ---------------------------------------------------------------------------
-# Constant upper bounds M_k and ball invariance
-# ---------------------------------------------------------------------------
-
-
-def constant_bounds(
-    problem: CauchyProblem,
-    radii: Radii,
-    k: int,
-) -> float:
-    """Grid maximum of |d_x^nu G| over the compact slab around the data.
-
-    Derivatives of the composed right-hand side are expanded symbolically
-    (placeholders chain upward), then every placeholder ranges over the
-    interval hull of the matching derivative of i0 widened by r_{k+L+p}.
-    """
-    r = radii.value(k + problem.L + problem.p)
-    if math.isinf(r):
-        raise PicardError("constant bounds need a finite radius r_{k+L+p}")
-    i0 = initial_polynomial(problem)
-    s = problem.domain.s
-
-    exprs: list[Expr] = []
-    for e in problem.rhs:
-        by_nu: dict[tuple[int, ...], Expr] = {(0,) * s: e}
-        for total in range(1, k + 1):
-            for nu in fs._multi_indices(total, s):
-                if sum(nu) != total or nu in by_nu:
-                    continue
-                dim = next(i for i, v in enumerate(nu, start=1) if v > 0)
-                prev = tuple(
-                    v - (1 if i == dim - 1 else 0) for i, v in enumerate(nu)
-                )
-                by_nu[nu] = total_x_derivative(by_nu[prev], dim)
-        exprs.extend(by_nu.values())
-
-    phs = sorted(
-        {ph for e in exprs for ph in placeholders_in(e)},
-        key=lambda ph: (ph.gamma, ph.alpha, ph.comp),
-    )
-    pts = fs.uniform_grid(problem.domain, BOUNDS_GRID_POINTS)
-    base = fs.grid_bindings(pts)
-
-    derivs = fs.derivatives_on_grid(i0, [(ph.gamma, *ph.alpha) for ph in phs], pts)
-    comp_vals = [vals[ph.comp - 1] for ph, (_, vals) in zip(phs, derivs)]
-    ranges = [(float(np.min(v)) - r, float(np.max(v)) + r) for v in comp_vals]
-
-    z_samples = BOUNDS_Z_SAMPLES
-    n_combo = z_samples ** len(phs) if phs else 1
-    rng = np.random.default_rng(0)
-    best = 0.0
-    shape = tuple(len(g) for g in pts)
-
-    def eval_all(zvals: Sequence[float]) -> float:
-        b = dict(base)
-        for ph, z in zip(phs, zvals):
-            b[placeholder_key(ph)] = float(z)
-        vals = fs.eval_on_grid(exprs, b, shape)
-        return max([0.0, *(float(np.max(np.abs(v))) for v in vals)])
-
-    if n_combo <= BOUNDS_COMBO_BUDGET:
-        axes = [np.linspace(lo, hi, z_samples) for lo, hi in ranges]
-        for combo in np.ndindex(*[z_samples] * len(phs)):
-            best = max(best, eval_all([axes[i][c] for i, c in enumerate(combo)]))
-    else:
-        for _ in range(BOUNDS_COMBO_BUDGET):
-            zs = [rng.uniform(lo, hi) for lo, hi in ranges]
-            best = max(best, eval_all(zs))
-        for corner in ([lo for lo, _ in ranges], [hi for _, hi in ranges]):
-            best = max(best, eval_all(corner))
-    return best
-
-
-@dataclass(frozen=True)
-class BallInvarianceRow:
-    k: int
-    M: float
-    r: float
-    bound: float  # max_j Tbar^j / j! * M_k
-    ok: bool
-
-
-@dataclass(frozen=True)
-class BallInvarianceReport:
-    rows: tuple[BallInvarianceRow, ...]
-    admissible_tbar: float
-    trend: str  # "stable" | "decreasing"
-    all_ok: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [
-                {"k": r.k, "M": r.M, "r": r.r, "bound": r.bound, "ok": r.ok}
-                for r in self.rows
-            ],
-            "admissible_tbar": self.admissible_tbar,
-            "trend": self.trend,
-            "all_ok": self.all_ok,
-        }
-
-
-def check_ball_invariance(
-    radii: Radii,
-    M: Callable[[int], float],
-    tbar: float,
-    k_max: int,
-    d: int,
-) -> BallInvarianceReport:
-    """Per-k test max_j Tbar^j/j! M_k <= r_k, and the implied admissible Tbar."""
-    factor = max(tbar ** j / math.factorial(j) for j in range(1, d + 1))
-    rows = []
-    ratios = []
-    for k in range(k_max + 1):
-        mk = float(M(k))
-        rk = radii.value(k)
-        bound = factor * mk
-        # slack matches the grid-norm tolerance: the bound can saturate r_k
-        ok = math.isinf(rk) or bound <= rk * (1 + 1e-9) + 1e-12
-        rows.append(BallInvarianceRow(k, mk, rk, bound, ok))
-        if not math.isinf(rk):
-            ratios.append(rk / mk if mk > 0 else math.inf)
-    admissible = min(ratios) if ratios else math.inf
-    trend = "stable"
-    if len(ratios) >= 3 and ratios[-3] > ratios[-2] > ratios[-1]:
-        trend = "decreasing"
-    return BallInvarianceReport(
-        tuple(rows), admissible, trend, all(r.ok for r in rows)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Certification
 # ---------------------------------------------------------------------------
+
+
+def _numeric_term(log_bar: float, norm: float, idx: int) -> float:
+    """LambdaBar * ||P(i0) - i0||_idx from log LambdaBar, without overflow.
+
+    While exp(log_bar) is finite the term is the plain product; past that it
+    is taken in logs, so a zero norm still gives a zero term.
+    """
+    if not norm >= 0:
+        raise PicardError(f"invalid increment norm at index {idx}")
+    if norm == 0.0:
+        return 0.0
+    bar = exp_or_inf(log_bar)
+    return bar * norm if bar < math.inf else exp_or_inf(log_bar + math.log(norm))
 
 
 def certify_weissinger(
@@ -866,10 +691,10 @@ def certify_weissinger(
     Without ``growth`` the increments are numeric norms, limited to indices
     <= NUMERIC_K_CAP (spectral norms of higher order are numerically
     meaningless); with it, the growth model of the initial data supplies
-    them.  The contraction constants come from the literal recursion by
-    default, or from the constant-factor closed form in "paper" mode
-    (growth-model certificates default to paper mode, which is the form the
-    growth analysis is stated in).
+    them.  The contraction constants are the closed-form bound of the
+    literal recursion by default, or the paper's constant-factor closed form
+    in "paper" mode (growth-model certificates default to paper mode, which
+    is the form the growth analysis is stated in); see log_lambda_bar.
     """
     norm_source = "growth_model" if growth is not None else "numeric"
     if mode is None:
@@ -894,14 +719,12 @@ def certify_weissinger(
         if any(v < 0 for v in n_hi_of.values()):
             raise PicardError(f"some k in {k_list} exceeds the numeric norm cap {NUMERIC_K_CAP}")
         norms = graded_norms_upto(inc, max(k + n_hi_of[k] * L for k in k_list))
-        constants = LodConstants.from_function(
-            L, lambda k, n: math.exp(log_bar(k, n))
-        )
         for k in k_list:
             n_hi = n_hi_of[k]
-            row = weissinger_sum(constants, lambda idx: norms[idx], k, n_hi)
-            rows.append(replace(
-                row, meta={"truncated_at_n": n_hi if n_hi < n_max else None}
+            terms = [_numeric_term(log_bar(k, n), float(norms[k + n * L]), k + n * L)
+                     for n in range(n_hi + 1)]
+            rows.append(weissinger_row(
+                k, terms, meta={"truncated_at_n": n_hi if n_hi < n_max else None},
             ))
     else:
         from . import linear_series as ls

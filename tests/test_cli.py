@@ -226,6 +226,31 @@ class TestCertifyCommand:
         p.write_text(json.dumps(doc))
         assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_INCONCLUSIVE
 
+    @pytest.mark.parametrize("mode", ["paper", "conservative"])
+    @pytest.mark.parametrize("data, verdict", [("sin(x1)", "diverging"), ("1", "converged")])
+    def test_constants_past_the_float_range(self, tmp_path, mode, data, verdict):
+        # a = 1e100: log LambdaBar passes exp's range at n = 4; data 1 has a zero increment
+        p = write_problem(
+            tmp_path / "big.json",
+            domain={"t0": 0.0, "a": 1.0, "b": 1.0, "S": [[-PI, PI]]},
+            order={"d": 1, "p": 0, "L": 1},
+            rhs="a*Dx1(y1)", initial=[data], params={"a": 1e100},
+        )
+        doc = json.loads(p.read_text())
+        del doc["growth"]
+        p.write_text(json.dumps(doc))
+        code = main(["certify", str(p), "--out", str(tmp_path), "--mode", mode])
+        assert code == {"converged": EXIT_OK, "diverging": EXIT_DIVERGING}[verdict]
+        cert = json.loads((tmp_path / "big.certificate.report.json").read_text())
+        assert cert["verdict"] == verdict
+        terms = cert["rows"][0]["terms"]
+        if data == "1":
+            assert terms == [0.0] * len(terms)
+        else:
+            assert math.isinf(terms[-1])
+        if mode == "paper" and data == "1":
+            assert main(["solve", str(p), "--out", str(tmp_path), "--paper-mode"]) == EXIT_OK
+
 
 class TestSeriesCommand:
     def test_zero_terms_emits_i0(self, tmp_path):

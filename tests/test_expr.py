@@ -17,7 +17,6 @@ from picard_lod.expr import (
     placeholder_key,
     print_expression,
     symbolic_partial,
-    total_x_derivative,
 )
 
 from helpers import fd_derivative
@@ -198,22 +197,6 @@ def test_derivatives_match_finite_differences(text, fn, order):
     want = np.array([fd_derivative(fn, float(x), order, h=0.03) for x in pts])
     scale = max(1.0, float(np.max(np.abs(want))))
     assert np.max(np.abs(got - want)) <= 1e-6 * scale
-
-
-class TestTotalDerivative:
-    def test_linear_rhs_chains_upward(self):
-        # a(t) z becomes a(t) z' under one spatial derivative
-        e = parse_expression("cos(t)*y1", Arity(1, 1, 1, 0))
-        d = total_x_derivative(e, 1)
-        assert placeholder_key(Placeholder((1,), 0, 1)) in print_expression(d)
-
-    def test_square_rhs(self):
-        e = parse_expression("Dx1(y1)^2", Arity(1, 1, 2, 0))
-        d = total_x_derivative(e, 1)
-        z0 = placeholder_key(Placeholder((1,), 0, 1))
-        z1 = placeholder_key(Placeholder((2,), 0, 1))
-        val = eval_expr(d, {z0: 3.0, z1: 5.0})
-        assert val == 2 * 3.0 * 5.0
 
 
 def test_structure_queries():

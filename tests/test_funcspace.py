@@ -500,6 +500,7 @@ def test_partial_derivative_outside_funcspace_only_in_the_eta_step():
     assert callers_outside_funcspace("partial_derivative") == ["linear_series.mu_eta_recursions"]
 
 
-def test_chebint_only_in_funcspace():
-    """Every Chebyshev integral goes through funcspace.cheb_integral."""
-    assert callers_outside_funcspace("chebint") == []
+@pytest.mark.parametrize("callee", ["chebint", "chebvander", "chebpts2"])
+def test_called_only_in_funcspace(callee):
+    """Chebyshev integrals and values-to-coefficients fits happen only in funcspace."""
+    assert callers_outside_funcspace(callee) == []

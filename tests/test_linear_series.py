@@ -346,15 +346,6 @@ class TestRadii:
         r = ls.radii_from_series(lp, [ls.GrowthClass("analytic", C=1.0)], 0)
         assert math.isinf(r)
 
-    def test_finite_radii_pass_ball_invariance(self):
-        dom = Domain(0.0, 0.1, 0.1, ((-PI, PI),))
-        lp = linear(dom, 1, 0, (2,), initial=("sin(x1)",))
-        growth = [ls.GrowthClass("exponential", C=1.0)]
-        radii = Radii.from_function(lambda k: ls.radii_from_series(lp, growth, k))
-        M = lambda k: pp.constant_bounds(lp.to_cauchy(), radii, k)
-        rep = pp.check_ball_invariance(radii, M, dom.tbar, 2, 1)
-        assert rep.all_ok
-
 
 class TestCatalog:
     def test_heat_with_x_squared(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import recursion_bar
 from picard_lod.expr import (
     Arity,
     Binary,
@@ -428,12 +429,12 @@ class TestLipschitzFactors:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-1.0, 1e6, allow_nan=False), min_size=1, max_size=8))
     def test_table_is_floored_nondecreasing_and_flat_past_flat_from(self, values):
-        # the recursion memo shares one level per n past flat_from on these grounds
         fac = pp.LipschitzFactors.from_table(values)
-        ks = range(fac.flat_from + 4)
+        last = len(values) - 1
+        ks = range(last + 4)
         assert all(fac.at(k) >= pp.EPS_FLOOR for k in ks)
         assert all(fac.at(k) <= fac.at(k + 1) for k in ks)
-        assert all(fac.at(k) == fac.at(fac.flat_from) for k in ks if k >= fac.flat_from)
+        assert all(fac.at(k) == fac.at(last) for k in ks if k >= last)
 
 
 class TestEstimateLipschitz:
@@ -516,10 +517,10 @@ class TestLambdaRecursion:
     PINNED_BARS = {
         "constant": (
             (1, 2, 3), 8,
-            "c78affff7f99dc235e81a7fd518054624f17c1699a089421b2bb06b66e967131",
+            "342ebb2b145d656ed239e68d8b45f73001c61c0bf792b89059083723cb86cc41",
             ["1 1 flat 0 8 0x1.dd704a7d0dcd0p-25",
-             "2 2 three 0 8 0x1.c8ebb6b5b05e5p-22",
-             "3 1 three 4 3 0x1.76f46508dfea0p-5"],
+             "2 2 three 0 8 0x1.c8ebb6b5b05bap-22",
+             "3 1 three 4 3 0x1.76f46508dfea3p-5"],
         ),
     }
 
@@ -543,73 +544,31 @@ class TestLambdaRecursion:
         assert set(spelled) <= set(lines)
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("kind", ["constant", "table"])
-    def test_flat_factors_build_one_level_per_n(self, kind):
-        # factor 1 past k = 0: other values make the d = 2 levels slow (ROADMAP item 3)
-        if kind == "constant":
-            fac, shared = pp.LipschitzFactors.constant(1.0), []
-        else:
-            fac, shared = pp.LipschitzFactors.from_table((0.5, 1.0)), [(1, n) for n in range(1, 12)]
-        rec = pp._ConstantRecursion(fac, 2, 1, 0.25)
-        for n in range(13):
-            rec.bar(0, n)
-        assert sorted(rec._memo) == [(0, n) for n in range(1, 13)] + shared
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=4),
+        d=st.sampled_from((1, 2, 3)),
+        L=st.sampled_from((1, 2)),
+        k=st.integers(0, 3),
+        # bounded below so that no bar reaches the subnormal range
+        tbar=st.floats(1e-3, 3.0),
+        n=st.integers(0, 30),
+    )
+    def test_conservative_bar_bounds_the_literal_recursion(self, table, d, L, k, tbar, n):
+        # exact for Tbar <= 2 or d = 1, an upper bound past that
+        fac = pp.LipschitzFactors.from_table(table)
+        bar = pp.lambda_bar(fac, d, L, Domain(0.0, tbar, tbar, ((-1, 1),)), k, n)
+        ref = recursion_bar([fac.at(k + i * L) for i in range(n)], d, tbar)
+        assert bar >= ref * (1 - 1e-10)
+        if tbar <= 2 or d == 1:
+            assert bar == pytest.approx(ref, rel=1e-10, abs=0)
 
-
-class TestConstantBounds:
-    def _linear_prob(self):
-        dom = Domain(0.0, 0.5, 0.5, ((-1.0, 1.0),))
-        ar = Arity(s=1, m=1, L=0, p=0)
-        F = parse_expression("y1", ar)
-        return pp.CauchyProblem(
-            dom, 1, 1, 0, 0, (F,), ((parse_expression("x1", Arity(1)),),)
-        )
-
-    def test_linear_band(self):
-        # |z| <= 2 on the slab around data with range [-1, 1] widened by 1
-        M0 = pp.constant_bounds(self._linear_prob(), Radii.constant(1.0), 0)
-        assert M0 == pytest.approx(2.0, abs=1e-12)
-
-    def test_constant_rhs(self):
-        dom = Domain(0.0, 0.5, 0.5, ((-1.0, 1.0),))
-        F = parse_expression("-3.5", Arity(s=1, m=1, L=0, p=0))
-        prob = pp.CauchyProblem(
-            dom, 1, 1, 0, 0, (F,), ((parse_expression("0", Arity(1)),),)
-        )
-        for k in (0, 1, 2):
-            assert pp.constant_bounds(prob, Radii.constant(1.0), k) == 3.5
-
-    def test_square_rhs(self):
-        dom = Domain(0.0, 0.5, 0.5, ((-1.0, 1.0),))
-        F = parse_expression("y1^2", Arity(s=1, m=1, L=0, p=0))
-        prob = pp.CauchyProblem(
-            dom, 1, 1, 0, 0, (F,), ((parse_expression("x1", Arity(1)),),)
-        )
-        M0 = pp.constant_bounds(prob, Radii.constant(1.0), 0)
-        assert M0 == pytest.approx(4.0, abs=1e-12)
-
-    def test_infinite_radius_rejected(self):
-        with pytest.raises(pp.PicardError, match="finite"):
-            pp.constant_bounds(self._linear_prob(), Radii.infinite(), 0)
-
-
-class TestBallInvariance:
-    def test_all_pass(self):
-        rep = pp.check_ball_invariance(Radii.constant(1.0), lambda k: 1.0, 0.5, 4, 1)
-        assert rep.all_ok
-        assert rep.admissible_tbar == pytest.approx(1.0)
-
-    def test_infinite_radii_pass_vacuously(self):
-        rep = pp.check_ball_invariance(Radii.infinite(), lambda k: 100.0, 0.9, 4, 2)
-        assert rep.all_ok and math.isinf(rep.admissible_tbar)
-
-    def test_shrinking_ratio_flagged(self):
-        rep = pp.check_ball_invariance(
-            Radii.constant(1.0), lambda k: float(k + 1), 0.5, 8, 1
-        )
-        assert not rep.all_ok
-        assert rep.trend == "decreasing"
-        assert rep.admissible_tbar == pytest.approx(1.0 / 9.0)
+    @pytest.mark.parametrize("tbar", [0.25, 2.0, 3.0])
+    def test_recursion_quadrature_error_is_below_1e_11(self, tbar):
+        # with one fold the recursion is Tbar^n / n! exactly
+        for n in (10, 30):
+            want = tbar**n / math.factorial(n)
+            assert recursion_bar([1.0] * n, 1, tbar) == pytest.approx(want, rel=1e-11, abs=0)
 
 
 class TestCertify:
