@@ -28,6 +28,7 @@ __all__ = [
     "ExprError",
     "ParseError",
     "EvalError",
+    "NonFiniteValue",
     "DerivativeError",
     "parse_expression",
     "print_expression",
@@ -52,6 +53,10 @@ class ParseError(ExprError):
 
 class EvalError(ExprError):
     pass
+
+
+class NonFiniteValue(EvalError):
+    """An evaluation overflowed or gave NaN."""
 
 
 class DerivativeError(ExprError):
@@ -432,7 +437,7 @@ def eval_expr(e: Expr, bindings: Mapping[str, Any]) -> Any:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = _eval(e, bindings)
     if not np.all(np.isfinite(out)):
-        raise EvalError("non-finite value in expression evaluation")
+        raise NonFiniteValue("non-finite value in expression evaluation")
     if np.ndim(out) == 0:
         return float(out)
     return out

@@ -4,7 +4,9 @@ A SepFunc stores, per component, a tensor of Chebyshev-series coefficients
 over the time interval and each spatial interval (all affinely mapped to
 [-1, 1]).  Differentiation and nested time integration act exactly on
 coefficients; the graded seminorms take the sup of partial derivatives on a
-dense sampling grid (the grid density is part of every reported norm).
+dense sampling grid (the grid density is part of every reported norm), a
+lower bound on the exact sup, and graded_norms_upper bounds them from
+above by coefficient sums.
 
 Every sampling grid of the program is built here, and its sizes are the
 module constants below, not options: equispaced norm grids of
@@ -33,6 +35,7 @@ __all__ = [
     "BallRow",
     "BallReport",
     "FuncSpaceError",
+    "NonFiniteCoefficients",
     "interpolate",
     "from_values",
     "chebyshev_nodes",
@@ -43,10 +46,12 @@ __all__ = [
     "pad_to_common",
     "partial_derivative",
     "derivatives_on_grid",
+    "derivatives_on_grids",
     "iterated_time_integral",
     "cheb_integral",
     "graded_norm",
     "graded_norms_upto",
+    "graded_norms_upper",
     "graded_indices",
     "joint_norm",
     "ball_check",
@@ -62,6 +67,10 @@ CHECK_GRID_POINTS = 65
 
 class FuncSpaceError(Exception):
     pass
+
+
+class NonFiniteCoefficients(FuncSpaceError):
+    """Samples, coefficients or derivative values that overflowed or are NaN."""
 
 
 @dataclass(frozen=True)
@@ -204,7 +213,7 @@ class SepFunc:
         if arr.shape[0] != self.m:
             raise FuncSpaceError("leading axis must equal component count m")
         if not np.all(np.isfinite(arr)):
-            raise FuncSpaceError("non-finite coefficients")
+            raise NonFiniteCoefficients("non-finite coefficients")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -415,7 +424,7 @@ def interpolate(
     nodes = chebyshev_nodes(dom, degrees)
     vals = eval_on_grid(elist, grid_bindings(nodes), tuple(len(g) for g in nodes))
     if not np.all(np.isfinite(vals)):
-        raise FuncSpaceError("non-finite sample value during interpolation")
+        raise NonFiniteCoefficients("non-finite sample value during interpolation")
     f = from_values(vals, dom, m, p)
 
     fine = uniform_grid(dom, [3 * (deg + 1) + 1 for deg in degrees])
@@ -434,7 +443,7 @@ def from_values(
     """Build a SepFunc from values sampled at Chebyshev-extrema tensor nodes."""
     coef = np.asarray(vals, dtype=float)
     if not np.all(np.isfinite(coef)):
-        raise FuncSpaceError("non-finite sample value")
+        raise NonFiniteCoefficients("non-finite sample value")
     for axis in range(1, coef.ndim):
         coef = _values_to_coeffs(coef, axis)
     return SepFunc(dom, m, p, coef)
@@ -536,20 +545,16 @@ def partial_derivative(f: SepFunc, beta: Sequence[int]) -> SepFunc:
     return SepFunc(f.domain, f.m, f.p, coef)
 
 
-def derivatives_on_grid(
-    f: SepFunc, betas: Iterable[Sequence[int]], pts: Sequence[np.ndarray]
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield (beta, values of D^beta f on the tensor grid of pts) for each beta.
+def _derivative_chain(f: SepFunc) -> Callable[[tuple[int, ...]], SepFunc]:
+    """D^beta f for any beta, each one partial_derivative step from its parent.
 
-    Each derivative is one partial_derivative step from its parent (beta with
-    its last nonzero axis lowered by one), kept for this call only.  The steps
-    run axis by axis, t first, as in partial_derivative(f, beta), so the
-    values equal its values bit for bit.  A step from a parent of one
-    coefficient on the step axis gives the zero function; the first such
-    step is built, and every later one reuses it.  All derivatives share
-    one Vandermonde matrix per axis, built at f's degrees.
+    The parent of beta is beta with its last nonzero axis lowered by one, so
+    the steps run axis by axis, t first, as in partial_derivative(f, beta),
+    and the coefficients equal its coefficients bit for bit.  Every built
+    derivative is kept while the returned function lives.  A step from a
+    parent of one coefficient on the step axis gives the zero function; the
+    first such step is built, and every later one reuses it.
     """
-    evaluate = _grid_evaluator(f, pts)
     built = {(0,) * (1 + f.domain.s): f}
     zero = None
 
@@ -568,11 +573,42 @@ def derivatives_on_grid(
                     zero = built[beta]
         return built[beta]
 
-    for beta in betas:
+    def checked(beta: Sequence[int]) -> SepFunc:
         beta = tuple(int(b) for b in beta)
         if len(beta) != 1 + f.domain.s or min(beta) < 0:
             raise FuncSpaceError(f"invalid multi-index {beta}")
-        yield beta, evaluate(build(beta).coeffs)
+        return build(beta)
+
+    return checked
+
+
+def derivatives_on_grid(
+    f: SepFunc, betas: Iterable[Sequence[int]], pts: Sequence[np.ndarray]
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Yield (beta, values of D^beta f on the tensor grid of pts) for each beta.
+
+    The derivatives come from one _derivative_chain, kept for this call only,
+    and share one Vandermonde matrix per axis, built at f's degrees.
+    """
+    return derivatives_on_grids(f, ((beta, 0) for beta in betas), [pts])
+
+
+def derivatives_on_grids(
+    f: SepFunc,
+    requests: Iterable[tuple[Sequence[int], int]],
+    grids: Sequence[Sequence[np.ndarray]],
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Yield (beta, values of D^beta f on grids[g]) for each request (beta, g).
+
+    One derivative chain serves every grid, so a derivative that several
+    requests name is built once; each grid has its own evaluator at f's
+    degrees, so the values equal those of derivatives_on_grid bit for bit.
+    """
+    evaluators = [_grid_evaluator(f, pts) for pts in grids]
+    derivative = _derivative_chain(f)
+    for beta, g in requests:
+        beta = tuple(int(b) for b in beta)
+        yield beta, evaluators[g](derivative(beta).coeffs)
 
 
 def iterated_time_integral(f: SepFunc, j: int) -> SepFunc:
@@ -649,8 +685,51 @@ def graded_norms_upto(f: SepFunc, k_max: int, *, p: int | None = None) -> np.nda
     best = np.zeros(k_max + 1)
     for beta, vals in derivatives_on_grid(f, betas, norm_grid(f)):
         if not np.all(np.isfinite(vals)):
-            raise FuncSpaceError("non-finite derivative values on norm grid")
+            raise NonFiniteCoefficients("non-finite derivative values on norm grid")
         best[sum(beta):] = np.maximum(best[sum(beta):], float(np.max(np.abs(vals))))
+    return best
+
+
+def graded_norms_upper(f: SepFunc, k_max: int, *, p: int | None = None) -> np.ndarray:
+    """Upper bounds on the graded norms for k = 0..k_max, from coefficients alone.
+
+    D^beta f is a Chebyshev series, and |T_n| <= 1 on [-1, 1], so
+    sup|D^beta f| <= S_beta, the sum of |c| over its coefficients (max over
+    components).  The two roundoffs in computing S_beta are covered, with
+    eps = 2^-52:
+
+    - The derivative coefficients are computed.  One derivative step on an
+      axis of n coefficients rounds at most K = 3n + 3 times on the way to
+      any output, and its weights (numpy's chebder recurrence) are all
+      nonnegative, so the step applied to |c| is the step's absolute-value
+      matrix |D|.  By induction over the steps, the computed coefficients of
+      D^beta f are within ((1 + K eps)^|beta| - 1) |D|^beta |c| of the exact
+      ones, and the same chain run on |c| (no cancellation) computes
+      |D|^beta |c| within a factor (1 + K eps)^|beta|.  With m = 2|beta| K eps
+      <= 1/2, (1 + K eps)^(2|beta|) - 1 <= e^m - 1 < 1.65 m, so
+      S_beta <= S_hat + 2m A_hat, where S_hat and A_hat are the two computed
+      sums and K is taken at f's largest axis.
+    - A float sum of N nonnegative terms is within a factor 1 + 0.51 N eps of
+      the exact sum while N eps < 0.01, and the few roundings after the sums
+      add at most 2 eps, so the factor 1 + 2 (N + 2) eps covers them.
+    """
+    betas = graded_indices(k_max, f.domain.s, f.p if p is None else p)
+    per_comp = int(np.prod(f.coeffs.shape[1:]))
+    eps = float(np.finfo(float).eps)
+    K = 3 * max(f.coeffs.shape[1:]) + 3
+    if per_comp * eps >= 0.01 or 2 * k_max * K * eps > 0.5:
+        raise FuncSpaceError("too many coefficients or derivatives for the roundoff bound")
+    derivative = _derivative_chain(f)
+    derivative_abs = _derivative_chain(replace(f, coeffs=np.abs(f.coeffs)))
+    best = np.zeros(k_max + 1)
+    for beta in betas:
+        s_hat = np.abs(derivative(beta).coeffs).reshape(f.m, -1).sum(axis=1)
+        a_hat = derivative_abs(beta).coeffs.reshape(f.m, -1).sum(axis=1)
+        m = 2 * sum(beta) * K * eps
+        bound = float(np.max(s_hat + 2 * m * a_hat)) * (1.0 + 2 * (per_comp + 2) * eps)
+        if not math.isfinite(bound):
+            raise NonFiniteCoefficients("non-finite coefficient sums")
+        best[sum(beta):] = np.maximum(best[sum(beta):], bound)
     return best
 
 

@@ -142,12 +142,50 @@ class TestSolveCommand:
         )
 
 
+    def test_overflow_under_a_diverging_certificate_exits_2(self, tmp_path):
+        # a = 1e100: the iterates overflow, and the certificate reads diverging
+        p = write_problem(
+            tmp_path / "big.json",
+            domain={"t0": 0.0, "a": 1.0, "b": 1.0, "S": [[-PI, PI]]},
+            order={"d": 1, "p": 0, "L": 1},
+            rhs="a*Dx1(y1)", params={"a": 1e100},
+        )
+        doc = json.loads(p.read_text())
+        del doc["growth"]
+        p.write_text(json.dumps(doc))
+        assert main(["solve", str(p), "--out", str(tmp_path)]) == EXIT_DIVERGING
+        report = json.loads((tmp_path / "big.report.json").read_text())
+        assert report["status"] == "diverging-certificate"
+        assert report["certificate"]["verdict"] == "diverging"
+
+    def test_overflow_without_a_certificate_is_an_error(self, tmp_path, capsys):
+        # y1^2 needs finite radii for its factors, so no certificate stands
+        # behind the overflow
+        p = write_problem(
+            tmp_path / "sq.json",
+            domain={"t0": 0.0, "a": 1.0, "b": 1.0, "S": [[-PI, PI]]},
+            order={"d": 1, "p": 0, "L": 0},
+            rhs="a*y1^2", initial=["1"], params={"a": 1e200},
+        )
+        doc = json.loads(p.read_text())
+        del doc["growth"]
+        p.write_text(json.dumps(doc))
+        assert main(["solve", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "sq.report.json").exists()
+
+
 class TestCertifyRoutes:
-    @pytest.mark.parametrize("rhs", ["y1^3+Dx1(y1)", "sin(y1)*Dx1(y1)"])
-    def test_general_rhs_is_sampled_not_the_demo(self, tmp_path, rhs):
+    # a polynomial F takes the certified Leibniz factors, any other F is sampled
+    @pytest.mark.parametrize("rhs, method", [
+        pytest.param("y1^3+Dx1(y1)", "leibniz", id="y1^3+Dx1(y1)"),
+        pytest.param("sin(y1)*Dx1(y1)", "sampled", id="sin(y1)*Dx1(y1)"),
+    ])
+    def test_general_rhs_is_sampled_not_the_demo(self, tmp_path, rhs, method):
         cert = certify_without_growth(tmp_path, rhs)
         assert "demo" not in cert["meta"]
-        assert cert["meta"]["lambda_meta"]["method"] == "sampled"
+        assert cert["meta"]["lambda_meta"]["method"] == method
+        assert cert["meta"]["lambda_meta"]["certified"] is (method == "leibniz")
 
     @pytest.mark.parametrize("rhs", ["-y1*Dx1(y1)", "0.5*y1*Dx1(y1)"])
     def test_quadratic_rhs_reaches_the_demo(self, tmp_path, rhs):
@@ -166,6 +204,31 @@ class TestCertifyRoutes:
         assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
         assert "growth-model increments need the linear class" in capsys.readouterr().err
         assert not (tmp_path / "g.certificate.report.json").exists()
+
+
+    def test_affine_rhs_needs_no_radii(self, tmp_path):
+        # the 2-D Laplacian is affine, not linear (two mu): factor 1 + 1
+        p = write_problem(
+            tmp_path / "lap.json",
+            domain={"t0": 0.0, "a": 0.1, "b": 0.1, "S": [[-PI, PI], [-PI, PI]]},
+            rhs="Dx1(Dx1(y1))+Dx2(Dx2(y1))", initial=["sin(x1)*cos(x2)"],
+            solver={"tol": 1e-10, "n_max": 10, "k_check": [0], "degrees": {"x": [12, 12]}},
+        )
+        doc = json.loads(p.read_text())
+        del doc["growth"]
+        p.write_text(json.dumps(doc))
+        assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_INCONCLUSIVE
+        meta = json.loads((tmp_path / "lap.certificate.report.json").read_text())["meta"]
+        assert meta["lambda_meta"]["method"] == "leibniz"
+
+    def test_varying_coefficient_is_sampled_and_needs_radii(self, tmp_path, capsys):
+        # x-dependent coefficients are outside the Leibniz tables
+        p = write_problem(tmp_path / "sx.json", rhs="sin(x1)*Dx2(y1)")
+        doc = json.loads(p.read_text())
+        del doc["growth"]
+        p.write_text(json.dumps(doc))
+        assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert "sampled Lipschitz estimation needs finite radii" in capsys.readouterr().err
 
 
 class TestCertifyCommand:
@@ -212,12 +275,19 @@ class TestCertifyCommand:
         cert = json.loads((tmp_path / "burgers.certificate.report.json").read_text())
         assert "hyperfactorial" in cert["meta"]["witness"]
 
-    def test_affine_two_placeholders_skips_quadratic_demo(self, tmp_path, capsys):
-        # Dx2(y1)+y1 is affine: it takes the Lipschitz path, not burgers_demo
-        p = write_problem(tmp_path / "heatplus.json", rhs="Dx2(y1)+y1")
-        assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
-        assert "sampled Lipschitz estimation needs finite radii" in capsys.readouterr().err
-        assert not (tmp_path / "heatplus.certificate.report.json").exists()
+    def test_affine_two_placeholders_skips_quadratic_demo(self, tmp_path):
+        # Dx2(y1)+y1 is affine: it takes the Lipschitz path, not burgers_demo,
+        # and its Leibniz factor 1 + 1 needs no radii.  sin(x1) data would be
+        # a stationary solution, whose increments are roundoff alone.
+        p = write_problem(tmp_path / "heatplus.json", rhs="Dx2(y1)+y1", initial=["cos(2*x1)"])
+        doc = json.loads(p.read_text())
+        del doc["growth"]
+        p.write_text(json.dumps(doc))
+        assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_INCONCLUSIVE
+        cert = json.loads((tmp_path / "heatplus.certificate.report.json").read_text())
+        assert "demo" not in cert["meta"]
+        assert cert["meta"]["lambda_meta"]["method"] == "leibniz"
+        assert cert["meta"]["lambda_meta"]["certified"] is True
 
     def test_numeric_only_certificate_is_inconclusive(self, tmp_path):
         p = write_problem(tmp_path / "nogrowth.json")

@@ -346,6 +346,27 @@ class TestDerivativesOnGrid:
         # (2, 1) is built from (2, 0) from (1, 0) from f; repeats build nothing
         assert steps == [(1, 0), (1, 0), (0, 1)]
 
+    def test_several_grids_share_one_chain(self, monkeypatch):
+        import picard_lod.funcspace as fs
+
+        steps = []
+        original = fs.partial_derivative
+
+        def spy(f, beta):
+            steps.append(tuple(beta))
+            return original(f, beta)
+
+        monkeypatch.setattr(fs, "partial_derivative", spy)
+        f = SepFunc(SQUARE, 1, 0, np.arange(16.0).reshape(1, 4, 4) - 7.5)
+        grids = [fs.uniform_grid(SQUARE, 3), [np.array([0.0]), np.linspace(-1.0, 1.0, 5)]]
+        requests = [((2, 0), 0), ((1, 0), 1), ((0, 0), 1)]
+        got = list(fs.derivatives_on_grids(f, requests, grids))
+        # (2, 0) builds (1, 0) on the way; the slice requests build nothing
+        assert steps == [(1, 0), (1, 0)]
+        for (beta, vals), (want_beta, g) in zip(got, requests):
+            [(_, want)] = fs.derivatives_on_grid(f, [want_beta], grids[g])
+            assert beta == want_beta and vals.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("beta", [(0,), (0, 0, 0), (1, -1), (-1, 2)])
     def test_rejects_bad_multi_indices(self, beta):
         from picard_lod.funcspace import derivatives_on_grid, uniform_grid
@@ -504,3 +525,77 @@ def test_partial_derivative_outside_funcspace_only_in_the_eta_step():
 def test_called_only_in_funcspace(callee):
     """Chebyshev integrals and values-to-coefficients fits happen only in funcspace."""
     assert callers_outside_funcspace(callee) == []
+
+
+@st.composite
+def small_functions(draw):
+    """A SepFunc with s in 0..2, m in 1..2, degrees 0..8, magnitudes 1e-4..1e4, both signs."""
+    s = draw(st.integers(0, 2))
+    m = draw(st.integers(1, 2))
+    degrees = draw(st.lists(st.integers(0, 8), min_size=1 + s, max_size=1 + s))
+    shape = (m, *[d + 1 for d in degrees])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)
+    return SepFunc(DOMAINS[s], m, draw(st.integers(0, 2)), coeffs)
+
+
+def exact_chebder(c, scl):
+    """Chebyshev coefficients of the derivative, in exact rational arithmetic."""
+    from fractions import Fraction
+
+    n = len(c)
+    d = [Fraction(0)] * (n + 1)
+    for k in range(n - 1, 0, -1):
+        d[k - 1] = d[k + 1] + 2 * k * c[k]
+    d[0] /= 2
+    return [x * scl for x in d[:max(n - 1, 1)]]
+
+
+class TestGradedNormsUpper:
+    @settings(max_examples=150, deadline=None)
+    @given(small_functions(), st.integers(0, 4))
+    def test_bounds_the_grid_sup(self, f, k_max):
+        from picard_lod.funcspace import graded_norms_upper
+
+        upper = graded_norms_upper(f, k_max)
+        assert np.all(graded_norms_upto(f, k_max) <= upper)
+        assert np.all(np.diff(upper) >= 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([(-1.0, 1.0), (0.0, 0.3), (-7.0, 3.0)]))
+    def test_bounds_the_exact_coefficient_sums(self, n, seed, interval):
+        # alternating signs over 16 decades: the float derivative cancels
+        # heavily, and the exact sums come from rational arithmetic
+        from fractions import Fraction
+
+        from picard_lod.funcspace import graded_norms_upper
+
+        rng = np.random.default_rng(seed)
+        c = (-1.0) ** np.arange(n) * 10.0 ** rng.uniform(-8, 8, n)
+        f = SepFunc(Domain(0.0, 0.5, 0.5, (interval,)), 1, 0, c.reshape(1, 1, n))
+        upper = graded_norms_upper(f, 5)
+        lo, hi = interval
+        scl = 2 / (Fraction(hi) - Fraction(lo))
+        exact = [Fraction(float(x)) for x in c]
+        for k in range(6):
+            assert sum(abs(x) for x in exact) <= Fraction(float(upper[k]))
+            exact = exact_chebder(exact, scl)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 30])
+    def test_a_single_chebyshev_polynomial_is_tight(self, n):
+        from picard_lod.funcspace import graded_norms_upper
+
+        c = np.zeros((1, 1, n + 1))
+        c[0, 0, n] = 1.0
+        upper = graded_norms_upper(SepFunc(SQUARE, 1, 0, c), 1)
+        assert 1.0 <= upper[0] <= 1.0 + 1e-13
+        # T_n' has coefficient sum n^2 on [-1, 1]
+        assert n * n <= upper[1] <= max(1.0, n * n) * (1.0 + 1e-12)
+
+    def test_time_derivatives_follow_p(self):
+        from picard_lod.funcspace import graded_norms_upper
+
+        # t^2 + x1 on SQUARE: coefficient sum 1/8 + 1/8 + 1, and d_t^2 = 2
+        f = interpolate(expr("t^2 + x1"), SQUARE, (2, 1))
+        assert graded_norms_upper(f, 2) == pytest.approx([1.25, 1.25, 1.25])
+        assert graded_norms_upper(f, 2, p=2) == pytest.approx([1.25, 1.25, 2.0])

@@ -57,10 +57,10 @@ def wave_problem(domain=None):
     return pp.CauchyProblem(dom, 1, 2, 0, 2, (F,), ((y00,), (y01,)))
 
 
-def burgers_problem(domain=None):
+def burgers_problem(domain=None, rhs="y1*Dx1(y1)"):
     dom = domain or Domain(0.0, 0.25, 0.25, ((0.0, 1.0),))
     ar = Arity(s=1, m=1, L=1, p=0)
-    F = parse_expression("y1*Dx1(y1)", ar)
+    F = parse_expression(rhs, ar)
     y0 = parse_expression("x1", Arity(s=1))
     return pp.CauchyProblem(dom, 1, 1, 0, 1, (F,), ((y0,),))
 
@@ -454,13 +454,16 @@ class TestEstimateLipschitz:
         assert fac.is_zero
 
     def test_sampled_against_closed_form(self):
-        prob = burgers_problem()
+        # sin(y1) * Dx1(y1) is not a polynomial in y, so it is sampled
+        prob = burgers_problem(rhs="sin(y1)*Dx1(y1)")
         radii = Radii.constant(0.5)
         fac = pp.estimate_lipschitz(prob, radii, k_max=2, n_pairs=24)
-        assert fac.meta["certified"] is False
-        # cross-check against 2^k (r_{k+L} + sup-range of d^alpha i0) with
-        # i0 = x on [0, 1]; the sampled value carries the extra product-rule
-        # term count, so the bracket allows a factor of 2 either way
+        assert fac.meta["method"] == "sampled" and fac.meta["certified"] is False
+        # F(u) - F(v) = (sin u - sin v) u_x + sin v (u_x - v_x) with |sin|,
+        # |cos| <= 1: cross-check against 2^k (r_{k+L} + sup-range of
+        # d^alpha i0) with i0 = x on [0, 1]; the sampled value carries the
+        # extra product- and chain-rule terms, so the bracket allows a
+        # factor of 2 either way
         for k in range(3):
             closed = 2**k * (0.5 + 1.0)
             assert closed / 2 <= fac.at(k) <= closed * 2.5
@@ -469,7 +472,7 @@ class TestEstimateLipschitz:
 
     def test_sampled_needs_finite_radii(self):
         with pytest.raises(pp.PicardError, match="finite"):
-            pp.estimate_lipschitz(burgers_problem(), Radii.infinite())
+            pp.estimate_lipschitz(burgers_problem(rhs="sin(y1)*Dx1(y1)"), Radii.infinite())
 
 
 class TestLambdaRecursion:
@@ -731,9 +734,142 @@ def test_eval_g_surfaces_division_by_zero():
 def test_sampled_lipschitz_table_is_pinned():
     # float.hex of the table computed before the graded sweeps went through
     # funcspace.derivatives_on_grid; the rewrite must not move a single bit
-    fac = pp.estimate_lipschitz(
+    fac = pp._sampled_lipschitz(
         burgers_problem(), Radii.constant(0.5), k_max=2, n_pairs=4
     )
     assert [float(v).hex() for v in fac.table] == [
         "0x1.387e94eb2e60fp+1", "0x1.af4eb1a39fe1bp+1", "0x1.3b0b80941355ap+2",
     ]
+
+
+class TestPolynomialStructure:
+    @pytest.mark.parametrize("rhs, poly", [
+        ("Dx2(y1)+y1", {(DX2,): 1.0, (Y,): 1.0}),
+        ("-0.5*y1*Dx2(y1)+x1^2", {(Y, DX2): -0.5}),
+        ("(y1+Dx1(y1))^2/2", {(Y, Y): 0.5, (Y, DX1): 1.0, (DX1, DX1): 0.5}),
+        ("y1*y1-y1^2+3*Dx1(y1)", {(DX1,): 3.0}),
+        ("sin(2)*y1^3", {(Y, Y, Y): math.sin(2.0)}),
+        ("sin(t)+cos(x1)", {}),
+    ])
+    def test_terms(self, rhs, poly):
+        [terms] = rhs_problem(rhs).rhs_class.poly
+        assert {phs: c for c, phs in terms} == pytest.approx(poly)
+
+    @pytest.mark.parametrize("rhs", [
+        "x1*Dx1(y1)", "t*y1", "sin(y1)*Dx1(y1)", "y1/x1", "y1/(1-1)", "1/y1", "(x1+1)*y1^2",
+    ])
+    def test_not_polynomial_with_constant_coefficients(self, rhs):
+        assert rhs_problem(rhs).rhs_class.poly is None
+
+    def test_time_derivatives_count_against_L(self):
+        ar = Arity(s=1, m=1, L=1, p=1)
+        dom = Domain(0, 0.5, 0.5, ((-1, 1),))
+        zero = ((Const(0.0),), (Const(0.0),))
+        F = parse_expression("Dt(Dx1(y1))", ar)
+        assert pp.CauchyProblem(dom, 1, 2, 1, 1, (F,), zero).rhs_class.poly is None
+        F = parse_expression("Dt(y1)*y1", ar)
+        assert pp.CauchyProblem(dom, 1, 2, 1, 1, (F,), zero).rhs_class.poly is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(rhs_trees, st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+           st.floats(-1.0, 1.0))
+    def test_terms_are_the_differences_of_F(self, e, z, x):
+        # F(z1) - F(z0) is the polynomial part at z1 minus that at z0
+        poly = rhs_problem(e).rhs_class.poly
+        if poly is None:
+            return
+
+        def F(zs):
+            return eval_expr(e, {"t": 0.25, "x1": x,
+                                 **{placeholder_key(ph): v for ph, v in zip((Y, DX1, DX2), zs)}})
+
+        def P(zs):
+            at = dict(zip((Y, DX1, DX2), zs))
+            return sum(c * math.prod(at[ph] for ph in phs) for c, phs in poly[0])
+
+        z0, z1 = z[:3], z[3:]
+        assert math.isclose(F(z1) - F(z0), P(z1) - P(z0), rel_tol=1e-9, abs_tol=1e-9)
+
+
+def exact_rhs(problem, y, degrees):
+    """The composed right-hand side interpolated at degrees high enough to be exact."""
+    from picard_lod import funcspace as fs
+
+    vals = pp._rhs_on_grid(problem, y, fs.chebyshev_nodes(problem.domain, degrees))
+    return fs.from_values(vals, problem.domain, problem.m, problem.p)
+
+
+def ball_member(problem, i0, radii, k_top, rng, theta):
+    """i0 plus a random perturbation whose upper norms are theta * r_j at most."""
+    from picard_lod.funcspace import SepFunc, graded_norms_upper
+
+    raw = rng.standard_normal((1, 3, 5)) * 0.5 ** np.indices((3, 5)).sum(axis=0)
+    pert = SepFunc(problem.domain, 1, 0, raw)
+    upper = graded_norms_upper(pert, k_top)
+    scale = min(radii.value(j) / upper[j] for j in range(k_top + 1))
+    return i0 + pert * (theta * scale)
+
+
+_monomials = st.tuples(
+    st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3),
+    st.lists(st.sampled_from([Y, DX1, DX2]), min_size=1, max_size=3),
+)
+
+
+class TestLeibnizFactors:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_monomials, min_size=1, max_size=3),
+           st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           st.floats(0.05, 1.0), st.integers(0, 2**32 - 1),
+           st.floats(0.05, 1.0), st.floats(0.05, 1.0))
+    def test_table_bounds_measured_ratios(self, monomials, data, r, seed, th_u, th_v):
+        from picard_lod import funcspace as fs
+
+        F = functools.reduce(lambda a, b: Binary("+", a, b), [
+            functools.reduce(lambda a, b: Binary("*", a, b), phs, Const(c))
+            for c, phs in monomials
+        ])
+        y0 = Binary("+", Const(data[0]), Binary("*", Var("x", 1), Binary(
+            "+", Const(data[1]), Binary("*", Const(data[2]), Var("x", 1)))))
+        dom = Domain(0.0, 0.25, 0.25, ((-1.0, 1.0),))
+        prob = pp.CauchyProblem(dom, 1, 1, 0, 2, (F,), ((y0,),))
+        radii, k_max, L = Radii.constant(r), 3, 2
+        fac = pp._leibniz_lipschitz(prob, radii, k_max=k_max, x_degrees=(4,))
+        assert fac.meta == {"method": "leibniz", "certified": True,
+                            "degree": max(len(phs) for _, phs in monomials), "k_max": k_max}
+        i0 = pp.initial_polynomial(prob, (4,))
+        rng = np.random.default_rng(seed)
+        u = ball_member(prob, i0, radii, k_max + L, rng, th_u)
+        v = ball_member(prob, i0, radii, k_max + L, rng, th_v)
+        diff = exact_rhs(prob, u, (8, 14)) - exact_rhs(prob, v, (8, 14))
+        den = fs.graded_norms_upper(u - v, k_max + L)
+        num = np.zeros(k_max + 1)
+        for beta, vals in fs.derivatives_on_grid(
+                diff, [(0, j) for j in range(k_max + 1)], fs.norm_grid(diff)):
+            num[beta[1]:] = np.maximum(num[beta[1]:], np.max(np.abs(vals)))
+        for k in range(k_max + 1):
+            assert num[k] <= fac.at(k) * den[k + L] * (1 + 1e-9)
+
+    def test_affine_factor_is_the_coefficient_sum_without_radii(self):
+        fac = pp.estimate_lipschitz(rhs_problem("Dx2(y1)-0.5*y1+x1^2"), Radii.infinite())
+        assert fac.meta["method"] == "leibniz"
+        # 1 + 0.5, rounded up by a few units in the last place
+        assert all(1.5 <= fac.at(k) <= 1.5 * (1 + 1e-15) for k in (0, 5, 20))
+
+    def test_nonlinear_factor_needs_finite_radii(self):
+        with pytest.raises(pp.PicardError, match="finite radii"):
+            pp.estimate_lipschitz(burgers_problem(), Radii.infinite())
+
+    def test_burgers_table_in_closed_form(self):
+        # i0 = x on [0, 1]: upper norms 1, 1, 1, ..., so R_j = 1.5; the two
+        # telescoped terms of y1 * Dx1(y1) give 2 * 2^k * 1.5
+        fac = pp.estimate_lipschitz(burgers_problem(), Radii.constant(0.5), k_max=4)
+        assert fac.table == pytest.approx([3.0 * 2**k for k in range(5)], rel=1e-12)
+        assert all(v >= 3.0 * 2**k for k, v in enumerate(fac.table))
+
+    def test_certified_table_is_at_least_the_sampled_one(self):
+        prob, radii = burgers_problem(), Radii.constant(0.5)
+        certified = pp.estimate_lipschitz(prob, radii, k_max=4)
+        sampled = pp._sampled_lipschitz(prob, radii, k_max=4, n_pairs=24)
+        assert certified.meta["certified"] and not sampled.meta["certified"]
+        assert all(c >= s for c, s in zip(certified.table, sampled.table))
