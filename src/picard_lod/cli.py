@@ -325,10 +325,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if problem.rhs_class.kind == "quadratic":
         cert = burgers_demo(problem, config.radii, tuple(config.k_check), args.nmax)
     else:
-        factors = estimate_lipschitz(problem, config.radii, seed=config.seed)
+        # the x degrees that solve's certificate uses
+        x_deg = config.x_degrees or (24,) * problem.domain.s
+        factors = estimate_lipschitz(problem, config.radii, seed=config.seed, x_degrees=x_deg)
         cert = certify_weissinger(
             problem, factors, config.radii, tuple(config.k_check), args.nmax,
-            growth=config.growth, mode=mode,
+            growth=config.growth, mode=mode, x_degrees=x_deg,
         )
     payload = cert.to_json_dict()
     rp = _write_report(out_dir, f"{path.stem}.certificate", payload)

@@ -36,7 +36,6 @@ __all__ = [
     "symbolic_partial",
     "free_variables",
     "placeholders_in",
-    "is_affine_in_placeholders",
     "placeholder_key",
 ]
 
@@ -653,34 +652,3 @@ def free_variables(e: Expr) -> set[str]:
 
 def placeholders_in(e: Expr) -> set[Placeholder]:
     return {n for n in _walk(e) if isinstance(n, Placeholder)}
-
-
-def _contains_placeholder(e: Expr) -> bool:
-    return any(isinstance(n, Placeholder) for n in _walk(e))
-
-
-def is_affine_in_placeholders(e: Expr) -> bool:
-    """True when the tree is (jointly) affine in its placeholder leaves."""
-    if isinstance(e, (Const, Var, Placeholder)):
-        return True
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return is_affine_in_placeholders(e.arg)
-        return not _contains_placeholder(e.arg)
-    if isinstance(e, Power):
-        if e.exponent == 1:
-            return is_affine_in_placeholders(e.base)
-        return e.exponent == 0 or not _contains_placeholder(e.base)
-    if isinstance(e, Binary):
-        if e.op in "+-":
-            return is_affine_in_placeholders(e.lhs) and is_affine_in_placeholders(e.rhs)
-        if e.op == "*":
-            lc, rc = _contains_placeholder(e.lhs), _contains_placeholder(e.rhs)
-            if lc and rc:
-                return False
-            return is_affine_in_placeholders(e.lhs if lc else e.rhs)
-        if e.op == "/":
-            if _contains_placeholder(e.rhs):
-                return False
-            return is_affine_in_placeholders(e.lhs)
-    return False

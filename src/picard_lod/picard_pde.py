@@ -10,6 +10,7 @@ derivatives L (the highest spatial order on the right-hand side).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
@@ -31,7 +32,6 @@ from .expr import (
     eval_expr,
     fold,
     free_variables,
-    is_affine_in_placeholders,
     placeholder_key,
     placeholders_in,
 )
@@ -71,7 +71,6 @@ __all__ = [
     "eval_G",
     "apply_P",
     "residual",
-    "extract_linear_structure",
     "classify_rhs",
     "estimate_lipschitz",
     "log_lambda_bar",
@@ -328,100 +327,9 @@ class LinearStructure:
     q: tuple[Expr, ...]
 
 
-def _additive_terms(e: Expr, sign: int = 1) -> list[tuple[int, Expr]]:
-    if isinstance(e, Binary) and e.op == "+":
-        return _additive_terms(e.lhs, sign) + _additive_terms(e.rhs, sign)
-    if isinstance(e, Binary) and e.op == "-":
-        return _additive_terms(e.lhs, sign) + _additive_terms(e.rhs, -sign)
-    if isinstance(e, Unary) and e.op == "neg":
-        return _additive_terms(e.arg, -sign)
-    return [(sign, e)]
-
-
-def _factor_out(term: Expr, ph: Placeholder) -> Expr | None:
-    """Coefficient c with term == c * ph, or None when not linear in ph."""
-    if term == ph:
-        return Const(1.0)
-    if isinstance(term, Unary) and term.op == "neg":
-        inner = _factor_out(term.arg, ph)
-        return None if inner is None else Unary("neg", inner)
-    if isinstance(term, Binary) and term.op == "*":
-        in_l = ph in placeholders_in(term.lhs)
-        in_r = ph in placeholders_in(term.rhs)
-        if in_l and not in_r and not placeholders_in(term.rhs):
-            inner = _factor_out(term.lhs, ph)
-            return None if inner is None else Binary("*", inner, term.rhs)
-        if in_r and not in_l and not placeholders_in(term.lhs):
-            inner = _factor_out(term.rhs, ph)
-            return None if inner is None else Binary("*", term.lhs, inner)
-        return None
-    if isinstance(term, Binary) and term.op == "/":
-        if placeholders_in(term.rhs):
-            return None
-        inner = _factor_out(term.lhs, ph)
-        if inner is None:
-            return None
-        return Binary("/", inner, term.rhs, term.nonvanishing)
-    return None
-
-
-def extract_linear_structure(problem: CauchyProblem) -> LinearStructure | None:
-    """Match the right-hand side against p(t) . d_x^mu d_t^gamma y + q(t, x)."""
-    mu_gamma: tuple[tuple[int, ...], int] | None = None
-    coef: dict[tuple[int, int], Expr] = {}
-    q_parts: list[list[Expr]] = [[] for _ in range(problem.m)]
-    for h, e in enumerate(problem.rhs):
-        for sign, term in _additive_terms(e):
-            phs = placeholders_in(term)
-            if not phs:
-                q_parts[h].append(
-                    term if sign > 0 else Unary("neg", term)
-                )
-                continue
-            if len(phs) != 1:
-                return None
-            ph = next(iter(phs))
-            if mu_gamma is None:
-                mu_gamma = (ph.alpha, ph.gamma)
-            elif mu_gamma != (ph.alpha, ph.gamma):
-                return None
-            c = _factor_out(term, ph)
-            if c is None:
-                return None
-            if not free_variables(c) <= {"t"}:
-                return None
-            if sign < 0:
-                c = Unary("neg", c)
-            key = (h, ph.comp - 1)
-            if key in coef:
-                coef[key] = Binary("+", coef[key], c)
-            else:
-                coef[key] = c
-    if mu_gamma is None:
-        return None
-    mu, gamma = mu_gamma
-    p = tuple(
-        tuple(coef.get((h, l), Const(0.0)) for l in range(problem.m))
-        for h in range(problem.m)
-    )
-    q = tuple(
-        _sum_exprs(parts) for parts in q_parts
-    )
-    return LinearStructure(mu, gamma, p, q)
-
-
-def _sum_exprs(parts: Sequence[Expr]) -> Expr:
-    if not parts:
-        return Const(0.0)
-    out = parts[0]
-    for e in parts[1:]:
-        out = Binary("+", out, e)
-    return out
-
-
 @dataclass(frozen=True)
 class RhsClass:
-    """The form of the right-hand side, decided once per problem.
+    """The form of the right-hand side, decided once per problem by classify_rhs.
 
     ``kind`` is one of constant, linear, affine, quadratic or general;
     ``linear`` is set for the linear kind, and ``mu`` and the folded
@@ -429,8 +337,9 @@ class RhsClass:
     whatever the kind, when every component is a polynomial in the
     placeholders with constant coefficients and every placeholder has
     gamma + |alpha| <= L: per component, its (coefficient, placeholder
-    multiset) pairs of degree >= 1.  The placeholder-free part, which may
-    depend on (t, x), is left out: it cancels in F(u) - F(v).
+    multiset) pairs of degree >= 1 with nonzero coefficients.  The
+    placeholder-free part, which may depend on (t, x), is left out: it
+    cancels in F(u) - F(v).
     """
 
     kind: str
@@ -445,113 +354,120 @@ def _ph_order(ph: Placeholder) -> tuple:
     return (ph.gamma, ph.alpha, ph.comp)
 
 
-def _poly_terms(e: Expr) -> dict[tuple[Placeholder, ...], float] | None:
-    """e as {sorted placeholder multiset: coefficient}, or None when not polynomial.
-
-    The empty multiset holds the placeholder-free part, NaN when that part
-    depends on t or x; a NaN that reaches a placeholder monomial marks a
-    varying coefficient there.
-    """
-    if not placeholders_in(e):
-        if free_variables(e):
-            return {(): math.nan}
-        try:
-            return {(): eval_expr(e, {})}
-        except EvalError:
-            return None
-    if isinstance(e, Placeholder):
-        return {(e,): 1.0}
-    if isinstance(e, Unary) and e.op == "neg":
-        inner = _poly_terms(e.arg)
-        return None if inner is None else {k: -v for k, v in inner.items()}
-    if isinstance(e, Power):
-        base = _poly_terms(e.base)
-        if base is None or e.exponent < 0:
-            return None
-        out = {(): 1.0}
-        for _ in range(e.exponent):
-            out = _poly_product(out, base)
-        return out
-    if isinstance(e, Binary):
-        lhs, rhs = _poly_terms(e.lhs), _poly_terms(e.rhs)
-        if lhs is None or rhs is None:
-            return None
-        if e.op in "+-":
-            sign = 1.0 if e.op == "+" else -1.0
-            out = dict(lhs)
-            for k, v in rhs.items():
-                out[k] = out[k] + sign * v if k in out else sign * v
-            return out
-        if e.op == "*":
-            return _poly_product(lhs, rhs)
-        if e.op == "/" and set(rhs) == {()} and rhs[()] != 0:
-            return {k: v / rhs[()] for k, v in lhs.items()}
-    return None
+_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _poly_product(a: dict, b: dict) -> dict:
+def _node(op: str, a: Expr, b: Expr) -> Expr:
+    """The coefficient a op b, folded to its float when both are constants."""
+    if isinstance(a, Const) and isinstance(b, Const) and not (op == "/" and b.value == 0):
+        return Const(_FLOAT_OPS[op](a.value, b.value))
+    return Binary(op, a, b)
+
+
+def _neg(a: Expr) -> Expr:
+    return Const(-a.value) if isinstance(a, Const) else Unary("neg", a)
+
+
+def _product(a: dict, b: dict) -> dict:
     out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
+    for ka, ca in a.items():
+        for kb, cb in b.items():
             k = tuple(sorted(ka + kb, key=_ph_order))
-            out[k] = out[k] + va * vb if k in out else va * vb
+            c = _node("*", ca, cb)
+            out[k] = _node("+", out[k], c) if k in out else c
     return out
 
 
-def _polynomial(problem: CauchyProblem) -> tuple | None:
-    """RhsClass.poly of the problem; see there."""
-    poly = []
-    for e in problem.rhs:
-        terms = _poly_terms(e)
-        if terms is None:
-            return None
-        monomials = tuple((v, k) for k, v in terms.items() if k and v != 0.0)
-        if any(math.isnan(v) or any(ph.gamma + ph.order > problem.L for ph in k)
-               for v, k in monomials):
-            return None
-        poly.append(monomials)
-    return tuple(poly)
+def _monomials(e: Expr) -> dict[tuple[Placeholder, ...], Expr] | None:
+    """e as {sorted placeholder multiset: coefficient}, or None when not polynomial.
 
-
-def _quadratic_form(e: Expr) -> tuple[tuple[int, ...], Expr] | None:
-    """(mu, c) when e is c * y_i * d_x^mu y_i with |mu| > 0 and c free of y, else None."""
-    factors, coef, sign, stack = [], Const(1.0), 1.0, [e]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Unary) and f.op == "neg":
-            sign = -sign
-            stack.append(f.arg)
-        elif isinstance(f, Binary) and f.op == "*":
-            stack += [f.lhs, f.rhs]
-        elif placeholders_in(f):
-            factors.append(f)
-        else:
-            coef = Binary("*", coef, f)
-    if len(factors) != 2 or not all(isinstance(f, Placeholder) for f in factors):
-        return None
-    lo, hi = sorted(factors, key=lambda ph: ph.order)
-    if lo.comp != hi.comp or lo.gamma or hi.gamma or lo.order or not hi.order:
-        return None
-    return hi.alpha, fold(Binary("*", Const(sign), coef))
+    Each coefficient is a placeholder-free tree in (t, x); a subtree free of
+    placeholders and variables is evaluated to a Const, and constants are
+    combined in floats as the expansion goes, so a constant coefficient is
+    a Const.  The empty multiset holds the placeholder-free part.  F is not
+    a polynomial in its placeholders when one sits under sin, cos, exp or
+    a divisor.
+    """
+    if not placeholders_in(e):
+        if not free_variables(e):
+            try:
+                return {(): Const(eval_expr(e, {}))}
+            except EvalError:
+                pass
+        return {(): e}
+    if isinstance(e, Placeholder):
+        return {(e,): Const(1.0)}
+    if isinstance(e, Unary) and e.op == "neg":
+        inner = _monomials(e.arg)
+        return None if inner is None else {k: _neg(c) for k, c in inner.items()}
+    if isinstance(e, Power) and e.exponent == 0:
+        return {(): Const(1.0)}
+    if isinstance(e, Power) and e.exponent > 0:
+        out = base = _monomials(e.base)
+        for _ in range(e.exponent - 1 if base else 0):
+            out = _product(out, base)
+        return out
+    if isinstance(e, Binary):
+        lhs, rhs = _monomials(e.lhs), _monomials(e.rhs)
+        if lhs is None or rhs is None:
+            return None
+        if e.op in "+-":
+            out = dict(lhs)
+            for k, c in rhs.items():
+                if k in out:
+                    out[k] = _node(e.op, out[k], c)
+                else:
+                    out[k] = c if e.op == "+" else _neg(c)
+            return out
+        if e.op == "*":
+            return _product(lhs, rhs)
+        if e.op == "/" and set(rhs) == {()}:
+            return {k: _node("/", c, rhs[()]) for k, c in lhs.items()}
+    return None
 
 
 def classify_rhs(problem: CauchyProblem) -> RhsClass:
-    """Classify F; every route that depends on the form of F reads this."""
+    """Classify F; every route that depends on the form of F reads this.
+
+    Every field is read from the monomials (_monomials) of each component:
+    constant without placeholders; linear when every monomial has degree
+    <= 1 with one (mu, gamma) and coefficients in t only; affine for the
+    other degree <= 1 forms; quadratic when each component is one monomial
+    c y_i d_x^mu y_i, gamma = 0, |mu| > 0, with one mu; general otherwise.
+    """
     phs = tuple(sorted(
         {ph for e in problem.rhs for ph in placeholders_in(e)}, key=_ph_order,
     ))
-    poly = _polynomial(problem)
+    comps = [_monomials(e) for e in problem.rhs]
+    if None in comps:
+        return RhsClass("general", phs)
+    # Const(-0.0) equals Const(0.0), and no other tree does
+    nonzero = [[(c, k) for k, c in terms.items() if k and c != Const(0.0)] for terms in comps]
+    poly = None
+    if all(isinstance(c, Const) and all(ph.gamma + ph.order <= problem.L for ph in k)
+           for terms in nonzero for c, k in terms):
+        poly = tuple(tuple((c.value, k) for c, k in terms) for terms in nonzero)
     if not phs:
         return RhsClass("constant", phs, poly=poly)
-    structure = extract_linear_structure(problem)
-    if structure is not None:
-        return RhsClass("linear", phs, linear=structure, poly=poly)
-    if all(is_affine_in_placeholders(e) for e in problem.rhs):
-        return RhsClass("affine", phs, poly=poly)
-    forms = [_quadratic_form(e) for e in problem.rhs]
-    if None not in forms and len({mu for mu, _ in forms}) == 1:
-        return RhsClass("quadratic", phs, mu=forms[0][0],
-                        coef=tuple(c for _, c in forms), poly=poly)
+    monomials = [(k, c) for terms in comps for k, c in terms.items() if k]
+    if all(len(k) == 1 for k, _ in monomials):
+        mu_gamma = {(ph.alpha, ph.gamma) for (ph,), _ in monomials}
+        if len(mu_gamma) != 1 or any(free_variables(c) - {"t"} for _, c in monomials):
+            return RhsClass("affine", phs, poly=poly)
+        [(mu, gamma)] = mu_gamma
+        p = tuple(
+            tuple(terms.get((Placeholder(mu, gamma, l + 1),), Const(0.0)) for l in range(problem.m))
+            for terms in comps
+        )
+        q = tuple(terms.get((), Const(0.0)) for terms in comps)
+        return RhsClass("linear", phs, linear=LinearStructure(mu, gamma, p, q), poly=poly)
+    # sorted, the multiset {y_i, d_x^mu y_i} starts with y_i
+    zero = (0,) * problem.domain.s
+    pairs = [next(iter(terms)) if len(terms) == 1 else () for terms in comps]
+    if all(len(k) == 2 and k[0] == Placeholder(zero, 0, k[1].comp) and k[1].gamma == 0
+           and k[1].order > 0 for k in pairs) and len({k[1].alpha for k in pairs}) == 1:
+        return RhsClass("quadratic", phs, mu=pairs[0][1].alpha,
+                        coef=tuple(fold(terms[k]) for terms, k in zip(comps, pairs)), poly=poly)
     return RhsClass("general", phs, poly=poly)
 
 
@@ -718,9 +634,10 @@ def _sampled_lipschitz(
 ) -> LipschitzFactors:
     """Sampled, non-certified Lipschitz factors for F outside the polynomial class.
 
-    Draws random pairs inside the ball around i0, measures the pointwise
-    ratio of the composed right-hand side's spatial derivatives against the
-    shifted difference norm, and inflates the max by a safety factor.
+    Draws random pairs inside the ball around i0, measures the ratio of the
+    grid sups ||G(u) - G(v)||_k / ||u - v||_{k+L} over the spatial
+    derivatives of the composed right-hand side, and inflates the max over
+    the pairs by a safety factor.
     Sampling metadata is recorded on the result.
     """
     probe_k = k_max + problem.L + problem.p
@@ -733,7 +650,6 @@ def _sampled_lipschitz(
     i0 = initial_polynomial(problem, x_degrees)
     rng = np.random.default_rng(seed)
     pts = fs.uniform_grid(problem.domain, LIPSCHITZ_GRID_POINTS)
-    shape = tuple(len(g) for g in pts)
 
     def random_member() -> SepFunc:
         deg = (problem.d, *[dx for dx in x_degrees])
@@ -748,11 +664,11 @@ def _sampled_lipschitz(
         return i0 + pert * (0.9 * min(1.0, scale) if math.isfinite(scale) else 0.0)
 
     def graded_sweep(f: SepFunc, k_top: int, t_max: int) -> np.ndarray:
-        # level k: pointwise max over components and |beta| <= k, beta_t <= t_max
-        levels = np.zeros((k_top + 1, *shape))
+        # level k: grid max over components and |beta| <= k, beta_t <= t_max
+        levels = np.zeros(k_top + 1)
         for beta, vals in fs.derivatives_on_grid(f, fs.graded_indices(k_top, s, t_max), pts):
             k_from = sum(beta)
-            levels[k_from:] = np.maximum(levels[k_from:], np.max(np.abs(vals), axis=0))
+            levels[k_from:] = np.maximum(levels[k_from:], np.max(np.abs(vals)))
         return levels
 
     best = np.zeros(k_max + 1)
@@ -761,10 +677,8 @@ def _sampled_lipschitz(
         dens = graded_sweep(u - v, k_max + problem.L, problem.p)
         nums = graded_sweep(eval_G(problem, u) - eval_G(problem, v), k_max, 0)
         for k in range(k_max + 1):
-            den, num = dens[k + problem.L], nums[k]
-            mask = den > 1e-13
-            if np.any(mask):
-                best[k] = max(best[k], float(np.max(num[mask] / den[mask])))
+            if dens[k + problem.L] > 1e-13:
+                best[k] = max(best[k], float(nums[k] / dens[k + problem.L]))
     return LipschitzFactors.from_table(
         tuple(best * LIPSCHITZ_INFLATION),
         {

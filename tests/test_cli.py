@@ -289,6 +289,24 @@ class TestCertifyCommand:
         assert cert["meta"]["lambda_meta"]["method"] == "leibniz"
         assert cert["meta"]["lambda_meta"]["certified"] is True
 
+    def test_certify_reads_the_x_degrees_of_the_file(self, tmp_path):
+        # exp(x1)/(2+x1) at x degree 10: certify and solve's certificate
+        # must take their numeric increments from the same i0
+        p = write_problem(
+            tmp_path / "dx.json", rhs="Dx2(y1)+y1", initial=["exp(x1)/(2+x1)"],
+            domain={"t0": 0.0, "a": 0.1, "b": 0.1, "S": [[-1.0, 1.0]]},
+            solver={"tol": 1e-11, "n_max": 10, "k_check": [0], "degrees": {"x": [10]}},
+        )
+        doc = json.loads(p.read_text())
+        del doc["growth"]
+        p.write_text(json.dumps(doc))
+        main(["certify", str(p), "--out", str(tmp_path)])
+        main(["solve", str(p), "--out", str(tmp_path)])
+        certify = json.loads((tmp_path / "dx.certificate.report.json").read_text())
+        solve = json.loads((tmp_path / "dx.report.json").read_text())["certificate"]
+        assert certify["rows"][0]["terms"] == solve["rows"][0]["terms"]
+        assert len(certify["rows"][0]["terms"]) == 5
+
     def test_numeric_only_certificate_is_inconclusive(self, tmp_path):
         p = write_problem(tmp_path / "nogrowth.json")
         doc = json.loads(p.read_text())
@@ -331,8 +349,7 @@ class TestSeriesCommand:
         assert rep["solution"]["degrees"][0] == 0  # time-constant
 
     def test_parameter_coefficient_is_a_constant_case(self, tmp_path):
-        # a*Dx2(y1) with a = 1 is the heat equation: the coefficient tree
-        # a*1 is not a bare constant, but it has no free variables
+        # a*Dx2(y1) with a = 1 is the heat equation, by either route
         p = write_problem(tmp_path / "heat_a.json", rhs="a*Dx2(y1)", params={"a": 1.0})
         assert main(["series", str(p), "--out", str(tmp_path)]) == EXIT_OK
         assert main(["demo", "heat", "--out", str(tmp_path)]) == EXIT_OK
@@ -340,6 +357,11 @@ class TestSeriesCommand:
         demo = json.loads((tmp_path / "demo_heat.report.json").read_text())
         assert series["diagnostics"]["constant_case"] is True
         assert series["diagnostics"]["constant_case"] == demo["diagnostics"]["constant_case"]
+
+    def test_constant_factor_over_a_sum_is_linear(self, tmp_path):
+        # 2*(Dx2(y1)+x1) expands to 2 Dx2(y1) + 2 x1
+        p = write_problem(tmp_path / "twice.json", rhs="2*(Dx2(y1)+x1)")
+        assert main(["series", str(p), "--out", str(tmp_path)]) == EXIT_OK
 
     def test_nonlinear_rejected_with_explanation(self, tmp_path, capsys):
         p = write_problem(

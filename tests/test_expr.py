@@ -12,7 +12,6 @@ from picard_lod.expr import (
     Var,
     eval_expr,
     free_variables,
-    is_affine_in_placeholders,
     parse_expression,
     placeholder_key,
     print_expression,
@@ -202,17 +201,3 @@ def test_derivatives_match_finite_differences(text, fn, order):
 def test_structure_queries():
     e = parse_expression("t*y1+sin(x1)", AR)
     assert free_variables(e) == {"t", "x1"}
-    assert is_affine_in_placeholders(e)
-    assert not is_affine_in_placeholders(parse_expression("y1*Dx1(y1)", AR))
-    assert not is_affine_in_placeholders(parse_expression("sin(y1)", AR))
-    assert is_affine_in_placeholders(parse_expression("y1/(1+t^2)", AR))
-
-
-@pytest.mark.parametrize("text, affine", [
-    ("(t*y1+x1)^1", True),
-    ("(y1*Dx1(y1))^0", True),
-    ("(y1*Dx1(y1))^1", False),
-    ("sin(y1)^1", False),
-])
-def test_first_power_is_affine_only_over_an_affine_base(text, affine):
-    assert is_affine_in_placeholders(parse_expression(text, AR)) is affine
