@@ -315,7 +315,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     from .linear_series import burgers_demo
-    from .picard_pde import certify_weissinger, estimate_lipschitz
+    from .picard_pde import estimate_and_certify
 
     path = Path(args.file)
     problem, config = load_problem(path)
@@ -325,12 +325,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if problem.rhs_class.kind == "quadratic":
         cert = burgers_demo(problem, config.radii, tuple(config.k_check), args.nmax)
     else:
-        # the x degrees that solve's certificate uses
-        x_deg = config.x_degrees or (24,) * problem.domain.s
-        factors = estimate_lipschitz(problem, config.radii, seed=config.seed, x_degrees=x_deg)
-        cert = certify_weissinger(
-            problem, factors, config.radii, tuple(config.k_check), args.nmax,
-            growth=config.growth, mode=mode, x_degrees=x_deg,
+        cert = estimate_and_certify(
+            problem, config.radii, tuple(config.k_check), args.nmax,
+            growth=config.growth, mode=mode, x_degrees=config.x_degrees, seed=config.seed,
         )
     payload = cert.to_json_dict()
     rp = _write_report(out_dir, f"{path.stem}.certificate", payload)

@@ -129,9 +129,6 @@ class Binary:
     op: str  # "+" | "-" | "*" | "/"
     lhs: "Expr"
     rhs: "Expr"
-    # for "/" only: caller asserts the denominator does not vanish on the
-    # domain of interest; evaluation still hard-errors on an exact zero.
-    nonvanishing: bool = True
 
 
 @dataclass(frozen=True)
@@ -558,7 +555,7 @@ def fold(e: Expr) -> Expr:
                 if rhs.value == 0:
                     raise EvalError("division by zero in constant folding")
                 return Const(lhs.value / rhs.value)
-        return Binary(e.op, lhs, rhs, getattr(e, "nonvanishing", True))
+        return Binary(e.op, lhs, rhs)
     raise ExprError(f"unknown node {e!r}")
 
 
@@ -603,7 +600,7 @@ def _diff1(e: Expr, match: Callable[[Expr], bool]) -> Expr:
             return Binary("+", Binary("*", dl, e.rhs), Binary("*", e.lhs, dr))
         if e.op == "/":
             num = Binary("-", Binary("*", dl, e.rhs), Binary("*", e.lhs, dr))
-            return Binary("/", num, Power(e.rhs, 2), e.nonvanishing)
+            return Binary("/", num, Power(e.rhs, 2))
         raise DerivativeError(f"non-differentiable node {e.op!r}")
     raise DerivativeError(f"unknown node {e!r}")
 

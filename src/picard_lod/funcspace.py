@@ -8,11 +8,13 @@ dense sampling grid (the grid density is part of every reported norm), a
 lower bound on the exact sup, and graded_norms_upper bounds them from
 above by coefficient sums.
 
-Every sampling grid of the program is built here, and its sizes are the
-module constants below, not options: equispaced norm grids of
+Every sampling grid of the program is built here, and its sizes are
+module constants, not options.  Those below give equispaced norm grids of
 NORM_GRID_FACTOR * degree + 1 points per axis (at least NORM_GRID_MIN, or
 RESIDUAL_GRID_MIN for residuals), CHECK_GRID_POINTS per axis for the
-comparison grids, and Chebyshev extrema for interpolation.
+comparison grids, and Chebyshev extrema for interpolation; the sampled
+Lipschitz grid (LIPSCHITZ_GRID_POINTS) and the t grid of the matrix norm
+(MATRIX_NORM_POINTS) are constants of picard_pde.
 """
 
 from __future__ import annotations
@@ -276,14 +278,14 @@ class SepFunc:
         """Values on the tensor grid; result shape (m, len(t), len(x1), ...)."""
         return _grid_evaluator(self, [t_pts, *x_grids])(self.coeffs)
 
-    def trim(self, rel_eps: float = 1e-14) -> "SepFunc":
-        """Zero out relatively negligible coefficients and drop trailing slices."""
+    def trim(self) -> "SepFunc":
+        """Zero out coefficients below 1e-14 times the largest and drop trailing slices."""
         arr = np.array(self.coeffs)
         scale = np.max(np.abs(arr))
         if scale == 0:
             out = arr[(slice(None), *([slice(0, 1)] * (arr.ndim - 1)))]
             return replace(self, coeffs=out)
-        arr[np.abs(arr) < rel_eps * scale] = 0.0
+        arr[np.abs(arr) < 1e-14 * scale] = 0.0
         for axis in range(1, arr.ndim):
             mov = np.moveaxis(arr, axis, 0)
             n = mov.shape[0]
@@ -338,56 +340,36 @@ class SepFunc:
 
 @dataclass(frozen=True)
 class Radii:
-    """Per-index ball radii r_k > 0, +inf as an explicit sentinel."""
+    """Per-index ball radii r_k > 0, +inf as an explicit sentinel; the last holds past the list."""
 
-    values: tuple[float, ...] | None = None
-    rule: Callable[[int], float] | None = field(default=None, compare=False)
-    extend: str = "hold"  # how to continue past an explicit list
+    values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.values is not None:
-            vals = tuple(float(v) for v in self.values)
-            if not vals:
-                raise FuncSpaceError("empty radii list")
-            for v in vals:
-                if not (v > 0 or math.isinf(v)):
-                    raise FuncSpaceError("radii must be positive (or +inf)")
-            object.__setattr__(self, "values", vals)
-        elif self.rule is None:
-            raise FuncSpaceError("radii need values or a rule")
-        if self.extend not in ("hold", "strict"):
-            raise FuncSpaceError("extend must be 'hold' or 'strict'")
+        vals = tuple(float(v) for v in self.values)
+        if not vals:
+            raise FuncSpaceError("empty radii list")
+        for v in vals:
+            if not (v > 0 or math.isinf(v)):
+                raise FuncSpaceError("radii must be positive (or +inf)")
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def constant(cls, r: float) -> "Radii":
-        return cls(values=(r,), extend="hold")
+        return cls((r,))
 
     @classmethod
     def infinite(cls) -> "Radii":
-        return cls(values=(math.inf,), extend="hold")
+        return cls((math.inf,))
 
     @classmethod
-    def from_list(cls, values: Iterable[float], extend: str = "hold") -> "Radii":
-        return cls(values=tuple(values), extend=extend)
-
-    @classmethod
-    def from_function(cls, fn: Callable[[int], float]) -> "Radii":
-        return cls(values=None, rule=fn)
+    def from_list(cls, values: Iterable[float]) -> "Radii":
+        return cls(tuple(values))
 
     def value(self, k: int) -> float:
-        if self.values is None:
-            v = float(self.rule(k))
-            if not (v > 0 or math.isinf(v)):
-                raise FuncSpaceError(f"radii rule returned nonpositive r_{k}={v}")
-            return v
-        if k < len(self.values):
-            return self.values[k]
-        if self.extend == "hold":
-            return self.values[-1]
-        raise FuncSpaceError(f"radius r_{k} not provided (strict list)")
+        return self.values[min(k, len(self.values) - 1)]
 
     def is_infinite(self) -> bool:
-        return self.values is not None and all(math.isinf(v) for v in self.values)
+        return all(math.isinf(v) for v in self.values)
 
 
 # ---------------------------------------------------------------------------

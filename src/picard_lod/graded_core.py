@@ -134,18 +134,13 @@ class LodConstants:
 # ---------------------------------------------------------------------------
 
 
-def series_verdict(
-    terms: Sequence[float],
-    *,
-    window: int = DEFAULT_WINDOW,
-    margin: float = DEFAULT_MARGIN,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-) -> tuple[str, float | None]:
+def series_verdict(terms: Sequence[float]) -> tuple[str, float | None]:
     """Classify a nonnegative series from finitely many terms.
 
-    Returns (verdict, ratio_estimate).  Converged needs the last-window ratio
-    estimate below 1 - margin and a final term negligible relative to the
-    partial sum; strictly increasing terms over the window read as diverging.
+    Returns (verdict, ratio_estimate).  Converged needs the ratio estimate
+    over the last DEFAULT_WINDOW terms below 1 - DEFAULT_MARGIN and a final
+    term below DEFAULT_REL_FLOOR times the partial sum; strictly increasing
+    terms over the window read as diverging.
     """
     terms = [float(t) for t in terms]
     if any(math.isnan(t) for t in terms):
@@ -154,7 +149,7 @@ def series_verdict(
         raise GradedCoreError("empty series")
     if all(t == 0.0 for t in terms):
         return CONVERGED, 0.0
-    w = terms[-min(window, len(terms)):]
+    w = terms[-min(DEFAULT_WINDOW, len(terms)):]
     total = math.fsum(t for t in terms if not math.isinf(t))
     if any(math.isinf(t) for t in terms):
         # overflowing terms: only a divergence reading is meaningful
@@ -167,7 +162,7 @@ def series_verdict(
     ratio_est = max(ratios) if ratios else 0.0
     if all(t == 0.0 for t in w):
         return CONVERGED, 0.0
-    if ratio_est < 1.0 - margin and w[-1] <= rel_floor * max(total, 0.0):
+    if ratio_est < 1.0 - DEFAULT_MARGIN and w[-1] <= DEFAULT_REL_FLOOR * max(total, 0.0):
         return CONVERGED, ratio_est
     if len(w) >= 2 and all(w[i + 1] > w[i] for i in range(len(w) - 1)):
         return DIVERGING, ratio_est
@@ -182,9 +177,6 @@ class WeissingerRow:
     terms: tuple[float, ...]
     verdict: str
     ratio_estimate: float | None
-    window: int = DEFAULT_WINDOW
-    margin: float = DEFAULT_MARGIN
-    rel_floor: float = DEFAULT_REL_FLOOR
     meta: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -220,9 +212,9 @@ class WeissingerRow:
             "partial_sums": list(self.partial_sums),
             "verdict": self.verdict,
             "ratio_estimate": self.ratio_estimate,
-            "window": self.window,
-            "margin": self.margin,
-            "rel_floor": self.rel_floor,
+            "window": DEFAULT_WINDOW,
+            "margin": DEFAULT_MARGIN,
+            "rel_floor": DEFAULT_REL_FLOOR,
             "meta": self.meta,
         }
 
@@ -283,19 +275,11 @@ def weissinger_row(
     k: int,
     terms: Sequence[float],
     *,
-    window: int = DEFAULT_WINDOW,
-    margin: float = DEFAULT_MARGIN,
-    rel_floor: float = DEFAULT_REL_FLOOR,
     meta: dict | None = None,
 ) -> WeissingerRow:
     """The Weissinger row of given terms, with its windowed verdict."""
-    verdict, ratio = series_verdict(
-        terms, window=window, margin=margin, rel_floor=rel_floor
-    )
-    return WeissingerRow(
-        k, tuple(terms), verdict, ratio, window, margin, rel_floor,
-        {} if meta is None else meta,
-    )
+    verdict, ratio = series_verdict(terms)
+    return WeissingerRow(k, tuple(terms), verdict, ratio, {} if meta is None else meta)
 
 
 def weissinger_sum(
@@ -303,10 +287,6 @@ def weissinger_sum(
     increment_norms: Callable[[int], float],
     k: int,
     n_max: int,
-    *,
-    window: int = DEFAULT_WINDOW,
-    margin: float = DEFAULT_MARGIN,
-    rel_floor: float = DEFAULT_REL_FLOOR,
 ) -> WeissingerRow:
     """Terms, partial sums and verdict of one Weissinger row."""
     terms = []
@@ -318,9 +298,7 @@ def weissinger_sum(
         if math.isnan(t):
             raise GradedCoreError(f"non-finite term at n={n}")
         terms.append(t)
-    return weissinger_row(
-        k, terms, window=window, margin=margin, rel_floor=rel_floor
-    )
+    return weissinger_row(k, terms)
 
 
 def a_posteriori_bound(
@@ -329,16 +307,9 @@ def a_posteriori_bound(
     k: int,
     n: int,
     n_max: int,
-    *,
-    window: int = DEFAULT_WINDOW,
-    margin: float = DEFAULT_MARGIN,
-    rel_floor: float = DEFAULT_REL_FLOOR,
 ) -> TailBound:
     """Tail bound on ||ybar - P^n(y0)||_k; requires a converged row."""
-    row = weissinger_sum(
-        constants, increment_norms, k, n_max,
-        window=window, margin=margin, rel_floor=rel_floor,
-    )
+    row = weissinger_sum(constants, increment_norms, k, n_max)
     return row.tail_bound(n)
 
 
@@ -363,31 +334,16 @@ class IterationResult:
     iterates: list[Any] | None
     membership: str  # "checked" | "unchecked"
     final_check: dict[int, float] | None = None
-    constants: "LodConstants | None" = None
 
     @property
     def converged(self) -> bool:
         return self.status == CONVERGED
-
-    def tail_bound_at(self, k: int, n: int, n_max: int) -> TailBound:
-        """A posteriori tail for this run's constants and first increment."""
-        if self.constants is None:
-            raise GradedCoreError("the run carries no contraction constants")
-        inc0 = {kk: v[0] for kk, v in self.increments.items()}
-
-        def increment(idx: int) -> float:
-            if idx in inc0:
-                return inc0[idx]
-            raise GradedCoreError(f"no stored increment norm at index {idx}")
-
-        return a_posteriori_bound(self.constants, increment, k, n, n_max)
 
 
 def iterate_to_fixed_point(
     space: GradedSpaceHandle,
     y0: Any,
     stop: IterationStop,
-    constants: "LodConstants | None" = None,
     *,
     store_iterates: bool = True,
     check_candidate: bool = True,
@@ -437,10 +393,7 @@ def iterate_to_fixed_point(
         y_probe = space.P(y)
         diff = space.sub(y_probe, y)
         final_check = {k: float(space.seminorm(diff, k)) for k in ks}
-    return IterationResult(
-        status, y, n_done, increments, iterates, membership, final_check,
-        constants,
-    )
+    return IterationResult(status, y, n_done, increments, iterates, membership, final_check)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +406,6 @@ def solve_equation(
     f: Callable[[Any], Any],
     y0: Any,
     stop: IterationStop,
-    constants: "LodConstants | None" = None,
     *,
     store_iterates: bool = True,
 ) -> IterationResult:
@@ -466,7 +418,7 @@ def solve_equation(
 
     handle = replace(space, P=P)
     result = iterate_to_fixed_point(
-        handle, y0, stop, constants,
+        handle, y0, stop,
         store_iterates=store_iterates, check_candidate=False,
     )
     if result.converged:
@@ -609,13 +561,7 @@ class WPrimeReport:
     verdict: str
 
 
-def w_prime_diagnostic(
-    history: Mapping[int, Sequence[float]],
-    *,
-    window: int = DEFAULT_WINDOW,
-    margin: float = DEFAULT_MARGIN,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-) -> WPrimeReport:
+def w_prime_diagnostic(history: Mapping[int, Sequence[float]]) -> WPrimeReport:
     """Summability of raw increments per k, with reconstructed zero-loss constants.
 
     When increments vanish from some step on (the map hit a fixed point),
@@ -626,9 +572,7 @@ def w_prime_diagnostic(
         incs = [float(v) for v in history[k]]
         if not incs:
             raise GradedCoreError("empty increment history")
-        verdict, _ = series_verdict(
-            incs, window=window, margin=margin, rel_floor=rel_floor
-        )
+        verdict, _ = series_verdict(incs)
         sums, acc = [], 0.0
         for v in incs:
             acc += v

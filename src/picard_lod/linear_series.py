@@ -46,7 +46,6 @@ from .graded_core import (
     INCONCLUSIVE,
     LodCertificate,
     exp_or_inf,
-    series_verdict,
     weissinger_row,
 )
 
@@ -73,6 +72,7 @@ __all__ = [
 
 # x degree of the interpolated data and forcing unless a caller sets one
 SERIES_X_DEGREE = 24
+Q_PROBE_ORDER = 6  # x-derivative order up to which a forcing bound left out is probed
 
 
 class LinearSeriesError(Exception):
@@ -141,7 +141,6 @@ class LinearProblem:
     q: tuple[Expr, ...]
     Q: float
     initial: tuple[tuple[Expr, ...], ...]
-    Q_estimated: bool = False
 
     def __post_init__(self) -> None:
         mu = tuple(int(v) for v in self.mu)
@@ -200,20 +199,17 @@ class LinearProblem:
         )
 
     @classmethod
-    def from_cauchy(
-        cls, problem: pp.CauchyProblem, Q: float | None = None, probe_order: int = 6
-    ) -> "LinearProblem":
+    def from_cauchy(cls, problem: pp.CauchyProblem, Q: float | None = None) -> "LinearProblem":
         st = problem.rhs_class.linear
         if st is None:
             raise LinearSeriesError("right-hand side is not of the linear class")
         if sum(st.mu) == 0:
             raise LinearSeriesError("the linear class requires |mu| > 0")
-        estimated = Q is None
         if Q is None:
-            Q = _probe_q_bound(st.q, problem.domain, probe_order)
+            Q = _probe_q_bound(st.q, problem.domain)
         return cls(
             problem.domain, problem.m, problem.d, st.gamma, st.mu,
-            st.p, st.q, Q, problem.initial, Q_estimated=estimated,
+            st.p, st.q, Q, problem.initial,
         )
 
 
@@ -221,13 +217,13 @@ def _is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0.0
 
 
-def _probe_q_bound(q: Sequence[Expr], domain: Domain, probe_order: int) -> float:
+def _probe_q_bound(q: Sequence[Expr], domain: Domain) -> float:
     pts = fs.uniform_grid(domain, fs.CHECK_GRID_POINTS)
     bindings = fs.grid_bindings(pts)
     shape = tuple(len(g) for g in pts)
     best = 0.0
     for e in q:
-        for nu in fs._multi_indices(probe_order, domain.s):
+        for nu in fs._multi_indices(Q_PROBE_ORDER, domain.s):
             de = e
             for dim, order in enumerate(nu, start=1):
                 de = symbolic_partial(de, f"x{dim}", order)
@@ -291,11 +287,6 @@ def _mat_der(problem: LinearProblem, M: np.ndarray, order: int) -> np.ndarray:
     return cheb.chebder(M, m=order, scl=2.0 / (hi - lo), axis=2)
 
 
-def _tpoly(problem: LinearProblem, power: int) -> np.ndarray:
-    """Chebyshev coefficients on T of (t - t0)^power."""
-    return pp._tpoly_cheb(problem.domain, power) * math.factorial(power)
-
-
 def _p_times_sep(problem: LinearProblem, P: np.ndarray, f: SepFunc) -> SepFunc:
     """p(t) . f for a matrix of t-coefficients and a vector SepFunc."""
     nt_in = f.coeffs.shape[1]
@@ -321,51 +312,35 @@ class MuEta:
 
     ``mu[j]`` lists, per step h, the m-by-m matrix of Chebyshev t-coefficients
     multiplying d_x^{h mu} y0j / (j - gamma)!; ``eta`` lists the forcing
-    contributions.  ``variant`` records which base/step convention produced
-    them (the displayed one, or the one matching the Picard iterates exactly).
+    contributions.
     """
 
     mu: dict[int, list[np.ndarray]]
     eta: list[SepFunc]
-    variant: str
 
 
 def mu_eta_recursions(
     problem: LinearProblem,
     h_max: int,
     *,
-    variant: str = "literal",
     x_degree: int = SERIES_X_DEGREE,
 ) -> MuEta:
     """Exact polynomial recursions for the iterate formula's coefficients.
 
-    ``literal`` follows the displayed definitions (base p(t)(t-t0)^{j-gamma},
-    step I_d[p d_t^gamma .], eta_0 = q, eta_{h+1} = I_d[p d_x^mu d_t^gamma
-    eta_h]).  ``picard`` uses the base (j-gamma)!/j! (t-t0)^j and eta_1 =
-    I_d[q], which reproduces the Picard iterates exactly.
+    The base is (j-gamma)!/j! (t-t0)^j, the step I_d[p d_t^gamma .], eta_0 =
+    q, eta_1 = I_d[q] and eta_{h+1} = I_d[p d_x^mu d_t^gamma eta_h] for
+    h >= 1; this reproduces the Picard iterates exactly.
     """
-    if variant not in ("literal", "picard"):
-        raise LinearSeriesError(f"unknown recursion variant {variant!r}")
     P = _t_interp_matrix(problem)
     mu: dict[int, list[np.ndarray]] = {}
     for j in range(problem.gamma, problem.d):
-        if variant == "literal":
-            tp = _tpoly(problem, j - problem.gamma)
-            base = np.zeros((problem.m, problem.m, len(tp) + P.shape[2] - 1))
-            for h in range(problem.m):
-                for l in range(problem.m):
-                    if np.any(P[h, l]):
-                        c = _chebmul_trunc(P[h, l], tp)
-                        base[h, l, : len(c)] = c
-        else:
-            # base (j-gamma)!/j! (t-t0)^j times the identity; its gamma-th
-            # time derivative is exactly (t-t0)^{j-gamma}, which makes the
-            # uniform step below reproduce the Picard iterates
-            tp = pp._tpoly_cheb(problem.domain, j) * math.factorial(j - problem.gamma)
-            base = np.zeros((problem.m, problem.m, len(tp)))
-            for h in range(problem.m):
-                base[h, h] = tp
-        cur = base
+        # base (j-gamma)!/j! (t-t0)^j times the identity; its gamma-th
+        # time derivative is exactly (t-t0)^{j-gamma}, which makes the
+        # uniform step below reproduce the Picard iterates
+        tp = pp._tpoly_cheb(problem.domain, j) * math.factorial(j - problem.gamma)
+        cur = np.zeros((problem.m, problem.m, len(tp)))
+        for h in range(problem.m):
+            cur[h, h] = tp
         seq = [cur]
         for _ in range(h_max):
             cur = _mat_int(
@@ -384,7 +359,7 @@ def mu_eta_recursions(
     eta: list[SepFunc] = [q0]
     cur_eta = q0
     for h in range(1, h_max + 1):
-        if variant == "picard" and h == 1:
+        if h == 1:
             nxt = iterated_time_integral(cur_eta, problem.d)
         else:
             d_eta = partial_derivative(cur_eta, (problem.gamma, *problem.mu))
@@ -394,7 +369,7 @@ def mu_eta_recursions(
         nxt = nxt.trim()
         eta.append(nxt)
         cur_eta = nxt
-    return MuEta(mu, eta, variant)
+    return MuEta(mu, eta)
 
 # ---------------------------------------------------------------------------
 # Explicit Picard iterates and the series solution
@@ -446,7 +421,7 @@ def _series_terms(
     """i0 and the per-step contributions of the explicit iterate formula."""
     cauchy = problem.to_cauchy()
     i0 = pp.initial_polynomial(cauchy, (x_degree,) * problem.domain.s)
-    rec = mu_eta_recursions(problem, n, variant="picard", x_degree=x_degree)
+    rec = mu_eta_recursions(problem, n, x_degree=x_degree)
     seen: dict[str, SepFunc] = {}
     towers = {j: _x_derivative_tower(problem, problem.initial[j], n, x_degree, seen, h_from=1)
               for j in range(problem.gamma, problem.d)}
@@ -606,27 +581,14 @@ def increment_bound(
 class ClassificationReport:
     verdict: str
     threshold_tbar: float
-    numeric_verdict: str
-    terms: tuple[float, ...]
     witness: str
     tbar: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "threshold_tbar": self.threshold_tbar,
-            "numeric_verdict": self.numeric_verdict,
-            "witness": self.witness,
-            "tbar": self.tbar,
-        }
 
 
 def classify_convergence(
     problem: LinearProblem,
     growth: Sequence[GrowthClass],
     tbar: float | None = None,
-    n_max: int = 60,
-    k: int = 0,
 ) -> ClassificationReport:
     """Growth-class verdict for the dominant Weissinger series.
 
@@ -638,28 +600,13 @@ def classify_convergence(
     T = problem.domain.tbar if tbar is None else float(tbar)
     L, d, gamma = problem.L, problem.d, problem.gamma
     norm_p = max(problem.norm_p(), pp.EPS_FLOOR)
-    log_p = math.log(norm_p)
-
-    # dominant-series terms (the forcing series always converges)
-    terms_log = []
-    for n in range(n_max + 1):
-        parts = []
-        for j in range(gamma, d):
-            g = _growth_for(problem, growth, j)
-            parts.append(
-                g.log_norm(k + (n + 1) * L, n, L)
-                - math.lgamma(n * d + 1)
-                - math.lgamma(j - gamma + d + 1)
-            )
-        terms_log.append(log_p + n * (d * math.log(T) + log_p) + _logsumexp(parts))
-    terms = tuple(exp_or_inf(v) for v in terms_log)
-    numeric_verdict, _ = series_verdict(terms)
+    # every j >= gamma needs a growth model, also past a rule that decides
+    models = [_growth_for(problem, growth, j) for j in range(gamma, d)]
 
     verdict = CONVERGED
     threshold = math.inf
     witness = "factorial (nd)! dominates the modelled data growth"
-    for j in range(gamma, d):
-        g = _growth_for(problem, growth, j)
+    for g in models:
         if g.kind == "exponential":
             continue
         if g.kind == "analytic":
@@ -690,7 +637,7 @@ def classify_convergence(
                 witness = "(nL)^{sigma n L} beats (nd)! when d < sigma L"
                 threshold = 0.0
                 break
-    return ClassificationReport(verdict, threshold, numeric_verdict, terms, witness, T)
+    return ClassificationReport(verdict, threshold, witness, T)
 
 
 # ---------------------------------------------------------------------------
@@ -880,13 +827,6 @@ class ExperimentReport:
     rows: tuple[tuple[float, float], ...]  # (eps, sup distance to eps=0)
     premise_ok: bool
     warnings: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [{"eps": e, "distance": d} for e, d in self.rows],
-            "premise_ok": self.premise_ok,
-            "warnings": list(self.warnings),
-        }
 
 
 def parameter_limit_experiment(

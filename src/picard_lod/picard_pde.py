@@ -77,6 +77,7 @@ __all__ = [
     "lambda_bar",
     "paper_lambda_bar_log",
     "certify_weissinger",
+    "estimate_and_certify",
     "solve",
     "EPS_FLOOR",
 ]
@@ -466,8 +467,11 @@ def classify_rhs(problem: CauchyProblem) -> RhsClass:
     pairs = [next(iter(terms)) if len(terms) == 1 else () for terms in comps]
     if all(len(k) == 2 and k[0] == Placeholder(zero, 0, k[1].comp) and k[1].gamma == 0
            and k[1].order > 0 for k in pairs) and len({k[1].alpha for k in pairs}) == 1:
-        return RhsClass("quadratic", phs, mu=pairs[0][1].alpha,
-                        coef=tuple(fold(terms[k]) for terms, k in zip(comps, pairs)), poly=poly)
+        try:
+            coef = tuple(fold(terms[k]) for terms, k in zip(comps, pairs))
+        except EvalError as exc:
+            raise PicardError(f"coefficient of the quadratic right-hand side: {exc}") from exc
+        return RhsClass("quadratic", phs, mu=pairs[0][1].alpha, coef=coef, poly=poly)
     return RhsClass("general", phs, poly=poly)
 
 
@@ -796,6 +800,7 @@ def certify_weissinger(
     literal recursion by default, or the paper's constant-factor closed form
     in "paper" mode (growth-model certificates default to paper mode, which
     is the form the growth analysis is stated in); see log_lambda_bar.
+    ``radii`` is not read (the factors hold their ball); positional callers pass it.
     """
     norm_source = "growth_model" if growth is not None else "numeric"
     if mode is None:
@@ -830,9 +835,7 @@ def certify_weissinger(
     else:
         from . import linear_series as ls
 
-        linear = problem.rhs_class.linear
-        if linear is None or not any(linear.mu):
-            raise PicardError("growth-model increments need the linear class with |mu| > 0")
+        _require_growth_class(problem)
         lp = ls.LinearProblem.from_cauchy(problem)
         growth = tuple(growth)
         for k in k_list:
@@ -842,6 +845,27 @@ def certify_weissinger(
                 k, terms, meta={"growth": [getattr(g, "kind", "?") for g in growth]},
             ))
     return LodCertificate.from_rows(rows, meta)
+
+
+def _require_growth_class(problem: CauchyProblem) -> None:
+    linear = problem.rhs_class.linear
+    if linear is None or not any(linear.mu):
+        raise PicardError("growth-model increments need the linear class with |mu| > 0")
+
+
+def estimate_and_certify(
+    problem: CauchyProblem, radii: Radii, k_list: Sequence[int], n_max: int, *,
+    mode: str | None, growth: Sequence[Any] | None, x_degrees: Sequence[int] | None, seed: int,
+) -> LodCertificate:
+    """Check the growth precondition, then run estimate_lipschitz and certify_weissinger."""
+    if growth is not None:
+        _require_growth_class(problem)
+    x_degrees = x_degrees or (24,) * problem.domain.s  # those of solve's i0
+    factors = estimate_lipschitz(problem, radii, seed=seed, x_degrees=x_degrees)
+    return certify_weissinger(
+        problem, factors, radii, k_list, n_max,
+        mode=mode, growth=growth, x_degrees=x_degrees,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +905,6 @@ class SolveReport:
     membership: str
     truncation: list[float]
     iterates: list[SepFunc] | None
-    config: SolveConfig
 
     @property
     def converged(self) -> bool:
@@ -921,12 +944,9 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
     certificate = None
     note = None
     try:
-        factors = estimate_lipschitz(
-            problem, cfg.radii, seed=cfg.seed, x_degrees=x_degrees
-        )
-        certificate = certify_weissinger(
-            problem, factors, cfg.radii, (0,), cfg.certify_n_max,
-            mode=cfg.lambda_mode, growth=cfg.growth, x_degrees=x_degrees,
+        certificate = estimate_and_certify(
+            problem, cfg.radii, (0,), cfg.certify_n_max,
+            mode=cfg.lambda_mode, growth=cfg.growth, x_degrees=x_degrees, seed=cfg.seed,
         )
     except PicardError as exc:
         note = f"certificate unavailable: {exc}"
@@ -1019,5 +1039,4 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
         membership="checked" if not cfg.radii.is_infinite() else "vacuous (infinite radii)",
         truncation=truncation,
         iterates=run.iterates,
-        config=cfg,
     )

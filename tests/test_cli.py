@@ -205,6 +205,20 @@ class TestCertifyRoutes:
         assert "growth-model increments need the linear class" in capsys.readouterr().err
         assert not (tmp_path / "g.certificate.report.json").exists()
 
+    @pytest.mark.parametrize("argv", [["certify"], ["solve", "--certify-first"]])
+    def test_growth_is_refused_before_any_lipschitz_estimate(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        import picard_lod.picard_pde as pp
+
+        def fail(*args, **kwargs):
+            raise AssertionError("estimate_lipschitz ran")
+
+        monkeypatch.setattr(pp, "estimate_lipschitz", fail)
+        p = write_problem(tmp_path / "g.json", **{**BURGERS, "rhs": "sin(y1)*Dx1(y1)"})
+        assert main([argv[0], str(p), "--out", str(tmp_path), *argv[1:]]) == EXIT_ERROR
+        assert "growth-model increments need the linear class" in capsys.readouterr().err
+
 
     def test_affine_rhs_needs_no_radii(self, tmp_path):
         # the 2-D Laplacian is affine, not linear (two mu): factor 1 + 1
@@ -235,6 +249,9 @@ class TestCertifyCommand:
     def test_heat_exponential(self, tmp_path):
         p = write_problem(tmp_path / "heat.json")
         assert main(["certify", str(p), "--out", str(tmp_path), "--nmax", "40"]) == EXIT_OK
+        row = json.loads((tmp_path / "heat.certificate.report.json").read_text())["rows"][0]
+        # the verdict rule's constants, recorded in every row
+        assert (row["window"], row["margin"], row["rel_floor"]) == (10, 0.05, 1e-14)
 
     def test_kowalevski_diverges(self, tmp_path):
         p = write_problem(

@@ -232,11 +232,6 @@ class TestRadii:
         assert r.value(0) == 1.0 and r.value(5) == 2.0
         assert math.isinf(Radii.infinite().value(10))
 
-    def test_strict_list(self):
-        r = Radii.from_list([1.0], extend="strict")
-        with pytest.raises(FuncSpaceError):
-            r.value(1)
-
     def test_positive_required(self):
         with pytest.raises(FuncSpaceError):
             Radii.from_list([0.0])

@@ -113,9 +113,9 @@ class TestWeissingerSum:
     def test_row_builder_matches_sum(self):
         c = LodConstants.from_function(1, lambda k, n: 0.5**n)
         inc = {idx: 1.0 / (idx + 1) for idx in range(40)}
-        row = weissinger_sum(c, inc.__getitem__, 2, 30, window=6, margin=0.1)
+        row = weissinger_sum(c, inc.__getitem__, 2, 30)
         terms = [c.alpha(2, n) * inc[2 + n] for n in range(31)]
-        assert weissinger_row(2, terms, window=6, margin=0.1) == row
+        assert weissinger_row(2, terms) == row
 
 
 class TestIterateToFixedPoint:
@@ -298,7 +298,7 @@ class TestInvertLocally:
 class TestWPrime:
     def test_geometric_reconstruction(self):
         incs = [0.5**n for n in range(60)]
-        rep = w_prime_diagnostic({0: incs}, window=8)
+        rep = w_prime_diagnostic({0: incs})
         row = rep.rows[0]
         assert row.verdict == CONVERGED
         assert row.reconstructed_alpha[:4] == pytest.approx((1.0, 0.5, 0.25, 0.125))
@@ -320,7 +320,7 @@ class TestWPrime:
 
 def test_series_verdict_handles_overflow():
     terms = [1.0, 10.0, float("inf"), float("inf")]
-    verdict, _ = series_verdict(terms, window=4)
+    verdict, _ = series_verdict(terms)
     assert verdict == DIVERGING
 
 
@@ -338,12 +338,3 @@ def test_inversion_reports_lipschitz_upper_bound_when_s_data_given():
     )
     assert res.lipschitz_upper is not None
     assert res.lipschitz_upper[0] == pytest.approx(1.27)
-
-
-def test_iteration_can_carry_constants_for_tail_bounds():
-    space = scalar_space(P=lambda x: x / 2 + 1)
-    consts = LodConstants.from_function(0, lambda k, n: 0.5**n)
-    res = iterate_to_fixed_point(space, 0.0, IterationStop((0,), 1e-13, 80), consts)
-    assert res.constants is consts
-    bound = res.tail_bound_at(0, 3, 60)
-    assert bound.value == pytest.approx(2.0 ** (1 - 3), rel=1e-12)

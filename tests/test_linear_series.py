@@ -52,17 +52,10 @@ class TestLinearProblem:
         lp = linear(SQUARE, 1, 0, (2,), q="x1", Q=5.0)
         cauchy = lp.to_cauchy()
         back = ls.LinearProblem.from_cauchy(cauchy)
-        assert back.Q_estimated
         assert back.Q >= 1.0  # sup over derivative probes of x on [-1, 1]
 
 
 class TestMuEtaRecursions:
-    def test_literal_constant_coefficient(self):
-        lp = linear(SQUARE, 1, 0, (1,), p="a", params={"a": 2.0})
-        rec = ls.mu_eta_recursions(lp, 2, variant="literal")
-        assert tval(lp, rec.mu[0][0][0, 0], 0.3) == pytest.approx(2.0)
-        assert tval(lp, rec.mu[0][1][0, 0], 0.3) == pytest.approx(4.0 * 0.3)
-
     def test_zero_forcing_gives_zero_eta(self):
         lp = linear(SQUARE, 1, 0, (1,))
         rec = ls.mu_eta_recursions(lp, 4)
@@ -72,14 +65,16 @@ class TestMuEtaRecursions:
     def test_constant_forcing_dies_after_one_step(self):
         lp = linear(SQUARE, 1, 0, (1,), p="a", q="c", Q=3.0,
                     params={"a": 1.0, "c": 3.0})
-        rec = ls.mu_eta_recursions(lp, 3, variant="literal")
+        rec = ls.mu_eta_recursions(lp, 3)
         assert graded_norm(rec.eta[0], 0) == pytest.approx(3.0)
-        # eta_1 = I_1[p d_x d_t^0 eta_0] and the spatial derivative kills it
-        assert graded_norm(rec.eta[1], 0) == 0.0
+        # eta_1 = I_1[q] = 3 (t - t0), whose sup on t in [-0.5, 0.5] is 1.5
+        assert graded_norm(rec.eta[1], 0) == pytest.approx(1.5)
+        # eta_2 = I_1[p d_x d_t^0 eta_1] and the spatial derivative kills it
+        assert graded_norm(rec.eta[2], 0) == 0.0
 
     def test_picard_variant_base_has_no_factor_p(self):
         lp = linear(SQUARE, 1, 0, (1,), p="a", params={"a": 2.0})
-        rec = ls.mu_eta_recursions(lp, 2, variant="picard")
+        rec = ls.mu_eta_recursions(lp, 2)
         assert tval(lp, rec.mu[0][0][0, 0], 0.7) == pytest.approx(1.0)
         assert tval(lp, rec.mu[0][1][0, 0], 0.3) == pytest.approx(2.0 * 0.3)
 
@@ -320,6 +315,14 @@ class TestClassify:
             if v == CONVERGED:
                 seen_converged = True
             assert not (seen_converged and v != CONVERGED)
+
+    def test_every_index_from_gamma_needs_a_growth_model(self):
+        # the analytic rule decides j = 0 (d < L) before j = 1 is reached
+        lp = linear(SQUARE, 2, 0, (3,), initial=("0", "0"))
+        with pytest.raises(ls.LinearSeriesError, match="j=1"):
+            ls.classify_convergence(
+                lp, [ls.GrowthClass("analytic", C=1.0), ls.GrowthClass("free")]
+            )
 
     def test_free_below_gamma_ignored(self):
         dom = Domain(0.0, 0.25, 0.25, ((-1, 1),))

@@ -369,6 +369,10 @@ class TestClassifyRhs:
     def test_product_of_two_derivatives_is_general(self):
         assert rhs_problem("Dx1(y1)*Dx2(y1)", s=2, L=1).rhs_class.kind == "general"
 
+    def test_quadratic_coefficient_dividing_by_zero_is_a_problem_error(self):
+        with pytest.raises(pp.PicardError, match="division by zero"):
+            burgers_problem(rhs="(t-0.3/0.0)*y1*Dx1(y1)")
+
     # bindings away from 0, where products vanish whatever their form
     @settings(max_examples=200, deadline=None)
     @given(rhs_trees, st.lists(st.floats(0.125, 1.0), min_size=9, max_size=9))

@@ -8,7 +8,10 @@ and 1) once per tree, in one fresh interpreter per tree with
 ``PYTHONPATH=<root>/src`` and the BLAS/OpenMP pools pinned to one thread.
 The commands and problem files come from ``perfbench/workloads.py`` of the
 repository holding this script, so both trees see the same inputs at the
-same paths.  Compared: every report file byte for byte, and each command's
+same paths.  So that every CLI command is covered, the runs add what the
+benchmark leaves out (extra_commands): ``certify`` on the burgers-1d file,
+which takes the quadratic demo, and on catalog-1d ``compare`` in both
+modes on each file and ``demo`` on each catalog case.  Compared: every report file byte for byte, and each command's
 exit code, standard output, and standard error without its ``elapsed:``
 line.  Prints what differs; exits 0 if nothing does, 1 otherwise.
 """
@@ -33,6 +36,25 @@ import workloads  # noqa: E402
 PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
+def extra_commands(name: str, problem_dir: Path, out_dir: Path) -> list[tuple[list[str], Path]]:
+    """(argv, output directory) of the commands a workload adds to the benchmark's."""
+    runs = []
+
+    def add(label: str, args: list[str]) -> None:
+        out = out_dir / label
+        runs.append(([*args, "--out", str(out)], out))
+
+    if name == "burgers-1d":
+        add("burgers.certify", ["certify", str(problem_dir / "burgers.json")])
+    elif name == "catalog-1d":
+        for case in workloads.CATALOG:
+            path = str(problem_dir / f"{case}.json")
+            add(f"{case}.compare-generic", ["compare", path])
+            add(f"{case}.compare-oracle", ["compare", path, "--against", "oracle"])
+            add(f"{case}.demo", ["demo", case])
+    return runs
+
+
 def run_tree(work: Path, names: list[str], seeds: list[int]) -> dict:
     """Child side: run every command under ``work``; return their exit codes and output."""
     import picard_lod.cli as cli
@@ -42,16 +64,17 @@ def run_tree(work: Path, names: list[str], seeds: list[int]) -> dict:
         for seed in seeds:
             base = work / f"{name}-{seed}"
             wl = workloads.build(name, seed, base / "problems", base / "reports")
-            for cmd in wl.commands:
+            runs = [(cmd.argv, cmd.out) for cmd in wl.commands]
+            for argv, out_dir in runs + extra_commands(name, base / "problems", base / "reports"):
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     try:
-                        code = cli.main(list(cmd.argv))
+                        code = cli.main(list(argv))
                     except SystemExit as exc:
                         code = exc.code
                 stderr = "".join(line for line in err.getvalue().splitlines(keepends=True)
                                  if not line.startswith("elapsed:"))
-                key = f"{name}-{seed}/{cmd.out.name}"
+                key = f"{name}-{seed}/{out_dir.name}"
                 results[key] = {"code": code, "stdout": out.getvalue(), "stderr": stderr}
     return {"package": cli.__file__, "commands": results}
 
