@@ -401,7 +401,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         pts = fs.uniform_grid(problem.domain, fs.CHECK_GRID_POINTS)
         va = rep.candidate.eval_grid(pts[0], pts[1:])
         vb = sol.eval_grid(pts[0], pts[1:])
-        dev = float(np.max(np.abs(va - vb)))
+        dev = fs.sup_abs(va - vb)
         payload = {
             "against": "oracle",
             "terms": args.terms,
@@ -414,8 +414,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from . import funcspace as fs
     from .linear_series import LinearSeriesError, example_catalog, series_solution
 
@@ -431,7 +429,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     vals = sol.eval_grid(pts[0], pts[1:])[0]
     grid = fs.grid_bindings(pts)
     oracle_vals = case.oracle(grid["t"], grid["x1"])
-    dev = float(np.max(np.abs(vals - oracle_vals)))
+    dev = fs.sup_abs(vals - oracle_vals)
     payload = {
         "case": case.name,
         "note": case.note,

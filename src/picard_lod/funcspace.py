@@ -6,7 +6,9 @@ over the time interval and each spatial interval (all affinely mapped to
 coefficients; the graded seminorms take the sup of partial derivatives on a
 dense sampling grid (the grid density is part of every reported norm), a
 lower bound on the exact sup, and graded_norms_upper bounds them from
-above by coefficient sums.
+above by coefficient sums.  Every grid sup of the program is one sup_abs
+call, and expressions see the coordinates of a tensor grid as open
+(broadcasting) axes, from grid_bindings.
 
 Every sampling grid of the program is built here, and its sizes are
 module constants, not options.  Those below give equispaced norm grids of
@@ -45,6 +47,7 @@ __all__ = [
     "norm_grid",
     "grid_bindings",
     "eval_on_grid",
+    "sup_abs",
     "pad_to_common",
     "partial_derivative",
     "derivatives_on_grid",
@@ -412,8 +415,8 @@ def interpolate(
     fine = uniform_grid(dom, [3 * (deg + 1) + 1 for deg in degrees])
     shape = tuple(len(g) for g in fine)
     fine_vals = eval_on_grid(elist, grid_bindings(fine), shape)
-    approx = f.eval_grid(fine[0], fine[1:])
-    err = float(np.max(np.abs(fine_vals - approx))) if fine_vals.size else 0.0
+    fine_vals -= f.eval_grid(fine[0], fine[1:])
+    err = sup_abs(fine_vals)
     # f is still private here: attach the error without a second copy
     object.__setattr__(f, "interp_error", err)
     return f
@@ -465,8 +468,15 @@ def norm_grid(f: SepFunc, min_points: int = NORM_GRID_MIN) -> list[np.ndarray]:
 
 
 def grid_bindings(pts: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
-    """Bind t, x1, ..., xs to the coordinates of the tensor grid of ``pts``."""
-    grids = np.meshgrid(*pts, indexing="ij")
+    """Bind t, x1, ..., xs to the coordinates of the tensor grid of ``pts``.
+
+    The grid is open: axis i is bound to pts[i] shaped (1, ..., n_i, ..., 1),
+    so an expression broadcasts to the grid only where its axes meet, and a
+    factor in fewer variables is evaluated on those axes alone.  Every
+    operation of an expression is elementwise, so each grid value is the
+    one a dense meshgrid gives, bit for bit.
+    """
+    grids = np.meshgrid(*pts, indexing="ij", sparse=True)
     return dict(zip(_axis_names(len(pts) - 1), grids))
 
 
@@ -478,6 +488,21 @@ def eval_on_grid(
         np.broadcast_to(np.asarray(eval_expr(e, bindings), dtype=float), shape)
         for e in exprs
     ])
+
+
+def sup_abs(vals: np.ndarray) -> float:
+    """float(np.max(np.abs(vals))), bit for bit, from a max and a min reduction.
+
+    max|v| is the larger of |max v| and |min v|, so no |vals| temporary is
+    made; abs also turns a -0.0 extreme into 0.0.  A NaN propagates through
+    both reductions and is returned as is, not left to an order-dependent
+    comparison; an infinity comes out as inf.
+    """
+    hi = abs(float(np.max(vals)))
+    if math.isnan(hi):
+        return hi
+    lo = abs(float(np.min(vals)))
+    return hi if hi >= lo else lo
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +691,10 @@ def graded_norms_upto(f: SepFunc, k_max: int, *, p: int | None = None) -> np.nda
     betas = graded_indices(k_max, f.domain.s, f.p if p is None else p)
     best = np.zeros(k_max + 1)
     for beta, vals in derivatives_on_grid(f, betas, norm_grid(f)):
-        if not np.all(np.isfinite(vals)):
+        sup = sup_abs(vals)
+        if not math.isfinite(sup):
             raise NonFiniteCoefficients("non-finite derivative values on norm grid")
-        best[sum(beta):] = np.maximum(best[sum(beta):], float(np.max(np.abs(vals))))
+        best[sum(beta):] = np.maximum(best[sum(beta):], sup)
     return best
 
 

@@ -195,15 +195,13 @@ class WeissingerRow:
             )
         finite = math.fsum(self.terms[n:])
         extr = 0.0
-        ratio = None
         if len(self.terms) >= 2:
             t_last, t_prev = self.terms[-1], self.terms[-2]
             if t_last > 0 and t_prev > 0:
                 r = t_last / t_prev
                 if r < 1.0:
-                    ratio = r
                     extr = t_last * r / (1.0 - r)
-        return TailBound(finite + extr, finite, extr, ratio)
+        return TailBound(finite + extr, finite, extr)
 
     def to_json_dict(self) -> dict:
         return {
@@ -230,7 +228,6 @@ class TailBound:
     value: float
     finite_part: float
     extrapolated_part: float
-    ratio_used: float | None
 
     @property
     def is_estimate(self) -> bool:
@@ -434,7 +431,6 @@ class InversionRow:
     k: int
     alpha: float
     r: float
-    r_shifted: float  # r_{k+L}
     r_bar: float      # r_bar_{k+L_D}
     contraction_step: float  # alpha_k r_{k+L} + delta_{k+L_D} r_bar_{k+L_D}
     maps_ball: bool   # contraction_step <= r_{k+L} <= r_k
@@ -503,7 +499,7 @@ def invert_locally(
         step = a * r_kL + dlt * r_bar
         tol = 1 + 1e-12
         rows.append(InversionRow(
-            k, a, r_k, r_kL, r_bar, step,
+            k, a, r_k, r_bar, step,
             step <= r_kL * tol and r_kL <= r_k * tol,
         ))
 

@@ -231,7 +231,7 @@ def initial_polynomial(
 def _rhs_on_grid(
     problem: CauchyProblem, y: SepFunc, pts: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """The right-hand side composed with y on the tensor grid of ``pts``."""
+    """The right-hand side composed with y on the tensor grid of ``pts``, a new array."""
     shape = tuple(len(g) for g in pts)
     bindings = fs.grid_bindings(pts)
     phs = problem.rhs_class.placeholders
@@ -306,11 +306,13 @@ def residual(problem: CauchyProblem, y: SepFunc) -> ResidualReport:
     # evaluations left about 2 MB more resident on 2-D problems
     requests = [*(((j, *zeros_x), 1) for j in range(problem.d)), ((problem.d, *zeros_x), 0)]
     *derivs, (_, lhs_vals) = fs.derivatives_on_grids(y, requests, [pts, slice_pts])
-    pde_res = float(np.max(np.abs(lhs_vals - _rhs_on_grid(problem, y, pts))))
+    defect = _rhs_on_grid(problem, y, pts)
+    np.subtract(lhs_vals, defect, out=defect)
+    pde_res = fs.sup_abs(defect)
 
     bindings = fs.grid_bindings(slice_pts)
     shape = tuple(len(g) for g in slice_pts)
-    ics = [float(np.max(np.abs(got - fs.eval_on_grid(row, bindings, shape))))
+    ics = [fs.sup_abs(got - fs.eval_on_grid(row, bindings, shape))
            for row, (_, got) in zip(problem.initial, derivs)]
     return ResidualReport(pde_res, tuple(ics))
 
@@ -672,7 +674,7 @@ def _sampled_lipschitz(
         levels = np.zeros(k_top + 1)
         for beta, vals in fs.derivatives_on_grid(f, fs.graded_indices(k_top, s, t_max), pts):
             k_from = sum(beta)
-            levels[k_from:] = np.maximum(levels[k_from:], np.max(np.abs(vals)))
+            levels[k_from:] = np.maximum(levels[k_from:], fs.sup_abs(vals))
         return levels
 
     best = np.zeros(k_max + 1)

@@ -10,15 +10,20 @@ from picard_lod.expr import Arity, parse_expression
 from picard_lod.funcspace import (
     Domain,
     FuncSpaceError,
+    NonFiniteCoefficients,
     Radii,
     SepFunc,
     ball_check,
+    eval_on_grid,
     graded_norm,
     graded_norms_upto,
+    grid_bindings,
     interpolate,
     iterated_time_integral,
     joint_norm,
     partial_derivative,
+    sup_abs,
+    uniform_grid,
 )
 
 AX = Arity(s=1)
@@ -594,3 +599,148 @@ class TestGradedNormsUpper:
         f = interpolate(expr("t^2 + x1"), SQUARE, (2, 1))
         assert graded_norms_upper(f, 2) == pytest.approx([1.25, 1.25, 1.25])
         assert graded_norms_upper(f, 2, p=2) == pytest.approx([1.25, 1.25, 2.0])
+
+
+def expr_trees(names, depth=4):
+    """Expression trees of depth <= depth over the variables ``names``.
+
+    Nodes are + - * /, integer powers 0..4, sin, cos, exp and negation; a
+    denominator is 2 + cos(.), so it stays in [1, 3].
+    """
+    from picard_lod.expr import Binary, Const, Power, Unary, Var
+
+    leaf = st.one_of(
+        st.sampled_from([Var("t"), *[Var("x", int(n[1:])) for n in names[1:]]]),
+        st.floats(-2.0, 2.0, allow_nan=False).map(Const),
+    )
+    if depth == 0:
+        return leaf
+    sub = expr_trees(names, depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Binary, st.sampled_from("+-*"), sub, sub),
+        st.builds(
+            lambda num, den: Binary("/", num, Binary("+", Const(2.0), Unary("cos", den))),
+            sub, sub,
+        ),
+        st.builds(Power, sub, st.integers(0, 4)),
+        st.builds(Unary, st.sampled_from(["sin", "cos", "exp", "neg"]), sub),
+    )
+
+
+@st.composite
+def trees_on_grids(draw):
+    """One to three expression trees and a tensor grid of one to three axes."""
+    s = draw(st.integers(0, 2))
+    names = ["t", *[f"x{i}" for i in range(1, s + 1)]]
+    pts = [
+        np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=9)))
+        for _ in names
+    ]
+    return draw(st.lists(expr_trees(names), min_size=1, max_size=3)), pts
+
+
+class TestOpenGrids:
+    @settings(max_examples=150, deadline=None)
+    @given(trees_on_grids())
+    def test_open_bindings_evaluate_as_dense_meshgrids(self, case):
+        from picard_lod.expr import NonFiniteValue
+
+        exprs, pts = case
+        shape = tuple(len(p) for p in pts)
+        names = ["t", "x1", "x2"][:len(pts)]
+        dense = dict(zip(names, np.meshgrid(*pts, indexing="ij")))
+
+        def run(bindings):
+            try:
+                return eval_on_grid(exprs, bindings, shape)
+            except NonFiniteValue:
+                return None
+
+        want = run(dense)
+        got = run(grid_bindings(pts))
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape == (len(exprs), *shape)
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("counts", [(5,), (4, 7), (3, 6, 9)])
+    def test_bindings_hold_one_copy_of_each_axis(self, counts):
+        dom = {1: HALF, 2: SQUARE, 3: CUBE}[len(counts)]
+        pts = uniform_grid(dom, list(counts))
+        bindings = grid_bindings(pts)
+        assert sum(v.size for v in bindings.values()) == sum(counts)
+        for axis, (name, v) in enumerate(bindings.items()):
+            assert v.shape == tuple(n if i == axis else 1 for i, n in enumerate(counts))
+            assert np.array_equal(v.ravel(), pts[axis]), name
+
+
+class TestSupAbs:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["mixed", "negative", "positive", "signed zeros"]),
+        st.booleans(),
+    )
+    def test_is_max_abs_bit_for_bit(self, shape, seed, kind, transpose):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        if kind == "negative":
+            v = -np.abs(v)
+        elif kind == "positive":
+            v = np.abs(v)
+        elif kind == "signed zeros":
+            v = np.copysign(0.0, v)
+        if transpose:
+            v = v.T
+        got, want = sup_abs(v), float(np.max(np.abs(v)))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_all_negative_zero_gives_positive_zero(self):
+        got = sup_abs(np.full((3, 4), -0.0))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+    @pytest.mark.parametrize("at", [0, 3, 7])
+    def test_nan_anywhere_gives_nan(self, at):
+        for fill in (-5.0, 0.0, 5.0, math.inf):
+            v = np.full(8, fill)
+            v[at] = math.nan
+            assert math.isnan(sup_abs(v))
+            assert math.isnan(sup_abs(v[::-1]))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_an_infinity_gives_inf(self, bad):
+        v = np.linspace(-3.0, 2.0, 9)
+        v[4] = bad
+        assert sup_abs(v) == math.inf
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_graded_norms_raise_when_a_derivative_overflows_on_the_grid():
+    # f = 1.5e308 T1(x1) + 0.2e308 T2(x1) is finite on the grid, and so are
+    # the coefficients 1.5e308, 0.8e308 of d_x1 f, but d_x1 f(1) overflows
+    f = SepFunc(SQUARE, 1, 0, np.array([[[0.0, 1.5e308, 0.2e308]]]))
+    assert np.all(np.isfinite(partial_derivative(f, (0, 1)).coeffs))
+    assert math.isfinite(graded_norms_upto(f, 0)[0])
+    with pytest.raises(NonFiniteCoefficients, match="norm grid"):
+        graded_norms_upto(f, 1)
+
+
+def test_every_meshgrid_of_the_package_is_open():
+    """Grid coordinates are bound as broadcast axes, never as dense copies."""
+    import ast
+    from pathlib import Path
+
+    import picard_lod
+
+    calls = 0
+    for path in sorted(Path(picard_lod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "meshgrid":
+                calls += 1
+                sparse = {kw.arg: kw.value for kw in node.keywords}.get("sparse")
+                assert isinstance(sparse, ast.Constant) and sparse.value is True, path.name
+    assert calls == 1
