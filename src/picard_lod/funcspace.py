@@ -53,6 +53,7 @@ __all__ = [
     "derivatives_on_grid",
     "derivatives_on_grids",
     "iterated_time_integral",
+    "cheb_derivative",
     "cheb_integral",
     "graded_norm",
     "graded_norms_upto",
@@ -510,27 +511,36 @@ def sup_abs(vals: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _chebder_step(coef: np.ndarray, axis: int, scl: float) -> np.ndarray:
-    """cheb.chebder(coef, m=1, scl=scl, axis=axis) with numpy's float operations.
+def cheb_derivative(coef: np.ndarray, m: int, *, scl: float, axis: int = 0) -> np.ndarray:
+    """cheb.chebder(coef, m, scl=scl, axis=axis) with numpy's float operations.
 
-    numpy runs c *= scl, then c[j-2] += (j*c[j])/(j-2) for j = n..3, and
-    sets der[j-1] = (2j)*c[j], der[0] = c[1].  The chains of even and odd j
-    are independent, so both advance in one array operation here; der is
-    formed in one multiply at the end, since c[j] is final once step j ran.
-    Every element sees the same operations in the same order.  Needs at
-    least two coefficients on the axis.
+    Per order numpy runs c *= scl, then c[j-2] += (j*c[j])/(j-2) for
+    j = n..3, and sets der[j-1] = (2j)*c[j], der[0] = c[1].  The chains of
+    even and odd j are independent, so both advance in one array operation
+    here; der is formed in one multiply at the end, since c[j] is final once
+    step j ran.  Every element sees the same operations in the same order.
+    An order past the degree gives zeros of length one on the axis (numpy
+    gives coef[:1] * 0, which is -0.0 where coef[0] < 0); order 0 returns
+    coef itself.  The twin of cheb_integral.
     """
-    front, back = _axis_to_front(coef.ndim, axis)
-    c = coef.transpose(front) * scl
-    n = len(c) - 1
-    j = np.arange(n + 1.0).reshape(-1, *[1] * (c.ndim - 1))
-    for hi in range(n, 2, -2):
-        lo = max(hi - 1, 3)
-        c[lo - 2:hi - 1] += (j[lo:hi + 1] * c[lo:hi + 1]) / (j[lo:hi + 1] - 2)
-    der = np.empty_like(c[:n])
-    der[0] = c[1]
-    der[1:] = (2 * j[2:]) * c[2:]
-    return der.transpose(back)
+    if m == 0:
+        return coef
+    front, back = _axis_to_front(np.ndim(coef), axis)
+    c = np.asarray(coef, dtype=np.double).transpose(front)
+    if m > len(c) - 1:
+        return np.zeros((1, *c.shape[1:])).transpose(back)
+    for _ in range(m):
+        c = c * scl
+        n = len(c) - 1
+        j = np.arange(n + 1.0).reshape(-1, *[1] * (c.ndim - 1))
+        for hi in range(n, 2, -2):
+            lo = max(hi - 1, 3)
+            c[lo - 2:hi - 1] += (j[lo:hi + 1] * c[lo:hi + 1]) / (j[lo:hi + 1] - 2)
+        der = np.empty_like(c[:n])
+        der[0] = c[1]
+        der[1:] = (2 * j[2:]) * c[2:]
+        c = der
+    return c.transpose(back)
 
 
 def partial_derivative(f: SepFunc, beta: Sequence[int]) -> SepFunc:
@@ -540,15 +550,11 @@ def partial_derivative(f: SepFunc, beta: Sequence[int]) -> SepFunc:
         raise FuncSpaceError("multi-index rank mismatch")
     if any(b < 0 for b in beta):
         raise FuncSpaceError("negative derivative order")
-    coef = np.asarray(f.coeffs)
-    intervals = f.domain.intervals()
-    for axis, (order, iv) in enumerate(zip(beta, intervals), start=1):
-        if order == 0:
-            continue
-        if order > coef.shape[axis] - 1:
-            return SepFunc.zeros(f.domain, f.m, f.p, [0] * (1 + f.domain.s))
-        for _ in range(order):
-            coef = _chebder_step(coef, axis, 1.0 / _halfwidth(iv))
+    if any(b > n - 1 for b, n in zip(beta, f.coeffs.shape[1:])):
+        return SepFunc.zeros(f.domain, f.m, f.p, [0] * (1 + f.domain.s))
+    coef = f.coeffs
+    for axis, (order, iv) in enumerate(zip(beta, f.domain.intervals()), start=1):
+        coef = cheb_derivative(coef, order, scl=1.0 / _halfwidth(iv), axis=axis)
     return SepFunc(f.domain, f.m, f.p, coef)
 
 

@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from . import funcspace as fs
 from . import picard_pde as pp
@@ -39,7 +38,6 @@ from .funcspace import (
     graded_norm,
     interpolate,
     iterated_time_integral,
-    partial_derivative,
 )
 from .graded_core import (
     CONVERGED,
@@ -73,6 +71,7 @@ __all__ = [
 
 # x degree of the interpolated data and forcing unless a caller sets one
 SERIES_X_DEGREE = 24
+SERIES_T_DEGREE = 16  # t degree of the interpolated forcing
 Q_PROBE_ORDER = 6  # x-derivative order up to which a forcing bound left out is probed
 
 
@@ -243,7 +242,11 @@ def _probe_q_bound(q: Sequence[Expr], domain: Domain) -> float:
 
 
 def _t_interp_matrix(problem: LinearProblem) -> np.ndarray:
-    """Chebyshev coefficients on T of every p entry, adaptively resolved."""
+    """Chebyshev coefficients on T of every p entry, adaptively resolved.
+
+    Trailing t-slices that are exactly zero are dropped, so a constant p
+    has one slice and the recursions keep their true t-degrees.
+    """
     dom = problem.domain
     t_dom = Domain(dom.t0, dom.a, dom.b)
     deg = 16
@@ -254,61 +257,38 @@ def _t_interp_matrix(problem: LinearProblem) -> np.ndarray:
         ])
         tail = np.max(np.abs(out[..., -2:])) / (np.max(np.abs(out)) or 1.0)
         if tail < 1e-13 or deg >= 64:
-            return out
+            nonzero = np.flatnonzero(np.any(out, axis=(0, 1)))
+            return out[..., : nonzero[-1] + 1 if nonzero.size else 1]
         deg *= 2
 
 
-def _chebmul_trunc(a: np.ndarray, b: np.ndarray, cap: int = fs.DEGREE_CAP) -> np.ndarray:
-    c = cheb.chebmul(a, b)
-    return c[: cap + 1]
+def _step(problem: LinearProblem, P: np.ndarray, coef: np.ndarray,
+          beta: Sequence[int]) -> tuple[np.ndarray, bool]:
+    """I_d[p . D^beta coef], the step of both recursions, on coefficients.
 
-
-def _mat_t_product(P: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """(P . M) for matrices of t-coefficient rows: contraction with chebmul."""
-    m = P.shape[0]
-    nt = P.shape[2] + M.shape[2] - 1
-    out = np.zeros((m, m, min(nt, fs.DEGREE_CAP + 1)))
-    for h in range(m):
-        for j in range(m):
-            acc = np.zeros(1)
-            for l in range(m):
-                acc = np.add(*fs.pad_to_common(acc, _chebmul_trunc(P[h, l], M[l, j])))
-            out[h, j, : len(acc)] = acc
-    return out
-
-
-def _mat_int(problem: LinearProblem, M: np.ndarray, folds: int) -> np.ndarray:
-    lo, hi = problem.domain.t_interval
-    u0 = (2 * problem.domain.t0 - lo - hi) / (hi - lo)
-    return fs.cheb_integral(M, folds, lbnd=u0, scl=(hi - lo) / 2, axis=2)
-
-
-def _mat_der(problem: LinearProblem, M: np.ndarray, order: int) -> np.ndarray:
-    if order == 0:
-        return M
-    if M.shape[2] - 1 < order:
-        return np.zeros((M.shape[0], M.shape[1], 1))
-    lo, hi = problem.domain.t_interval
-    return cheb.chebder(M, m=order, scl=2.0 / (hi - lo), axis=2)
-
-
-def _p_times_sep(problem: LinearProblem, P: np.ndarray, f: SepFunc) -> SepFunc:
-    """p(t) . f for a matrix of t-coefficients and a vector SepFunc."""
-    nt_in = f.coeffs.shape[1]
-    comps = []
-    for h in range(problem.m):
-        acc = None
-        for l in range(problem.m):
-            op = np.zeros((min(P.shape[2] + nt_in - 1, fs.DEGREE_CAP + 1), nt_in))
-            for i in range(nt_in):
-                e = np.zeros(nt_in)
-                e[i] = 1.0
-                col = _chebmul_trunc(P[h, l], e)
-                op[: len(col), i] = col
-            term = np.tensordot(op, f.coeffs[l], axes=(1, 0))
-            acc = term if acc is None else np.add(*fs.pad_to_common(acc, term))
-        comps.append(acc)
-    return SepFunc(problem.domain, problem.m, problem.p, np.stack(fs.pad_to_common(*comps)))
+    ``coef`` is laid out as a SepFunc's coefficients: component, t, then
+    the remaining axes, of which beta differentiates t and the leading ones.
+    p(t) multiplies through T_a T_i = (T_{a+i} + T_{|a-i|}) / 2 as one
+    contraction over component and t, cut at DEGREE_CAP in t; the d-fold
+    integral from t0 then ends at degree DEGREE_CAP + d at most.  Returns
+    the coefficients and whether the cut dropped a degree of the product.
+    """
+    dom = problem.domain
+    for axis, (order, (lo, hi)) in enumerate(zip(beta, dom.intervals()), start=1):
+        coef = fs.cheb_derivative(coef, order, scl=2.0 / (hi - lo), axis=axis)
+    m, _, n_p = P.shape
+    n = coef.shape[1]
+    i = np.arange(n)
+    op = np.zeros((m, m, n_p + n - 1, n))  # op[h, l, k, i]: T_i of y_l into T_k of row h
+    for a in range(n_p):
+        half = P[:, :, a, None] / 2
+        op[:, :, a + i, i] += half
+        op[:, :, abs(a - i), i] += half
+    prod = np.tensordot(op[:, :, : fs.DEGREE_CAP + 1], coef, axes=([1, 3], [0, 1]))
+    lo, hi = dom.t_interval
+    out = fs.cheb_integral(prod, problem.d, lbnd=(2 * dom.t0 - lo - hi) / (hi - lo),
+                           scl=(hi - lo) / 2, axis=1)
+    return out, op.shape[2] > fs.DEGREE_CAP + 1
 
 
 @dataclass
@@ -316,12 +296,15 @@ class MuEta:
     """Coefficient sequences of the explicit iterate formula.
 
     ``mu[j]`` lists, per step h, the m-by-m matrix of Chebyshev t-coefficients
-    multiplying d_x^{h mu} y0j / (j - gamma)!; ``eta`` lists the forcing
-    contributions.
+    (shape (m, m, nt)) multiplying d_x^{h mu} y0j / (j - gamma)!; ``eta``
+    lists the forcing contributions.  ``cut`` is True when a step cut its
+    product by p at t-degree DEGREE_CAP: the sequences then lack the terms
+    above it, and are no longer the exact Picard iterates.
     """
 
     mu: dict[int, list[np.ndarray]]
     eta: list[SepFunc]
+    cut: bool = False
 
 
 def mu_eta_recursions(
@@ -334,47 +317,42 @@ def mu_eta_recursions(
 
     The base is (j-gamma)!/j! (t-t0)^j, the step I_d[p d_t^gamma .], eta_0 =
     q, eta_1 = I_d[q] and eta_{h+1} = I_d[p d_x^mu d_t^gamma eta_h] for
-    h >= 1; this reproduces the Picard iterates exactly.
+    h >= 1; this reproduces the Picard iterates exactly.  Both recursions
+    run _step: a mu matrix as a tensor (row, t, column), eta as its SepFunc
+    coefficients.
     """
     P = _t_interp_matrix(problem)
+    m = problem.m
     mu: dict[int, list[np.ndarray]] = {}
+    cut = False
     for j in range(problem.gamma, problem.d):
         # base (j-gamma)!/j! (t-t0)^j times the identity; its gamma-th
         # time derivative is exactly (t-t0)^{j-gamma}, which makes the
         # uniform step below reproduce the Picard iterates
         tp = pp._tpoly_cheb(problem.domain, j) * math.factorial(j - problem.gamma)
-        cur = np.zeros((problem.m, problem.m, len(tp)))
-        for h in range(problem.m):
-            cur[h, h] = tp
+        cur = np.zeros((m, len(tp), m))
+        for h in range(m):
+            cur[h, :, h] = tp
         seq = [cur]
         for _ in range(h_max):
-            cur = _mat_int(
-                problem,
-                _mat_t_product(P, _mat_der(problem, cur, problem.gamma)),
-                problem.d,
-            )
+            cur, cut_h = _step(problem, P, cur, (problem.gamma,))
+            cut |= cut_h
             seq.append(cur)
-        mu[j] = seq
+        mu[j] = [np.moveaxis(c, 1, 2) for c in seq]
 
     # eta sequence
-    q_expr = list(problem.q)
     sdeg = (x_degree,) * problem.domain.s
-    q0 = interpolate(q_expr, problem.domain, (max(P.shape[2] - 1, 8), *sdeg),
-                     m=problem.m, p=problem.p).trim()
+    q0 = interpolate(list(problem.q), problem.domain, (SERIES_T_DEGREE, *sdeg),
+                     m=m, p=problem.p).trim()
     eta: list[SepFunc] = [q0]
-    cur_eta = q0
-    for h in range(1, h_max + 1):
-        if h == 1:
-            nxt = iterated_time_integral(cur_eta, problem.d)
-        else:
-            d_eta = partial_derivative(cur_eta, (problem.gamma, *problem.mu))
-            nxt = iterated_time_integral(
-                _p_times_sep(problem, P, d_eta), problem.d
-            )
-        nxt = nxt.trim()
-        eta.append(nxt)
-        cur_eta = nxt
-    return MuEta(mu, eta)
+    if h_max >= 1:
+        eta.append(iterated_time_integral(q0, problem.d).trim())
+    beta = (problem.gamma, *problem.mu)
+    while len(eta) <= h_max:
+        coef, cut_h = _step(problem, P, eta[-1].coeffs, beta)
+        cut |= cut_h
+        eta.append(SepFunc(problem.domain, m, problem.p, coef).trim())
+    return MuEta(mu, eta, cut)
 
 # ---------------------------------------------------------------------------
 # Explicit Picard iterates and the series solution
@@ -422,10 +400,10 @@ def _series_terms(
     n: int,
     *,
     x_degree: int = SERIES_X_DEGREE,
-) -> tuple[SepFunc, list[SepFunc]]:
-    """i0 and the per-step contributions of the explicit iterate formula."""
+) -> tuple[SepFunc, list[SepFunc], bool]:
+    """The partial sum i0 + terms of the explicit iterate formula, its terms, and MuEta.cut."""
     cauchy = problem.to_cauchy()
-    i0 = pp.initial_polynomial(cauchy, (x_degree,) * problem.domain.s)
+    out = pp.initial_polynomial(cauchy, (x_degree,) * problem.domain.s)
     rec = mu_eta_recursions(problem, n, x_degree=x_degree)
     seen: dict[str, SepFunc] = {}
     towers = {j: _x_derivative_tower(problem, problem.initial[j], n, x_degree, seen, h_from=1)
@@ -435,25 +413,14 @@ def _series_terms(
         acc = rec.eta[h]
         for j, tower in towers.items():
             xf = next(tower)
-            sigma = rec.mu[j][h]  # (m, m, nt)
+            # contract the column of mu[j][h] (m, m, nt) with the component of xf
+            coef = np.tensordot(rec.mu[j][h], xf.coeffs[:, 0], axes=(1, 0))
             scale = 1.0 / math.factorial(j - problem.gamma)
-            comps = []
-            for hh in range(problem.m):
-                comp = None
-                for l in range(problem.m):
-                    tc = sigma[hh, l]
-                    if not np.any(tc):
-                        continue
-                    block = np.tensordot(tc, xf.coeffs[l][0], axes=0) * scale
-                    comp = block if comp is None else np.add(*fs.pad_to_common(comp, block))
-                if comp is None:
-                    comp = np.zeros((1,) * (1 + problem.domain.s))
-                comps.append(comp)
-            term = SepFunc(problem.domain, problem.m, problem.p,
-                           np.stack(fs.pad_to_common(*comps)))
-            acc = acc + term
+            acc = acc + SepFunc(problem.domain, problem.m, problem.p, coef * scale)
         terms.append(acc.trim())
-    return i0, terms
+    for term in terms:
+        out = out + term
+    return out.trim(), terms, rec.cut
 
 
 def picard_closed_form(
@@ -463,11 +430,7 @@ def picard_closed_form(
     x_degree: int = SERIES_X_DEGREE,
 ) -> SepFunc:
     """The n-th Picard iterate assembled from the coefficient recursions."""
-    i0, terms = _series_terms(problem, n, x_degree=x_degree)
-    out = i0
-    for term in terms:
-        out = out + term
-    return out.trim()
+    return _series_terms(problem, n, x_degree=x_degree)[0]
 
 
 def series_solution(
@@ -477,9 +440,13 @@ def series_solution(
     growth: Sequence[GrowthClass] | None = None,
     x_degree: int = SERIES_X_DEGREE,
 ) -> tuple[SepFunc, dict]:
-    """Partial sum of the series solution with a last-term tail diagnostic."""
+    """Partial sum of the series solution with a last-term tail diagnostic.
+
+    The diagnostics hold ``t_degree_cut: True`` when a step of the
+    recursions cut its t-degree at DEGREE_CAP (MuEta.cut).
+    """
     if N < 1:
-        i0, _ = _series_terms(problem, 0, x_degree=x_degree)
+        i0 = pp.initial_polynomial(problem.to_cauchy(), (x_degree,) * problem.domain.s)
         return i0, {"last_term_sup": 0.0, "terms": 0}
     if growth is not None:
         report = classify_convergence(problem, growth)
@@ -487,19 +454,15 @@ def series_solution(
             raise LinearSeriesError(
                 "series requested for a problem classified as diverging"
             )
-    i0, terms = _series_terms(problem, N, x_degree=x_degree)
-    out = i0
-    for term in terms:
-        out = out + term
+    out, terms, cut = _series_terms(problem, N, x_degree=x_degree)
     tail = graded_norm(terms[-1], 0)
     constant_case = not any(
         free_variables(e) for e in (*(e for row in problem.p_coef for e in row), *problem.q)
     )
-    return out.trim(), {
-        "last_term_sup": tail,
-        "terms": N,
-        "constant_case": constant_case,
-    }
+    diag = {"last_term_sup": tail, "terms": N, "constant_case": constant_case}
+    if cut:
+        diag["t_degree_cut"] = True
+    return out, diag
 
 
 # ---------------------------------------------------------------------------

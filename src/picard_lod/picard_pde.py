@@ -10,9 +10,8 @@ derivatives L (the highest spatial order on the right-hand side).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -357,18 +356,39 @@ def _ph_order(ph: Placeholder) -> tuple:
     return (ph.gamma, ph.alpha, ph.comp)
 
 
-_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+class _Exact(NamedTuple):
+    """The rational num / den, den > 0, in Python ints: a constant of F held exactly."""
+
+    num: int
+    den: int
 
 
-def _node(op: str, a: Expr, b: Expr) -> Expr:
-    """The coefficient a op b, folded to its float when both are constants."""
-    if isinstance(a, Const) and isinstance(b, Const) and not (op == "/" and b.value == 0):
-        return Const(_FLOAT_OPS[op](a.value, b.value))
-    return Binary(op, a, b)
+def _exact(x: float) -> _Exact:
+    return _Exact(*float(x).as_integer_ratio())
 
 
-def _neg(a: Expr) -> Expr:
-    return Const(-a.value) if isinstance(a, Const) else Unary("neg", a)
+def _node(op: str, a: _Exact | Expr, b: _Exact | Expr) -> _Exact | Expr:
+    """The coefficient a op b, computed exactly when both are numbers."""
+    if isinstance(a, _Exact) and isinstance(b, _Exact) and not (op == "/" and b.num == 0):
+        (n, d), (m, e) = a, b
+        num, den = {"+": (n * e + m * d, d * e), "-": (n * e - m * d, d * e),
+                    "*": (n * m, d * e), "/": (n * e, d * m)}[op]
+        return _Exact(num, den) if den > 0 else _Exact(-num, -den)
+    return Binary(op, _as_expr(a), _as_expr(b))
+
+
+def _neg(a: _Exact | Expr) -> _Exact | Expr:
+    return _Exact(-a.num, a.den) if isinstance(a, _Exact) else Unary("neg", a)
+
+
+def _as_expr(c: _Exact | Expr) -> Expr:
+    """A coefficient as a tree: an exact number becomes the Const nearest to it."""
+    if not isinstance(c, _Exact):
+        return c
+    try:
+        return Const(c.num / c.den)  # int division rounds correctly
+    except OverflowError:
+        return Const(math.inf if c.num > 0 else -math.inf)
 
 
 def _product(a: dict, b: dict) -> dict:
@@ -381,30 +401,31 @@ def _product(a: dict, b: dict) -> dict:
     return out
 
 
-def _monomials(e: Expr) -> dict[tuple[Placeholder, ...], Expr] | None:
+def _monomials(e: Expr) -> dict[tuple[Placeholder, ...], _Exact | Expr] | None:
     """e as {sorted placeholder multiset: coefficient}, or None when not polynomial.
 
-    Each coefficient is a placeholder-free tree in (t, x); a subtree free of
-    placeholders and variables is evaluated to a Const, and constants are
-    combined in floats as the expansion goes, so a constant coefficient is
-    a Const.  The empty multiset holds the placeholder-free part.  F is not
-    a polynomial in its placeholders when one sits under sin, cos, exp or
-    a divisor.
+    Each coefficient is a placeholder-free tree in (t, x) or an _Exact
+    number; a subtree free of placeholders and variables is evaluated to a
+    float, and numbers are combined exactly as the expansion goes, so like
+    monomials that nearly cancel keep their exact sum (_as_expr rounds it
+    once).  The empty multiset holds the placeholder-free part.  F is not a
+    polynomial in its placeholders when one sits under sin, cos, exp or a
+    divisor.
     """
     if not placeholders_in(e):
         if not free_variables(e):
             try:
-                return {(): Const(eval_expr(e, {}))}
+                return {(): _exact(eval_expr(e, {}))}
             except EvalError:
                 pass
         return {(): e}
     if isinstance(e, Placeholder):
-        return {(e,): Const(1.0)}
+        return {(e,): _Exact(1, 1)}
     if isinstance(e, Unary) and e.op == "neg":
         inner = _monomials(e.arg)
         return None if inner is None else {k: _neg(c) for k, c in inner.items()}
     if isinstance(e, Power) and e.exponent == 0:
-        return {(): Const(1.0)}
+        return {(): _Exact(1, 1)}
     if isinstance(e, Power) and e.exponent > 0:
         out = base = _monomials(e.base)
         for _ in range(e.exponent - 1 if base else 0):
@@ -444,6 +465,7 @@ def classify_rhs(problem: CauchyProblem) -> RhsClass:
     comps = [_monomials(e) for e in problem.rhs]
     if None in comps:
         return RhsClass("general", phs)
+    comps = [{k: _as_expr(c) for k, c in terms.items()} for terms in comps]
     # Const(-0.0) equals Const(0.0), and no other tree does
     nonzero = [[(c, k) for k, c in terms.items() if k and c != Const(0.0)] for terms in comps]
     poly = None

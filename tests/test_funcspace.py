@@ -475,6 +475,23 @@ class TestNumpyReference:
 
     @settings(max_examples=300, deadline=None)
     @given(integral_cases())
+    def test_cheb_derivative_is_numpy_chebder(self, case):
+        """Byte for byte within the degree; past it +0.0 where numpy keeps coef[:1]'s signs."""
+        from numpy.polynomial import chebyshev as cheb
+
+        from picard_lod.funcspace import cheb_derivative
+
+        c, m, scl, axis = case["c"], case["m"], case["scl"], case["axis"]
+        want = cheb.chebder(c, m, scl=scl, axis=axis)
+        got = cheb_derivative(c, m, scl=scl, axis=axis)
+        assert got.shape == want.shape
+        if m < c.shape[axis]:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got.tobytes() == np.zeros(want.shape).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(integral_cases())
     def test_cheb_integral_is_numpy_chebint(self, case):
         from numpy.polynomial import chebyshev as cheb
 
@@ -512,18 +529,19 @@ def callers_outside_funcspace(callee):
     return callers
 
 
-def test_partial_derivative_outside_funcspace_only_in_the_eta_step():
+def test_partial_derivative_called_only_in_funcspace():
     """Every derivative on a grid goes through funcspace.derivatives_on_grid.
 
-    The only other call of partial_derivative is the coefficient-space eta
-    step of linear_series.mu_eta_recursions, which never touches a grid.
+    The coefficient-space step of the linear-class recursions differentiates
+    raw arrays with funcspace.cheb_derivative, so no module outside
+    funcspace calls partial_derivative.
     """
-    assert callers_outside_funcspace("partial_derivative") == ["linear_series.mu_eta_recursions"]
+    assert callers_outside_funcspace("partial_derivative") == []
 
 
-@pytest.mark.parametrize("callee", ["chebint", "chebvander", "chebpts2"])
+@pytest.mark.parametrize("callee", ["chebder", "chebint", "chebvander", "chebpts2"])
 def test_called_only_in_funcspace(callee):
-    """Chebyshev integrals and values-to-coefficients fits happen only in funcspace."""
+    """Chebyshev derivatives, integrals and values-to-coefficients fits are funcspace's alone."""
     assert callers_outside_funcspace(callee) == []
 
 

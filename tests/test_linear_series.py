@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
+import picard_lod.funcspace as fs
 from picard_lod.expr import Arity, parse_expression, symbolic_partial
 from picard_lod.funcspace import Domain, Radii, graded_norm, graded_norms_upto
 from picard_lod.graded_core import CONVERGED, DIVERGING, INCONCLUSIVE
@@ -78,6 +79,27 @@ class TestMuEtaRecursions:
         assert tval(lp, rec.mu[0][0][0, 0], 0.7) == pytest.approx(1.0)
         assert tval(lp, rec.mu[0][1][0, 0], 0.3) == pytest.approx(2.0 * 0.3)
 
+    @pytest.mark.parametrize("case", ["heat", "wave", "transport", "mixed_dt_dx", "dt2_dx"])
+    def test_constant_p_keeps_the_true_t_degree(self, case):
+        """Step h maps (t - t0)^j to degree j + h(d - gamma); a constant p adds none."""
+        lp = ls.example_catalog(case).problem
+        rec = ls.mu_eta_recursions(lp, 6)
+        for j, seq in rec.mu.items():
+            assert [c.shape[2] for c in seq] == [
+                j + h * (lp.d - lp.gamma) + 1 for h in range(7)
+            ]
+
+
+    def test_a_step_past_the_degree_cap_is_recorded(self):
+        """cos(t) is interpolated at t-degree 16, so each step adds 17 t-coefficients."""
+        lp = linear(SQUARE, 1, 0, (1,), p="cos(t)", q="sin(x1)", Q=1.0, initial=("sin(x1)",))
+        rec = ls.mu_eta_recursions(lp, 7)
+        assert not rec.cut and rec.mu[0][7].shape[2] == 1 + 7 * 17
+        rec = ls.mu_eta_recursions(lp, 8)
+        assert rec.cut and rec.mu[0][8].shape[2] == fs.DEGREE_CAP + lp.d + 1
+        assert "t_degree_cut" not in ls.series_solution(lp, 7)[1]
+        assert ls.series_solution(lp, 8)[1]["t_degree_cut"] is True
+
 
 class TestPicardClosedForm:
     def test_zero_steps_is_i0(self):
@@ -130,6 +152,28 @@ class TestPicardClosedForm:
         pa = np.pad(a, [(0, s - u) for s, u in zip(shape, a.shape)])
         pb = np.pad(b, [(0, s - u) for s, u in zip(shape, b.shape)])
         assert np.max(np.abs(pa - pb)) < 1e-10
+
+
+    @pytest.mark.parametrize("d, gamma, mu", [(1, 0, 1), (2, 1, 1), (2, 0, 2)])
+    def test_t_dependent_coupled_system_matches_iterated_picard_operator(self, d, gamma, mu):
+        """Off-diagonal, t-dependent p and x-dependent forcing in a 2-component system."""
+        dom = Domain(0.0, 0.2, 0.2, ((-1.0, 1.0),))
+        ar = Arity(s=0)
+        p = tuple(tuple(parse_expression(e, ar) for e in row)
+                  for row in (("cos(t)", "1"), ("2-t", "0")))
+        rows = (("sin(x1)", "x1^2"), ("cos(x1)", "x1^3-x1"))[:d]
+        lp = ls.LinearProblem(
+            dom, 2, d, gamma, (mu,), p, (expr("sin(x1)"), expr("x1")), 10.0,
+            tuple(tuple(expr(e) for e in row) for row in rows),
+        )
+        cauchy = lp.to_cauchy()
+        i0 = pp.initial_polynomial(cauchy, (20,))
+        y = i0
+        for _ in range(4):
+            y = pp.apply_P(cauchy, y, i0)
+        cf = ls.picard_closed_form(lp, 4, x_degree=20)
+        a, b = fs.pad_to_common(y.coeffs, cf.coeffs)
+        assert np.max(np.abs(a - b)) < 1e-10
 
 
 class TestDerivativeTower:

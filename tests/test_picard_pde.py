@@ -1,5 +1,7 @@
+import collections
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -858,23 +860,38 @@ class TestLeibnizFactors:
     def test_table_bounds_measured_ratios(self, monomials, data, r, seed, th_u, th_v):
         from picard_lod import funcspace as fs
 
-        F = functools.reduce(lambda a, b: Binary("+", a, b), [
-            functools.reduce(lambda a, b: Binary("*", a, b), phs, Const(c))
-            for c, phs in monomials
-        ])
+        def polynomial(terms):
+            return functools.reduce(lambda a, b: Binary("+", a, b), [
+                functools.reduce(lambda a, b: Binary("*", a, b), phs, Const(c))
+                for c, phs in terms
+            ])
+
+        # F in exact arithmetic: the coefficients of like monomials summed as
+        # rationals and rounded once.  It is the F that the table bounds,
+        # and evaluating it adds no rounding from monomials that cancel:
+        # 2 y - 1.9999999999999998 y is 2^-52 y, and 2 y - 2 y is 0, of
+        # degree 0
+        sums: dict = {}
+        for c, phs in monomials:
+            key = frozenset(collections.Counter(phs).items())
+            sums[key] = (sums.get(key, (Fraction(0),))[0] + Fraction(c), phs)
+        exact = [(float(c), phs) for c, phs in sums.values() if c]
         y0 = Binary("+", Const(data[0]), Binary("*", Var("x", 1), Binary(
             "+", Const(data[1]), Binary("*", Const(data[2]), Var("x", 1)))))
         dom = Domain(0.0, 0.25, 0.25, ((-1.0, 1.0),))
-        prob = pp.CauchyProblem(dom, 1, 1, 0, 2, (F,), ((y0,),))
+        prob = pp.CauchyProblem(dom, 1, 1, 0, 2, (polynomial(monomials),), ((y0,),))
         radii, k_max, L = Radii.constant(r), 3, 2
         fac = pp._leibniz_lipschitz(prob, radii, k_max=k_max, x_degrees=(4,))
         assert fac.meta == {"method": "leibniz", "certified": True,
-                            "degree": max(len(phs) for _, phs in monomials), "k_max": k_max}
+                            "degree": max((len(phs) for _, phs in exact), default=0),
+                            "k_max": k_max}
         i0 = pp.initial_polynomial(prob, (4,))
         rng = np.random.default_rng(seed)
         u = ball_member(prob, i0, radii, k_max + L, rng, th_u)
         v = ball_member(prob, i0, radii, k_max + L, rng, th_v)
-        diff = exact_rhs(prob, u, (8, 14)) - exact_rhs(prob, v, (8, 14))
+        F_exact = polynomial(exact or [(0.0, [Y])])
+        measured = pp.CauchyProblem(dom, 1, 1, 0, 2, (F_exact,), ((y0,),))
+        diff = exact_rhs(measured, u, (8, 14)) - exact_rhs(measured, v, (8, 14))
         den = fs.graded_norms_upper(u - v, k_max + L)
         num = np.zeros(k_max + 1)
         for beta, vals in fs.derivatives_on_grid(
@@ -882,6 +899,15 @@ class TestLeibnizFactors:
             num[beta[1]:] = np.maximum(num[beta[1]:], np.max(np.abs(vals)))
         for k in range(k_max + 1):
             assert num[k] <= fac.at(k) * den[k + L] * (1 + 1e-9)
+
+    def test_like_monomials_merge_exactly(self):
+        # -2 + 0.1 + 1.9 is 0.0 in floats, which would drop y1 from F; the
+        # three doubles sum to about -8.3e-17
+        exact = float(Fraction(-2.0) + Fraction(0.1) + Fraction(1.9))
+        assert (-2.0 + 0.1) + 1.9 == 0.0 != exact
+        assert rhs_problem("-2*y1+0.1*y1+1.9*y1").rhs_class.poly == (((exact, (Y,)),),)
+        fac = pp.estimate_lipschitz(rhs_problem("-2*y1+0.1*y1+1.9*y1"), Radii.infinite())
+        assert fac.at(0) >= abs(exact)
 
     def test_affine_factor_is_the_coefficient_sum_without_radii(self):
         fac = pp.estimate_lipschitz(rhs_problem("Dx2(y1)-0.5*y1+x1^2"), Radii.infinite())

@@ -10,10 +10,13 @@ The commands and problem files come from ``perfbench/workloads.py`` of the
 repository holding this script, so both trees see the same inputs at the
 same paths.  So that every CLI command is covered, the runs add what the
 benchmark leaves out (extra_commands): ``certify`` on the burgers-1d file,
-which takes the quadratic demo, and on catalog-1d ``compare`` in both
-modes on each file and ``demo`` on each catalog case.  Compared: every report file byte for byte, and each command's
-exit code, standard output, and standard error without its ``elapsed:``
-line.  Prints what differs; exits 0 if nothing does, 1 otherwise.
+which takes the quadratic demo; on linear-2d ``series --terms 20`` and
+``compare`` on each file, so the closed form also meets a t-dependent p
+(``cos_dx1dx1``); and on catalog-1d ``compare`` in both modes on each file
+and ``demo`` on each catalog case.  Compared: every report file byte for
+byte, and each command's exit code, standard output, and standard error
+without its ``elapsed:`` line.  Prints what differs; exits 0 if nothing
+does, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ def extra_commands(name: str, problem_dir: Path, out_dir: Path) -> list[tuple[li
 
     if name == "burgers-1d":
         add("burgers.certify", ["certify", str(problem_dir / "burgers.json")])
+    elif name == "linear-2d":
+        for path in sorted(problem_dir.glob("*.json")):
+            add(f"{path.stem}.series", ["series", str(path), "--terms", "20"])
+            add(f"{path.stem}.compare", ["compare", str(path)])
     elif name == "catalog-1d":
         for case in workloads.CATALOG:
             path = str(problem_dir / f"{case}.json")
