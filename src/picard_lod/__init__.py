@@ -26,9 +26,6 @@ from .graded_core import (
     a_posteriori_bound,
     invert_locally,
     iterate_to_fixed_point,
-    product_constants,
-    solve_equation,
-    w_prime_diagnostic,
     weissinger_row,
     weissinger_sum,
 )
@@ -38,11 +35,8 @@ from .linear_series import (
     burgers_demo,
     classify_convergence,
     example_catalog,
-    increment_bound,
     mu_eta_recursions,
-    parameter_limit_experiment,
     picard_closed_form,
-    radii_from_series,
     series_solution,
 )
 from .picard_pde import (

@@ -2,8 +2,8 @@
 
 Works over any graded space presented through callbacks: a seminorm family,
 element arithmetic, and an iteration map.  Provides Weissinger-sum
-certificates, iterate drivers, a posteriori tail bounds, equation solving,
-local inversion, and the zero-loss summability diagnostic.
+certificates, the iterate driver, a posteriori tail bounds and local
+inversion.
 
 Verdicts are heuristic window tests over finitely many terms; the engine
 never claims a proof, and every certificate records its window parameters.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 __all__ = [
     "CONVERGED",
@@ -27,14 +27,11 @@ __all__ = [
     "TailBound",
     "IterationStop",
     "IterationResult",
-    "product_constants",
     "weissinger_row",
     "weissinger_sum",
     "iterate_to_fixed_point",
     "a_posteriori_bound",
-    "solve_equation",
     "invert_locally",
-    "w_prime_diagnostic",
     "series_verdict",
     "exp_or_inf",
 ]
@@ -46,6 +43,7 @@ INCONCLUSIVE = "inconclusive"
 DEFAULT_WINDOW = 10
 DEFAULT_MARGIN = 0.05
 DEFAULT_REL_FLOOR = 1e-14
+PROBE_TOL = 1e-10  # right-inverse check S(D(v)) = v in invert_locally
 
 
 class GradedCoreError(Exception):
@@ -62,9 +60,11 @@ class GradedSpaceHandle:
     """A graded space presented by callbacks.
 
     ``seminorm(x, k)`` must be nondecreasing in k (spot-checked on iterates),
-    ``sub``/``add`` give element arithmetic, ``P`` is the iteration map, and
+    ``sub`` gives element differences, ``P`` is the iteration map, and
     ``membership`` (optional) realises the requirement that iterates stay in
     the admissible set; when absent, membership is reported as unchecked.
+    ``add`` is accepted for callers that describe a full vector space; the
+    library never reads it.
     """
 
     seminorm: Callable[[Any, int], float]
@@ -77,32 +77,6 @@ class GradedSpaceHandle:
 # ---------------------------------------------------------------------------
 # Contraction constants
 # ---------------------------------------------------------------------------
-
-
-def product_constants(
-    alpha_base: Sequence[float] | Callable[[int], float],
-    L: int,
-    k: int,
-    n: int,
-) -> float:
-    """Product rule over a one-step base sequence; the empty product is 1."""
-    if n < 0:
-        raise GradedCoreError("n must be nonnegative")
-    out = 1.0
-    for j in range(n):
-        idx = k + j * L
-        if callable(alpha_base):
-            a = alpha_base(idx)
-        else:
-            if idx >= len(alpha_base):
-                raise GradedCoreError(
-                    f"base sequence too short: need alpha_{idx}"
-                )
-            a = alpha_base[idx]
-        if not a > 0:
-            raise GradedCoreError(f"alpha_{idx} must be positive, got {a}")
-        out *= a
-    return out
 
 
 @dataclass(frozen=True)
@@ -330,7 +304,6 @@ class IterationResult:
     increments: dict[int, list[float]]
     iterates: list[Any] | None
     membership: str  # "checked" | "unchecked"
-    final_check: dict[int, float] | None = None
 
     @property
     def converged(self) -> bool:
@@ -343,7 +316,6 @@ def iterate_to_fixed_point(
     stop: IterationStop,
     *,
     store_iterates: bool = True,
-    check_candidate: bool = True,
 ) -> IterationResult:
     """Drive y, P(y), P^2(y), ... until increments fall below tolerance.
 
@@ -385,45 +357,12 @@ def iterate_to_fixed_point(
         if max(step.values()) < stop.tol:
             status = CONVERGED
             break
-    final_check = None
-    if status == CONVERGED and check_candidate:
-        y_probe = space.P(y)
-        diff = space.sub(y_probe, y)
-        final_check = {k: float(space.seminorm(diff, k)) for k in ks}
-    return IterationResult(status, y, n_done, increments, iterates, membership, final_check)
+    return IterationResult(status, y, n_done, increments, iterates, membership)
 
 
 # ---------------------------------------------------------------------------
-# Equation solving and local inversion
+# Local inversion
 # ---------------------------------------------------------------------------
-
-
-def solve_equation(
-    space: GradedSpaceHandle,
-    f: Callable[[Any], Any],
-    y0: Any,
-    stop: IterationStop,
-    *,
-    store_iterates: bool = True,
-) -> IterationResult:
-    """Solve f(x) = y0 by iterating P(x) = x - f(x) + y0 from x = y0."""
-    if space.add is None:
-        raise GradedCoreError("solve_equation needs element addition")
-
-    def P(x: Any) -> Any:
-        return space.add(space.sub(x, f(x)), y0)
-
-    handle = replace(space, P=P)
-    result = iterate_to_fixed_point(
-        handle, y0, stop,
-        store_iterates=store_iterates, check_candidate=False,
-    )
-    if result.converged:
-        resid = space.sub(f(result.candidate), y0)
-        result.final_check = {
-            k: float(space.seminorm(resid, k)) for k in stop.k_check
-        }
-    return result
 
 
 @dataclass
@@ -442,7 +381,6 @@ class InversionResult:
     iteration: IterationResult
     rows: list[InversionRow]
     residual: dict[int, float]
-    lipschitz_upper: dict[int, float] | None
 
 
 def invert_locally(
@@ -459,28 +397,23 @@ def invert_locally(
     L: int,
     L_D: int,
     stop: IterationStop,
-    *,
-    sigma_k: Callable[[int], float] | None = None,
-    L_S: int | None = None,
-    probes: Sequence[Any] | None = None,
-    probe_tol: float = 1e-10,
 ) -> InversionResult:
     """Solve f(x) = y near x0 by iterating P_y(x) = x - D[f(x) - y].
 
-    Right-inverse property S(D(v)) = v is verified on probe vectors; each
-    checked alpha_k must be < 1 so that the derived radii r_bar stay
-    positive, and every iterate is kept inside the ball of the given radii.
+    The right-inverse property S(D(v)) = v is verified to PROBE_TOL on the
+    probe vectors y and f(x0); each checked alpha_k must be < 1 so that the
+    derived radii r_bar stay positive, and every iterate is kept inside the
+    ball of the given radii.
     """
     r_of = radii.value if hasattr(radii, "value") else radii
     ks = tuple(stop.k_check)
 
     fx0 = f(x0)
-    probe_list = list(probes) if probes is not None else [y, fx0]
-    for v in probe_list:
+    for v in (y, fx0):
         back = S(D(v))
         for k in ks:
             err = float(space_y.seminorm(space_y.sub(back, v), k))
-            if err > probe_tol:
+            if err > PROBE_TOL:
                 raise GradedCoreError(
                     f"S is not a right inverse of D on a probe (k={k}, err={err:.3e})"
                 )
@@ -522,7 +455,7 @@ def invert_locally(
 
     handle = replace(space_x, P=P, membership=member)
     try:
-        iteration = iterate_to_fixed_point(handle, x0, stop, check_candidate=False)
+        iteration = iterate_to_fixed_point(handle, x0, stop)
     except GradedCoreError as exc:
         raise GradedCoreError(f"iterate escaped the ball: {exc}") from exc
 
@@ -530,63 +463,4 @@ def invert_locally(
     residual = {
         k: float(space_y.seminorm(space_y.sub(f(sol), y), k)) for k in ks
     }
-    lip = None
-    if sigma_k is not None and L_S is not None:
-        # Lipschitz upper bound factors sigma_k (alpha_k |.|_{k+Ls+L} + |.|_{k+Ls})
-        lip = {k: float(sigma_k(k)) * (float(alpha_k(k)) + 1.0) for k in ks}
-    return InversionResult(sol, iteration, rows, residual, lip)
-
-
-# ---------------------------------------------------------------------------
-# Zero-loss diagnostic
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WPrimeRow:
-    k: int
-    partial_sums: tuple[float, ...]
-    verdict: str
-    reconstructed_alpha: tuple[float, ...]
-    fallback_from: int | None  # first index handled by the 1/(n^2 ...) branch
-
-
-@dataclass(frozen=True)
-class WPrimeReport:
-    rows: tuple[WPrimeRow, ...]
-    verdict: str
-
-
-def w_prime_diagnostic(history: Mapping[int, Sequence[float]]) -> WPrimeReport:
-    """Summability of raw increments per k, with reconstructed zero-loss constants.
-
-    When increments vanish from some step on (the map hit a fixed point),
-    the remaining constants fall back to 1/(n^2 ||P(y0)-y0||_k).
-    """
-    rows = []
-    for k in sorted(history):
-        incs = [float(v) for v in history[k]]
-        if not incs:
-            raise GradedCoreError("empty increment history")
-        verdict, _ = series_verdict(incs)
-        sums, acc = [], 0.0
-        for v in incs:
-            acc += v
-            sums.append(acc)
-        first = incs[0]
-        alphas = []
-        fallback_from = None
-        for n, v in enumerate(incs):
-            if n == 0:
-                alphas.append(1.0)
-            elif v > 0 and first > 0:
-                alphas.append(v / first)
-            elif first > 0:
-                if fallback_from is None:
-                    fallback_from = n
-                alphas.append(1.0 / (n * n * first))
-            else:
-                # P(y0) = y0: every increment is zero
-                alphas.append(0.0)
-        rows.append(WPrimeRow(k, tuple(sums), verdict, tuple(alphas), fallback_from))
-    return WPrimeReport(tuple(rows), LodCertificate.from_rows(rows).verdict)
+    return InversionResult(sol, iteration, rows, residual)

@@ -3,9 +3,8 @@
 Provides the coefficient recursions behind the explicit formula for the
 n-th Picard iterate, the resulting series solution, growth-class
 classification of the Weissinger condition (exponential / analytic /
-power-scale initial data), radii construction, a worked-example catalog,
-the parameter-limit experiment, and the divergence demo for the
-quadratic transport-type right-hand side.
+power-scale initial data), a worked-example catalog, and the divergence
+demo for the quadratic transport-type right-hand side.
 """
 
 from __future__ import annotations
@@ -56,15 +55,11 @@ __all__ = [
     "mu_eta_recursions",
     "picard_closed_form",
     "series_solution",
-    "increment_bound",
     "increment_bound_log",
     "classify_convergence",
     "ClassificationReport",
-    "radii_from_series",
     "example_catalog",
     "CatalogCase",
-    "parameter_limit_experiment",
-    "ExperimentReport",
     "burgers_demo",
 ]
 
@@ -530,16 +525,6 @@ def increment_bound_log(
     return _logsumexp(parts)
 
 
-def increment_bound(
-    problem: LinearProblem,
-    growth: Sequence[GrowthClass],
-    k: int,
-    n: int,
-) -> float:
-    lv = increment_bound_log(problem, growth, k, n)
-    return exp_or_inf(lv)
-
-
 # ---------------------------------------------------------------------------
 # Convergence classification
 # ---------------------------------------------------------------------------
@@ -591,64 +576,6 @@ def classify_convergence(
                 verdict = DIVERGING
                 break
     return ClassificationReport(verdict)
-
-
-# ---------------------------------------------------------------------------
-# Radii from the series bounds
-# ---------------------------------------------------------------------------
-
-
-def radii_from_series(
-    problem: LinearProblem,
-    growth: Sequence[GrowthClass],
-    k: int,
-    h_max: int = 400,
-) -> float:
-    """Radius r_k from the displayed two-series bound; +inf when it diverges."""
-    L, d, gamma = problem.L, problem.d, problem.gamma
-    T = problem.domain.tbar
-    log_p = math.log(max(problem.norm_p(), pp.EPS_FLOOR))
-    total = 0.0
-    prev = None
-    rising = 0
-    for h in range(1, h_max + 1):
-        parts = []
-        for j in range(gamma, d):
-            g = _growth_for(problem, growth, j)
-            parts.append(
-                g.log_norm(k + h * L, h - 1, L)
-                - math.lgamma(j - gamma + 1)
-                + h * log_p
-                + (h * (d - gamma) + j) * math.log(T)
-                - h * math.lgamma(d - gamma + 1)
-            )
-        t = exp_or_inf(_logsumexp(parts))
-        if math.isinf(t):
-            return math.inf
-        total += t
-        if prev is not None and t > prev:
-            rising += 1
-            if rising >= 8:
-                return math.inf
-        else:
-            rising = 0
-        prev = t
-        if t < 1e-16 * max(total, 1e-300):
-            break
-    if problem.Q > 0:
-        for h in range(0, h_max + 1):
-            t = exp_or_inf(
-                math.log(problem.Q)
-                + h * log_p
-                + (h + 1) * (d - gamma) * math.log(T)
-                - math.lgamma((h + 1) * (d - gamma) + 1)
-            )
-            if math.isinf(t):
-                return math.inf
-            total += t
-            if t < 1e-16 * max(total, 1e-300):
-                break
-    return max(total, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -768,58 +695,6 @@ def example_catalog(
         return oracle(np.asarray(t) - t0, x)
 
     return CatalogCase(case, prob, shifted, note)
-
-
-# ---------------------------------------------------------------------------
-# Parameter-limit experiment
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    rows: tuple[tuple[float, float], ...]  # (eps, sup distance to eps=0)
-    premise_ok: bool
-    warnings: tuple[str, ...]
-
-
-def parameter_limit_experiment(
-    family: Callable[[float], LinearProblem],
-    eps_list: Sequence[float],
-    N: int = 20,
-) -> ExperimentReport:
-    """Sup distance of truncated series solutions to the eps = 0 member.
-
-    The dominated-convergence premise is probed numerically: the per-step
-    sup of the relevant data derivatives must look summable; a failed probe
-    is reported as a warning and the experiment still runs.
-    """
-    warnings = []
-    base_prob = family(0.0)
-    base, _ = series_solution(base_prob, N)
-    pts = fs.uniform_grid(base_prob.domain, fs.CHECK_GRID_POINTS)
-    base_vals = base.eval_grid(pts[0], pts[1:])
-
-    premise_ok = True
-    for eps in eps_list:
-        prob = family(eps)
-        sups, seen = [], {}
-        for j in range(prob.gamma, prob.d):
-            for xf in _x_derivative_tower(prob, prob.initial[j], N, SERIES_X_DEGREE, seen):
-                sups.append(graded_norm(xf, 0))
-        tail = sups[-6:]
-        if len(tail) >= 4 and all(b > a for a, b in zip(tail, tail[1:])):
-            premise_ok = False
-            warnings.append(
-                f"eps={eps}: derivative sups grow through step {N}; the "
-                "dominated-convergence premise looks violated"
-            )
-
-    rows = []
-    for eps in eps_list:
-        sol, _ = series_solution(family(eps), N)
-        vals = sol.eval_grid(pts[0], pts[1:])
-        rows.append((float(eps), fs.sup_abs(vals - base_vals)))
-    return ExperimentReport(tuple(rows), premise_ok, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

@@ -1014,7 +1014,7 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
     try:
         run = iterate_to_fixed_point(
             space, i0, IterationStop(cfg.k_check, cfg.tol, cfg.n_max),
-            store_iterates=cfg.store_iterates, check_candidate=False,
+            store_iterates=cfg.store_iterates,
         )
     except (NonFiniteValue, fs.NonFiniteCoefficients) as exc:
         if certificate is not None and certificate.verdict == DIVERGING:

@@ -119,5 +119,4 @@ def bisection_root(f, lo: float, hi: float, iters: int = 200) -> float:
 
 
 # Frozen oracle values (computed with bisection_root before the build):
-CUBIC_ROOT_01 = 0.09902885240545731   # x + x^3 = 0.1
 CUBIC_ROOT_005 = 0.049875928231106065  # x + x^3 = 0.05
