@@ -115,7 +115,6 @@ PROBLEM_SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "t": {"type": "integer", "minimum": 0},
                         "x": {
                             "type": "array",
                             "items": {"type": "integer", "minimum": 0},
@@ -370,7 +369,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .linear_series import (
         LinearProblem, LinearSeriesError, picard_closed_form, series_solution,
     )
-    from .picard_pde import apply_P, initial_polynomial, solve
+    from .picard_pde import X_DEGREE, apply_P, initial_polynomial, solve
 
     path = Path(args.file)
     problem, config = load_problem(path)
@@ -382,7 +381,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     if args.against == "generic":
         n = args.terms
-        x_deg = (config.x_degrees or (24,) * problem.domain.s)
+        x_deg = config.x_degrees or (X_DEGREE,) * problem.domain.s
         if len(set(x_deg)) > 1:  # the closed form takes one x degree for all axes
             raise CliError(
                 f"compare --against generic needs equal x degrees, got {list(x_deg)}"
@@ -391,7 +390,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         y = i0
         for _ in range(n):
             y = apply_P(problem, y, i0)
-        cf = picard_closed_form(lp, n, x_degree=x_deg[0] if x_deg else 24)
+        cf = picard_closed_form(lp, n, x_degree=x_deg[0])
         pa, pb = fs.pad_to_common(y.coeffs, cf.coeffs)
         dev = float(np.max(np.abs(pa - pb)))
         payload = {"against": "generic", "n": n, "max_coefficient_deviation": dev}

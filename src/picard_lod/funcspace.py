@@ -3,12 +3,16 @@
 A SepFunc stores, per component, a tensor of Chebyshev-series coefficients
 over the time interval and each spatial interval (all affinely mapped to
 [-1, 1]).  Differentiation and nested time integration act exactly on
-coefficients; the graded seminorms take the sup of partial derivatives on a
-dense sampling grid (the grid density is part of every reported norm), a
-lower bound on the exact sup, and graded_norms_upper bounds them from
-above by coefficient sums.  Every grid sup of the program is one sup_abs
-call, and expressions see the coordinates of a tensor grid as open
-(broadcasting) axes, from grid_bindings.
+coefficients.  Every derivative comes from one derivative chain over
+coefficient arrays (_derivative_chain), one cheb_derivative step per
+multi-index, with no SepFunc per derivative; derivatives_on_grid evaluates
+them on a grid, and partial_derivative wraps one in a SepFunc.  The graded
+seminorms take the sup of partial derivatives on a dense sampling grid (the
+grid density is part of every reported norm), a lower bound on the exact
+sup, and graded_norms_upper bounds them from above by coefficient sums.
+Every grid sup of the program is one sup_abs call, and expressions see the
+coordinates of a tensor grid as open (broadcasting) axes, from
+grid_bindings.
 
 Every sampling grid of the program is built here, and its sizes are
 module constants, not options.  Those below give equispaced norm grids of
@@ -51,7 +55,6 @@ __all__ = [
     "pad_to_common",
     "partial_derivative",
     "derivatives_on_grid",
-    "derivatives_on_grids",
     "iterated_time_integral",
     "cheb_derivative",
     "cheb_integral",
@@ -246,11 +249,6 @@ class SepFunc:
     @property
     def deg_t(self) -> int:
         return self.coeffs.shape[1] - 1
-
-    @classmethod
-    def zeros(cls, domain: Domain, m: int, p: int, degrees: Sequence[int]) -> "SepFunc":
-        shape = (m, *[d + 1 for d in degrees])
-        return cls(domain, m, p, np.zeros(shape))
 
     def _check_compatible(self, other: "SepFunc") -> None:
         if self.domain != other.domain or self.m != other.m or self.p != other.p:
@@ -550,45 +548,42 @@ def partial_derivative(f: SepFunc, beta: Sequence[int]) -> SepFunc:
         raise FuncSpaceError("multi-index rank mismatch")
     if any(b < 0 for b in beta):
         raise FuncSpaceError("negative derivative order")
-    if any(b > n - 1 for b, n in zip(beta, f.coeffs.shape[1:])):
-        return SepFunc.zeros(f.domain, f.m, f.p, [0] * (1 + f.domain.s))
-    coef = f.coeffs
-    for axis, (order, iv) in enumerate(zip(beta, f.domain.intervals()), start=1):
-        coef = cheb_derivative(coef, order, scl=1.0 / _halfwidth(iv), axis=axis)
-    return SepFunc(f.domain, f.m, f.p, coef)
+    return SepFunc(f.domain, f.m, f.p, _derivative_chain(f.coeffs, f.domain)(beta))
 
 
-def _derivative_chain(f: SepFunc) -> Callable[[tuple[int, ...]], SepFunc]:
-    """D^beta f for any beta, each one partial_derivative step from its parent.
+def _derivative_chain(
+    coeffs: np.ndarray, domain: Domain
+) -> Callable[[Sequence[int]], np.ndarray]:
+    """Coefficients of D^beta for any beta, each one cheb_derivative step from its parent.
 
     The parent of beta is beta with its last nonzero axis lowered by one, so
-    the steps run axis by axis, t first, as in partial_derivative(f, beta),
-    and the coefficients equal its coefficients bit for bit.  Every built
-    derivative is kept while the returned function lives.  A step from a
-    parent of one coefficient on the step axis gives the zero function; the
-    first such step is built, and every later one reuses it.
+    the steps run axis by axis, t first, and as numpy's chebder takes its
+    orders one at a time, the coefficients equal those of chebder applied
+    axis by axis, bit for bit.  Every step is checked for finiteness, as a
+    SepFunc is.  Every built array is kept while the returned function
+    lives.  A step from a parent of one coefficient on the step axis gives
+    the zero function, one zero coefficient per axis, built once.
     """
-    built = {(0,) * (1 + f.domain.s): f}
-    zero = None
+    built = {(0,) * (1 + domain.s): coeffs}
+    zero = np.zeros((coeffs.shape[0], *[1] * (1 + domain.s)))
+    scales = [1.0 / _halfwidth(iv) for iv in domain.intervals()]
 
-    def build(beta: tuple[int, ...]) -> SepFunc:
-        nonlocal zero
+    def build(beta: tuple[int, ...]) -> np.ndarray:
         if beta not in built:
             axis = max(i for i, b in enumerate(beta) if b)
-            step = tuple(int(i == axis) for i in range(len(beta)))
-            parent = build(tuple(b - d for b, d in zip(beta, step)))
-            past_degree = parent.coeffs.shape[1 + axis] == 1
-            if past_degree and zero is not None:
+            parent = build(tuple(b - (i == axis) for i, b in enumerate(beta)))
+            if parent.shape[1 + axis] == 1:
                 built[beta] = zero
             else:
-                built[beta] = partial_derivative(parent, step)
-                if past_degree:
-                    zero = built[beta]
+                step = cheb_derivative(parent, 1, scl=scales[axis], axis=1 + axis)
+                if not np.all(np.isfinite(step)):
+                    raise NonFiniteCoefficients("non-finite coefficients")
+                built[beta] = step
         return built[beta]
 
-    def checked(beta: Sequence[int]) -> SepFunc:
+    def checked(beta: Sequence[int]) -> np.ndarray:
         beta = tuple(int(b) for b in beta)
-        if len(beta) != 1 + f.domain.s or min(beta) < 0:
+        if len(beta) != 1 + domain.s or min(beta) < 0:
             raise FuncSpaceError(f"invalid multi-index {beta}")
         return build(beta)
 
@@ -601,27 +596,14 @@ def derivatives_on_grid(
     """Yield (beta, values of D^beta f on the tensor grid of pts) for each beta.
 
     The derivatives come from one _derivative_chain, kept for this call only,
-    and share one Vandermonde matrix per axis, built at f's degrees.
+    so a derivative that several betas name is built once, and they share
+    one Vandermonde matrix per axis, built at f's degrees.
     """
-    return derivatives_on_grids(f, ((beta, 0) for beta in betas), [pts])
-
-
-def derivatives_on_grids(
-    f: SepFunc,
-    requests: Iterable[tuple[Sequence[int], int]],
-    grids: Sequence[Sequence[np.ndarray]],
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield (beta, values of D^beta f on grids[g]) for each request (beta, g).
-
-    One derivative chain serves every grid, so a derivative that several
-    requests name is built once; each grid has its own evaluator at f's
-    degrees, so the values equal those of derivatives_on_grid bit for bit.
-    """
-    evaluators = [_grid_evaluator(f, pts) for pts in grids]
-    derivative = _derivative_chain(f)
-    for beta, g in requests:
+    evaluate = _grid_evaluator(f, pts)
+    derivative = _derivative_chain(f.coeffs, f.domain)
+    for beta in betas:
         beta = tuple(int(b) for b in beta)
-        yield beta, evaluators[g](derivative(beta).coeffs)
+        yield beta, evaluate(derivative(beta))
 
 
 def iterated_time_integral(f: SepFunc, j: int) -> SepFunc:
@@ -733,12 +715,12 @@ def graded_norms_upper(f: SepFunc, k_max: int, *, p: int | None = None) -> np.nd
     K = 3 * max(f.coeffs.shape[1:]) + 3
     if per_comp * eps >= 0.01 or 2 * k_max * K * eps > 0.5:
         raise FuncSpaceError("too many coefficients or derivatives for the roundoff bound")
-    derivative = _derivative_chain(f)
-    derivative_abs = _derivative_chain(replace(f, coeffs=np.abs(f.coeffs)))
+    derivative = _derivative_chain(f.coeffs, f.domain)
+    derivative_abs = _derivative_chain(np.abs(f.coeffs), f.domain)
     best = np.zeros(k_max + 1)
     for beta in betas:
-        s_hat = np.abs(derivative(beta).coeffs).reshape(f.m, -1).sum(axis=1)
-        a_hat = derivative_abs(beta).coeffs.reshape(f.m, -1).sum(axis=1)
+        s_hat = np.abs(derivative(beta)).reshape(f.m, -1).sum(axis=1)
+        a_hat = derivative_abs(beta).reshape(f.m, -1).sum(axis=1)
         m = 2 * sum(beta) * K * eps
         bound = float(np.max(s_hat + 2 * m * a_hat)) * (1.0 + 2 * (per_comp + 2) * eps)
         if not math.isfinite(bound):

@@ -64,8 +64,6 @@ __all__ = [
 ]
 
 
-# x degree of the interpolated data and forcing unless a caller sets one
-SERIES_X_DEGREE = 24
 SERIES_T_DEGREE = 16  # t degree of the interpolated forcing
 Q_PROBE_ORDER = 6  # x-derivative order up to which a forcing bound left out is probed
 
@@ -306,7 +304,7 @@ def mu_eta_recursions(
     problem: LinearProblem,
     h_max: int,
     *,
-    x_degree: int = SERIES_X_DEGREE,
+    x_degree: int = pp.X_DEGREE,
 ) -> MuEta:
     """Exact polynomial recursions for the iterate formula's coefficients.
 
@@ -394,7 +392,7 @@ def _series_terms(
     problem: LinearProblem,
     n: int,
     *,
-    x_degree: int = SERIES_X_DEGREE,
+    x_degree: int = pp.X_DEGREE,
 ) -> tuple[SepFunc, list[SepFunc], bool]:
     """The partial sum i0 + terms of the explicit iterate formula, its terms, and MuEta.cut."""
     cauchy = problem.to_cauchy()
@@ -422,7 +420,7 @@ def picard_closed_form(
     problem: LinearProblem,
     n: int,
     *,
-    x_degree: int = SERIES_X_DEGREE,
+    x_degree: int = pp.X_DEGREE,
 ) -> SepFunc:
     """The n-th Picard iterate assembled from the coefficient recursions."""
     return _series_terms(problem, n, x_degree=x_degree)[0]
@@ -433,7 +431,7 @@ def series_solution(
     N: int,
     *,
     growth: Sequence[GrowthClass] | None = None,
-    x_degree: int = SERIES_X_DEGREE,
+    x_degree: int = pp.X_DEGREE,
 ) -> tuple[SepFunc, dict]:
     """Partial sum of the series solution with a last-term tail diagnostic.
 

@@ -19,7 +19,6 @@ from numpy.polynomial import polynomial as npoly
 
 from . import funcspace as fs
 from .expr import (
-    Arity,
     Binary,
     Const,
     EvalError,
@@ -96,6 +95,8 @@ LIPSCHITZ_INFLATION = 1.25
 MATRIX_NORM_POINTS = 257
 # highest graded index whose numeric increment norm a certificate reads
 NUMERIC_K_CAP = 8
+# x degree of the interpolated initial data and forcing unless a problem sets one
+X_DEGREE = 24
 
 
 class PicardError(Exception):
@@ -121,10 +122,6 @@ class BallEscape(PicardError):
 # ---------------------------------------------------------------------------
 # Problem data
 # ---------------------------------------------------------------------------
-
-
-def _count_alphas(L: int, s: int) -> int:
-    return math.comb(L + s, s)
 
 
 @dataclass(frozen=True)
@@ -184,14 +181,6 @@ class CauchyProblem:
                     raise PicardError("initial data must depend on x only")
         object.__setattr__(self, "rhs_class", classify_rhs(self))
 
-    @property
-    def Lhat(self) -> int:
-        return _count_alphas(self.L, self.domain.s) * (self.p + 1)
-
-    @property
-    def arity(self) -> Arity:
-        return Arity(self.domain.s, self.m, self.L, self.p)
-
 
 # ---------------------------------------------------------------------------
 # Operators
@@ -213,7 +202,7 @@ def initial_polynomial(
 ) -> SepFunc:
     """The Picard starting point: sum_j y_{0j}(x) (t-t0)^j / j!."""
     s = problem.domain.s
-    x_degrees = tuple(x_degrees) if x_degrees is not None else (24,) * s
+    x_degrees = tuple(x_degrees) if x_degrees is not None else (X_DEGREE,) * s
     shape_x = tuple(dx + 1 for dx in x_degrees)
     coeffs = np.zeros((problem.m, problem.d, *shape_x))
     for j, row in enumerate(problem.initial):
@@ -266,14 +255,8 @@ def eval_G(problem: CauchyProblem, y: SepFunc) -> SepFunc:
     return replace(out, truncation=tail)
 
 
-def apply_P(
-    problem: CauchyProblem,
-    y: SepFunc,
-    i0: SepFunc | None = None,
-) -> SepFunc:
+def apply_P(problem: CauchyProblem, y: SepFunc, i0: SepFunc) -> SepFunc:
     """One Picard step: i0 plus the d-fold nested time integral of G."""
-    if i0 is None:
-        i0 = initial_polynomial(problem, [max(8, d) for d in y.degrees[1:]])
     g = eval_G(problem, y)
     out = i0 + iterated_time_integral(g, problem.d)
     return replace(out.trim(), truncation=g.truncation)
@@ -294,17 +277,17 @@ class ResidualReport:
 def residual(problem: CauchyProblem, y: SepFunc) -> ResidualReport:
     """Max-grid defect of the PDE and of each initial condition.
 
-    One chain d_t^j y, j <= d, serves both grids: d_t^j y, j < d, on the
-    slice t = t0 of the grid, where the initial conditions are checked, and
-    d_t^d y on the full grid.
+    The initial conditions d_t^j y, j < d, are checked on the slice t = t0
+    of the grid, and the equation with d_t^d y on the full grid.
     """
     pts = fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)
     slice_pts = [np.array([problem.domain.t0]), *pts[1:]]
     zeros_x = [0] * problem.domain.s
     # the slice values, then the full-grid defect: other orders of these
     # evaluations left about 2 MB more resident on 2-D problems
-    requests = [*(((j, *zeros_x), 1) for j in range(problem.d)), ((problem.d, *zeros_x), 0)]
-    *derivs, (_, lhs_vals) = fs.derivatives_on_grids(y, requests, [pts, slice_pts])
+    derivs = list(fs.derivatives_on_grid(
+        y, [(j, *zeros_x) for j in range(problem.d)], slice_pts))
+    [(_, lhs_vals)] = fs.derivatives_on_grid(y, [(problem.d, *zeros_x)], pts)
     defect = _rhs_on_grid(problem, y, pts)
     np.subtract(lhs_vals, defect, out=defect)
     pde_res = fs.sup_abs(defect)
@@ -875,6 +858,11 @@ def _require_growth_class(problem: CauchyProblem) -> None:
     linear = problem.rhs_class.linear
     if linear is None or not any(linear.mu):
         raise PicardError("growth-model increments need the linear class with |mu| > 0")
+    # increment_bound_log models ||P(i0) - i0|| at k + (n + 1)|mu|, rows read k + n L
+    if sum(linear.mu) != problem.L:
+        raise PicardError(
+            f"growth-model increments need L = |mu|, got L={problem.L}, |mu|={sum(linear.mu)}"
+        )
 
 
 def estimate_and_certify(
@@ -884,7 +872,7 @@ def estimate_and_certify(
     """Check the growth precondition, then run estimate_lipschitz and certify_weissinger."""
     if growth is not None:
         _require_growth_class(problem)
-    x_degrees = x_degrees or (24,) * problem.domain.s  # those of solve's i0
+    x_degrees = x_degrees or (X_DEGREE,) * problem.domain.s  # those of solve's i0
     factors = estimate_lipschitz(problem, radii, seed=seed, x_degrees=x_degrees)
     return certify_weissinger(
         problem, factors, radii, k_list, n_max,
@@ -962,7 +950,7 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
     """
     cfg = config or SolveConfig()
     s = problem.domain.s
-    x_degrees = cfg.x_degrees or (24,) * s
+    x_degrees = cfg.x_degrees or (X_DEGREE,) * s
     i0 = initial_polynomial(problem, x_degrees)
 
     certificate = None

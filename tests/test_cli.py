@@ -75,6 +75,16 @@ class TestSchema:
         assert main(["solve", str(p)]) == EXIT_ERROR
         assert "extra_knob" in capsys.readouterr().err
 
+    def test_t_degree_rejected(self, tmp_path, capsys):
+        """No t degree is read: the t degree of every iterate follows from the data."""
+        p = write_problem(
+            tmp_path / "tdeg.json",
+            solver={"tol": 1e-11, "n_max": 10, "k_check": [0], "degrees": {"t": 3}},
+        )
+        assert main(["solve", str(p)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "solver/degrees" in err and "'t'" in err
+
     def test_malformed_json_reports_line_and_column(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{\n  \"schema_version\": 1,,\n}")

@@ -95,7 +95,7 @@ class TestDerivative:
 
 class TestTimeIntegral:
     def test_zero_integrand(self):
-        z = SepFunc.zeros(HALF, 1, 0, (0,))
+        z = SepFunc(HALF, 1, 0, np.zeros((1, 1)))
         assert np.max(np.abs(iterated_time_integral(z, 1).coeffs)) == 0.0
 
     def test_two_fold_of_one(self):
@@ -109,14 +109,14 @@ class TestTimeIntegral:
         assert graded_norm(g, 0) == pytest.approx(0.5, abs=1e-14)
 
     def test_degree_cap(self):
-        f = SepFunc.zeros(HALF, 1, 0, (127,))
+        f = SepFunc(HALF, 1, 0, np.zeros((1, 128)))
         with pytest.raises(FuncSpaceError, match="cap"):
             iterated_time_integral(f, 3)
 
 
 class TestGradedNorm:
     def test_zero(self):
-        z = SepFunc.zeros(SQUARE, 1, 0, (0, 0))
+        z = SepFunc(SQUARE, 1, 0, np.zeros((1, 1, 1)))
         for k in range(4):
             assert graded_norm(z, k) == 0.0
 
@@ -149,7 +149,7 @@ class TestJointNorm:
         assert joint_norm(one, 1) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero(self):
-        assert joint_norm(SepFunc.zeros(HALF, 1, 0, (0,)), 2) == 0.0
+        assert joint_norm(SepFunc(HALF, 1, 0, np.zeros((1, 1))), 2) == 0.0
 
 
 class TestSupNormSeparation:
@@ -333,39 +333,18 @@ class TestDerivativesOnGrid:
         import picard_lod.funcspace as fs
 
         steps = []
-        original = fs.partial_derivative
+        original = fs.cheb_derivative
 
-        def spy(f, beta):
-            steps.append(tuple(beta))
-            return original(f, beta)
+        def spy(coef, m, *, scl, axis):
+            steps.append((m, tuple(int(i == axis) for i in range(1, coef.ndim))))
+            return original(coef, m, scl=scl, axis=axis)
 
-        monkeypatch.setattr(fs, "partial_derivative", spy)
+        monkeypatch.setattr(fs, "cheb_derivative", spy)
         f = SepFunc(SQUARE, 1, 0, np.ones((1, 4, 4)))
         pts = fs.uniform_grid(SQUARE, 3)
         list(fs.derivatives_on_grid(f, [(2, 1), (0, 0), (2, 1), (1, 0)], pts))
         # (2, 1) is built from (2, 0) from (1, 0) from f; repeats build nothing
-        assert steps == [(1, 0), (1, 0), (0, 1)]
-
-    def test_several_grids_share_one_chain(self, monkeypatch):
-        import picard_lod.funcspace as fs
-
-        steps = []
-        original = fs.partial_derivative
-
-        def spy(f, beta):
-            steps.append(tuple(beta))
-            return original(f, beta)
-
-        monkeypatch.setattr(fs, "partial_derivative", spy)
-        f = SepFunc(SQUARE, 1, 0, np.arange(16.0).reshape(1, 4, 4) - 7.5)
-        grids = [fs.uniform_grid(SQUARE, 3), [np.array([0.0]), np.linspace(-1.0, 1.0, 5)]]
-        requests = [((2, 0), 0), ((1, 0), 1), ((0, 0), 1)]
-        got = list(fs.derivatives_on_grids(f, requests, grids))
-        # (2, 0) builds (1, 0) on the way; the slice requests build nothing
-        assert steps == [(1, 0), (1, 0)]
-        for (beta, vals), (want_beta, g) in zip(got, requests):
-            [(_, want)] = fs.derivatives_on_grid(f, [want_beta], grids[g])
-            assert beta == want_beta and vals.tobytes() == want.tobytes()
+        assert steps == [(1, (1, 0)), (1, (1, 0)), (1, (0, 1))]
 
     @pytest.mark.parametrize("beta", [(0,), (0, 0, 0), (1, -1), (-1, 2)])
     def test_rejects_bad_multi_indices(self, beta):
@@ -380,20 +359,52 @@ class TestDerivativesOnGrid:
         import picard_lod.funcspace as fs
 
         steps = []
-        original = fs.partial_derivative
+        original = fs.cheb_derivative
 
-        def spy(f, beta):
-            steps.append(tuple(beta))
-            return original(f, beta)
+        def spy(coef, m, *, scl, axis):
+            steps.append((m, axis))
+            return original(coef, m, scl=scl, axis=axis)
 
-        monkeypatch.setattr(fs, "partial_derivative", spy)
+        monkeypatch.setattr(fs, "cheb_derivative", spy)
         f = SepFunc(SQUARE, 1, 0, np.ones((1, 2, 2)))
         betas = [(0, k) for k in range(7)]
         got = list(fs.derivatives_on_grid(f, betas, fs.uniform_grid(SQUARE, 3)))
-        # (0, 1) is a real step, (0, 2) builds the zero function, (0, 3)... reuse it
-        assert steps == [(0, 1), (0, 1)]
+        # (0, 1) is a real step; (0, 2), (0, 3), ... are past the degree and build nothing
+        assert steps == [(1, 2)]
         assert [beta for beta, _ in got] == betas
         assert all(not np.any(vals) for _, vals in got[2:])
+        derivative = fs._derivative_chain(f.coeffs, f.domain)
+        assert derivative((0, 2)) is derivative((0, 6)) is derivative((1, 3))
+        assert derivative((0, 2)).shape == (1, 1, 1)
+
+    def test_no_sepfunc_is_built(self, monkeypatch):
+        """The chain differentiates coefficient arrays; only partial_derivative wraps one."""
+        import picard_lod.funcspace as fs
+
+        f = SepFunc(SQUARE, 1, 0, np.arange(16.0).reshape(1, 4, 4) - 7.5)
+        built = []
+        original = fs.SepFunc.__post_init__
+
+        def spy(self):
+            built.append(self.coeffs.shape)
+            original(self)
+
+        monkeypatch.setattr(fs.SepFunc, "__post_init__", spy)
+        betas = fs.graded_indices(5, 1, 5)
+        list(fs.derivatives_on_grid(f, betas, fs.uniform_grid(SQUARE, 3)))
+        fs.graded_norms_upper(f, 5, p=5)
+        assert built == []
+        partial_derivative(f, (1, 2))
+        assert built == [(1, 3, 2)]
+
+    def test_a_non_finite_step_raises(self):
+        import picard_lod.funcspace as fs
+
+        # 1.5e308 T2(x1) is finite, its x1 derivative 4 * 1.5e308 T1(x1) is not
+        f = SepFunc(SQUARE, 1, 0, np.array([[[0.0, 0.0, 1.5e308]]]))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteCoefficients, match="^non-finite coefficients$"):
+            list(fs.derivatives_on_grid(f, [(0, 1)], fs.uniform_grid(SQUARE, 3)))
 
 
 @st.composite

@@ -68,9 +68,6 @@ def burgers_problem(domain=None, rhs="y1*Dx1(y1)"):
 
 
 class TestProblemValidation:
-    def test_lhat(self):
-        assert heat_problem().Lhat == 3  # alphas {0,1,2}, p = 0
-
     def test_p_below_d_required(self):
         ar = Arity(s=1, m=1, L=0, p=1)
         F = parse_expression("Dt(y1)", ar)
@@ -633,6 +630,22 @@ class TestCertify:
             growth=(GrowthClass("analytic", C=1.0),),
         )
         assert cert.verdict == DIVERGING
+
+    def test_growth_model_needs_L_equal_to_mu(self):
+        """The model bounds increments at k + (n + 1)|mu|; the rows read k + n L."""
+        from picard_lod.linear_series import GrowthClass
+
+        F = parse_expression("Dx1(y1)", Arity(s=1, m=1, L=2, p=0))
+        y0 = parse_expression("sin(2*x1)", Arity(s=1))
+        prob = pp.CauchyProblem(
+            Domain(0.0, 0.1, 0.1, ((-PI, PI),)), 1, 1, 0, 2, (F,), ((y0,),)
+        )
+        growth = (GrowthClass("exponential", C=2.0),)
+        fac = pp.estimate_lipschitz(prob, Radii.infinite())
+        with pytest.raises(pp.PicardError, match=r"L = \|mu\|, got L=2, \|mu\|=1"):
+            pp.certify_weissinger(prob, fac, Radii.infinite(), (0,), 10, growth=growth)
+        rep = pp.solve(prob, pp.SolveConfig(tol=1e-11, n_max=10, growth=growth))
+        assert rep.certificate is None and "L = |mu|" in rep.certificate_note
 
 
 class TestSolve:
