@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -140,8 +141,16 @@ def _load_json(path: Path) -> dict:
         text = path.read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+
+    def reject(name: str):  # json reads NaN, Infinity and -Infinity; JSON has no such numbers
+        raise CliError(f"{path}: invalid JSON: {name} is not a finite number")
+
+    def finite(text: str) -> float:  # 1e400 would read as inf
+        value = float(text)
+        return value if math.isfinite(value) else reject(text)
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise CliError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -200,9 +209,11 @@ def load_problem(path: Path):
             ))
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    sol = doc.get("solver", {})
     try:
         problem = CauchyProblem(
-            dom, m, order["d"], order["p"], order["L"], rhs, tuple(initial)
+            dom, m, order["d"], order["p"], order["L"], rhs, tuple(initial),
+            sol.get("degrees", {}).get("x"),
         )
     except PicardError as exc:
         raise CliError(f"{path}: {exc}") from exc
@@ -217,9 +228,6 @@ def load_problem(path: Path):
     if "radii" in doc and doc["radii"] != "infinite":
         radii = Radii.from_list(doc["radii"])
 
-    sol = doc.get("solver", {})
-    degrees = sol.get("degrees", {})
-    x_deg = tuple(degrees["x"]) if "x" in degrees else None
     config = SolveConfig(
         radii=radii,
         k_check=tuple(sol.get("k_check", [0])),
@@ -227,7 +235,6 @@ def load_problem(path: Path):
         n_max=sol.get("n_max", 10),
         certify_first=sol.get("certify_first", False),
         residual_tol=sol.get("residual_tol", 1e-7),
-        x_degrees=x_deg,
         growth=growth,
         seed=sol.get("seed", 0),
     )
@@ -326,12 +333,20 @@ def cmd_certify(args: argparse.Namespace) -> int:
     else:
         cert = estimate_and_certify(
             problem, config.radii, tuple(config.k_check), args.nmax,
-            growth=config.growth, mode=mode, x_degrees=config.x_degrees, seed=config.seed,
+            growth=config.growth, mode=mode, seed=config.seed,
         )
     payload = cert.to_json_dict()
     rp = _write_report(out_dir, f"{path.stem}.certificate", payload)
     print(f"verdict: {cert.verdict}; certificate: {rp}")
     return _verdict_exit(cert.verdict)
+
+
+def _one_x_degree(problem, command: str) -> int:
+    """The problem's one x degree: the closed form of the linear class takes one for all axes."""
+    x_degrees = problem.x_degrees
+    if len(set(x_degrees)) > 1:
+        raise CliError(f"{command} needs equal x degrees, got {list(x_degrees)}")
+    return x_degrees[0]
 
 
 def cmd_series(args: argparse.Namespace) -> int:
@@ -348,7 +363,8 @@ def cmd_series(args: argparse.Namespace) -> int:
             f"p(t)*Dx^mu Dt^gamma y + q: {exc}", file=sys.stderr,
         )
         return EXIT_ERROR
-    sol, diag = series_solution(lp, args.terms, growth=config.growth)
+    x_degree = _one_x_degree(problem, "series")
+    sol, diag = series_solution(lp, args.terms, growth=config.growth, x_degree=x_degree)
     payload = {
         "terms": args.terms,
         "diagnostics": diag,
@@ -369,7 +385,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .linear_series import (
         LinearProblem, LinearSeriesError, picard_closed_form, series_solution,
     )
-    from .picard_pde import X_DEGREE, apply_P, initial_polynomial, solve
+    from .picard_pde import apply_P, solve
 
     path = Path(args.file)
     problem, config = load_problem(path)
@@ -379,24 +395,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except LinearSeriesError as exc:
         print(f"error: comparison needs the linear class: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    x_degree = _one_x_degree(problem, f"compare --against {args.against}")
     if args.against == "generic":
         n = args.terms
-        x_deg = config.x_degrees or (X_DEGREE,) * problem.domain.s
-        if len(set(x_deg)) > 1:  # the closed form takes one x degree for all axes
-            raise CliError(
-                f"compare --against generic needs equal x degrees, got {list(x_deg)}"
-            )
-        i0 = initial_polynomial(problem, x_deg)
-        y = i0
+        y = i0 = problem.i0
         for _ in range(n):
             y = apply_P(problem, y, i0)
-        cf = picard_closed_form(lp, n, x_degree=x_deg[0])
+        cf = picard_closed_form(lp, n, x_degree=x_degree)
         pa, pb = fs.pad_to_common(y.coeffs, cf.coeffs)
         dev = float(np.max(np.abs(pa - pb)))
         payload = {"against": "generic", "n": n, "max_coefficient_deviation": dev}
     else:
         rep = solve(problem, config)
-        sol, diag = series_solution(lp, args.terms, growth=config.growth)
+        sol, diag = series_solution(lp, args.terms, growth=config.growth, x_degree=x_degree)
         pts = fs.uniform_grid(problem.domain, fs.CHECK_GRID_POINTS)
         va = rep.candidate.eval_grid(pts[0], pts[1:])
         vb = sol.eval_grid(pts[0], pts[1:])

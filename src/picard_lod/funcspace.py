@@ -351,7 +351,7 @@ class Radii:
         if not vals:
             raise FuncSpaceError("empty radii list")
         for v in vals:
-            if not (v > 0 or math.isinf(v)):
+            if not v > 0:
                 raise FuncSpaceError("radii must be positive (or +inf)")
         object.__setattr__(self, "values", vals)
 
@@ -371,7 +371,7 @@ class Radii:
         return self.values[min(k, len(self.values) - 1)]
 
     def is_infinite(self) -> bool:
-        return all(math.isinf(v) for v in self.values)
+        return all(v == math.inf for v in self.values)
 
 
 # ---------------------------------------------------------------------------

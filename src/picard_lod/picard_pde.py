@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -131,7 +132,10 @@ class CauchyProblem:
     ``rhs`` holds one expression per component with placeholders restricted
     to |alpha| <= L and gamma <= p; ``initial`` is the d-by-m table of
     initial-condition expressions in the spatial variables only.
-    ``rhs_class`` is the form of ``rhs``, set once by ``classify_rhs``.
+    ``x_degrees`` holds one x degree per axis, in [0, DEGREE_CAP], at which
+    the initial data is interpolated (None: X_DEGREE on every axis).
+    ``rhs_class`` is the form of ``rhs``, set once by ``classify_rhs``, and
+    ``i0`` the Picard starting point, built on first use.
     """
 
     domain: Domain
@@ -141,6 +145,7 @@ class CauchyProblem:
     L: int
     rhs: tuple[Expr, ...]
     initial: tuple[tuple[Expr, ...], ...]
+    x_degrees: tuple[int, ...] | None = None
     rhs_class: RhsClass = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -161,7 +166,12 @@ class CauchyProblem:
         object.__setattr__(self, "initial", init)
         if len(init) != self.d or any(len(row) != self.m for row in init):
             raise PicardError("initial data must be a d-by-m table of expressions")
-        x_names = {f"x{i}" for i in range(1, self.domain.s + 1)}
+        s = self.domain.s
+        xd = (X_DEGREE,) * s if self.x_degrees is None else tuple(self.x_degrees)
+        object.__setattr__(self, "x_degrees", xd)
+        if len(xd) != s or not all(isinstance(v, int) and 0 <= v <= fs.DEGREE_CAP for v in xd):
+            raise PicardError(f"need {s} integer x degrees in [0, {fs.DEGREE_CAP}], got {list(xd)}")
+        x_names = {f"x{i}" for i in range(1, s + 1)}
         for h, e in enumerate(rhs, start=1):
             for ph in placeholders_in(e):
                 if ph.order > self.L or ph.gamma > self.p or not 1 <= ph.comp <= self.m:
@@ -180,6 +190,11 @@ class CauchyProblem:
                 if not free_variables(e) <= x_names:
                     raise PicardError("initial data must depend on x only")
         object.__setattr__(self, "rhs_class", classify_rhs(self))
+
+    @cached_property
+    def i0(self) -> SepFunc:
+        """The Picard starting point at ``x_degrees``, interpolated once."""
+        return initial_polynomial(self)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +215,9 @@ def initial_polynomial(
     problem: CauchyProblem,
     x_degrees: Sequence[int] | None = None,
 ) -> SepFunc:
-    """The Picard starting point: sum_j y_{0j}(x) (t-t0)^j / j!."""
+    """The Picard starting point sum_j y_{0j}(x) (t-t0)^j / j!, by default at problem.x_degrees."""
     s = problem.domain.s
-    x_degrees = tuple(x_degrees) if x_degrees is not None else (X_DEGREE,) * s
+    x_degrees = problem.x_degrees if x_degrees is None else tuple(x_degrees)
     shape_x = tuple(dx + 1 for dx in x_degrees)
     coeffs = np.zeros((problem.m, problem.d, *shape_x))
     for j, row in enumerate(problem.initial):
@@ -527,21 +542,16 @@ def _matrix_sup_norm(p_exprs: tuple[tuple[Expr, ...], ...], domain: Domain) -> f
 
 
 def estimate_lipschitz(
-    problem: CauchyProblem,
-    radii: Radii,
-    *,
-    k_max: int = 8,
-    n_pairs: int = 64,
-    seed: int = 0,
-    x_degrees: Sequence[int] | None = None,
+    problem: CauchyProblem, radii: Radii, *, k_max: int = 8, n_pairs: int = 64, seed: int = 0,
 ) -> LipschitzFactors:
     """Lipschitz factors Lambda_k with ||F(u) - F(v)||_k <= Lambda_k ||u - v||_{k+L}.
 
     Zero for a constant F and exact factors for the linear class.  A
     polynomial F with constant coefficients (``RhsClass.poly``) gets the
     certified Leibniz table of _leibniz_lipschitz, for k <= k_max on the ball
-    of ``radii`` around i0.  Any other F is sampled (_sampled_lipschitz, not
-    certified); ``n_pairs`` and ``seed`` only act there.
+    of ``radii`` around ``problem.i0``.  Any other F is sampled
+    (_sampled_lipschitz, not certified) on the same ball; ``n_pairs`` and
+    ``seed`` only act there.
     """
     rc = problem.rhs_class
     if rc.kind == "constant":
@@ -553,10 +563,8 @@ def estimate_lipschitz(
             norm_p, {"method": "linear_exact", "matrix_norm": "max-row-sum"}
         )
     if rc.poly is not None:
-        return _leibniz_lipschitz(problem, radii, k_max=k_max, x_degrees=x_degrees)
-    return _sampled_lipschitz(
-        problem, radii, k_max=k_max, n_pairs=n_pairs, seed=seed, x_degrees=x_degrees
-    )
+        return _leibniz_lipschitz(problem, radii, k_max=k_max)
+    return _sampled_lipschitz(problem, radii, k_max=k_max, n_pairs=n_pairs, seed=seed)
 
 
 def _up(x: float) -> float:
@@ -583,13 +591,7 @@ def _leibniz_product(a: Sequence[float], b: Sequence[float]) -> list[float]:
     return out
 
 
-def _leibniz_lipschitz(
-    problem: CauchyProblem,
-    radii: Radii,
-    *,
-    k_max: int,
-    x_degrees: Sequence[int] | None,
-) -> LipschitzFactors:
+def _leibniz_lipschitz(problem: CauchyProblem, radii: Radii, *, k_max: int) -> LipschitzFactors:
     """Certified Lipschitz factors of a polynomial F from Leibniz's rule.
 
     Each monomial c * w_1 ... w_n, with w_i = d_x^alpha_i d_t^gamma_i u, is
@@ -613,8 +615,7 @@ def _leibniz_lipschitz(
         r = [radii.value(j) for j in range(n_idx)]
         if not all(math.isfinite(v) for v in r):
             raise PicardError("Lipschitz factors of a nonlinear right-hand side need finite radii")
-        i0 = initial_polynomial(problem, x_degrees)
-        upper = fs.graded_norms_upper(i0, n_idx - 1, p=problem.p)
+        upper = fs.graded_norms_upper(problem.i0, n_idx - 1, p=problem.p)
         R = [_up(float(u) + v) for u, v in zip(upper, r)]
     ones = [1.0] * (k_max + 1)
     table = [0.0] * (k_max + 1)
@@ -635,20 +636,15 @@ def _leibniz_lipschitz(
 
 
 def _sampled_lipschitz(
-    problem: CauchyProblem,
-    radii: Radii,
-    *,
-    k_max: int = 8,
-    n_pairs: int = 64,
-    seed: int = 0,
-    x_degrees: Sequence[int] | None = None,
+    problem: CauchyProblem, radii: Radii, *, k_max: int = 8, n_pairs: int = 64, seed: int = 0,
 ) -> LipschitzFactors:
     """Sampled, non-certified Lipschitz factors for F outside the polynomial class.
 
-    Draws random pairs inside the ball around i0, measures the ratio of the
-    grid sups ||G(u) - G(v)||_k / ||u - v||_{k+L} over the spatial
-    derivatives of the composed right-hand side, and inflates the max over
-    the pairs by a safety factor.
+    Draws random pairs inside the ball around ``problem.i0``, perturbed at
+    its x degrees, measures the ratio of the grid sups
+    ||G(u) - G(v)||_k / ||u - v||_{k+L} over the spatial derivatives of the
+    composed right-hand side, and inflates the max over the pairs by a
+    safety factor.
     Sampling metadata is recorded on the result.
     """
     probe_k = k_max + problem.L + problem.p
@@ -657,13 +653,12 @@ def _sampled_lipschitz(
         raise PicardError("sampled Lipschitz estimation needs finite radii")
 
     s = problem.domain.s
-    x_degrees = tuple(x_degrees) if x_degrees is not None else (12,) * s
-    i0 = initial_polynomial(problem, x_degrees)
+    i0 = problem.i0
     rng = np.random.default_rng(seed)
     pts = fs.uniform_grid(problem.domain, LIPSCHITZ_GRID_POINTS)
 
     def random_member() -> SepFunc:
-        deg = (problem.d, *[dx for dx in x_degrees])
+        deg = (problem.d, *problem.x_degrees)
         shape_c = (problem.m, *[dd + 1 for dd in deg])
         idx = np.indices(shape_c[1:]).sum(axis=0)
         raw = rng.standard_normal(shape_c) * (0.5 ** idx)
@@ -796,11 +791,11 @@ def certify_weissinger(
     *,
     mode: str | None = None,
     growth: Sequence[Any] | None = None,
-    x_degrees: Sequence[int] | None = None,
 ) -> LodCertificate:
     """Weissinger certificate: terms LambdaBar_{k,n} ||P(i0) - i0||_{k+nL}.
 
-    Without ``growth`` the increments are numeric norms, limited to indices
+    Without ``growth`` the increments are numeric norms of P(i0) - i0 at
+    ``problem.i0``, the starting point of solve, limited to indices
     <= NUMERIC_K_CAP (spectral norms of higher order are numerically
     meaningless); with it, the growth model of the initial data supplies
     them.  The contraction constants are the closed-form bound of the
@@ -824,7 +819,7 @@ def certify_weissinger(
         "norm_grid": {"factor": fs.NORM_GRID_FACTOR, "min_points": fs.NORM_GRID_MIN},
     }
     if norm_source == "numeric":
-        i0 = initial_polynomial(problem, x_degrees)
+        i0 = problem.i0
         inc = (apply_P(problem, i0, i0) - i0).trim()
         n_hi_of = {
             k: (n_max if L == 0 else min(n_max, (NUMERIC_K_CAP - k) // L)) for k in k_list
@@ -867,17 +862,13 @@ def _require_growth_class(problem: CauchyProblem) -> None:
 
 def estimate_and_certify(
     problem: CauchyProblem, radii: Radii, k_list: Sequence[int], n_max: int, *,
-    mode: str | None, growth: Sequence[Any] | None, x_degrees: Sequence[int] | None, seed: int,
+    mode: str | None, growth: Sequence[Any] | None, seed: int,
 ) -> LodCertificate:
     """Check the growth precondition, then run estimate_lipschitz and certify_weissinger."""
     if growth is not None:
         _require_growth_class(problem)
-    x_degrees = x_degrees or (X_DEGREE,) * problem.domain.s  # those of solve's i0
-    factors = estimate_lipschitz(problem, radii, seed=seed, x_degrees=x_degrees)
-    return certify_weissinger(
-        problem, factors, radii, k_list, n_max,
-        mode=mode, growth=growth, x_degrees=x_degrees,
-    )
+    factors = estimate_lipschitz(problem, radii, seed=seed)
+    return certify_weissinger(problem, factors, radii, k_list, n_max, mode=mode, growth=growth)
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +886,6 @@ class SolveConfig:
     certify_n_max: int = 25
     lambda_mode: str | None = None
     residual_tol: float = 1e-7
-    x_degrees: tuple[int, ...] | None = None
     growth: tuple[Any, ...] | None = None
     seed: int = 0
     store_iterates: bool = False
@@ -949,16 +939,14 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
     BallEscape when an iterate leaves the ball of the configured radii.
     """
     cfg = config or SolveConfig()
-    s = problem.domain.s
-    x_degrees = cfg.x_degrees or (X_DEGREE,) * s
-    i0 = initial_polynomial(problem, x_degrees)
+    i0 = problem.i0
 
     certificate = None
     note = None
     try:
         certificate = estimate_and_certify(
             problem, cfg.radii, (0,), cfg.certify_n_max,
-            mode=cfg.lambda_mode, growth=cfg.growth, x_degrees=x_degrees, seed=cfg.seed,
+            mode=cfg.lambda_mode, growth=cfg.growth, seed=cfg.seed,
         )
     except PicardError as exc:
         note = f"certificate unavailable: {exc}"

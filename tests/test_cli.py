@@ -92,10 +92,65 @@ class TestSchema:
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
 
+    @pytest.mark.parametrize("domain, literal", [
+        ({"t0": 0.0, "a": math.inf, "b": 0.1, "S": [[-PI, PI]]}, "Infinity"),
+        ({"t0": math.nan, "a": 0.1, "b": 0.1, "S": [[-PI, PI]]}, "NaN"),
+        ({"t0": 0.0, "a": 0.1, "b": 0.1, "S": [[-math.inf, 1.0]]}, "-Infinity"),
+        ({"t0": 0.0, "a": math.inf, "b": 0.1, "S": [[-PI, PI]]}, "1e400"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, domain, literal):
+        # Python's json reads the first three, which JSON does not have, and
+        # reads 1e400 as inf; the last file holds 1e400 where inf was written
+        p = write_problem(tmp_path / "nonfinite.json", domain=domain)
+        if literal == "1e400":
+            p.write_text(p.read_text().replace("Infinity", literal))
+        assert literal in p.read_text()
+        assert main(["solve", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"nonfinite.json: invalid JSON: {literal} is not a finite number" in err
+        assert not (tmp_path / "nonfinite.report.json").exists()
+
     def test_bad_expression_position(self, tmp_path, capsys):
         p = write_problem(tmp_path / "expr.json", rhs="Dx9(y1)")
         assert main(["solve", str(p)]) == EXIT_ERROR
         assert "exceeds declared L" in capsys.readouterr().err
+
+
+class TestXDegreesOfTheFile:
+    """solver.degrees.x sets the x degrees of the problem for every command."""
+
+    def test_load_problem_holds_the_degrees_and_interpolates_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        import picard_lod.picard_pde as pp
+        from picard_lod.cli import load_problem
+
+        def fail(*args, **kwargs):
+            raise AssertionError("interpolate ran")
+
+        monkeypatch.setattr(pp, "interpolate", fail)
+        p = write_problem(tmp_path / "d.json", solver={"degrees": {"x": [10]}})
+        problem, _ = load_problem(p)
+        assert problem.x_degrees == (10,)
+        problem, _ = load_problem(write_problem(tmp_path / "e.json", solver={}))
+        assert problem.x_degrees == (pp.X_DEGREE,)
+
+    def test_wrong_number_of_degrees_is_an_error(self, tmp_path, capsys):
+        p = write_problem(tmp_path / "two.json", solver={"degrees": {"x": [8, 8]}})
+        assert main(["solve", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert "two.json: need 1 integer x degrees" in capsys.readouterr().err
+
+    def test_series_takes_the_x_degree_of_solve(self, tmp_path):
+        p = write_problem(
+            tmp_path / "heat16.json",
+            solver={"tol": 1e-11, "n_max": 10, "k_check": [0], "degrees": {"x": [16]}},
+        )
+        assert main(["series", str(p), "--terms", "4", "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["solve", str(p), "--out", str(tmp_path)]) == EXIT_OK
+        series = json.loads((tmp_path / "heat16.series.report.json").read_text())
+        solve = json.loads((tmp_path / "heat16.report.json").read_text())
+        # sin(x1) at x degree 16 is odd: degree 15, where 24 gave 19
+        assert series["solution"]["degrees"][1] == solve["candidate"]["degrees"][1] == 15
 
 
 class TestSolveCommand:
@@ -441,6 +496,19 @@ class TestCompareXDegrees:
         ]) == EXIT_ERROR
         assert f"needs equal x degrees, got {x}" in capsys.readouterr().err
         assert not (tmp_path / "heat2.compare.report.json").exists()
+
+    @pytest.mark.parametrize("argv, command, report", [
+        (["series"], "series", "heat2.series.report.json"),
+        (["compare", "--against", "oracle"], "compare --against oracle",
+         "heat2.compare.report.json"),
+    ])
+    def test_series_and_oracle_refuse_unequal_x_degrees(
+        self, tmp_path, capsys, argv, command, report
+    ):
+        p = self._write(tmp_path, [8, 24])
+        assert main([argv[0], str(p), *argv[1:], "--out", str(tmp_path)]) == EXIT_ERROR
+        assert f"{command} needs equal x degrees, got [8, 24]" in capsys.readouterr().err
+        assert not (tmp_path / report).exists()
 
     def test_equal_x_degrees_still_compare(self, tmp_path):
         p = self._write(tmp_path, [8, 8])

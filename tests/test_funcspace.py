@@ -241,6 +241,16 @@ class TestRadii:
         with pytest.raises(FuncSpaceError):
             Radii.from_list([0.0])
 
+    @pytest.mark.parametrize("values", [[-math.inf], [1.0, -math.inf], [math.nan]])
+    def test_negative_infinity_and_nan_rejected(self, values):
+        with pytest.raises(FuncSpaceError, match="positive"):
+            Radii.from_list(values)
+
+    def test_infinite_means_plus_infinity_on_every_index(self):
+        assert Radii.infinite().is_infinite()
+        assert Radii.from_list([math.inf, math.inf]).is_infinite()
+        assert not Radii.from_list([math.inf, 1.0]).is_infinite()
+
 
 def test_serialization_round_trip():
     f = interpolate(expr("sin(x1)"), SQUARE, (0, 12))

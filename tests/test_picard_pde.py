@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -22,6 +23,7 @@ from picard_lod.expr import (
     placeholder_key,
 )
 from picard_lod.funcspace import (
+    DEGREE_CAP,
     Domain,
     Radii,
     graded_norm,
@@ -59,12 +61,12 @@ def wave_problem(domain=None):
     return pp.CauchyProblem(dom, 1, 2, 0, 2, (F,), ((y00,), (y01,)))
 
 
-def burgers_problem(domain=None, rhs="y1*Dx1(y1)"):
+def burgers_problem(domain=None, rhs="y1*Dx1(y1)", x_degrees=None):
     dom = domain or Domain(0.0, 0.25, 0.25, ((0.0, 1.0),))
     ar = Arity(s=1, m=1, L=1, p=0)
     F = parse_expression(rhs, ar)
     y0 = parse_expression("x1", Arity(s=1))
-    return pp.CauchyProblem(dom, 1, 1, 0, 1, (F,), ((y0,),))
+    return pp.CauchyProblem(dom, 1, 1, 0, 1, (F,), ((y0,),), x_degrees)
 
 
 class TestProblemValidation:
@@ -84,6 +86,45 @@ class TestProblemValidation:
                 (parse_expression("y1", Arity(1, 1, 0, 0)),),
                 ((parse_expression("t", Arity(1)),),),
             )
+
+
+class TestXDegrees:
+    def test_default_is_x_degree_on_every_axis(self):
+        assert heat_problem().x_degrees == (pp.X_DEGREE,)
+        prob = rhs_problem("Dx1(y1)", s=2)
+        assert prob.x_degrees == (pp.X_DEGREE, pp.X_DEGREE)
+
+    def test_degrees_become_a_tuple_and_size_i0(self):
+        prob = burgers_problem(rhs="sin(y1)*Dx1(y1)", x_degrees=[0])
+        assert prob.x_degrees == (0,)
+        assert prob.i0.degrees == (0, 0)
+
+    @pytest.mark.parametrize("x_degrees", [(), (4, 4), (-1,), (DEGREE_CAP + 1,), (4.0,)])
+    def test_bad_degrees_rejected(self, x_degrees):
+        with pytest.raises(pp.PicardError, match="x degrees"):
+            burgers_problem(x_degrees=x_degrees)
+
+    def test_i0_is_the_initial_polynomial_at_the_problem_degrees(self):
+        prob = heat_problem(y00="exp(x1)")
+        prob10 = dataclasses.replace(prob, x_degrees=(10,))
+        assert prob.i0 is prob.i0
+        assert prob.i0 == pp.initial_polynomial(prob, (pp.X_DEGREE,))
+        assert prob10.i0 == pp.initial_polynomial(prob, (10,))
+        assert prob10.i0.degrees[1] == 10 < prob.i0.degrees[1]
+
+    def test_one_solve_interpolates_the_initial_data_once(self, monkeypatch):
+        # solve, the Leibniz table and the numeric certificate all read i0
+        calls = []
+        interp = pp.interpolate
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return interp(*args, **kwargs)
+
+        monkeypatch.setattr(pp, "interpolate", counted)
+        rep = pp.solve(burgers_problem(), pp.SolveConfig(radii=Radii.constant(0.5)))
+        assert rep.certificate is not None and rep.ball_log
+        assert calls == [(0, pp.X_DEGREE)]
 
 
 class TestInitialPolynomial:
@@ -475,7 +516,7 @@ class TestEstimateLipschitz:
 
     def test_sampled_against_closed_form(self):
         # sin(y1) * Dx1(y1) is not a polynomial in y, so it is sampled
-        prob = burgers_problem(rhs="sin(y1)*Dx1(y1)")
+        prob = burgers_problem(rhs="sin(y1)*Dx1(y1)", x_degrees=(12,))
         radii = Radii.constant(0.5)
         fac = pp.estimate_lipschitz(prob, radii, k_max=2, n_pairs=24)
         assert fac.meta["method"] == "sampled" and fac.meta["certified"] is False
@@ -664,9 +705,9 @@ class TestSolve:
         F = parse_expression("0", ar)
         prob = pp.CauchyProblem(
             Domain(0, 0.5, 0.5, ((-1, 1),)), 1, 1, 0, 0, (F,),
-            ((parse_expression("x1^2", Arity(1)),),),
+            ((parse_expression("x1^2", Arity(1)),),), x_degrees=(4,),
         )
-        rep = pp.solve(prob, pp.SolveConfig(tol=1e-12, n_max=5, x_degrees=(4,)))
+        rep = pp.solve(prob, pp.SolveConfig(tol=1e-12, n_max=5))
         assert rep.converged and rep.n_steps == 1
         assert rep.residuals.pde_residual < 1e-13
 
@@ -772,7 +813,7 @@ def test_sampled_lipschitz_table_is_pinned():
     # float.hex of the table of sup ratios: a change to the sampler must not
     # move a single bit unless it means to
     fac = pp._sampled_lipschitz(
-        burgers_problem(), Radii.constant(0.5), k_max=2, n_pairs=4
+        burgers_problem(x_degrees=(12,)), Radii.constant(0.5), k_max=2, n_pairs=4
     )
     assert [float(v).hex() for v in fac.table] == [
         "0x1.92c9781f1511cp+0", "0x1.a9fa6eebb1ed2p+0", "0x1.a9fa6eebb1ed2p+0",
@@ -784,7 +825,7 @@ def test_sampled_table_stays_below_the_leibniz_table():
     # polynomial F they stay below its certified table (128 at k = 5, where
     # the max of pointwise ratios read 303)
     prob, radii = burgers_problem(rhs="-y1*Dx1(y1)"), Radii.constant(1.0)
-    sampled = pp._sampled_lipschitz(prob, radii, k_max=6, n_pairs=64, x_degrees=(24,))
+    sampled = pp._sampled_lipschitz(prob, radii, k_max=6, n_pairs=64)
     certified = pp.estimate_lipschitz(prob, radii, k_max=6)
     assert certified.table[5] == pytest.approx(128.0)
     assert all(s <= c for s, c in zip(sampled.table, certified.table))
@@ -892,13 +933,13 @@ class TestLeibnizFactors:
         y0 = Binary("+", Const(data[0]), Binary("*", Var("x", 1), Binary(
             "+", Const(data[1]), Binary("*", Const(data[2]), Var("x", 1)))))
         dom = Domain(0.0, 0.25, 0.25, ((-1.0, 1.0),))
-        prob = pp.CauchyProblem(dom, 1, 1, 0, 2, (polynomial(monomials),), ((y0,),))
+        prob = pp.CauchyProblem(dom, 1, 1, 0, 2, (polynomial(monomials),), ((y0,),), (4,))
         radii, k_max, L = Radii.constant(r), 3, 2
-        fac = pp._leibniz_lipschitz(prob, radii, k_max=k_max, x_degrees=(4,))
+        fac = pp._leibniz_lipschitz(prob, radii, k_max=k_max)
         assert fac.meta == {"method": "leibniz", "certified": True,
                             "degree": max((len(phs) for _, phs in exact), default=0),
                             "k_max": k_max}
-        i0 = pp.initial_polynomial(prob, (4,))
+        i0 = prob.i0
         rng = np.random.default_rng(seed)
         u = ball_member(prob, i0, radii, k_max + L, rng, th_u)
         v = ball_member(prob, i0, radii, k_max + L, rng, th_v)
@@ -940,7 +981,7 @@ class TestLeibnizFactors:
         assert all(v >= 3.0 * 2**k for k, v in enumerate(fac.table))
 
     def test_certified_table_is_at_least_the_sampled_one(self):
-        prob, radii = burgers_problem(), Radii.constant(0.5)
+        prob, radii = burgers_problem(x_degrees=(12,)), Radii.constant(0.5)
         certified = pp.estimate_lipschitz(prob, radii, k_max=4)
         sampled = pp._sampled_lipschitz(prob, radii, k_max=4, n_pairs=24)
         assert certified.meta["certified"] and not sampled.meta["certified"]
