@@ -1,9 +1,11 @@
 """Command-line surface: solve, certify, series, compare and demo runs.
 
-Problem files are JSON documents validated against a published schema;
-reports are JSON plus a comma-separated iterate-norm table.  Identical
-problem file + flags + seed produce byte-identical report files (timings
-go to stderr only).
+Problem files are JSON documents that ``load_problem`` reads key by key,
+each with its type, bound and default (the README's "Problem files"
+table); the first value that breaks them exits 1 with
+"<file>: schema violation at <path>: <message>".  Reports are JSON plus a
+comma-separated iterate-norm table.  Identical problem file + flags + seed
+produce byte-identical report files (timings go to stderr only).
 
 Exit codes: 0 converged, 1 error, 2 diverging certificate, 3 inconclusive.
 """
@@ -11,7 +13,6 @@ Exit codes: 0 converged, 1 error, 2 diverging certificate, 3 inconclusive.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -20,120 +21,16 @@ from pathlib import Path
 
 SCHEMA_VERSION = 1
 
-PROBLEM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema_version", "domain", "order", "rhs", "initial"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "domain": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["t0", "a", "b", "S"],
-            "properties": {
-                "t0": {"type": "number"},
-                "a": {"type": "number", "exclusiveMinimum": 0},
-                "b": {"type": "number", "exclusiveMinimum": 0},
-                "S": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
-            },
-        },
-        "order": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["d", "p", "L"],
-            "properties": {
-                "d": {"type": "integer", "minimum": 1},
-                "p": {"type": "integer", "minimum": 0},
-                "L": {"type": "integer", "minimum": 0},
-            },
-        },
-        "m": {"type": "integer", "minimum": 1},
-        "rhs": {
-            "oneOf": [
-                {"type": "string"},
-                {"type": "array", "items": {"type": "string"}, "minItems": 1},
-            ]
-        },
-        "initial": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "oneOf": [
-                    {"type": "string"},
-                    {"type": "array", "items": {"type": "string"}, "minItems": 1},
-                ]
-            },
-        },
-        "params": {
-            "type": "object",
-            "additionalProperties": {"type": "number"},
-        },
-        "growth": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["kind"],
-                "properties": {
-                    "kind": {
-                        "enum": ["exponential", "analytic", "sigma", "free"]
-                    },
-                    "C": {"type": "number", "exclusiveMinimum": 0},
-                    "sigma": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
-        },
-        "radii": {
-            "oneOf": [
-                {"const": "infinite"},
-                {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-            ]
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "n_max": {"type": "integer", "minimum": 1},
-                "k_check": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 0},
-                    "minItems": 1,
-                },
-                "degrees": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "x": {
-                            "type": "array",
-                            "items": {"type": "integer", "minimum": 0},
-                        },
-                    },
-                },
-                "seed": {"type": "integer", "minimum": 0},
-                "residual_tol": {"type": "number", "exclusiveMinimum": 0},
-                "certify_first": {"type": "boolean"},
-            },
-        },
-    },
-}
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DIVERGING = 2
 EXIT_INCONCLUSIVE = 3
+
+# the keys of a problem file; the first five are required
+_TOP_KEYS = ("schema_version", "domain", "order", "rhs", "initial",
+            "m", "params", "growth", "radii", "solver")
+_SOLVER_KEYS = ("tol", "n_max", "k_check", "degrees", "seed", "residual_tol", "certify_first")
+_GROWTH_KINDS = ["exponential", "analytic", "sigma", "free"]
 
 
 def _load_json(path: Path) -> dict:
@@ -162,83 +59,167 @@ class CliError(Exception):
     pass
 
 
-@functools.cache
-def _problem_validator():
-    """Validator of PROBLEM_SCHEMA, built once; a test checks the schema itself."""
-    from jsonschema.validators import validator_for
-
-    return validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
+class _Violation(Exception):
+    """A value that breaks the problem-file format: (path of keys and indices, message)."""
 
 
-def _validate(doc: dict, path: Path) -> None:
-    from jsonschema.exceptions import best_match
+def _is(value, kind: str) -> bool:
+    """JSON Schema's types: a bool is never a number, and an integral float is an integer."""
+    if isinstance(value, bool):
+        return kind == "boolean"
+    if kind == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    types = {"number": (int, float), "string": str, "array": list, "object": dict, "boolean": bool}
+    return isinstance(value, types[kind])
 
-    exc = best_match(_problem_validator().iter_errors(doc))
-    if exc is not None:
-        loc = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise CliError(f"{path}: schema violation at {loc}: {exc.message}") from exc
+
+def _value(value, where: tuple, kind: str, low=None, *, above: bool = False):
+    """``value`` checked to be of ``kind`` and >= low (> low if ``above``); an integer as int."""
+    if not _is(value, kind):
+        raise _Violation(where, f"{value!r} is not of type {kind!r}")
+    if low is not None and (value <= low if above else value < low):
+        relation = "less than or equal to" if above else "less than"
+        raise _Violation(where, f"{value!r} is {relation} the minimum of {low!r}")
+    return int(value) if kind == "integer" else value
+
+
+def _get(obj: dict, where: tuple, key: str, kind: str, low=None, *, above: bool = False,
+         default=None):
+    """``obj[key]`` checked by _value, or ``default`` if the key is absent."""
+    if key not in obj:
+        return default
+    return _value(obj[key], (*where, key), kind, low, above=above)
+
+
+def _object(value, where: tuple, keys, required=()) -> dict:
+    """``value`` checked to be an object with keys among ``keys`` (None: any) and ``required``."""
+    value = _value(value, where, "object")
+    extra = [] if keys is None else sorted((k for k in value if k not in keys), key=str)
+    if extra:
+        names = ", ".join(map(repr, extra))
+        verb = "was" if len(extra) == 1 else "were"
+        raise _Violation(where, f"Additional properties are not allowed ({names} {verb} unexpected)")
+    for key in required:
+        if key not in value:
+            raise _Violation(where, f"{key!r} is a required property")
+    return value
+
+
+def _array(value, where: tuple, min_items: int = 0, max_items: int | None = None) -> list:
+    """``value`` checked to be a list of min_items..max_items items."""
+    value = _value(value, where, "array")
+    if len(value) < min_items:
+        raise _Violation(where, f"{value!r} " + (
+            "should be non-empty" if min_items == 1 else "is too short"))
+    if max_items is not None and len(value) > max_items:
+        raise _Violation(where, f"{value!r} is too long")
+    return value
+
+
+def _items(value, where: tuple, kind: str, low=None, *, above: bool = False,
+           min_items: int = 0, max_items: int | None = None) -> list:
+    """``value`` checked by _array, and each of its items by _value."""
+    return [_value(v, (*where, i), kind, low, above=above)
+            for i, v in enumerate(_array(value, where, min_items, max_items))]
+
+
+def _one_of(value, where: tuple, single, kind: str, low=None, *, above: bool = False):
+    """``value`` if ``single(value)``, else a non-empty list of ``kind`` items (JSON Schema's oneOf)."""
+    if single(value):
+        return value
+    if not isinstance(value, list):
+        raise _Violation(where, f"{value!r} is not valid under any of the given schemas")
+    return _items(value, where, kind, low, above=above, min_items=1)
+
+
+def _expressions(value, where: tuple) -> list[str]:
+    """A string or a non-empty list of strings, as a list."""
+    value = _one_of(value, where, lambda v: isinstance(v, str), "string")
+    return [value] if isinstance(value, str) else value
 
 
 def load_problem(path: Path):
-    """Parse and validate a problem file into (problem, solve config)."""
+    """Read and check a problem file into (problem, solve config).
+
+    Every key is read once, with its type, bound and default; the first
+    value that breaks them raises CliError "<file>: schema violation at
+    <path>: <message>", worded as JSON Schema words it.  All keys are
+    checked before any expression is parsed.
+    """
     from .expr import Arity, ParseError, parse_expression
     from .funcspace import Domain, Radii
     from .linear_series import GrowthClass
     from .picard_pde import CauchyProblem, PicardError, SolveConfig
 
     doc = _load_json(path)
-    _validate(doc, path)
-    dom = Domain(
-        doc["domain"]["t0"], doc["domain"]["a"], doc["domain"]["b"],
-        tuple(tuple(iv) for iv in doc["domain"]["S"]),
-    )
-    order = doc["order"]
-    m = doc.get("m", 1)
-    params = doc.get("params", {})
-    arity = Arity(dom.s, m, order["L"], order["p"])
-    rhs_raw = doc["rhs"]
-    rhs_list = [rhs_raw] if isinstance(rhs_raw, str) else list(rhs_raw)
+    try:
+        doc = _object(doc, (), _TOP_KEYS, _TOP_KEYS[:5])
+        if not (_is(doc["schema_version"], "number") and doc["schema_version"] == SCHEMA_VERSION):
+            raise _Violation(("schema_version",), f"{SCHEMA_VERSION!r} was expected")
+        domain = _object(doc["domain"], ("domain",), ("t0", "a", "b", "S"), ("t0", "a", "b", "S"))
+        t0 = _get(domain, ("domain",), "t0", "number")
+        a, b = (_get(domain, ("domain",), k, "number", 0, above=True) for k in "ab")
+        S = [tuple(_items(iv, ("domain", "S", i), "number", min_items=2, max_items=2))
+             for i, iv in enumerate(_array(domain["S"], ("domain", "S")))]
+        order = _object(doc["order"], ("order",), ("d", "p", "L"), ("d", "p", "L"))
+        d = _get(order, ("order",), "d", "integer", 1)
+        p, L = (_get(order, ("order",), k, "integer", 0) for k in "pL")
+        m = _get(doc, (), "m", "integer", 1, default=1)
+        rhs = _expressions(doc["rhs"], ("rhs",))
+        initial = [_expressions(row, ("initial", i)) for i, row in
+                   enumerate(_array(doc["initial"], ("initial",), 1))]
+        params = {k: _value(v, ("params", k), "number")
+                  for k, v in _object(doc.get("params", {}), ("params",), None).items()}
+        growth = None
+        if "growth" in doc:
+            growth = []
+            for i, g in enumerate(_array(doc["growth"], ("growth",))):
+                g = _object(g, ("growth", i), ("kind", "C", "sigma"), ("kind",))
+                if g["kind"] not in _GROWTH_KINDS:
+                    raise _Violation(("growth", i, "kind"),
+                                     f"{g['kind']!r} is not one of {_GROWTH_KINDS!r}")
+                C, sigma = (_get(g, ("growth", i), k, "number", 0, above=True)
+                            for k in ("C", "sigma"))
+                growth.append((g["kind"], C, sigma))
+        radii = _one_of(doc.get("radii", "infinite"), ("radii",), lambda v: v == "infinite",
+                        "number", 0, above=True)
+        sol = _object(doc.get("solver", {}), ("solver",), _SOLVER_KEYS)
+        degrees = _object(sol.get("degrees", {}), ("solver", "degrees"), ("x",))
+        x_degrees = (_items(degrees["x"], ("solver", "degrees", "x"), "integer", 0)
+                     if "x" in degrees else None)
+        k_check = _items(sol.get("k_check", [0]), ("solver", "k_check"), "integer", 0, min_items=1)
+        config = dict(
+            k_check=tuple(k_check),
+            tol=_get(sol, ("solver",), "tol", "number", 0, above=True, default=1e-10),
+            n_max=_get(sol, ("solver",), "n_max", "integer", 1, default=10),
+            certify_first=_get(sol, ("solver",), "certify_first", "boolean", default=False),
+            residual_tol=_get(sol, ("solver",), "residual_tol", "number", 0, above=True,
+                              default=1e-7),
+            seed=_get(sol, ("solver",), "seed", "integer", 0, default=0),
+        )
+    except _Violation as exc:
+        where, message = exc.args
+        raise CliError(
+            f"{path}: schema violation at {'/'.join(map(str, where)) or '(root)'}: {message}"
+        ) from None
+
+    dom = Domain(t0, a, b, tuple(S))
+    arity = Arity(dom.s, m, L, p)
     x_arity = Arity(dom.s, m, 0, 0)
     try:
-        rhs = tuple(parse_expression(e, arity, params) for e in rhs_list)
-        initial = []
-        for row in doc["initial"]:
-            row_list = [row] if isinstance(row, str) else list(row)
-            initial.append(tuple(
-                parse_expression(e, x_arity, params) for e in row_list
-            ))
+        rhs = tuple(parse_expression(e, arity, params) for e in rhs)
+        initial = tuple(tuple(parse_expression(e, x_arity, params) for e in row)
+                        for row in initial)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
-    sol = doc.get("solver", {})
     try:
-        problem = CauchyProblem(
-            dom, m, order["d"], order["p"], order["L"], rhs, tuple(initial),
-            sol.get("degrees", {}).get("x"),
-        )
+        problem = CauchyProblem(dom, m, d, p, L, rhs, initial, x_degrees)
     except PicardError as exc:
         raise CliError(f"{path}: {exc}") from exc
-
-    growth = None
-    if "growth" in doc:
-        growth = tuple(
-            GrowthClass(g["kind"], g.get("C"), g.get("sigma"))
-            for g in doc["growth"]
-        )
-    radii = Radii.infinite()
-    if "radii" in doc and doc["radii"] != "infinite":
-        radii = Radii.from_list(doc["radii"])
-
-    config = SolveConfig(
-        radii=radii,
-        k_check=tuple(sol.get("k_check", [0])),
-        tol=sol.get("tol", 1e-10),
-        n_max=sol.get("n_max", 10),
-        certify_first=sol.get("certify_first", False),
-        residual_tol=sol.get("residual_tol", 1e-7),
-        growth=growth,
-        seed=sol.get("seed", 0),
-    )
-    return problem, config
+    if growth is not None:
+        growth = tuple(GrowthClass(*g) for g in growth)
+    radii = Radii.infinite() if radii == "infinite" else Radii.from_list(radii)
+    return problem, SolveConfig(radii=radii, growth=growth, **config)
 
 
 def _write_report(out_dir: Path, stem: str, payload: dict) -> Path:

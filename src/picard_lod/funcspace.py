@@ -25,7 +25,6 @@ Lipschitz grid (LIPSCHITZ_GRID_POINTS) and the t grid of the matrix norm
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -312,27 +311,6 @@ class SepFunc:
             "degrees": list(self.degrees),
             "coeffs": np.asarray(self.coeffs).ravel(order="C").tolist(),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SepFunc":
-        if data.get("schema") != "sepfunc/1":
-            raise FuncSpaceError("unknown sepfunc schema")
-        dom = Domain(
-            data["domain"]["t0"],
-            data["domain"]["a"],
-            data["domain"]["b"],
-            tuple(tuple(iv) for iv in data["domain"]["S"]),
-        )
-        shape = (data["m"], *[d + 1 for d in data["degrees"]])
-        coeffs = np.array(data["coeffs"], dtype=float).reshape(shape, order="C")
-        return cls(dom, data["m"], data["p"], coeffs)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "SepFunc":
-        return cls.from_json_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

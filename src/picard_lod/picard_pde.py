@@ -46,7 +46,6 @@ from .funcspace import (
 from .graded_core import (
     CONVERGED,
     DIVERGING,
-    GradedCoreError,
     GradedSpaceHandle,
     IterationStop,
     LodCertificate,
@@ -134,8 +133,9 @@ class CauchyProblem:
     initial-condition expressions in the spatial variables only.
     ``x_degrees`` holds one x degree per axis, in [0, DEGREE_CAP], at which
     the initial data is interpolated (None: X_DEGREE on every axis).
-    ``rhs_class`` is the form of ``rhs``, set once by ``classify_rhs``, and
-    ``i0`` the Picard starting point, built on first use.
+    ``rhs_class`` is the form of ``rhs``, set once by ``classify_rhs``;
+    ``i0``, the Picard starting point, and ``first_iterate``, P(i0), are
+    built on first use.
     """
 
     domain: Domain
@@ -195,6 +195,11 @@ class CauchyProblem:
     def i0(self) -> SepFunc:
         """The Picard starting point at ``x_degrees``, interpolated once."""
         return initial_polynomial(self)
+
+    @cached_property
+    def first_iterate(self) -> SepFunc:
+        """P(i0), computed once: solve's first step and the numeric certificate's increment."""
+        return apply_P(self, self.i0, self.i0)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +825,7 @@ def certify_weissinger(
     }
     if norm_source == "numeric":
         i0 = problem.i0
-        inc = (apply_P(problem, i0, i0) - i0).trim()
+        inc = (problem.first_iterate - i0).trim()
         n_hi_of = {
             k: (n_max if L == 0 else min(n_max, (NUMERIC_K_CAP - k) // L)) for k in k_list
         }
@@ -962,7 +967,7 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
     last_norms: list = [None, None]  # (difference, its norms up to k_top)
 
     def step(y: SepFunc) -> SepFunc:
-        y_next = apply_P(problem, y, i0)
+        y_next = problem.first_iterate if y is i0 else apply_P(problem, y, i0)
         truncation.append(y_next.truncation or 0.0)
         return y_next
 
@@ -1007,22 +1012,14 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
             and all(r <= cfg.residual_tol for r in residuals.ic_residuals)
         )
 
+    # the certificate has the one row k = 0
     bounds = None
     estimates = False
-    if certificate is not None:
-        bounds = {}
-        for k in cfg.k_check:
-            try:
-                row = certificate.row(k)
-            except GradedCoreError:
-                continue
-            if row.verdict != CONVERGED:
-                continue
-            tails = [row.tail_bound(n) for n in range(run.n_steps + 1)]
-            bounds[k] = [t.value for t in tails]
-            estimates = estimates or any(t.is_estimate for t in tails)
-        if not bounds:
-            bounds = None
+    row = certificate.row(0) if certificate is not None else None
+    if row is not None and row.verdict == CONVERGED and 0 in cfg.k_check:
+        tails = [row.tail_bound(n) for n in range(run.n_steps + 1)]
+        bounds = {0: [t.value for t in tails]}
+        estimates = any(t.is_estimate for t in tails)
 
     return SolveReport(
         status=run.status,

@@ -1,6 +1,7 @@
 """Shared test oracles: finite-difference derivatives, bisection roots, the
 numpy formulas that Chebyshev derivatives and grid values must match bit for
-bit, and a quadrature of the literal contraction-constant recursion."""
+bit, a quadrature of the literal contraction-constant recursion, and the
+problem-file format as a JSON Schema."""
 
 from __future__ import annotations
 
@@ -120,3 +121,117 @@ def bisection_root(f, lo: float, hi: float, iters: int = 200) -> float:
 
 # Frozen oracle values (computed with bisection_root before the build):
 CUBIC_ROOT_005 = 0.049875928231106065  # x + x^3 = 0.05
+
+
+# The problem-file format of picard_lod.cli as a JSON Schema (draft 2020-12),
+# the oracle that cli.load_problem's own reader is checked against: both
+# accept the same files and name the same first violation.
+PROBLEM_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["schema_version", "domain", "order", "rhs", "initial"],
+    "properties": {
+        "schema_version": {"const": 1},
+        "domain": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["t0", "a", "b", "S"],
+            "properties": {
+                "t0": {"type": "number"},
+                "a": {"type": "number", "exclusiveMinimum": 0},
+                "b": {"type": "number", "exclusiveMinimum": 0},
+                "S": {
+                    "type": "array",
+                    "items": {
+                        "type": "array",
+                        "items": {"type": "number"},
+                        "minItems": 2,
+                        "maxItems": 2,
+                    },
+                },
+            },
+        },
+        "order": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["d", "p", "L"],
+            "properties": {
+                "d": {"type": "integer", "minimum": 1},
+                "p": {"type": "integer", "minimum": 0},
+                "L": {"type": "integer", "minimum": 0},
+            },
+        },
+        "m": {"type": "integer", "minimum": 1},
+        "rhs": {
+            "oneOf": [
+                {"type": "string"},
+                {"type": "array", "items": {"type": "string"}, "minItems": 1},
+            ]
+        },
+        "initial": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "oneOf": [
+                    {"type": "string"},
+                    {"type": "array", "items": {"type": "string"}, "minItems": 1},
+                ]
+            },
+        },
+        "params": {
+            "type": "object",
+            "additionalProperties": {"type": "number"},
+        },
+        "growth": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "additionalProperties": False,
+                "required": ["kind"],
+                "properties": {
+                    "kind": {
+                        "enum": ["exponential", "analytic", "sigma", "free"]
+                    },
+                    "C": {"type": "number", "exclusiveMinimum": 0},
+                    "sigma": {"type": "number", "exclusiveMinimum": 0},
+                },
+            },
+        },
+        "radii": {
+            "oneOf": [
+                {"const": "infinite"},
+                {
+                    "type": "array",
+                    "items": {"type": "number", "exclusiveMinimum": 0},
+                    "minItems": 1,
+                },
+            ]
+        },
+        "solver": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "tol": {"type": "number", "exclusiveMinimum": 0},
+                "n_max": {"type": "integer", "minimum": 1},
+                "k_check": {
+                    "type": "array",
+                    "items": {"type": "integer", "minimum": 0},
+                    "minItems": 1,
+                },
+                "degrees": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": {
+                        "x": {
+                            "type": "array",
+                            "items": {"type": "integer", "minimum": 0},
+                        },
+                    },
+                },
+                "seed": {"type": "integer", "minimum": 0},
+                "residual_tol": {"type": "number", "exclusiveMinimum": 0},
+                "certify_first": {"type": "boolean"},
+            },
+        },
+    },
+}

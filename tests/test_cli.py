@@ -1,19 +1,29 @@
+import copy
+import functools
 import json
 import math
+import operator
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import PROBLEM_SCHEMA
 from picard_lod.cli import (
     EXIT_DIVERGING,
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
-    PROBLEM_SCHEMA,
+    CliError,
+    load_problem,
     main,
 )
+from picard_lod.funcspace import FuncSpaceError
+from picard_lod.linear_series import LinearSeriesError
 
 PI = math.pi
 
@@ -114,6 +124,149 @@ class TestSchema:
         p = write_problem(tmp_path / "expr.json", rhs="Dx9(y1)")
         assert main(["solve", str(p)]) == EXIT_ERROR
         assert "exceeds declared L" in capsys.readouterr().err
+
+
+# every key of a problem file, each form of rhs and initial, and two growth rows
+FULL = {
+    "schema_version": 1,
+    "domain": {"t0": 0.0, "a": 0.1, "b": 0.1, "S": [[-1.0, 1.0]]},
+    "order": {"d": 2, "p": 1, "L": 1},
+    "m": 1,
+    "rhs": ["Dx1(y1)+c*Dt(y1)"],
+    "initial": [["sin(x1)"], "cos(x1)"],
+    "params": {"c": 0.5},
+    "growth": [{"kind": "exponential", "C": 1.0}, {"kind": "sigma", "sigma": 1.0}],
+    "radii": [1.0, 2.0],
+    "solver": {"tol": 1e-10, "n_max": 10, "k_check": [0, 1], "degrees": {"x": [6]},
+               "seed": 0, "residual_tol": 1e-7, "certify_first": False},
+}
+
+
+def _nodes(value, where=()):
+    """(path, value) of value and of everything inside it."""
+    yield where, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _nodes(item, (*where, key))
+
+
+def _at(doc, where):
+    """The value at path ``where`` in doc."""
+    return functools.reduce(operator.getitem, where, doc)
+
+
+NODES = list(_nodes(FULL))
+# the paths of FULL that each kind of mutation changes
+SITES = {
+    "type": [w for w, _ in NODES],
+    "bool": [w for w, v in NODES if type(v) in (int, float)],
+    "bound": [w for w, v in NODES if type(v) in (int, float)],
+    "missing": [w for w, _ in NODES if w and isinstance(w[-1], str)],
+    "unknown": [w for w, v in NODES if isinstance(v, dict)],
+    "empty": [w for w, v in NODES if isinstance(v, list)],
+    "integral": [w for w, v in NODES if type(v) is int],
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3.0, 3.0)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def single_mutations(draw):
+    """FULL with one key changed: wrong type, bool for a number, out of bound,
+    missing key, unknown key, empty list or integral float."""
+    kind = draw(st.sampled_from(sorted(SITES)))
+    where = draw(st.sampled_from(SITES[kind]))
+    doc = copy.deepcopy(FULL)
+    if kind == "unknown":
+        node = _at(doc, where)
+        node[draw(st.text(min_size=1, max_size=4).filter(lambda k: k not in node))] = 1
+        return doc
+    if not where:  # only a wrong type replaces the whole document
+        return draw(JSON_VALUES)
+    parent, key = _at(doc, where[:-1]), where[-1]
+    if kind == "missing":
+        del parent[key]
+    else:
+        parent[key] = {
+            "type": lambda: draw(JSON_VALUES),
+            "bool": lambda: draw(st.booleans()),
+            "bound": lambda: draw(st.sampled_from([0, 0.0, -1, -0.5, -1e300])),
+            "empty": lambda: [],
+            "integral": lambda: float(parent[key]),
+        }[kind]()
+    return doc
+
+
+class TestReaderMatchesTheSchema:
+    """load_problem's reader against PROBLEM_SCHEMA, the problem-file format as a JSON Schema."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=single_mutations())
+    def test_same_documents_and_same_failing_path(self, doc):
+        from jsonschema.exceptions import best_match
+        from jsonschema.validators import validator_for
+
+        errors = list(validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA).iter_errors(doc))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.json"
+            path.write_text(json.dumps(doc))
+            try:
+                load_problem(path)
+                got = None
+            except CliError as exc:
+                got = str(exc)
+            except (FuncSpaceError, LinearSeriesError) as exc:  # checks past the format
+                got = f"{type(exc).__name__}: {exc}"
+
+        def line(error):
+            at = "/".join(map(str, error.absolute_path)) or "(root)"
+            return f"{path}: schema violation at {at}: {error.message}"
+
+        def with_context(errors):
+            for error in errors:
+                yield error
+                yield from with_context(error.context)
+
+        if not errors:
+            assert got is None or "schema violation" not in got
+        elif len(errors) == 1:
+            assert got == line(best_match(errors))
+        else:
+            # a value with several violations, such as [null, null] for the x
+            # degrees: the reader names the first it reads, jsonschema's
+            # best_match the last sibling; the reader's is one of them
+            assert got in {line(error) for error in with_context(errors)}
+
+    @pytest.mark.parametrize("where", [
+        ("order", "d"), ("order", "p"), ("order", "L"), ("m",), ("solver", "n_max"),
+        ("solver", "k_check", 0), ("solver", "degrees", "x", 0), ("solver", "seed"),
+    ], ids=lambda where: "/".join(map(str, where)))
+    def test_integral_float_runs_as_its_integer(self, tmp_path, where):
+        doc = json.loads(write_problem(tmp_path / "int.json", m=1).read_text())
+        doc["solver"].update(degrees={"x": [24]}, seed=0)
+        (tmp_path / "int.json").write_text(json.dumps(doc))
+        parent = _at(doc, where[:-1])
+        parent[where[-1]] = float(parent[where[-1]])
+        (tmp_path / "float.json").write_text(json.dumps(doc))
+        runs = [
+            (main(["solve", str(tmp_path / f"{stem}.json"), "--out", str(tmp_path)]),
+             (tmp_path / f"{stem}.report.json").read_bytes())
+            for stem in ("int", "float")
+        ]
+        assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
+
+    def test_bool_is_not_a_number(self, tmp_path, capsys):
+        p = write_problem(tmp_path / "b.json",
+                          domain={"t0": 0.0, "a": True, "b": 0.1, "S": [[-PI, PI]]})
+        assert main(["solve", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "b.json: schema violation at domain/a: True is not of type 'number'" in err
 
 
 class TestXDegreesOfTheFile:
@@ -540,3 +693,18 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == EXIT_OK
     assert "converged" in proc.stdout
+
+
+def test_cli_path_does_not_import_jsonschema(tmp_path):
+    # jsonschema is a test dependency: solve and certify must run without it
+    p = write_problem(tmp_path / "heat.json")
+    script = (
+        "import sys\n"
+        "from picard_lod.cli import main\n"
+        f"codes = [main([cmd, {str(p)!r}, '--out', {str(tmp_path)!r}])"
+        " for cmd in ('solve', 'certify')]\n"
+        "print(codes, 'jsonschema' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"

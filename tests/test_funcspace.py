@@ -252,13 +252,6 @@ class TestRadii:
         assert not Radii.from_list([math.inf, 1.0]).is_infinite()
 
 
-def test_serialization_round_trip():
-    f = interpolate(expr("sin(x1)"), SQUARE, (0, 12))
-    g = SepFunc.loads(f.dumps())
-    assert g == f  # domain, m, p compare; coefficients checked below
-    assert np.array_equal(np.asarray(g.coeffs), np.asarray(f.coeffs))
-
-
 def test_trim_drops_negligible_tail():
     c = np.zeros((1, 3, 5))
     c[0, 0, 0] = 1.0
