@@ -147,8 +147,8 @@ def load_problem(path: Path):
     checked before any expression is parsed.
     """
     from .expr import Arity, ParseError, parse_expression
-    from .funcspace import Domain, Radii
-    from .linear_series import GrowthClass
+    from .funcspace import Domain, FuncSpaceError, Radii
+    from .linear_series import GrowthClass, LinearSeriesError
     from .picard_pde import CauchyProblem, PicardError, SolveConfig
 
     doc = _load_json(path)
@@ -203,21 +203,18 @@ def load_problem(path: Path):
             f"{path}: schema violation at {'/'.join(map(str, where)) or '(root)'}: {message}"
         ) from None
 
-    dom = Domain(t0, a, b, tuple(S))
-    arity = Arity(dom.s, m, L, p)
-    x_arity = Arity(dom.s, m, 0, 0)
     try:
+        dom = Domain(t0, a, b, tuple(S))
+        arity = Arity(dom.s, m, L, p)
+        x_arity = Arity(dom.s, m, 0, 0)
         rhs = tuple(parse_expression(e, arity, params) for e in rhs)
         initial = tuple(tuple(parse_expression(e, x_arity, params) for e in row)
                         for row in initial)
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-    try:
         problem = CauchyProblem(dom, m, d, p, L, rhs, initial, x_degrees)
-    except PicardError as exc:
+        if growth is not None:
+            growth = tuple(GrowthClass(*g) for g in growth)
+    except (FuncSpaceError, ParseError, PicardError, LinearSeriesError) as exc:
         raise CliError(f"{path}: {exc}") from exc
-    if growth is not None:
-        growth = tuple(GrowthClass(*g) for g in growth)
     radii = Radii.infinite() if radii == "infinite" else Radii.from_list(radii)
     return problem, SolveConfig(radii=radii, growth=growth, **config)
 

@@ -12,7 +12,9 @@ grid density is part of every reported norm), a lower bound on the exact
 sup, and graded_norms_upper bounds them from above by coefficient sums.
 Every grid sup of the program is one sup_abs call, and expressions see the
 coordinates of a tensor grid as open (broadcasting) axes, from
-grid_bindings.
+grid_bindings.  The Chebyshev-Vandermonde matrices of grid evaluation and
+of values-to-coefficients fits come from bounded per-process caches keyed
+on the exact points, and are read-only, since every caller shares them.
 
 Every sampling grid of the program is built here, and its sizes are
 module constants, not options.  Those below give equispaced norm grids of
@@ -133,8 +135,22 @@ def _nodes(deg: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _vander(n: int) -> np.ndarray:
-    """Chebyshev-Vandermonde matrix of degree n - 1 at the n Chebyshev extrema."""
-    return cheb.chebvander(_nodes(n - 1), n - 1)
+    """Chebyshev-Vandermonde matrix of degree n - 1 at the n Chebyshev extrema, read-only."""
+    V = cheb.chebvander(_nodes(n - 1), n - 1)
+    V.setflags(write=False)
+    return V
+
+
+@lru_cache(maxsize=128)
+def _grid_vander(raw: bytes, dtype: str, n: int) -> np.ndarray:
+    """chebvander(u, n - 1), read-only, for the points u held in raw as dtype.
+
+    Keyed on the exact points, so a hit returns the matrix that a fresh
+    call would compute, bit for bit.
+    """
+    V = cheb.chebvander(np.frombuffer(raw, dtype=dtype), n - 1)
+    V.setflags(write=False)
+    return V
 
 
 def _values_to_coeffs(vals: np.ndarray, axis: int) -> np.ndarray:
@@ -158,19 +174,22 @@ def _grid_evaluator(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Evaluate on the tensor grid of pts any coefficient tensor no larger than f's.
 
-    One Chebyshev-Vandermonde matrix per axis at f's degree is built here; a
-    tensor of n coefficients on that axis uses its leading n columns, which
-    the recurrence builds in order, so they equal chebvander(u, n - 1) bit
-    for bit.  Each axis is one gemm, the call that tensordot makes.
+    Each axis uses one Chebyshev-Vandermonde matrix at f's degree, taken
+    from a bounded per-process cache (_grid_vander) keyed on the exact
+    mapped points, and read-only; a tensor of n coefficients on that axis
+    uses its leading n columns, which the recurrence builds in order, so
+    they equal chebvander(u, n - 1) bit for bit.  Each axis is one gemm, the
+    call that tensordot makes.
     """
     if len(pts) != 1 + f.domain.s:
         raise FuncSpaceError("grid rank does not match spatial dimension")
-    steps = [
-        (axis, cheb.chebvander(_to_unit(u, iv), n - 1), *_axis_to_front(f.coeffs.ndim, axis))
-        for axis, (u, iv, n) in enumerate(
-            zip(pts, f.domain.intervals(), f.coeffs.shape[1:]), start=1
-        )
-    ]
+    steps = []
+    for axis, (u, iv, n) in enumerate(
+        zip(pts, f.domain.intervals(), f.coeffs.shape[1:]), start=1
+    ):
+        u = _to_unit(u, iv)
+        V = _grid_vander(u.tobytes(), u.dtype.str, n)
+        steps.append((axis, V, *_axis_to_front(f.coeffs.ndim, axis)))
 
     def evaluate(coeffs: np.ndarray) -> np.ndarray:
         out = coeffs
@@ -185,9 +204,19 @@ def _grid_evaluator(
 
 
 def pad_to_common(*arrays: np.ndarray) -> list[np.ndarray]:
-    """Zero-pad every array at the end of each axis to their common shape."""
+    """Zero-pad every array at the end of each axis to their common shape.
+
+    An array already at that shape is returned as it is, not copied.
+    """
     shape = tuple(max(sizes) for sizes in zip(*(a.shape for a in arrays)))
-    return [np.pad(a, [(0, s - n) for s, n in zip(shape, a.shape)]) for a in arrays]
+    out = []
+    for a in arrays:
+        if a.shape != shape:
+            padded = np.zeros(shape, dtype=a.dtype)
+            padded[tuple(slice(n) for n in a.shape)] = a
+            a = padded
+        out.append(a)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +316,9 @@ class SepFunc:
             out = arr[(slice(None), *([slice(0, 1)] * (arr.ndim - 1)))]
             return replace(self, coeffs=out)
         arr[np.abs(arr) < 1e-14 * scale] = 0.0
-        for axis in range(1, arr.ndim):
-            mov = np.moveaxis(arr, axis, 0)
-            n = mov.shape[0]
-            while n > 1 and not np.any(mov[n - 1]):
-                n -= 1
-            arr = np.moveaxis(mov[:n], 0, axis)
+        # each axis keeps up to its last index that holds a nonzero
+        nonzero = np.nonzero(arr != 0)
+        arr = arr[(slice(None), *(slice(int(i.max()) + 1) for i in nonzero[1:]))]
         return replace(self, coeffs=arr)
 
     # -- serialization -----------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared test oracles: finite-difference derivatives, bisection roots, the
-numpy formulas that Chebyshev derivatives and grid values must match bit for
-bit, a quadrature of the literal contraction-constant recursion, and the
-problem-file format as a JSON Schema."""
+numpy formulas that Chebyshev derivatives, grid values, padding and trimming
+must match bit for bit, a quadrature of the literal contraction-constant
+recursion, and the problem-file format as a JSON Schema."""
 
 from __future__ import annotations
 
@@ -69,6 +69,34 @@ def tensordot_eval_grid(coeffs: np.ndarray, intervals, grids) -> np.ndarray:
         V = cheb.chebvander(to_unit(pts, lo, hi), out.shape[axis] - 1)
         out = np.moveaxis(np.tensordot(V, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
     return out
+
+
+def np_pad_to_common(*arrays: np.ndarray) -> list[np.ndarray]:
+    """Zero-pad every array at the end of each axis to their common shape, by np.pad."""
+    shape = tuple(max(sizes) for sizes in zip(*(a.shape for a in arrays)))
+    return [np.pad(a, [(0, s - n) for s, n in zip(shape, a.shape)]) for a in arrays]
+
+
+def moveaxis_trim(coeffs: np.ndarray) -> np.ndarray:
+    """The coefficients SepFunc.trim keeps, found axis by axis with moveaxis.
+
+    Entries below 1e-14 times the largest become 0.0; then, per axis after
+    the component axis, trailing slices with no nonzero entry are dropped,
+    one np.any per slice, keeping at least one.  An all-zero tensor keeps
+    its first coefficient on every such axis.
+    """
+    arr = np.array(coeffs)
+    scale = np.max(np.abs(arr))
+    if scale == 0:
+        return arr[(slice(None), *([slice(0, 1)] * (arr.ndim - 1)))]
+    arr[np.abs(arr) < 1e-14 * scale] = 0.0
+    for axis in range(1, arr.ndim):
+        mov = np.moveaxis(arr, axis, 0)
+        n = mov.shape[0]
+        while n > 1 and not np.any(mov[n - 1]):
+            n -= 1
+        arr = np.moveaxis(mov[:n], 0, axis)
+    return arr
 
 
 def _cumulative_trapezoid(f: np.ndarray, h: float) -> np.ndarray:

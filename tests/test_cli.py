@@ -22,8 +22,6 @@ from picard_lod.cli import (
     load_problem,
     main,
 )
-from picard_lod.funcspace import FuncSpaceError
-from picard_lod.linear_series import LinearSeriesError
 
 PI = math.pi
 
@@ -125,6 +123,18 @@ class TestSchema:
         assert main(["solve", str(p)]) == EXIT_ERROR
         assert "exceeds declared L" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, message", [
+        ({"domain": {"t0": 0.0, "a": 0.1, "b": 0.1, "S": [[1.0, 1.0]]}},
+         "empty spatial interval [1.0, 1.0]"),
+        ({"growth": [{"kind": "exponential"}]}, "exponential class needs C > 0"),
+    ], ids=["empty-interval", "growth-without-C"])
+    def test_value_checks_past_the_format_name_the_file(
+        self, tmp_path, capsys, override, message
+    ):
+        p = write_problem(tmp_path / "semantic.json", **override)
+        assert main(["solve", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert f"error: {p}: {message}\n" in capsys.readouterr().err
+
 
 # every key of a problem file, each form of rhs and initial, and two growth rows
 FULL = {
@@ -221,8 +231,6 @@ class TestReaderMatchesTheSchema:
                 got = None
             except CliError as exc:
                 got = str(exc)
-            except (FuncSpaceError, LinearSeriesError) as exc:  # checks past the format
-                got = f"{type(exc).__name__}: {exc}"
 
         def line(error):
             at = "/".join(map(str, error.absolute_path)) or "(root)"

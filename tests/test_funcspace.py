@@ -288,10 +288,61 @@ def test_pad_to_common():
     assert a.shape == b.shape == (1, 2, 3)
     assert np.array_equal(a[0], [[1, 0, 0], [1, 0, 0]])
     assert np.array_equal(b[0], [[2, 2, 2], [0, 0, 0]])
+    c = np.ones((1, 2, 3))
+    assert pad_to_common(c, a)[0] is c
 
 
 CUBE = Domain(0.1, 0.25, 0.5, ((-1.0, 2.0), (0.0, 1.0)))
 DOMAINS = {0: HALF, 1: SQUARE, 2: CUBE}
+
+# signed zeros, values under and over trim's cut of 1e-14 times the largest,
+# and ordinary magnitudes
+TENSOR_ENTRIES = [0.0, -0.0, 1.0, -2.5, 3e-15, -1e-20, 7e-300, 1e5]
+
+
+@st.composite
+def coefficient_tensors(draw, rank, m=None):
+    """A tensor of ``rank`` axes, 1..4 entries each (m on the first, if given).
+
+    Its entries are drawn from TENSOR_ENTRIES, or from the two zeros alone.
+    """
+    sizes = draw(st.lists(st.integers(1, 4), min_size=rank, max_size=rank))
+    shape = tuple(sizes if m is None else [m, *sizes[1:]])
+    entries = [0.0, -0.0] if draw(st.booleans()) else TENSOR_ENTRIES
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(st.sampled_from(entries), min_size=size, max_size=size))
+                     ).reshape(shape)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestPadAndTrimMatchTheirOracles:
+    """pad_to_common and SepFunc.trim equal the np.pad and moveaxis forms, bit for bit.
+
+    A -0.0 prints differently from 0.0 in a report, so signs of zeros count.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), s=st.integers(0, 2), count=st.integers(1, 3))
+    def test_pad_to_common(self, data, s, count):
+        from helpers import np_pad_to_common
+        from picard_lod.funcspace import pad_to_common
+
+        arrays = [data.draw(coefficient_tensors(2 + s)) for _ in range(count)]
+        for got, want in zip(pad_to_common(*arrays), np_pad_to_common(*arrays)):
+            assert_same_bits(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), s=st.integers(0, 2), m=st.integers(1, 2))
+    def test_trim(self, data, s, m):
+        from helpers import moveaxis_trim
+
+        coeffs = data.draw(coefficient_tensors(2 + s, m))
+        assert_same_bits(SepFunc(DOMAINS[s], m, 0, coeffs).trim().coeffs, moveaxis_trim(coeffs))
 
 
 @st.composite
@@ -464,6 +515,42 @@ def integral_cases(draw):
     lbnd = draw(st.sampled_from([-1.0, 0.0]) | st.floats(-1.0, 1.0))
     return dict(c=coeffs, m=draw(st.integers(0, 3)), lbnd=lbnd,
                 scl=draw(st.floats(0.01, 10.0)), axis=draw(st.integers(0, len(shape) - 1)))
+
+
+class TestVandermondeCaches:
+    """Every caller shares the cached Vandermonde matrices, so they are built once, read-only."""
+
+    def test_cached_matrices_are_read_only(self):
+        import picard_lod.funcspace as fs
+
+        u = np.linspace(-1.0, 1.0, 7)
+        for V in (fs._vander(5), fs._grid_vander(u.tobytes(), u.dtype.str, 4)):
+            with pytest.raises(ValueError, match="read-only"):
+                V[0, 0] = 1.0
+
+    def test_one_solve_builds_each_matrix_once(self, monkeypatch):
+        """A burgers-1d-like solve: each (points, degree) key reaches chebvander at most once."""
+        from numpy.polynomial import chebyshev as cheb
+
+        import picard_lod.funcspace as fs
+        import picard_lod.picard_pde as pp
+
+        dom = Domain(0.0, 0.1, 0.1, ((-math.pi, math.pi),))
+        rhs = parse_expression("-y1*Dx1(y1)", Arity(s=1, m=1, L=1, p=0))
+        problem = pp.CauchyProblem(dom, 1, 1, 0, 1, (rhs,), ((expr("0.5*sin(x1+1)"),),), (16,))
+        keys = []
+        original = cheb.chebvander
+
+        def spy(x, deg):
+            keys.append((np.asarray(x).tobytes(), deg))
+            return original(x, deg)
+
+        monkeypatch.setattr(cheb, "chebvander", spy)
+        fs._vander.cache_clear()
+        fs._grid_vander.cache_clear()
+        report = pp.solve(problem, pp.SolveConfig(radii=Radii.constant(1.0), n_max=30))
+        assert report.status == "converged"
+        assert keys and len(keys) == len(set(keys))
 
 
 class TestNumpyReference:
