@@ -64,7 +64,6 @@ __all__ = [
 ]
 
 
-SERIES_T_DEGREE = 16  # t degree of the interpolated forcing
 Q_PROBE_ORDER = 6  # x-derivative order up to which a forcing bound left out is probed
 
 
@@ -234,56 +233,6 @@ def _probe_q_bound(q: Sequence[Expr], domain: Domain) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _t_interp_matrix(problem: LinearProblem) -> np.ndarray:
-    """Chebyshev coefficients on T of every p entry, adaptively resolved.
-
-    Trailing t-slices that are exactly zero are dropped, so a constant p
-    has one slice and the recursions keep their true t-degrees.
-    """
-    dom = problem.domain
-    t_dom = Domain(dom.t0, dom.a, dom.b)
-    deg = 16
-    while True:
-        out = np.array([
-            [interpolate(e, t_dom, (deg,)).coeffs[0] for e in row]
-            for row in problem.p_coef
-        ])
-        tail = np.max(np.abs(out[..., -2:])) / (np.max(np.abs(out)) or 1.0)
-        if tail < 1e-13 or deg >= 64:
-            nonzero = np.flatnonzero(np.any(out, axis=(0, 1)))
-            return out[..., : nonzero[-1] + 1 if nonzero.size else 1]
-        deg *= 2
-
-
-def _step(problem: LinearProblem, P: np.ndarray, coef: np.ndarray,
-          beta: Sequence[int]) -> tuple[np.ndarray, bool]:
-    """I_d[p . D^beta coef], the step of both recursions, on coefficients.
-
-    ``coef`` is laid out as a SepFunc's coefficients: component, t, then
-    the remaining axes, of which beta differentiates t and the leading ones.
-    p(t) multiplies through T_a T_i = (T_{a+i} + T_{|a-i|}) / 2 as one
-    contraction over component and t, cut at DEGREE_CAP in t; the d-fold
-    integral from t0 then ends at degree DEGREE_CAP + d at most.  Returns
-    the coefficients and whether the cut dropped a degree of the product.
-    """
-    dom = problem.domain
-    for axis, (order, (lo, hi)) in enumerate(zip(beta, dom.intervals()), start=1):
-        coef = fs.cheb_derivative(coef, order, scl=2.0 / (hi - lo), axis=axis)
-    m, _, n_p = P.shape
-    n = coef.shape[1]
-    i = np.arange(n)
-    op = np.zeros((m, m, n_p + n - 1, n))  # op[h, l, k, i]: T_i of y_l into T_k of row h
-    for a in range(n_p):
-        half = P[:, :, a, None] / 2
-        op[:, :, a + i, i] += half
-        op[:, :, abs(a - i), i] += half
-    prod = np.tensordot(op[:, :, : fs.DEGREE_CAP + 1], coef, axes=([1, 3], [0, 1]))
-    lo, hi = dom.t_interval
-    out = fs.cheb_integral(prod, problem.d, lbnd=(2 * dom.t0 - lo - hi) / (hi - lo),
-                           scl=(hi - lo) / 2, axis=1)
-    return out, op.shape[2] > fs.DEGREE_CAP + 1
-
-
 @dataclass
 class MuEta:
     """Coefficient sequences of the explicit iterate formula.
@@ -311,10 +260,10 @@ def mu_eta_recursions(
     The base is (j-gamma)!/j! (t-t0)^j, the step I_d[p d_t^gamma .], eta_0 =
     q, eta_1 = I_d[q] and eta_{h+1} = I_d[p d_x^mu d_t^gamma eta_h] for
     h >= 1; this reproduces the Picard iterates exactly.  Both recursions
-    run _step: a mu matrix as a tensor (row, t, column), eta as its SepFunc
-    coefficients.
+    run picard_pde._linear_step, the step of the Picard operator: a mu
+    matrix as a tensor (row, t, column), eta as its SepFunc coefficients.
     """
-    P = _t_interp_matrix(problem)
+    P = pp._t_interp_matrix(problem.domain, problem.p_coef)
     m = problem.m
     mu: dict[int, list[np.ndarray]] = {}
     cut = False
@@ -328,21 +277,21 @@ def mu_eta_recursions(
             cur[h, :, h] = tp
         seq = [cur]
         for _ in range(h_max):
-            cur, cut_h = _step(problem, P, cur, (problem.gamma,))
+            cur, cut_h = pp._linear_step(problem.domain, problem.d, P, cur, (problem.gamma,))
             cut |= cut_h
             seq.append(cur)
         mu[j] = [np.moveaxis(c, 1, 2) for c in seq]
 
     # eta sequence
     sdeg = (x_degree,) * problem.domain.s
-    q0 = interpolate(list(problem.q), problem.domain, (SERIES_T_DEGREE, *sdeg),
+    q0 = interpolate(list(problem.q), problem.domain, (pp.SERIES_T_DEGREE, *sdeg),
                      m=m, p=problem.p).trim()
     eta: list[SepFunc] = [q0]
     if h_max >= 1:
         eta.append(iterated_time_integral(q0, problem.d).trim())
     beta = (problem.gamma, *problem.mu)
     while len(eta) <= h_max:
-        coef, cut_h = _step(problem, P, eta[-1].coeffs, beta)
+        coef, cut_h = pp._linear_step(problem.domain, problem.d, P, eta[-1].coeffs, beta)
         cut |= cut_h
         eta.append(SepFunc(problem.domain, m, problem.p, coef).trim())
     return MuEta(mu, eta, cut)

@@ -4,7 +4,9 @@ The problem  d_t^d y = F[t, x, (d_x^alpha d_t^gamma y)]  with data
 d_t^j y(t0, .) = y_{0j} is attacked through the integral operator
 P(y) = i0 + (d-fold nested time integral of the composed right-hand side),
 certified by a Weissinger sum over contraction constants with loss of
-derivatives L (the highest spatial order on the right-hand side).
+derivatives L (the highest spatial order on the right-hand side).  For the
+linear class p(t) d_x^mu d_t^gamma y + q a step of P is exact coefficient
+arithmetic (_linear_step, shared with linear_series); other F are collocated.
 """
 
 from __future__ import annotations
@@ -82,9 +84,9 @@ __all__ = [
 
 EPS_FLOOR = 1e-300
 
-# collocation of the composed right-hand side: t degree of the iterate plus
-# COLLOC_T_MARGIN; x degrees at least COLLOC_MIN_X_DEGREE, scaled by
-# COLLOC_NONLINEAR_X_FACTOR unless the right-hand side is affine in y
+# collocation of a composed right-hand side outside the linear class: t degree
+# of the iterate plus COLLOC_T_MARGIN; x degrees at least COLLOC_MIN_X_DEGREE,
+# scaled by COLLOC_NONLINEAR_X_FACTOR unless the right-hand side is affine in y
 COLLOC_T_MARGIN = 12
 COLLOC_MIN_X_DEGREE = 8
 COLLOC_NONLINEAR_X_FACTOR = 2
@@ -97,6 +99,7 @@ MATRIX_NORM_POINTS = 257
 NUMERIC_K_CAP = 8
 # x degree of the interpolated initial data and forcing unless a problem sets one
 X_DEGREE = 24
+SERIES_T_DEGREE = 16  # t degree of the interpolated forcing q of the linear class
 
 
 class PicardError(Exception):
@@ -135,7 +138,7 @@ class CauchyProblem:
     the initial data is interpolated (None: X_DEGREE on every axis).
     ``rhs_class`` is the form of ``rhs``, set once by ``classify_rhs``;
     ``i0``, the Picard starting point, and ``first_iterate``, P(i0), are
-    built on first use.
+    built on first use, as is ``linear_data``, the linear class's step data.
     """
 
     domain: Domain
@@ -195,6 +198,14 @@ class CauchyProblem:
     def i0(self) -> SepFunc:
         """The Picard starting point at ``x_degrees``, interpolated once."""
         return initial_polynomial(self)
+
+    @cached_property
+    def linear_data(self) -> tuple[np.ndarray, SepFunc]:
+        """The linear class's p(t) tensor and I_d[q~], q~ = q at (SERIES_T_DEGREE, *x_degrees)."""
+        st = self.rhs_class.linear
+        q = interpolate(list(st.q), self.domain, (SERIES_T_DEGREE, *self.x_degrees),
+                        m=self.m, p=self.p)
+        return _t_interp_matrix(self.domain, st.p), iterated_time_integral(q.trim(), self.d).trim()
 
     @cached_property
     def first_iterate(self) -> SepFunc:
@@ -261,7 +272,7 @@ def _g_degrees(problem: CauchyProblem, y: SepFunc) -> tuple[int, ...]:
 
 
 def eval_G(problem: CauchyProblem, y: SepFunc) -> SepFunc:
-    """The composed right-hand side G(t, x, y) as a new interpolant."""
+    """The composed right-hand side G(t, x, y), outside the linear class, as a new interpolant."""
     degrees = _g_degrees(problem, y)
     vals = _rhs_on_grid(problem, y, fs.chebyshev_nodes(problem.domain, degrees))
     out = fs.from_values(vals, problem.domain, problem.m, problem.p).trim()
@@ -276,10 +287,18 @@ def eval_G(problem: CauchyProblem, y: SepFunc) -> SepFunc:
 
 
 def apply_P(problem: CauchyProblem, y: SepFunc, i0: SepFunc) -> SepFunc:
-    """One Picard step: i0 plus the d-fold nested time integral of G."""
-    g = eval_G(problem, y)
-    out = i0 + iterated_time_integral(g, problem.d)
-    return replace(out.trim(), truncation=g.truncation)
+    """One Picard step i0 + I_d[F(y)]: _linear_step, stopped at DEGREE_CAP, or eval_G."""
+    st = problem.rhs_class.linear
+    if st is None:
+        g = eval_G(problem, y)
+        out = i0 + iterated_time_integral(g, problem.d)
+        return replace(out.trim(), truncation=g.truncation)
+    P, forcing = problem.linear_data
+    coef, _ = _linear_step(problem.domain, problem.d, P, y.coeffs, (st.gamma, *st.mu))
+    if coef.shape[1] - 1 > fs.DEGREE_CAP:
+        raise fs.FuncSpaceError(
+            f"degree cap {fs.DEGREE_CAP} exceeded by {problem.d}-fold time integral")
+    return (i0 + SepFunc(problem.domain, problem.m, problem.p, coef) + forcing).trim()
 
 
 @dataclass(frozen=True)
@@ -330,6 +349,58 @@ class LinearStructure:
     gamma: int
     p: tuple[tuple[Expr, ...], ...]  # m x m coefficient expressions in t
     q: tuple[Expr, ...]
+
+
+def _t_interp_matrix(domain: Domain, p: Sequence[Sequence[Expr]]) -> np.ndarray:
+    """Chebyshev coefficients on T of every entry of the matrix p(t), adaptively resolved.
+
+    Trailing t-slices that are exactly zero are dropped, so a constant p
+    has one slice and the steps keep their true t-degrees.
+    """
+    t_dom = Domain(domain.t0, domain.a, domain.b)
+    deg = 16
+    while True:
+        out = np.array([
+            [interpolate(e, t_dom, (deg,)).coeffs[0] for e in row]
+            for row in p
+        ])
+        tail = np.max(np.abs(out[..., -2:])) / (np.max(np.abs(out)) or 1.0)
+        if tail < 1e-13 or deg >= 64:
+            nonzero = np.flatnonzero(np.any(out, axis=(0, 1)))
+            return out[..., : nonzero[-1] + 1 if nonzero.size else 1]
+        deg *= 2
+
+
+def _linear_step(domain: Domain, d: int, P: np.ndarray, coef: np.ndarray,
+                 beta: Sequence[int]) -> tuple[np.ndarray, bool]:
+    """I_d[p . D^beta coef] on coefficients: the step of apply_P and of mu_eta_recursions.
+
+    ``coef`` is laid out as a SepFunc's coefficients: component, t, then the
+    remaining axes, of which beta differentiates t and the leading ones.
+    p(t), the tensor P of _t_interp_matrix, multiplies through T_a T_i =
+    (T_{a+i} + T_{|a-i|}) / 2 as one contraction over component and t, cut
+    at DEGREE_CAP in t; the d-fold integral from t0 then ends at degree
+    DEGREE_CAP + d at most.  Returns the coefficients and whether the cut
+    dropped a degree of the product.  Overflow raises NonFiniteCoefficients.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis, (order, (lo, hi)) in enumerate(zip(beta, domain.intervals()), start=1):
+            coef = fs.cheb_derivative(coef, order, scl=2.0 / (hi - lo), axis=axis)
+        m, _, n_p = P.shape
+        n = coef.shape[1]
+        i = np.arange(n)
+        op = np.zeros((m, m, n_p + n - 1, n))  # op[h, l, k, i]: T_i of y_l into T_k of row h
+        for a in range(n_p):
+            half = P[:, :, a, None] / 2
+            op[:, :, a + i, i] += half
+            op[:, :, abs(a - i), i] += half
+        prod = np.tensordot(op[:, :, : fs.DEGREE_CAP + 1], coef, axes=([1, 3], [0, 1]))
+        lo, hi = domain.t_interval
+        out = fs.cheb_integral(prod, d, lbnd=(2 * domain.t0 - lo - hi) / (hi - lo),
+                               scl=(hi - lo) / 2, axis=1)
+    if not np.all(np.isfinite(out)):
+        raise fs.NonFiniteCoefficients("non-finite coefficients")
+    return out, op.shape[2] > fs.DEGREE_CAP + 1
 
 
 @dataclass(frozen=True)
@@ -910,7 +981,7 @@ class SolveReport:
     residual_ok: bool | None
     ball_log: list[dict]
     membership: str
-    truncation: list[float]
+    truncation: list[float]  # per step, eval_G's relative tail; 0.0 on the linear class
     iterates: list[SepFunc] | None
 
     @property

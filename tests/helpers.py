@@ -1,9 +1,12 @@
 """Shared test oracles: finite-difference derivatives, bisection roots, the
 numpy formulas that Chebyshev derivatives, grid values, padding and trimming
-must match bit for bit, a quadrature of the literal contraction-constant
-recursion, and the problem-file format as a JSON Schema."""
+must match bit for bit, the linear-class step in exact rational arithmetic, a
+quadrature of the literal contraction-constant recursion, and the
+problem-file format as a JSON Schema."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -97,6 +100,85 @@ def moveaxis_trim(coeffs: np.ndarray) -> np.ndarray:
             n -= 1
         arr = np.moveaxis(mov[:n], 0, axis)
     return arr
+
+
+def _fraction_zeros(shape) -> np.ndarray:
+    out = np.empty(shape, dtype=object)
+    out.fill(Fraction(0))
+    return out
+
+
+def _fraction_chebder(c: np.ndarray, scl: Fraction) -> np.ndarray:
+    """d/du of a Chebyshev series along axis 0, times scl.
+
+    c'_{k-1} = c'_{k+1} + 2k c_k from the top down, then c'_0 is halved.
+    """
+    n = len(c)
+    if n == 1:
+        return _fraction_zeros(c.shape)
+    der = _fraction_zeros((n + 1, *c.shape[1:]))
+    for k in range(n - 1, 0, -1):
+        der[k - 1] = der[k + 1] + 2 * k * c[k]
+    der[0] = der[0] / 2
+    return der[: n - 1] * scl
+
+
+def _fraction_chebint(c: np.ndarray, lbnd: Fraction, scl: Fraction) -> np.ndarray:
+    """The antiderivative along axis 0 that vanishes at u = lbnd, times scl.
+
+    T_0 integrates to T_1, T_1 to T_2 / 4 and T_j, j >= 2, to
+    T_{j+1} / (2(j+1)) - T_{j-1} / (2(j-1)).
+    """
+    n = len(c)
+    out = _fraction_zeros((n + 1, *c.shape[1:]))
+    out[1] = out[1] + c[0]
+    if n > 1:
+        out[2] = out[2] + c[1] / 4
+    for j in range(2, n):
+        out[j + 1] = out[j + 1] + c[j] / (2 * (j + 1))
+        out[j - 1] = out[j - 1] - c[j] / (2 * (j - 1))
+    t_prev, t_cur = Fraction(1), lbnd  # T_0(lbnd), T_1(lbnd)
+    at_lbnd = out[0] + out[1] * lbnd
+    for k in range(2, n + 1):
+        t_prev, t_cur = t_cur, 2 * lbnd * t_cur - t_prev
+        at_lbnd = at_lbnd + out[k] * t_cur
+    out[0] = out[0] - at_lbnd
+    return out * scl
+
+
+def fraction_linear_step(P: np.ndarray, coef: np.ndarray, beta, d: int, intervals,
+                         t0: float) -> np.ndarray:
+    """I_d[p . D^beta coef] in exact rational arithmetic, as an object array of Fractions.
+
+    ``P`` (m, m, n_p) holds the Chebyshev t-coefficients of p, ``coef`` a
+    coefficient tensor (m, n_t, n_x1, ...) and ``intervals`` the (lo, hi) of
+    t and of each x axis; every float is taken at its exact value.  The
+    product T_a T_i = (T_{a+i} + T_{|a-i|}) / 2 is not cut at any degree.
+    """
+    to_fraction = np.vectorize(Fraction, otypes=[object])
+    c, P = to_fraction(coef), to_fraction(P)
+    for axis, (order, (lo, hi)) in enumerate(zip(beta, intervals), start=1):
+        scl = 2 / (Fraction(hi) - Fraction(lo))
+        c = np.moveaxis(c, axis, 0)
+        for _ in range(order):
+            c = _fraction_chebder(c, scl)
+        c = np.moveaxis(c, 0, axis)
+    m, _, n_p = P.shape
+    n = c.shape[1]
+    prod = _fraction_zeros((m, n_p + n - 1, *c.shape[2:]))
+    for h in range(m):
+        for l in range(m):
+            for a in range(n_p):
+                for i in range(n):
+                    half = c[l, i] * P[h, l, a] / 2
+                    prod[h, a + i] = prod[h, a + i] + half
+                    prod[h, abs(a - i)] = prod[h, abs(a - i)] + half
+    lo, hi = map(Fraction, intervals[0])
+    lbnd, scl = (2 * Fraction(t0) - lo - hi) / (hi - lo), (hi - lo) / 2
+    out = np.moveaxis(prod, 1, 0)
+    for _ in range(d):
+        out = _fraction_chebint(out, lbnd, scl)
+    return np.moveaxis(out, 0, 1)
 
 
 def _cumulative_trapezoid(f: np.ndarray, h: float) -> np.ndarray:

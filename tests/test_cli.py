@@ -400,6 +400,20 @@ class TestSolveCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "sq.report.json").exists()
 
+    def test_a_linear_step_past_the_degree_cap_is_an_error(self, tmp_path, capsys):
+        # exp(t) on [-5, 5] takes 33 t-coefficients, so the exact steps raise
+        # the iterates' t-degree until one would pass DEGREE_CAP
+        p = write_problem(
+            tmp_path / "cap.json",
+            domain={"t0": 0.0, "a": 5.0, "b": 5.0, "S": [[-PI, PI]]},
+            order={"d": 1, "p": 0, "L": 0},
+            rhs="exp(t)*y1", solver={"tol": 1e-12, "n_max": 30, "k_check": [0]},
+        )
+        assert main(["solve", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(
+            "error: degree cap 128 exceeded by 1-fold time integral\n")
+        assert not (tmp_path / "cap.report.json").exists()
+
 
 class TestCertifyRoutes:
     # a polynomial F takes the certified Leibniz factors, any other F is sampled
@@ -616,6 +630,18 @@ class TestSeriesCommand:
         )
         assert main(["series", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
         assert "linear class" in capsys.readouterr().err
+
+
+    def test_overflow_is_one_error_line(self, tmp_path, capsys):
+        # a = 1e100: the closed form's mu matrices overflow at the fourth step
+        p = write_problem(
+            tmp_path / "big.json",
+            domain={"t0": 0.0, "a": 1.0, "b": 1.0, "S": [[-PI, PI]]},
+            order={"d": 1, "p": 0, "L": 1},
+            rhs="a*Dx1(y1)", params={"a": 1e100},
+        )
+        assert main(["series", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: non-finite coefficients\n"
 
 
 class TestCompareCommand:

@@ -16,7 +16,10 @@ which takes the quadratic demo; on linear-2d ``series --terms 20`` and
 and ``demo`` on each catalog case.  Compared: every report file byte for
 byte, and each command's exit code, standard output, and standard error
 without its ``elapsed:`` line.  Prints what differs; exits 0 if nothing
-does, 1 otherwise.
+does, 1 otherwise.  For a JSON report that differs it prints how far it
+moved: its largest relative move of a number, |old - new| / max(|old|, |new|),
+with the JSON path of that number, and apart from that the paths of the
+differences that are not numeric (keys, list lengths, strings, bools, null).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,6 +108,57 @@ def report_files(tree: Path) -> dict[str, bytes]:
             for p in sorted(tree.glob("*/reports/**/*")) if p.is_file()}
 
 
+def json_moves(old, new) -> tuple[float, str, list[str]]:
+    """The largest relative move of a number between two JSON values, its path, and
+    the paths of the differences that are not numeric.
+
+    A path is the keys and list indices from the root, each after a "/".  Two
+    NaNs are equal; a number that turns non-finite moves by inf.
+    """
+    worst, where, other = 0.0, "", []
+
+    def number(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    def walk(a, b, at: str) -> None:
+        nonlocal worst, where
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in sorted(a.keys() | b.keys()):
+                if key in a and key in b:
+                    walk(a[key], b[key], f"{at}/{key}")
+                else:
+                    other.append(f"{at}/{key} (only in the {'old' if key in a else 'new'})")
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(x, y, f"{at}/{i}")
+        elif number(a) and number(b):
+            if a == b or (math.isnan(a) and math.isnan(b)):
+                return
+            scale = max(abs(a), abs(b))
+            rel = abs(a - b) / scale if math.isfinite(scale) else math.inf
+            if not where or rel > worst:
+                worst, where = rel, at
+        elif isinstance(a, list) and isinstance(b, list):
+            other.append(f"{at} (length {len(a)} -> {len(b)})")
+        elif a != b:
+            other.append(at)
+
+    walk(old, new, "")
+    return worst, where, other
+
+
+def describe_move(name: str, old: bytes, new: bytes) -> str:
+    """One line on how far report ``name`` moved from ``old`` to ``new``."""
+    try:
+        worst, where, other = json_moves(json.loads(old), json.loads(new))
+    except ValueError:
+        return f"{name}: contents differ"
+    parts = [f"largest relative move {worst:.3g} at {where}"] if where else []
+    if other:
+        parts.append("non-numeric differences at " + ", ".join(other))
+    return f"{name}: contents differ: " + ("; ".join(parts) or "only in formatting")
+
+
 def compare(old_root: Path, new_root: Path, names: list[str], seeds: list[int]) -> list[str]:
     """Lines naming every difference between the two trees' runs."""
     diffs = []
@@ -129,7 +184,7 @@ def compare(old_root: Path, new_root: Path, names: list[str], seeds: list[int]) 
         if name not in new_files or name not in old_files:
             diffs.append(f"{name}: file only in the {'new' if name in new_files else 'old'} tree")
         elif old_files[name] != new_files[name]:
-            diffs.append(f"{name}: contents differ")
+            diffs.append(describe_move(name, old_files[name], new_files[name]))
     if not diffs:
         print(f"identical: {len(old_files)} report files, commands run: {len(old_cmds)} "
               f"({', '.join(names)}; seeds {', '.join(map(str, seeds))})")
