@@ -319,14 +319,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return _verdict_exit(cert.verdict)
 
 
-def _one_x_degree(problem, command: str) -> int:
-    """The problem's one x degree: the closed form of the linear class takes one for all axes."""
-    x_degrees = problem.x_degrees
-    if len(set(x_degrees)) > 1:
-        raise CliError(f"{command} needs equal x degrees, got {list(x_degrees)}")
-    return x_degrees[0]
-
-
 def cmd_series(args: argparse.Namespace) -> int:
     from .linear_series import LinearProblem, LinearSeriesError, series_solution
 
@@ -341,8 +333,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             f"p(t)*Dx^mu Dt^gamma y + q: {exc}", file=sys.stderr,
         )
         return EXIT_ERROR
-    x_degree = _one_x_degree(problem, "series")
-    sol, diag = series_solution(lp, args.terms, growth=config.growth, x_degree=x_degree)
+    sol, diag = series_solution(lp, args.terms, growth=config.growth)
     payload = {
         "terms": args.terms,
         "diagnostics": diag,
@@ -373,19 +364,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except LinearSeriesError as exc:
         print(f"error: comparison needs the linear class: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    x_degree = _one_x_degree(problem, f"compare --against {args.against}")
     if args.against == "generic":
         n = args.terms
         y = i0 = problem.i0
         for _ in range(n):
             y = apply_P(problem, y, i0)
-        cf = picard_closed_form(lp, n, x_degree=x_degree)
+        cf = picard_closed_form(lp, n)
         pa, pb = fs.pad_to_common(y.coeffs, cf.coeffs)
         dev = float(np.max(np.abs(pa - pb)))
         payload = {"against": "generic", "n": n, "max_coefficient_deviation": dev}
     else:
         rep = solve(problem, config)
-        sol, diag = series_solution(lp, args.terms, growth=config.growth, x_degree=x_degree)
+        sol, diag = series_solution(lp, args.terms, growth=config.growth)
         pts = fs.uniform_grid(problem.domain, fs.CHECK_GRID_POINTS)
         va = rep.candidate.eval_grid(pts[0], pts[1:])
         vb = sol.eval_grid(pts[0], pts[1:])

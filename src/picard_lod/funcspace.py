@@ -237,7 +237,6 @@ class SepFunc:
     m: int
     p: int
     coeffs: np.ndarray = field(compare=False)
-    interp_error: float | None = field(default=None, compare=False)
     truncation: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -392,8 +391,7 @@ def interpolate(
 ) -> SepFunc:
     """Chebyshev interpolant of closed-form expressions on the domain.
 
-    ``degrees`` has one entry per axis (t first).  The max error sampled on
-    a 3x finer equispaced grid is attached as ``interp_error``.
+    ``degrees`` has one entry per axis (t first).
     """
     elist = list(exprs) if isinstance(exprs, (list, tuple)) else [exprs]
     if len(elist) != m:
@@ -413,16 +411,7 @@ def interpolate(
     vals = eval_on_grid(elist, grid_bindings(nodes), tuple(len(g) for g in nodes))
     if not np.all(np.isfinite(vals)):
         raise NonFiniteCoefficients("non-finite sample value during interpolation")
-    f = from_values(vals, dom, m, p)
-
-    fine = uniform_grid(dom, [3 * (deg + 1) + 1 for deg in degrees])
-    shape = tuple(len(g) for g in fine)
-    fine_vals = eval_on_grid(elist, grid_bindings(fine), shape)
-    fine_vals -= f.eval_grid(fine[0], fine[1:])
-    err = sup_abs(fine_vals)
-    # f is still private here: attach the error without a second copy
-    object.__setattr__(f, "interp_error", err)
-    return f
+    return from_values(vals, dom, m, p)
 
 
 def from_values(

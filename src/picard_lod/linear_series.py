@@ -10,7 +10,7 @@ demo for the quadratic transport-type right-hand side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -36,7 +36,6 @@ from .funcspace import (
     SepFunc,
     graded_norm,
     interpolate,
-    iterated_time_integral,
 )
 from .graded_core import (
     CONVERGED,
@@ -121,7 +120,10 @@ class LinearProblem:
 
     ``p_coef`` is the m-by-m matrix of t-only coefficient expressions, ``q``
     the forcing (one expression per component) with declared uniform
-    derivative bound ``Q``, and ``initial`` the d-by-m initial data table.
+    derivative bound ``Q``, ``initial`` the d-by-m initial data table and
+    ``x_degrees`` the x degree per axis (None: X_DEGREE on every axis).
+    The problem is a view of one CauchyProblem, ``to_cauchy()``, from which
+    the closed form reads i0, p(t), q~ and I_d[q~], each built once.
     """
 
     domain: Domain
@@ -133,6 +135,7 @@ class LinearProblem:
     q: tuple[Expr, ...]
     Q: float
     initial: tuple[tuple[Expr, ...], ...]
+    x_degrees: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         mu = tuple(int(v) for v in self.mu)
@@ -159,14 +162,12 @@ class LinearProblem:
         object.__setattr__(self, "initial", init)
         if len(init) != self.d:
             raise LinearSeriesError("initial data must have d rows")
+        xd = (pp.X_DEGREE,) * self.domain.s if self.x_degrees is None else tuple(self.x_degrees)
+        object.__setattr__(self, "x_degrees", xd)
 
     @property
     def L(self) -> int:
         return sum(self.mu)
-
-    @property
-    def p(self) -> int:
-        return self.gamma
 
     def norm_p(self) -> float:
         """sup over T of the max-row-sum norm of p, evaluated once per problem."""
@@ -177,26 +178,27 @@ class LinearProblem:
         return pp._matrix_sup_norm(self.p_coef, self.domain)
 
     def to_cauchy(self) -> pp.CauchyProblem:
+        """The one CauchyProblem this view reads, built on first use."""
+        return self._cauchy
+
+    @cached_property
+    def _cauchy(self) -> pp.CauchyProblem:
+        # F_h = q_h + sum_l p_hl D^mu d_t^gamma y_l, zero terms kept: always the linear class
         rhs = []
         for h in range(self.m):
-            terms = []
-            for l in range(self.m):
-                ph = Placeholder(self.mu, self.gamma, l + 1)
-                c = self.p_coef[h][l]
-                if isinstance(c, Const) and c.value == 0.0:
-                    continue
-                terms.append(Binary("*", c, ph))
             e = self.q[h]
-            for tterm in terms:
-                e = Binary("+", e, tterm) if not _is_zero(e) else tterm
-            rhs.append(e if terms or not _is_zero(e) else Const(0.0))
+            for l in range(self.m):
+                e = Binary("+", e, Binary("*", self.p_coef[h][l],
+                                          Placeholder(self.mu, self.gamma, l + 1)))
+            rhs.append(e)
         return pp.CauchyProblem(
             self.domain, self.m, self.d, self.gamma, self.L,
-            tuple(rhs), self.initial,
+            tuple(rhs), self.initial, self.x_degrees,
         )
 
     @classmethod
     def from_cauchy(cls, problem: pp.CauchyProblem, Q: float | None = None) -> "LinearProblem":
+        """The view of ``problem``: its to_cauchy() is ``problem`` itself."""
         st = problem.rhs_class.linear
         if st is None:
             raise LinearSeriesError("right-hand side is not of the linear class")
@@ -204,14 +206,12 @@ class LinearProblem:
             raise LinearSeriesError("the linear class requires |mu| > 0")
         if Q is None:
             Q = _probe_q_bound(st.q, problem.domain)
-        return cls(
+        view = cls(
             problem.domain, problem.m, problem.d, st.gamma, st.mu,
-            st.p, st.q, Q, problem.initial,
+            st.p, st.q, Q, problem.initial, problem.x_degrees,
         )
-
-
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0.0
+        vars(view)["_cauchy"] = problem  # the cached_property, filled in
+        return view
 
 
 def _probe_q_bound(q: Sequence[Expr], domain: Domain) -> float:
@@ -249,21 +249,18 @@ class MuEta:
     cut: bool = False
 
 
-def mu_eta_recursions(
-    problem: LinearProblem,
-    h_max: int,
-    *,
-    x_degree: int = pp.X_DEGREE,
-) -> MuEta:
+def mu_eta_recursions(problem: LinearProblem, h_max: int) -> MuEta:
     """Exact polynomial recursions for the iterate formula's coefficients.
 
     The base is (j-gamma)!/j! (t-t0)^j, the step I_d[p d_t^gamma .], eta_0 =
-    q, eta_1 = I_d[q] and eta_{h+1} = I_d[p d_x^mu d_t^gamma eta_h] for
+    q~, eta_1 = I_d[q~] and eta_{h+1} = I_d[p d_x^mu d_t^gamma eta_h] for
     h >= 1; this reproduces the Picard iterates exactly.  Both recursions
     run picard_pde._linear_step, the step of the Picard operator: a mu
     matrix as a tensor (row, t, column), eta as its SepFunc coefficients.
+    p(t), q~ and I_d[q~] are the problem's CauchyProblem.linear_data.
     """
-    P = pp._t_interp_matrix(problem.domain, problem.p_coef)
+    cauchy = problem.to_cauchy()
+    P, q, forcing = cauchy.linear_data
     m = problem.m
     mu: dict[int, list[np.ndarray]] = {}
     cut = False
@@ -282,18 +279,12 @@ def mu_eta_recursions(
             seq.append(cur)
         mu[j] = [np.moveaxis(c, 1, 2) for c in seq]
 
-    # eta sequence
-    sdeg = (x_degree,) * problem.domain.s
-    q0 = interpolate(list(problem.q), problem.domain, (pp.SERIES_T_DEGREE, *sdeg),
-                     m=m, p=problem.p).trim()
-    eta: list[SepFunc] = [q0]
-    if h_max >= 1:
-        eta.append(iterated_time_integral(q0, problem.d).trim())
+    eta: list[SepFunc] = [q, forcing][: h_max + 1]
     beta = (problem.gamma, *problem.mu)
     while len(eta) <= h_max:
         coef, cut_h = pp._linear_step(problem.domain, problem.d, P, eta[-1].coeffs, beta)
         cut |= cut_h
-        eta.append(SepFunc(problem.domain, m, problem.p, coef).trim())
+        eta.append(SepFunc(problem.domain, m, cauchy.p, coef).trim())
     return MuEta(mu, eta, cut)
 
 # ---------------------------------------------------------------------------
@@ -305,7 +296,6 @@ def _x_derivative_tower(
     problem: LinearProblem,
     row: Sequence[Expr],
     n: int,
-    x_degree: int,
     seen: dict[str, SepFunc],
     h_from: int = 0,
 ) -> Iterator[SepFunc]:
@@ -313,9 +303,10 @@ def _x_derivative_tower(
 
     Step h takes order * h symbolic steps per axis of mu, axes in order.  The
     first axis's chain is extended from step h - 1; the later axes are redone
-    from it.  A row is interpolated only if its repr (which keeps -0.0 apart
-    from 0.0) is not yet in ``seen``, the caller's dict for one computation:
-    derivatives of sin data repeat with period 4, and of polynomials end in 0.
+    from it.  A row is interpolated, at the problem's x degrees, only if its
+    repr (which keeps -0.0 apart from 0.0) is not yet in ``seen``, the
+    caller's dict for one computation: derivatives of sin data repeat with
+    period 4, and of polynomials end in 0.
     """
     axes = [(f"x{dim}", order) for dim, order in enumerate(problem.mu, start=1) if order]
     chain = list(row)
@@ -331,24 +322,18 @@ def _x_derivative_tower(
         key = repr(exprs)
         if key not in seen:
             seen[key] = interpolate(
-                exprs, problem.domain, (0, *(x_degree,) * problem.domain.s),
-                m=problem.m, p=problem.p,
+                exprs, problem.domain, (0, *problem.x_degrees),
+                m=problem.m, p=problem.to_cauchy().p,
             ).trim()
         yield seen[key]
 
 
-def _series_terms(
-    problem: LinearProblem,
-    n: int,
-    *,
-    x_degree: int = pp.X_DEGREE,
-) -> tuple[SepFunc, list[SepFunc], bool]:
+def _series_terms(problem: LinearProblem, n: int) -> tuple[SepFunc, list[SepFunc], bool]:
     """The partial sum i0 + terms of the explicit iterate formula, its terms, and MuEta.cut."""
     cauchy = problem.to_cauchy()
-    out = pp.initial_polynomial(cauchy, (x_degree,) * problem.domain.s)
-    rec = mu_eta_recursions(problem, n, x_degree=x_degree)
+    rec = mu_eta_recursions(problem, n)
     seen: dict[str, SepFunc] = {}
-    towers = {j: _x_derivative_tower(problem, problem.initial[j], n, x_degree, seen, h_from=1)
+    towers = {j: _x_derivative_tower(problem, problem.initial[j], n, seen, h_from=1)
               for j in range(problem.gamma, problem.d)}
     terms: list[SepFunc] = []
     for h in range(1, n + 1):
@@ -358,8 +343,9 @@ def _series_terms(
             # contract the column of mu[j][h] (m, m, nt) with the component of xf
             coef = np.tensordot(rec.mu[j][h], xf.coeffs[:, 0], axes=(1, 0))
             scale = 1.0 / math.factorial(j - problem.gamma)
-            acc = acc + SepFunc(problem.domain, problem.m, problem.p, coef * scale)
+            acc = acc + SepFunc(problem.domain, problem.m, cauchy.p, coef * scale)
         terms.append(acc.trim())
+    out = cauchy.i0
     for term in terms:
         out = out + term
     return out.trim(), terms, rec.cut
@@ -369,10 +355,15 @@ def picard_closed_form(
     problem: LinearProblem,
     n: int,
     *,
-    x_degree: int = pp.X_DEGREE,
+    x_degree: int | None = None,
 ) -> SepFunc:
-    """The n-th Picard iterate assembled from the coefficient recursions."""
-    return _series_terms(problem, n, x_degree=x_degree)[0]
+    """The n-th Picard iterate assembled from the coefficient recursions.
+
+    ``x_degree``, when given, replaces the problem's x degrees on every axis.
+    """
+    if x_degree is not None:
+        problem = replace(problem, x_degrees=(x_degree,) * problem.domain.s)
+    return _series_terms(problem, n)[0]
 
 
 def series_solution(
@@ -380,7 +371,6 @@ def series_solution(
     N: int,
     *,
     growth: Sequence[GrowthClass] | None = None,
-    x_degree: int = pp.X_DEGREE,
 ) -> tuple[SepFunc, dict]:
     """Partial sum of the series solution with a last-term tail diagnostic.
 
@@ -388,15 +378,14 @@ def series_solution(
     recursions cut its t-degree at DEGREE_CAP (MuEta.cut).
     """
     if N < 1:
-        i0 = pp.initial_polynomial(problem.to_cauchy(), (x_degree,) * problem.domain.s)
-        return i0, {"last_term_sup": 0.0, "terms": 0}
+        return problem.to_cauchy().i0, {"last_term_sup": 0.0, "terms": 0}
     if growth is not None:
         report = classify_convergence(problem, growth)
         if report.verdict == DIVERGING:
             raise LinearSeriesError(
                 "series requested for a problem classified as diverging"
             )
-    out, terms, cut = _series_terms(problem, N, x_degree=x_degree)
+    out, terms, cut = _series_terms(problem, N)
     tail = graded_norm(terms[-1], 0)
     constant_case = not any(
         free_variables(e) for e in (*(e for row in problem.p_coef for e in row), *problem.q)
@@ -485,7 +474,6 @@ class ClassificationReport:
 def classify_convergence(
     problem: LinearProblem,
     growth: Sequence[GrowthClass],
-    tbar: float | None = None,
 ) -> ClassificationReport:
     """Growth-class verdict for the dominant Weissinger series.
 
@@ -494,7 +482,7 @@ def classify_convergence(
     data with exponent sigma need d > sigma L, with the boundary d == sigma L
     left inconclusive.
     """
-    T = problem.domain.tbar if tbar is None else float(tbar)
+    T = problem.domain.tbar
     L, d, gamma = problem.L, problem.d, problem.gamma
     norm_p = max(problem.norm_p(), pp.EPS_FLOOR)
     # every j >= gamma needs a growth model, also past a rule that decides

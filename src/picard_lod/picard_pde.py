@@ -200,12 +200,12 @@ class CauchyProblem:
         return initial_polynomial(self)
 
     @cached_property
-    def linear_data(self) -> tuple[np.ndarray, SepFunc]:
-        """The linear class's p(t) tensor and I_d[q~], q~ = q at (SERIES_T_DEGREE, *x_degrees)."""
+    def linear_data(self) -> tuple[np.ndarray, SepFunc, SepFunc]:
+        """The linear class's p(t) tensor, q~ = q at (SERIES_T_DEGREE, *x_degrees), and I_d[q~]."""
         st = self.rhs_class.linear
         q = interpolate(list(st.q), self.domain, (SERIES_T_DEGREE, *self.x_degrees),
-                        m=self.m, p=self.p)
-        return _t_interp_matrix(self.domain, st.p), iterated_time_integral(q.trim(), self.d).trim()
+                        m=self.m, p=self.p).trim()
+        return _t_interp_matrix(self.domain, st.p), q, iterated_time_integral(q, self.d).trim()
 
     @cached_property
     def first_iterate(self) -> SepFunc:
@@ -293,7 +293,7 @@ def apply_P(problem: CauchyProblem, y: SepFunc, i0: SepFunc) -> SepFunc:
         g = eval_G(problem, y)
         out = i0 + iterated_time_integral(g, problem.d)
         return replace(out.trim(), truncation=g.truncation)
-    P, forcing = problem.linear_data
+    P, _, forcing = problem.linear_data
     coef, _ = _linear_step(problem.domain, problem.d, P, y.coeffs, (st.gamma, *st.mu))
     if coef.shape[1] - 1 > fs.DEGREE_CAP:
         raise fs.FuncSpaceError(

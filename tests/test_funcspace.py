@@ -52,7 +52,6 @@ class TestDomain:
 class TestInterpolate:
     def test_polynomial_is_exact(self):
         f = interpolate(expr("x1^2"), Domain(0.0, 0.5, 0.5, ((-1, 1),)), (0, 2))
-        assert f.interp_error <= 1e-13
         assert np.allclose(f.coeffs[0, 0], [0.5, 0.0, 0.5])
 
     def test_zero(self):
@@ -65,7 +64,6 @@ class TestInterpolate:
         xs = np.linspace(-math.pi, math.pi, 200)
         vals = f.eval_grid(np.array([0.0]), [xs])[0, 0]
         assert np.max(np.abs(vals - np.sin(xs))) <= 1e-10
-        assert f.interp_error <= 1e-10
 
     def test_undeclared_variable_rejected(self):
         with pytest.raises(FuncSpaceError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +55,34 @@ class TestLinearProblem:
         cauchy = lp.to_cauchy()
         back = ls.LinearProblem.from_cauchy(cauchy)
         assert back.Q >= 1.0  # sup over derivative probes of x on [-1, 1]
+
+    def test_from_cauchy_is_a_view_of_the_problem(self):
+        ar = Arity(s=2, m=1, L=2, p=0)
+        dom = Domain(0.0, 0.1, 0.1, ((-PI, PI), (-PI, PI)))
+        prob = pp.CauchyProblem(
+            dom, 1, 1, 0, 2, (parse_expression("cos(t)*Dx1(Dx1(y1))+x2", ar),),
+            ((expr("sin(x1)*cos(x2)", s=2),),), (20, 12),
+        )
+        view = ls.LinearProblem.from_cauchy(prob, Q=1.0)
+        assert view.to_cauchy() is prob
+        assert view.x_degrees == (20, 12)
+
+    def test_to_cauchy_is_built_once_in_the_linear_class(self):
+        lp = linear(SQUARE, 1, 0, (2,), p="0", q="x1", Q=1.0, initial=("x1^2",))
+        assert lp.to_cauchy() is lp.to_cauchy()
+        assert lp.to_cauchy().rhs_class.kind == "linear"
+        assert lp.x_degrees == (pp.X_DEGREE,) and lp.to_cauchy().x_degrees == lp.x_degrees
+        assert linear(SQUARE, 1, 0, (2,)).to_cauchy().rhs_class.kind == "linear"
+
+    def test_zero_p_series_is_the_forced_solution(self):
+        # F = 0 * Dx1(Dx1(y1)) + x1: y = sin(x1) + t x1
+        dom = Domain(0.0, 0.5, 0.5, ((-PI, PI),))
+        lp = linear(dom, 1, 0, (2,), p="0", q="x1", Q=1.0, initial=("sin(x1)",))
+        sol, _ = ls.series_solution(lp, 4)
+        ts = np.linspace(-0.5, 0.5, 9)
+        xs = np.linspace(-PI, PI, 61)
+        want = np.sin(xs)[None, :] + ts[:, None] * xs[None, :]
+        assert np.max(np.abs(sol.eval_grid(ts, [xs])[0] - want)) <= 1e-12
 
 
 class TestMuEtaRecursions:
@@ -182,12 +211,12 @@ class TestDerivativeTower:
     CUBE = Domain(0.0, 0.25, 0.25, ((-1.0, 1.0), (0.0, 2.0)))
 
     @staticmethod
-    def _problem(domain, mu, rows, params=None):
+    def _problem(domain, mu, rows, params=None, x_degrees=None):
         ar = Arity(s=domain.s)
         return ls.LinearProblem(
             domain, 1, len(rows), 0, mu, ((parse_expression("1", Arity(s=0)),),),
             (parse_expression("0", ar),), 0.0,
-            tuple((parse_expression(e, ar, params),) for e in rows),
+            tuple((parse_expression(e, ar, params),) for e in rows), x_degrees,
         )
 
     @pytest.mark.parametrize("mu, rows", [
@@ -207,10 +236,11 @@ class TestDerivativeTower:
                 return self
 
         monkeypatch.setattr(ls, "interpolate", Tree)
-        lp = self._problem(SQUARE if len(mu) == 1 else self.CUBE, mu, rows)
+        lp = self._problem(SQUARE if len(mu) == 1 else self.CUBE, mu, rows,
+                           x_degrees=(8,) * len(mu))
         seen = {}
         for row in lp.initial:
-            got = [tree.key for tree in ls._x_derivative_tower(lp, row, 6, 8, seen)]
+            got = [tree.key for tree in ls._x_derivative_tower(lp, row, 6, seen)]
             want = []
             for h in range(7):
                 de = row[0]
@@ -231,7 +261,7 @@ class TestDerivativeTower:
             return real(exprs, *args, **kwargs)
 
         monkeypatch.setattr(ls, "interpolate", spy)
-        got = list(ls._x_derivative_tower(lp, lp.initial[0], 20, 24, {}))
+        got = list(ls._x_derivative_tower(lp, lp.initial[0], 20, {}))
         assert len(got) == 21 and len(calls) <= 4
         for h, xf in enumerate(got):
             exprs = [symbolic_partial(lp.initial[0][0], "x1", 2 * h)]
@@ -350,11 +380,11 @@ class TestClassify:
         assert rep.verdict == INCONCLUSIVE
 
     def test_monotone_in_tbar(self):
-        dom = Domain(0.0, 0.3, 0.3, ((-1, 1),))
-        lp = linear(dom, 2, 0, (2,), initial=("0", "0"))
         growth = [ls.GrowthClass("analytic", C=1.0)] * 2
         verdicts = [
-            ls.classify_convergence(lp, growth, tbar=T).verdict
+            ls.classify_convergence(
+                linear(Domain(0.0, T, T, ((-1, 1),)), 2, 0, (2,), initial=("0", "0")), growth,
+            ).verdict
             for T in (0.9, 0.5, 0.25, 0.1)
         ]
         seen_converged = False
@@ -384,7 +414,7 @@ class TestCatalog:
     def test_heat_with_x_squared(self):
         case = ls.example_catalog("heat", y00="x1^2",
                                   domain=Domain(0.0, 0.5, 0.5, ((-1, 1),)))
-        sol, _ = ls.series_solution(case.problem, 6, x_degree=8)
+        sol, _ = ls.series_solution(replace(case.problem, x_degrees=(8,)), 6)
         ts = np.linspace(-0.5, 0.5, 5)
         xs = np.linspace(-1, 1, 9)
         got = sol.eval_grid(ts, [xs])[0]
@@ -401,7 +431,7 @@ class TestCatalog:
         want = xs[None, :] * ts[:, None] + ts[:, None] ** 2 / 2
         got = case.oracle(ts[:, None], xs[None, :])
         assert np.max(np.abs(got - want)) < 1e-12
-        sol, _ = ls.series_solution(case.problem, 6, x_degree=8)
+        sol, _ = ls.series_solution(replace(case.problem, x_degrees=(8,)), 6)
         vals = sol.eval_grid(ts, [xs])[0]
         assert np.max(np.abs(vals - want)) < 1e-12
 
@@ -414,7 +444,7 @@ class TestCatalog:
             + ts[:, None] ** 4 / 12
         got = case.oracle(ts[:, None], xs[None, :])
         assert np.max(np.abs(got - want)) < 1e-12
-        sol, _ = ls.series_solution(case.problem, 6, x_degree=8)
+        sol, _ = ls.series_solution(replace(case.problem, x_degrees=(8,)), 6)
         vals = sol.eval_grid(ts, [xs])[0]
         assert np.max(np.abs(vals - want)) < 1e-12
 

@@ -11,7 +11,8 @@ repository holding this script, so both trees see the same inputs at the
 same paths.  So that every CLI command is covered, the runs add what the
 benchmark leaves out (extra_commands): ``certify`` on the burgers-1d file,
 which takes the quadratic demo; on linear-2d ``series --terms 20`` and
-``compare`` on each file, so the closed form also meets a t-dependent p
+``compare`` in both modes on each file, so the closed form, and a ``solve``
+and a closed form that share one 2-D problem, also meet a t-dependent p
 (``cos_dx1dx1``); and on catalog-1d ``compare`` in both modes on each file
 and ``demo`` on each catalog case.  Compared: every report file byte for
 byte, and each command's exit code, standard output, and standard error
@@ -57,6 +58,7 @@ def extra_commands(name: str, problem_dir: Path, out_dir: Path) -> list[tuple[li
         for path in sorted(problem_dir.glob("*.json")):
             add(f"{path.stem}.series", ["series", str(path), "--terms", "20"])
             add(f"{path.stem}.compare", ["compare", str(path)])
+            add(f"{path.stem}.compare-oracle", ["compare", str(path), "--against", "oracle"])
     elif name == "catalog-1d":
         for case in workloads.CATALOG:
             path = str(problem_dir / f"{case}.json")
