@@ -53,9 +53,11 @@ __all__ = [
     "grid_bindings",
     "eval_on_grid",
     "sup_abs",
+    "sup_abs_blocks",
     "pad_to_common",
     "partial_derivative",
     "derivatives_on_grid",
+    "grid_derivatives",
     "iterated_time_integral",
     "cheb_derivative",
     "cheb_integral",
@@ -497,6 +499,18 @@ def sup_abs(vals: np.ndarray) -> float:
     return hi if hi >= lo else lo
 
 
+def sup_abs_blocks(blocks: Iterable[np.ndarray]) -> float:
+    """sup_abs of the concatenation of blocks, bit for bit, one block at a time.
+
+    Each block gives its max and its min; sup_abs of the array of these
+    extremes is sup_abs of all the values, since the largest extreme is the
+    largest value and the smallest the smallest.  A NaN in any block makes
+    its extremes NaN and propagates through sup_abs, wherever it sits; a
+    Python max over the extremes would depend on their order.
+    """
+    return sup_abs(np.array([r(b) for b in blocks for r in (np.max, np.min)]))
+
+
 # ---------------------------------------------------------------------------
 # Calculus
 # ---------------------------------------------------------------------------
@@ -583,6 +597,30 @@ def _derivative_chain(
     return checked
 
 
+def grid_derivatives(
+    f: SepFunc,
+) -> Callable[[Iterable[Sequence[int]], Sequence[np.ndarray]],
+              Iterator[tuple[tuple[int, ...], np.ndarray]]]:
+    """derivatives_on_grid of f on any number of grids, from one derivative chain.
+
+    The returned function takes (betas, pts) as derivatives_on_grid does.
+    Every call shares one _derivative_chain, kept while the function lives,
+    so a derivative that several calls name, on one grid or on several, is
+    built once; the values are those of derivatives_on_grid, bit for bit.
+    """
+    derivative = _derivative_chain(f.coeffs, f.domain)
+
+    def on_grid(
+        betas: Iterable[Sequence[int]], pts: Sequence[np.ndarray]
+    ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+        evaluate = _grid_evaluator(f, pts)
+        for beta in betas:
+            beta = tuple(int(b) for b in beta)
+            yield beta, evaluate(derivative(beta))
+
+    return on_grid
+
+
 def derivatives_on_grid(
     f: SepFunc, betas: Iterable[Sequence[int]], pts: Sequence[np.ndarray]
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
@@ -592,11 +630,7 @@ def derivatives_on_grid(
     so a derivative that several betas name is built once, and they share
     one Vandermonde matrix per axis, built at f's degrees.
     """
-    evaluate = _grid_evaluator(f, pts)
-    derivative = _derivative_chain(f.coeffs, f.domain)
-    for beta in betas:
-        beta = tuple(int(b) for b in beta)
-        yield beta, evaluate(derivative(beta))
+    return grid_derivatives(f)(betas, pts)
 
 
 def iterated_time_integral(f: SepFunc, j: int) -> SepFunc:

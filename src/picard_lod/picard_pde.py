@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -100,6 +100,9 @@ NUMERIC_K_CAP = 8
 # x degree of the interpolated initial data and forcing unless a problem sets one
 X_DEGREE = 24
 SERIES_T_DEGREE = 16  # t degree of the interpolated forcing q of the linear class
+# grid points (1 MB of float64 per component) of one t-block of the right-hand
+# side on a grid, so a large grid holds no full-size expression values
+RHS_BLOCK_POINTS = 2 ** 17
 
 
 class PicardError(Exception):
@@ -248,16 +251,44 @@ def initial_polynomial(
 
 
 def _rhs_on_grid(
-    problem: CauchyProblem, y: SepFunc, pts: Sequence[np.ndarray]
-) -> np.ndarray:
-    """The right-hand side composed with y on the tensor grid of ``pts``, a new array."""
-    shape = tuple(len(g) for g in pts)
-    bindings = fs.grid_bindings(pts)
+    problem: CauchyProblem,
+    y: SepFunc,
+    pts: Sequence[np.ndarray],
+    derivatives: Callable | None = None,
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The right-hand side composed with y on the tensor grid of ``pts``, in blocks of t-rows.
+
+    Yields (rows, values), values a new array of shape (m, len(pts[0][rows]),
+    len(x1), ...).  The placeholders' derivatives are evaluated once on the
+    whole grid, through ``derivatives`` (a grid_derivatives of y) when
+    given; only the expressions run per block, on RHS_BLOCK_POINTS grid
+    points at most, or one t-row.  Every operation of an expression is
+    elementwise, so each value is the one a whole-grid evaluation gives, bit
+    for bit.  A block that fails is evaluated again on the whole grid, so
+    the error raised is the one whole-grid evaluation meets first.
+    """
+    derivatives = derivatives or fs.grid_derivatives(y)
     phs = problem.rhs_class.placeholders
-    derivs = fs.derivatives_on_grid(y, [(ph.gamma, *ph.alpha) for ph in phs], pts)
-    for ph, (_, vals) in zip(phs, derivs):
-        bindings[placeholder_key(ph)] = np.broadcast_to(vals[ph.comp - 1], shape)
-    return fs.eval_on_grid(problem.rhs, bindings, shape)
+    values = [(placeholder_key(ph), vals[ph.comp - 1]) for ph, (_, vals) in
+              zip(phs, derivatives([(ph.gamma, *ph.alpha) for ph in phs], pts))]
+
+    def evaluate(grid: list[np.ndarray], rows: slice) -> np.ndarray:
+        shape = tuple(len(g) for g in grid)
+        bindings = fs.grid_bindings(grid)
+        for key, vals in values:
+            bindings[key] = np.broadcast_to(vals[rows], shape)
+        return fs.eval_on_grid(problem.rhs, bindings, shape)
+
+    t, xs = pts[0], list(pts[1:])
+    step = max(1, RHS_BLOCK_POINTS // math.prod(len(g) for g in xs))
+    for start in range(0, len(t), step):
+        rows = slice(start, start + step)
+        try:
+            block = evaluate([t[rows], *xs], rows)
+        except EvalError:
+            evaluate([t, *xs], slice(None))
+            raise
+        yield rows, block
 
 
 def _g_degrees(problem: CauchyProblem, y: SepFunc) -> tuple[int, ...]:
@@ -274,7 +305,16 @@ def _g_degrees(problem: CauchyProblem, y: SepFunc) -> tuple[int, ...]:
 def eval_G(problem: CauchyProblem, y: SepFunc) -> SepFunc:
     """The composed right-hand side G(t, x, y), outside the linear class, as a new interpolant."""
     degrees = _g_degrees(problem, y)
-    vals = _rhs_on_grid(problem, y, fs.chebyshev_nodes(problem.domain, degrees))
+    pts = fs.chebyshev_nodes(problem.domain, degrees)
+    shape = (problem.m, *(len(g) for g in pts))
+    vals = None
+    for rows, block in _rhs_on_grid(problem, y, pts):
+        if block.shape == shape:
+            vals = block  # the grid is one block: no copy
+        else:
+            if vals is None:
+                vals = np.empty(shape)
+            vals[:, rows] = block
     out = fs.from_values(vals, problem.domain, problem.m, problem.p).trim()
     # tail magnitude of the representation, as a truncation indicator
     tail = 0.0
@@ -317,19 +357,21 @@ def residual(problem: CauchyProblem, y: SepFunc) -> ResidualReport:
     """Max-grid defect of the PDE and of each initial condition.
 
     The initial conditions d_t^j y, j < d, are checked on the slice t = t0
-    of the grid, and the equation with d_t^d y on the full grid.
+    of the grid, and the equation with d_t^d y on the full grid, block by
+    block of _rhs_on_grid.  One grid_derivatives of y serves both grids.
     """
     pts = fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)
     slice_pts = [np.array([problem.domain.t0]), *pts[1:]]
     zeros_x = [0] * problem.domain.s
+    derivatives = fs.grid_derivatives(y)
     # the slice values, then the full-grid defect: other orders of these
     # evaluations left about 2 MB more resident on 2-D problems
-    derivs = list(fs.derivatives_on_grid(
-        y, [(j, *zeros_x) for j in range(problem.d)], slice_pts))
-    [(_, lhs_vals)] = fs.derivatives_on_grid(y, [(problem.d, *zeros_x)], pts)
-    defect = _rhs_on_grid(problem, y, pts)
-    np.subtract(lhs_vals, defect, out=defect)
-    pde_res = fs.sup_abs(defect)
+    derivs = list(derivatives([(j, *zeros_x) for j in range(problem.d)], slice_pts))
+    [(_, lhs_vals)] = derivatives([(problem.d, *zeros_x)], pts)
+    pde_res = fs.sup_abs_blocks(
+        np.subtract(lhs_vals[:, rows], block, out=block)
+        for rows, block in _rhs_on_grid(problem, y, pts, derivatives)
+    )
 
     bindings = fs.grid_bindings(slice_pts)
     shape = tuple(len(g) for g in slice_pts)

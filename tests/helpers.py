@@ -1,8 +1,10 @@
 """Shared test oracles: finite-difference derivatives, bisection roots, the
 numpy formulas that Chebyshev derivatives, grid values, padding and trimming
-must match bit for bit, the linear-class step in exact rational arithmetic, a
-quadrature of the literal contraction-constant recursion, and the
-problem-file format as a JSON Schema."""
+must match bit for bit, the whole-grid forms of the right-hand side, of
+eval_G and of residual that the blocked ones must match bit for bit, the
+linear-class step in exact rational arithmetic, a quadrature of the literal
+contraction-constant recursion, and the problem-file format as a JSON
+Schema."""
 
 from __future__ import annotations
 
@@ -78,6 +80,67 @@ def np_pad_to_common(*arrays: np.ndarray) -> list[np.ndarray]:
     """Zero-pad every array at the end of each axis to their common shape, by np.pad."""
     shape = tuple(max(sizes) for sizes in zip(*(a.shape for a in arrays)))
     return [np.pad(a, [(0, s - n) for s, n in zip(shape, a.shape)]) for a in arrays]
+
+
+def whole_grid_rhs(problem, y, pts) -> np.ndarray:
+    """The right-hand side composed with y on the whole tensor grid of pts, one new array.
+
+    Every placeholder's derivative and every expression is evaluated on the
+    whole grid at once, and the expressions' values are stacked.
+    """
+    from picard_lod import funcspace as fs
+    from picard_lod.expr import placeholder_key
+
+    shape = tuple(len(g) for g in pts)
+    bindings = fs.grid_bindings(pts)
+    phs = problem.rhs_class.placeholders
+    derivs = fs.derivatives_on_grid(y, [(ph.gamma, *ph.alpha) for ph in phs], pts)
+    for ph, (_, vals) in zip(phs, derivs):
+        bindings[placeholder_key(ph)] = np.broadcast_to(vals[ph.comp - 1], shape)
+    return fs.eval_on_grid(problem.rhs, bindings, shape)
+
+
+def whole_grid_eval_G(problem, y):
+    """eval_G from whole_grid_rhs: the interpolant of G at _g_degrees, with its tail."""
+    from dataclasses import replace
+
+    from picard_lod import funcspace as fs
+    from picard_lod.picard_pde import _g_degrees
+
+    degrees = _g_degrees(problem, y)
+    vals = whole_grid_rhs(problem, y, fs.chebyshev_nodes(problem.domain, degrees))
+    out = fs.from_values(vals, problem.domain, problem.m, problem.p).trim()
+    tail = 0.0
+    arr = np.asarray(out.coeffs)
+    scale = float(np.max(np.abs(arr))) or 1.0
+    for axis in range(1, arr.ndim):
+        if arr.shape[axis] - 1 >= degrees[axis - 1]:
+            tail = max(tail, float(np.max(np.abs(np.take(arr, [-1], axis=axis)))) / scale)
+    return replace(out, truncation=tail)
+
+
+def whole_grid_residual(problem, y) -> tuple[float, tuple[float, ...]]:
+    """(pde_residual, ic_residuals) of residual, each with its own derivatives_on_grid.
+
+    The initial conditions are checked on the slice t = t0 of the residual
+    grid; the defect d_t^d y - whole_grid_rhs is one array, reduced by
+    sup_abs.
+    """
+    from picard_lod import funcspace as fs
+
+    pts = fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)
+    slice_pts = [np.array([problem.domain.t0]), *pts[1:]]
+    zeros_x = [0] * problem.domain.s
+    derivs = list(fs.derivatives_on_grid(
+        y, [(j, *zeros_x) for j in range(problem.d)], slice_pts))
+    [(_, lhs_vals)] = fs.derivatives_on_grid(y, [(problem.d, *zeros_x)], pts)
+    defect = whole_grid_rhs(problem, y, pts)
+    np.subtract(lhs_vals, defect, out=defect)
+    bindings = fs.grid_bindings(slice_pts)
+    shape = tuple(len(g) for g in slice_pts)
+    ics = [fs.sup_abs(got - fs.eval_on_grid(row, bindings, shape))
+           for row, (_, got) in zip(problem.initial, derivs)]
+    return fs.sup_abs(defect), tuple(ics)
 
 
 def moveaxis_trim(coeffs: np.ndarray) -> np.ndarray:

@@ -835,6 +835,54 @@ class TestSupAbs:
         assert sup_abs(v) == math.inf
 
 
+SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.5, 1e-300, -1e300]
+
+
+class TestSupAbsBlocks:
+    """sup_abs_blocks is sup_abs of the concatenated blocks, whatever holds inf, NaN or -0.0."""
+
+    @staticmethod
+    def same(got, want):
+        return (type(got) is float
+                and (math.isnan(got) and math.isnan(want)
+                     or np.float64(got).tobytes() == np.float64(want).tobytes()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(SPECIAL_VALUES) | st.floats(-1e3, 1e3),
+                          min_size=1, max_size=6), min_size=1, max_size=5),
+        st.integers(1, 3),
+    )
+    def test_equals_sup_abs_of_the_concatenation(self, blocks, width):
+        from picard_lod.funcspace import sup_abs_blocks
+
+        arrays = [np.array(b * width).reshape(width, -1) for b in blocks]
+        got = sup_abs_blocks(iter(arrays))
+        assert self.same(got, sup_abs(np.concatenate(arrays, axis=1)))
+        assert self.same(sup_abs_blocks(arrays[::-1]), got)
+
+    @pytest.mark.parametrize("blocks", [
+        [[1.0, -3.0], [math.nan, 0.0], [2.0]],
+        [[math.nan], [math.inf, -math.inf]],
+        [[5.0], [4.0, math.nan]],
+    ])
+    def test_nan_in_any_block_gives_nan(self, blocks):
+        from picard_lod.funcspace import sup_abs_blocks
+
+        # Python's max over the block extremes would keep 5.0 or inf when
+        # the NaN comes second
+        for order in (blocks, blocks[::-1]):
+            assert math.isnan(sup_abs_blocks(np.array(b) for b in order))
+
+    def test_signed_zeros_and_infinities(self):
+        from picard_lod.funcspace import sup_abs_blocks
+
+        zero = sup_abs_blocks([np.array([-0.0]), np.array([0.0, -0.0])])
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        assert sup_abs_blocks([np.array([1.0]), np.array([-math.inf])]) == math.inf
+        assert sup_abs_blocks([np.array([-7.0, 2.0]), np.array([3.0])]) == 7.0
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_graded_norms_raise_when_a_derivative_overflows_on_the_grid():
     # f = 1.5e308 T1(x1) + 0.2e308 T2(x1) is finite on the grid, and so are

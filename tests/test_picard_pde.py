@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import fraction_linear_step, np_pad_to_common, recursion_bar
+from helpers import (
+    fraction_linear_step,
+    np_pad_to_common,
+    recursion_bar,
+    whole_grid_eval_G,
+    whole_grid_residual,
+    whole_grid_rhs,
+)
 from picard_lod.expr import (
     Arity,
     Binary,
@@ -294,6 +301,182 @@ class TestResidual:
         res0 = pp.residual(prob, i0)
         assert res0.pde_residual == pytest.approx(2.4, abs=1e-12)
         assert res0.ic_residuals == pytest.approx((0.0, 0.0), abs=1e-13)
+
+
+# right-hand sides of component h, with c the other component (h itself when
+# m = 1) and s the last x axis; Dx1 is d/dx1 for s = 2 and d/dx for s = 1
+RHS_TEMPLATES = {
+    "linear_cos_t": "cos(t)*Dx1(Dx1(y{h}))",
+    "nonlinear": "sin(y{h})*Dx{s}(y{c})+exp(Dx1(y{h}))*cos(y{c})",
+    "forced_tx": "Dx1(y{h})+exp(t)*sin(x{s})",
+    "forced_x": "Dx{s}(Dx{s}(y{h}))+x1^2",
+    "constant": "1.5",
+    "time_derivative": "Dt(y{c})*x1-y{h}",
+}
+
+
+@st.composite
+def blocked_cases(draw):
+    """A problem with s, m, d in {1, 2}, an iterate, a residual grid size and two block sizes.
+
+    Each component takes one of RHS_TEMPLATES (the time-derivative one only
+    when p >= 1).  The iterate has degrees 0..5 and coefficients that fall
+    off as 0.5^(index sum).  The residual grid has at least ``grid_min``
+    points per axis; each block size gives ``rows`` t-rows of the grid it is
+    used on, from one row up to past the whole grid (a single block).
+    """
+    s, m, d = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    p = draw(st.integers(0, d - 1))
+    names = [n for n in RHS_TEMPLATES if p >= 1 or n != "time_derivative"]
+    ar = Arity(s=s, m=m, L=2, p=p)
+    rhs = tuple(
+        parse_expression(RHS_TEMPLATES[draw(st.sampled_from(names))].format(
+            h=h, c=m + 1 - h, s=s), ar)
+        for h in range(1, m + 1)
+    )
+    x_ar = Arity(s=s)
+    initial = tuple(tuple(parse_expression(f"{j + 1}*sin(x1+{h})", x_ar) for h in range(m))
+                    for j in range(d))
+    t0 = draw(st.sampled_from([0.0, 0.1, -0.3]))
+    dom = Domain(t0, draw(st.sampled_from([0.2, 0.5])), 0.3, ((-1.0, 2.0), (0.0, PI))[:s])
+    problem = pp.CauchyProblem(dom, m, d, p, 2, rhs, initial, (4,) * s)
+    degrees = draw(st.lists(st.integers(0, 5), min_size=1 + s, max_size=1 + s))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (m, *[n + 1 for n in degrees])
+    coeffs = rng.standard_normal(shape) * 0.5 ** np.indices(shape[1:]).sum(axis=0)
+    y = SepFunc(dom, m, p, coeffs)
+    grid_min = draw(st.integers(2, 20))
+    rows = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    return problem, y, grid_min, rows
+
+
+def block_points(rows, x_points, extra):
+    """An RHS_BLOCK_POINTS that gives ``rows`` t-rows of x_points each."""
+    return rows * x_points + extra % x_points
+
+
+class TestBlockedRhs:
+    """_rhs_on_grid evaluates in t-blocks; residual and eval_G equal their whole-grid forms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocked_cases(), st.integers(0, 2**16))
+    def test_bit_identical_to_whole_grid(self, case, extra):
+        from unittest import mock
+
+        from picard_lod import funcspace as fs
+
+        problem, y, grid_min, (rows_res, rows_G) = case
+        with mock.patch.object(fs, "RESIDUAL_GRID_MIN", grid_min):
+            pts = fs.norm_grid(y, grid_min)
+            x_points = math.prod(len(g) for g in pts[1:])
+            with mock.patch.object(pp, "RHS_BLOCK_POINTS",
+                                   block_points(rows_res, x_points, extra)):
+                got = pp.residual(problem, y)
+            want_pde, want_ics = whole_grid_residual(problem, y)
+        assert got.pde_residual.hex() == want_pde.hex()
+        assert [v.hex() for v in got.ic_residuals] == [v.hex() for v in want_ics]
+
+        nodes = fs.chebyshev_nodes(problem.domain, pp._g_degrees(problem, y))
+        x_points = math.prod(len(g) for g in nodes[1:])
+        with mock.patch.object(pp, "RHS_BLOCK_POINTS", block_points(rows_G, x_points, extra)):
+            got = pp.eval_G(problem, y)
+        want = whole_grid_eval_G(problem, y)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert got.coeffs.shape == want.coeffs.shape
+        assert got.truncation.hex() == want.truncation.hex()
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, 8, 128, 500])
+    def test_blocks_cover_the_grid_in_order(self, rows, monkeypatch):
+        from picard_lod import funcspace as fs
+
+        problem = pp.CauchyProblem(
+            Domain(0.0, 0.5, 0.5, ((-1.0, 1.0),)), 1, 1, 0, 2,
+            (parse_expression("cos(t)*Dx1(Dx1(y1))+x1", Arity(s=1, m=1, L=2)),),
+            ((parse_expression("sin(x1)", Arity(s=1)),),))
+        pts = fs.uniform_grid(problem.domain, [128, 5])
+        monkeypatch.setattr(pp, "RHS_BLOCK_POINTS", rows * 5 + 4)
+        blocks = list(pp._rhs_on_grid(problem, problem.i0, pts))
+        assert [b.stop for b, _ in blocks][:-1] == list(range(rows, 128, rows))
+        assert [b.shape[1] for _, b in blocks] == [
+            min(rows, 128 - start) for start in range(0, 128, rows)]
+        whole = whole_grid_rhs(problem, problem.i0, pts)
+        assert np.concatenate([b for _, b in blocks], axis=1).tobytes() == whole.tobytes()
+
+    def test_a_failing_block_raises_the_whole_grid_error(self, monkeypatch):
+        from picard_lod import funcspace as fs
+        from picard_lod.expr import EvalError, NonFiniteValue
+
+        # on the 128-point t grid of [0, 1], exp(800 t) overflows from row
+        # 113 on, and t - c is zero at row 120 only; whole-grid evaluation
+        # meets the zero divisor, while the block of rows 112..119 alone
+        # only overflows
+        c = float(np.linspace(0.0, 1.0, 128)[120])
+        problem = pp.CauchyProblem(
+            Domain(0.5, 0.5, 0.5, ((-1.0, 1.0),)), 1, 1, 0, 1,
+            (parse_expression(f"exp(800*t)*y1+1/(t-{c!r})", Arity(s=1, m=1, L=1)),),
+            ((parse_expression("1+x1^2", Arity(s=1)),),))
+        y = problem.i0
+        assert fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)[0][120] == c
+        monkeypatch.setattr(pp, "RHS_BLOCK_POINTS", 8 * 128)
+        with pytest.raises(EvalError, match="division by zero"):
+            whole_grid_residual(problem, y)
+        with pytest.raises(EvalError, match="division by zero"):
+            pp.residual(problem, y)
+        pts = fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)
+        blocks = pp._rhs_on_grid(problem, y, [pts[0][112:120], *pts[1:]])
+        with pytest.raises(NonFiniteValue):
+            list(blocks)
+
+    def test_residual_differentiates_once_for_both_grids(self, monkeypatch):
+        from picard_lod import funcspace as fs
+
+        steps = []
+        original = fs.cheb_derivative
+
+        def spy(coef, m, *, scl, axis):
+            steps.append(axis)
+            return original(coef, m, scl=scl, axis=axis)
+
+        problem = wave_problem()
+        y = pp.apply_P(problem, problem.i0, problem.i0)
+        monkeypatch.setattr(fs, "cheb_derivative", spy)
+        pp.residual(problem, y)
+        # d_t y and d_t^2 y serve the slice t = t0 and the whole grid; the
+        # placeholder Dx2(y1) takes two x steps
+        assert sorted(steps) == [1, 1, 2, 2]
+
+    def test_residual_peak_memory_on_a_2d_grid(self):
+        import tracemalloc
+
+        from picard_lod import funcspace as fs
+
+        ar = Arity(s=2, m=1, L=2, p=0)
+        dom = Domain(0.0, 0.1, 0.1, ((-PI, PI), (-PI, PI)))
+        problem = pp.CauchyProblem(
+            dom, 1, 1, 0, 2, (parse_expression("cos(t)*Dx1(Dx1(y1))", ar),),
+            ((parse_expression("sin(x1)*cos(x2)", Arity(s=2)),),), (24, 24))
+        rng = np.random.default_rng(5)
+        coeffs = rng.standard_normal((1, 9, 25, 25)) * 0.5 ** np.arange(9)[:, None, None]
+        y = SepFunc(dom, 1, 0, coeffs)
+        assert [len(g) for g in fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)] == [128, 128, 128]
+        full_grid_bytes = 128**3 * 8
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = fn(problem, y)
+                return result, tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        got, blocked = peak(pp.residual)
+        want, whole = peak(whole_grid_residual)
+        assert (got.pde_residual, got.ic_residuals) == want
+        # d_t y and the placeholder stay whole; the expression's values and
+        # their stacked copy exist one block at a time
+        assert blocked <= 2.5 * full_grid_bytes
+        assert whole >= 3.5 * full_grid_bytes
 
 
 class TestLinearStructure:
@@ -889,7 +1072,7 @@ def exact_rhs(problem, y, degrees):
     """The composed right-hand side interpolated at degrees high enough to be exact."""
     from picard_lod import funcspace as fs
 
-    vals = pp._rhs_on_grid(problem, y, fs.chebyshev_nodes(problem.domain, degrees))
+    vals = whole_grid_rhs(problem, y, fs.chebyshev_nodes(problem.domain, degrees))
     return fs.from_values(vals, problem.domain, problem.m, problem.p)
 
 

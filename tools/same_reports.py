@@ -13,8 +13,10 @@ benchmark leaves out (extra_commands): ``certify`` on the burgers-1d file,
 which takes the quadratic demo; on linear-2d ``series --terms 20`` and
 ``compare`` in both modes on each file, so the closed form, and a ``solve``
 and a closed form that share one 2-D problem, also meet a t-dependent p
-(``cos_dx1dx1``); and on catalog-1d ``compare`` in both modes on each file
-and ``demo`` on each catalog case.  Compared: every report file byte for
+(``cos_dx1dx1``), plus a ``solve`` of the 2-D quadratic problem
+QUADRATIC_2D, whose right-hand side is collocated and whose residual grid
+spans several t-blocks; and on catalog-1d ``compare`` in both modes on each
+file and ``demo`` on each catalog case.  Compared: every report file byte for
 byte, and each command's exit code, standard output, and standard error
 without its ``elapsed:`` line.  Prints what differs; exits 0 if nothing
 does, 1 otherwise.  For a JSON report that differs it prints how far it
@@ -43,9 +45,26 @@ import workloads  # noqa: E402
 
 PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
+# -y1 d_x1 y1 on [-0.1, 0.1] x [-pi, pi]^2: its candidate has x degrees 37 and
+# 33, so the residual grid is 128 x 149 x 133, six t-rows per block
+QUADRATIC_2D = {
+    "schema_version": 1,
+    "domain": {"t0": 0.0, "a": 0.1, "b": 0.1, "S": [[-math.pi, math.pi], [-math.pi, math.pi]]},
+    "order": {"d": 1, "p": 0, "L": 1},
+    "rhs": "-y1*Dx1(y1)",
+    "initial": ["A*sin(x1+p1)*cos(x2+p2)"],
+    "params": {"A": 0.5, "p1": 0.3, "p2": 1.1},
+    "solver": {"tol": 1e-10, "n_max": 30, "k_check": [0], "degrees": {"x": [16, 16]},
+               "residual_tol": 1e-7},
+    "radii": [1.0],
+}
+
 
 def extra_commands(name: str, problem_dir: Path, out_dir: Path) -> list[tuple[list[str], Path]]:
-    """(argv, output directory) of the commands a workload adds to the benchmark's."""
+    """(argv, output directory) of the commands a workload adds to the benchmark's.
+
+    Writes the problem files of these commands that the workload lacks.
+    """
     runs = []
 
     def add(label: str, args: list[str]) -> None:
@@ -59,6 +78,9 @@ def extra_commands(name: str, problem_dir: Path, out_dir: Path) -> list[tuple[li
             add(f"{path.stem}.series", ["series", str(path), "--terms", "20"])
             add(f"{path.stem}.compare", ["compare", str(path)])
             add(f"{path.stem}.compare-oracle", ["compare", str(path), "--against", "oracle"])
+        path = problem_dir / "quadratic_2d.json"
+        path.write_text(json.dumps(QUADRATIC_2D, indent=2) + "\n")
+        add("quadratic_2d.solve", ["solve", str(path)])
     elif name == "catalog-1d":
         for case in workloads.CATALOG:
             path = str(problem_dir / f"{case}.json")
