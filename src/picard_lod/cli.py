@@ -7,7 +7,8 @@ table); the first value that breaks them exits 1 with
 comma-separated iterate-norm table.  Identical problem file + flags + seed
 produce byte-identical report files (timings go to stderr only).
 
-Exit codes: 0 converged, 1 error, 2 diverging certificate, 3 inconclusive.
+Exit codes: 0 converged, 1 error (a usage error included), 2 diverging
+certificate, 3 inconclusive.
 """
 
 from __future__ import annotations
@@ -420,6 +421,17 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """The value of --terms or --nmax: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative; need an integer >= 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="picard-lod",
@@ -441,33 +453,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out")
     p.add_argument("--mode", choices=["conservative", "paper"], default=None)
-    p.add_argument("--nmax", type=int, default=30)
+    p.add_argument("--nmax", type=_count, default=30)
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("series", help="write the truncated series solution")
     p.add_argument("file")
     p.add_argument("--out")
-    p.add_argument("--terms", type=int, default=20)
+    p.add_argument("--terms", type=_count, default=20)
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("compare", help="cross-check the series against the generic path")
     p.add_argument("file")
     p.add_argument("--out")
     p.add_argument("--against", choices=["oracle", "generic"], default="generic")
-    p.add_argument("--terms", type=int, default=6)
+    p.add_argument("--terms", type=_count, default=6)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("demo", help="run a catalog case end to end")
     p.add_argument("case")
     p.add_argument("--out")
-    p.add_argument("--terms", type=int, default=20)
+    p.add_argument("--terms", type=_count, default=20)
     p.set_defaults(fn=cmd_demo)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.fn(args)
     except CliError as exc:

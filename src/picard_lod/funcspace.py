@@ -5,8 +5,8 @@ over the time interval and each spatial interval (all affinely mapped to
 [-1, 1]).  Differentiation and nested time integration act exactly on
 coefficients.  Every derivative comes from one derivative chain over
 coefficient arrays (_derivative_chain), one cheb_derivative step per
-multi-index, with no SepFunc per derivative; derivatives_on_grid evaluates
-them on a grid, and partial_derivative wraps one in a SepFunc.  The graded
+multi-index, with no SepFunc per derivative; grid_derivatives evaluates
+them on grids, and partial_derivative wraps one in a SepFunc.  The graded
 seminorms take the sup of partial derivatives on a dense sampling grid (the
 grid density is part of every reported norm), a lower bound on the exact
 sup, and graded_norms_upper bounds them from above by coefficient sums.
@@ -56,7 +56,6 @@ __all__ = [
     "sup_abs_blocks",
     "pad_to_common",
     "partial_derivative",
-    "derivatives_on_grid",
     "grid_derivatives",
     "iterated_time_integral",
     "cheb_derivative",
@@ -601,12 +600,12 @@ def grid_derivatives(
     f: SepFunc,
 ) -> Callable[[Iterable[Sequence[int]], Sequence[np.ndarray]],
               Iterator[tuple[tuple[int, ...], np.ndarray]]]:
-    """derivatives_on_grid of f on any number of grids, from one derivative chain.
+    """A function of (betas, pts) that yields (beta, D^beta f on the tensor grid of pts).
 
-    The returned function takes (betas, pts) as derivatives_on_grid does.
     Every call shares one _derivative_chain, kept while the function lives,
-    so a derivative that several calls name, on one grid or on several, is
-    built once; the values are those of derivatives_on_grid, bit for bit.
+    so a derivative that several betas or calls name, on one grid or on
+    several, is built once.  The derivatives of one call share one
+    Vandermonde matrix per axis, built at f's degrees.
     """
     derivative = _derivative_chain(f.coeffs, f.domain)
 
@@ -619,18 +618,6 @@ def grid_derivatives(
             yield beta, evaluate(derivative(beta))
 
     return on_grid
-
-
-def derivatives_on_grid(
-    f: SepFunc, betas: Iterable[Sequence[int]], pts: Sequence[np.ndarray]
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield (beta, values of D^beta f on the tensor grid of pts) for each beta.
-
-    The derivatives come from one _derivative_chain, kept for this call only,
-    so a derivative that several betas name is built once, and they share
-    one Vandermonde matrix per axis, built at f's degrees.
-    """
-    return grid_derivatives(f)(betas, pts)
 
 
 def iterated_time_integral(f: SepFunc, j: int) -> SepFunc:
@@ -705,7 +692,7 @@ def graded_norms_upto(f: SepFunc, k_max: int, *, p: int | None = None) -> np.nda
     """Vector of graded norms for k = 0..k_max in one sweep."""
     betas = graded_indices(k_max, f.domain.s, f.p if p is None else p)
     best = np.zeros(k_max + 1)
-    for beta, vals in derivatives_on_grid(f, betas, norm_grid(f)):
+    for beta, vals in grid_derivatives(f)(betas, norm_grid(f)):
         sup = sup_abs(vals)
         if not math.isfinite(sup):
             raise NonFiniteCoefficients("non-finite derivative values on norm grid")

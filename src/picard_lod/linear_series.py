@@ -123,7 +123,8 @@ class LinearProblem:
     derivative bound ``Q``, ``initial`` the d-by-m initial data table and
     ``x_degrees`` the x degree per axis (None: X_DEGREE on every axis).
     The problem is a view of one CauchyProblem, ``to_cauchy()``, from which
-    the closed form reads i0, p(t), q~ and I_d[q~], each built once.
+    the closed form reads i0, p(t), sup_T ||p(t)||, q~ and I_d[q~], each
+    built once.
     """
 
     domain: Domain
@@ -168,14 +169,6 @@ class LinearProblem:
     @property
     def L(self) -> int:
         return sum(self.mu)
-
-    def norm_p(self) -> float:
-        """sup over T of the max-row-sum norm of p, evaluated once per problem."""
-        return self._p_sup
-
-    @cached_property
-    def _p_sup(self) -> float:
-        return pp._matrix_sup_norm(self.p_coef, self.domain)
 
     def to_cauchy(self) -> pp.CauchyProblem:
         """The one CauchyProblem this view reads, built on first use."""
@@ -434,7 +427,7 @@ def increment_bound_log(
     """
     L = problem.L
     tbar = problem.domain.tbar
-    log_p = math.log(max(problem.norm_p(), pp.EPS_FLOOR))
+    log_p = math.log(max(problem.to_cauchy().p_sup, pp.EPS_FLOOR))
     extended = tbar > 1.0
     parts = []
     for j in range(problem.gamma, problem.d):
@@ -484,7 +477,7 @@ def classify_convergence(
     """
     T = problem.domain.tbar
     L, d, gamma = problem.L, problem.d, problem.gamma
-    norm_p = max(problem.norm_p(), pp.EPS_FLOOR)
+    norm_p = max(problem.to_cauchy().p_sup, pp.EPS_FLOOR)
     # every j >= gamma needs a growth model, also past a rule that decides
     models = [_growth_for(problem, growth, j) for j in range(gamma, d)]
 
@@ -527,52 +520,45 @@ class CatalogCase:
 
 
 def _series_oracle(
-    y0_exprs: Sequence[tuple[Expr, int]],
+    y0_exprs: Sequence[Expr],
     dx_step: int,
-    a: float,
     t_power: Callable[[int, int], tuple[int, int]],
     n_terms: int = 40,
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Series summation oracle: sum_n d_x^{n dx_step} y0 a^n t^e / e!.
+    """Series summation oracle: sum_n d_x^{n dx_step} y0 t^e / e!.
 
-    ``t_power(which, n)`` returns (exponent, factorial argument) per data row.
+    ``t_power(which, n)`` returns (exponent, factorial argument) for data row ``which``.
     """
 
     def oracle(t: np.ndarray, x: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         out = np.zeros(np.broadcast(t, x).shape)
-        for which, (expr, _) in enumerate(y0_exprs):
+        for which, expr in enumerate(y0_exprs):
             de = expr
             for n in range(n_terms):
                 exp_, fact_ = t_power(which, n)
                 vals = np.asarray(eval_expr(de, {"x1": x}), dtype=float)
-                out = out + vals * (a ** n) * t ** exp_ / math.factorial(fact_)
+                out = out + vals * t ** exp_ / math.factorial(fact_)
                 de = symbolic_partial(de, "x1", dx_step)
         return out
 
     return oracle
 
 
-def example_catalog(
-    case: str,
-    *,
-    a: float = 1.0,
-    y00: str | None = None,
-    y01: str | None = None,
-    domain: Domain | None = None,
-) -> CatalogCase:
+def example_catalog(case: str) -> CatalogCase:
     """Linear catalog instances with their series-solution oracles.
 
-    Cases: heat (d_t y = a d_x^2 y), wave (d_t^2 y = a d_x^2 y), transport
-    (d_t y = a d_x y), mixed_dt_dx (d_t^2 y = a d_t d_x y) and dt2_dx
-    (d_t^2 y = a d_x y).  The wave oracle is the directly computed Picard
-    series (powers t^{2n}/(2n)!), not the displayed one; see the note.
+    Cases: heat (d_t y = d_x^2 y), wave (d_t^2 y = d_x^2 y), transport
+    (d_t y = d_x y), mixed_dt_dx (d_t^2 y = d_t d_x y) and dt2_dx
+    (d_t^2 y = d_x y), on T = [-0.25, 0.25] around t0 = 0 and x in
+    [-pi, pi].  The wave oracle is the directly computed Picard series
+    (powers t^{2n}/(2n)!), not the displayed one; see the note.
     """
     specs = {
-        "heat": dict(d=1, gamma=0, mu=(2,), y00="sin(x1)", y01=None),
+        "heat": dict(d=1, gamma=0, mu=(2,), y00="sin(x1)"),
         "wave": dict(d=2, gamma=0, mu=(2,), y00="sin(x1)", y01="0"),
-        "transport": dict(d=1, gamma=0, mu=(1,), y00="sin(x1)", y01=None),
+        "transport": dict(d=1, gamma=0, mu=(1,), y00="sin(x1)"),
         "mixed_dt_dx": dict(d=2, gamma=1, mu=(1,), y00="0", y01="x1"),
         "dt2_dx": dict(d=2, gamma=0, mu=(1,), y00="x1^2", y01="0"),
     }
@@ -582,54 +568,31 @@ def example_catalog(
         )
     spec = specs[case]
     d, gamma, mu = spec["d"], spec["gamma"], spec["mu"]
-    y00 = y00 if y00 is not None else spec["y00"]
-    y01 = y01 if y01 is not None else spec["y01"]
-    dom = domain or Domain(0.0, 0.25, 0.25, ((-math.pi, math.pi),))
     ax = Arity(s=1)
-    e00 = parse_expression(y00, ax)
-    rows = [(e00,)]
-    if d == 2:
-        e01 = parse_expression(y01 or "0", ax)
-        rows.append((e01,))
+    y0 = [parse_expression(spec[key], ax) for key in ("y00", "y01")[:d]]
     prob = LinearProblem(
-        dom, 1, d, gamma, mu,
-        ((Const(float(a)),),), (Const(0.0),), 0.0, tuple(rows),
+        Domain(0.0, 0.25, 0.25, ((-math.pi, math.pi),)), 1, d, gamma, mu,
+        ((Const(1.0),),), (Const(0.0),), 0.0, tuple((e,) for e in y0),
     )
     Lstep = sum(mu)
-    t0 = dom.t0
     note = ""
-
-    if case == "heat":
-        oracle = _series_oracle([(e00, 0)], Lstep, a, lambda w, n: (n, n))
-    elif case == "transport":
-        oracle = _series_oracle([(e00, 0)], Lstep, a, lambda w, n: (n, n))
-    elif case == "wave":
+    if case == "wave":
         note = (
             "directly computed Picard series (t-powers t^{2n}/(2n)!); the "
             "displayed series with t^n/n! disagrees with the iteration"
         )
-        oracle = _series_oracle(
-            [(e00, 0), (rows[1][0], 1)], Lstep, a,
-            lambda w, n: (2 * n + w, 2 * n + w),
-        )
-    elif case == "dt2_dx":
-        oracle = _series_oracle(
-            [(e00, 0), (rows[1][0], 1)], Lstep, a,
-            lambda w, n: (2 * n + w, 2 * n + w),
-        )
+    if d == 1:  # heat, transport
+        oracle = _series_oracle(y0, Lstep, lambda w, n: (n, n))
+    elif gamma == 0:  # wave, dt2_dx
+        oracle = _series_oracle(y0, Lstep, lambda w, n: (2 * n + w, 2 * n + w))
     else:  # mixed_dt_dx: y00 free, series over y01 only
-        base = _series_oracle(
-            [(rows[1][0], 0)], Lstep, a, lambda w, n: (n + 1, n + 1)
-        )
+        base = _series_oracle(y0[1:], Lstep, lambda w, n: (n + 1, n + 1))
 
         def oracle(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-            free = np.asarray(eval_expr(e00, {"x1": np.asarray(x, dtype=float)}))
+            free = np.asarray(eval_expr(y0[0], {"x1": np.asarray(x, dtype=float)}))
             return np.broadcast_to(free, np.broadcast(t, x).shape) + base(t, x)
 
-    def shifted(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return oracle(np.asarray(t) - t0, x)
-
-    return CatalogCase(case, prob, shifted, note)
+    return CatalogCase(case, prob, oracle, note)
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,8 @@ class CauchyProblem:
     the initial data is interpolated (None: X_DEGREE on every axis).
     ``rhs_class`` is the form of ``rhs``, set once by ``classify_rhs``;
     ``i0``, the Picard starting point, and ``first_iterate``, P(i0), are
-    built on first use, as is ``linear_data``, the linear class's step data.
+    built on first use, as are ``linear_data``, the linear class's step
+    data, and ``p_sup``, its sup over T of the norm of p(t).
     """
 
     domain: Domain
@@ -209,6 +210,11 @@ class CauchyProblem:
         q = interpolate(list(st.q), self.domain, (SERIES_T_DEGREE, *self.x_degrees),
                         m=self.m, p=self.p).trim()
         return _t_interp_matrix(self.domain, st.p), q, iterated_time_integral(q, self.d).trim()
+
+    @cached_property
+    def p_sup(self) -> float:
+        """sup over T of the max-row-sum norm of the linear class's p(t), sampled once."""
+        return _matrix_sup_norm(self.rhs_class.linear.p, self.domain)
 
     @cached_property
     def first_iterate(self) -> SepFunc:
@@ -676,9 +682,8 @@ def estimate_lipschitz(
         # the composed right-hand side does not depend on the unknown at all
         return LipschitzFactors.constant(0.0, {"method": "auto"})
     if rc.linear is not None:
-        norm_p = _matrix_sup_norm(rc.linear.p, problem.domain)
         return LipschitzFactors.constant(
-            norm_p, {"method": "linear_exact", "matrix_norm": "max-row-sum"}
+            problem.p_sup, {"method": "linear_exact", "matrix_norm": "max-row-sum"}
         )
     if rc.poly is not None:
         return _leibniz_lipschitz(problem, radii, k_max=k_max)
@@ -790,7 +795,7 @@ def _sampled_lipschitz(
     def graded_sweep(f: SepFunc, k_top: int, t_max: int) -> np.ndarray:
         # level k: grid max over components and |beta| <= k, beta_t <= t_max
         levels = np.zeros(k_top + 1)
-        for beta, vals in fs.derivatives_on_grid(f, fs.graded_indices(k_top, s, t_max), pts):
+        for beta, vals in fs.grid_derivatives(f)(fs.graded_indices(k_top, s, t_max), pts):
             k_from = sum(beta)
             levels[k_from:] = np.maximum(levels[k_from:], fs.sup_abs(vals))
         return levels

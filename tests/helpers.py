@@ -94,7 +94,7 @@ def whole_grid_rhs(problem, y, pts) -> np.ndarray:
     shape = tuple(len(g) for g in pts)
     bindings = fs.grid_bindings(pts)
     phs = problem.rhs_class.placeholders
-    derivs = fs.derivatives_on_grid(y, [(ph.gamma, *ph.alpha) for ph in phs], pts)
+    derivs = fs.grid_derivatives(y)([(ph.gamma, *ph.alpha) for ph in phs], pts)
     for ph, (_, vals) in zip(phs, derivs):
         bindings[placeholder_key(ph)] = np.broadcast_to(vals[ph.comp - 1], shape)
     return fs.eval_on_grid(problem.rhs, bindings, shape)
@@ -120,7 +120,7 @@ def whole_grid_eval_G(problem, y):
 
 
 def whole_grid_residual(problem, y) -> tuple[float, tuple[float, ...]]:
-    """(pde_residual, ic_residuals) of residual, each with its own derivatives_on_grid.
+    """(pde_residual, ic_residuals) of residual, each with its own grid_derivatives.
 
     The initial conditions are checked on the slice t = t0 of the residual
     grid; the defect d_t^d y - whole_grid_rhs is one array, reduced by
@@ -131,9 +131,8 @@ def whole_grid_residual(problem, y) -> tuple[float, tuple[float, ...]]:
     pts = fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)
     slice_pts = [np.array([problem.domain.t0]), *pts[1:]]
     zeros_x = [0] * problem.domain.s
-    derivs = list(fs.derivatives_on_grid(
-        y, [(j, *zeros_x) for j in range(problem.d)], slice_pts))
-    [(_, lhs_vals)] = fs.derivatives_on_grid(y, [(problem.d, *zeros_x)], pts)
+    derivs = list(fs.grid_derivatives(y)([(j, *zeros_x) for j in range(problem.d)], slice_pts))
+    [(_, lhs_vals)] = fs.grid_derivatives(y)([(problem.d, *zeros_x)], pts)
     defect = whole_grid_rhs(problem, y, pts)
     np.subtract(lhs_vals, defect, out=defect)
     bindings = fs.grid_bindings(slice_pts)

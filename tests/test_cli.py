@@ -493,6 +493,22 @@ class TestCertifyCommand:
         # the verdict rule's constants, recorded in every row
         assert (row["window"], row["margin"], row["rel_floor"]) == (10, 0.05, 1e-14)
 
+    def test_growth_certificate_samples_p_once(self, tmp_path, monkeypatch):
+        # the Lipschitz factor and the growth-model increments read one sup_T ||p(t)||
+        import picard_lod.picard_pde as pp
+
+        calls = []
+        original = pp._matrix_sup_norm
+
+        def spy(p_exprs, domain):
+            calls.append(p_exprs)
+            return original(p_exprs, domain)
+
+        monkeypatch.setattr(pp, "_matrix_sup_norm", spy)
+        p = write_problem(tmp_path / "heat.json")
+        assert main(["certify", str(p), "--out", str(tmp_path), "--nmax", "40"]) == EXIT_OK
+        assert len(calls) == 1
+
     def test_kowalevski_diverges(self, tmp_path):
         p = write_problem(
             tmp_path / "kow.json",
@@ -720,6 +736,45 @@ class TestDemoCommand:
 
     def test_unknown_case(self, tmp_path, capsys):
         assert main(["demo", "laplace", "--out", str(tmp_path)]) == EXIT_ERROR
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1, not 2 (a diverging certificate), with its message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "f.json", "--mode", "bogus"], "argument --mode: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+        (["series", "f.json", "--terms", "abc"], "argument --terms: invalid int value: 'abc'"),
+    ])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        assert main(argv) == EXIT_ERROR
+        assert message in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: picard-lod")
+
+    @pytest.mark.parametrize("argv", [
+        ["series", "{p}", "--terms", "-2"],
+        ["compare", "{p}", "--terms", "-1"],
+        ["demo", "heat", "--terms", "-1"],
+        ["certify", "{p}", "--nmax", "-1"],
+    ])
+    def test_negative_count_is_rejected_naming_the_flag(self, tmp_path, capsys, argv):
+        p = write_problem(tmp_path / "heat.json")
+        out = tmp_path / "out"
+        assert main([a.format(p=p) for a in argv] + ["--out", str(out)]) == EXIT_ERROR
+        assert f"argument {argv[2]}: {argv[3]} is negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["compare", "{p}", "--terms", "0"], EXIT_OK),
+        (["demo", "heat", "--terms", "0"], EXIT_OK),
+        (["certify", "{p}", "--nmax", "0"], EXIT_INCONCLUSIVE),
+    ])
+    def test_zero_count_is_valid(self, tmp_path, argv, code):
+        p = write_problem(tmp_path / "heat.json")
+        assert main([a.format(p=p) for a in argv] + ["--out", str(tmp_path)]) == code
 
 
 def test_console_script_entry_point(tmp_path):

@@ -367,14 +367,16 @@ def functions_and_betas(draw):
 
 
 class TestDerivativesOnGrid:
+    """Derivatives on a grid, through funcspace.grid_derivatives."""
+
     @settings(max_examples=300, deadline=None)
     @given(functions_and_betas())
     def test_bit_identical_to_partial_derivative(self, case):
-        from picard_lod.funcspace import derivatives_on_grid, uniform_grid
+        from picard_lod.funcspace import grid_derivatives, uniform_grid
 
         f, betas = case
         pts = uniform_grid(f.domain, 5)
-        got = list(derivatives_on_grid(f, betas, pts))
+        got = list(grid_derivatives(f)(betas, pts))
         assert [beta for beta, _ in got] == [tuple(b) for b in betas]
         for beta, vals in got:
             want = partial_derivative(f, beta).eval_grid(pts[0], pts[1:])
@@ -394,17 +396,17 @@ class TestDerivativesOnGrid:
         monkeypatch.setattr(fs, "cheb_derivative", spy)
         f = SepFunc(SQUARE, 1, 0, np.ones((1, 4, 4)))
         pts = fs.uniform_grid(SQUARE, 3)
-        list(fs.derivatives_on_grid(f, [(2, 1), (0, 0), (2, 1), (1, 0)], pts))
+        list(fs.grid_derivatives(f)([(2, 1), (0, 0), (2, 1), (1, 0)], pts))
         # (2, 1) is built from (2, 0) from (1, 0) from f; repeats build nothing
         assert steps == [(1, (1, 0)), (1, (1, 0)), (1, (0, 1))]
 
     @pytest.mark.parametrize("beta", [(0,), (0, 0, 0), (1, -1), (-1, 2)])
     def test_rejects_bad_multi_indices(self, beta):
-        from picard_lod.funcspace import derivatives_on_grid, uniform_grid
+        from picard_lod.funcspace import grid_derivatives, uniform_grid
 
         f = SepFunc(SQUARE, 1, 0, np.ones((1, 2, 2)))
         with pytest.raises(FuncSpaceError, match="multi-index"):
-            list(derivatives_on_grid(f, [beta], uniform_grid(SQUARE, 3)))
+            list(grid_derivatives(f)([beta], uniform_grid(SQUARE, 3)))
 
 
     def test_zero_function_is_built_once_per_call(self, monkeypatch):
@@ -420,7 +422,7 @@ class TestDerivativesOnGrid:
         monkeypatch.setattr(fs, "cheb_derivative", spy)
         f = SepFunc(SQUARE, 1, 0, np.ones((1, 2, 2)))
         betas = [(0, k) for k in range(7)]
-        got = list(fs.derivatives_on_grid(f, betas, fs.uniform_grid(SQUARE, 3)))
+        got = list(fs.grid_derivatives(f)(betas, fs.uniform_grid(SQUARE, 3)))
         # (0, 1) is a real step; (0, 2), (0, 3), ... are past the degree and build nothing
         assert steps == [(1, 2)]
         assert [beta for beta, _ in got] == betas
@@ -443,7 +445,7 @@ class TestDerivativesOnGrid:
 
         monkeypatch.setattr(fs.SepFunc, "__post_init__", spy)
         betas = fs.graded_indices(5, 1, 5)
-        list(fs.derivatives_on_grid(f, betas, fs.uniform_grid(SQUARE, 3)))
+        list(fs.grid_derivatives(f)(betas, fs.uniform_grid(SQUARE, 3)))
         fs.graded_norms_upper(f, 5, p=5)
         assert built == []
         partial_derivative(f, (1, 2))
@@ -456,7 +458,7 @@ class TestDerivativesOnGrid:
         f = SepFunc(SQUARE, 1, 0, np.array([[[0.0, 0.0, 1.5e308]]]))
         with np.errstate(over="ignore"), \
                 pytest.raises(NonFiniteCoefficients, match="^non-finite coefficients$"):
-            list(fs.derivatives_on_grid(f, [(0, 1)], fs.uniform_grid(SQUARE, 3)))
+            list(fs.grid_derivatives(f)([(0, 1)], fs.uniform_grid(SQUARE, 3)))
 
 
 @st.composite
@@ -629,7 +631,7 @@ def callers_outside_funcspace(callee):
 
 
 def test_partial_derivative_called_only_in_funcspace():
-    """Every derivative on a grid goes through funcspace.derivatives_on_grid.
+    """Every derivative on a grid goes through funcspace.grid_derivatives.
 
     The coefficient-space step of the linear-class recursions differentiates
     raw arrays with funcspace.cheb_derivative, so no module outside

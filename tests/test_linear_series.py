@@ -48,7 +48,25 @@ class TestLinearProblem:
         cauchy = lp.to_cauchy()
         back = ls.LinearProblem.from_cauchy(cauchy, Q=1.0)
         assert back.mu == (2,) and back.gamma == 0
-        assert back.norm_p() == pytest.approx(2.0)
+        assert back.to_cauchy().p_sup == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("p", [
+        (("2.5",),),
+        (("cos(t)",),),
+        (("1+t^2",),),
+        (("0", "-3*t"), ("cos(t)", "0")),
+    ])
+    def test_p_sup_of_a_direct_problem_is_that_of_its_coefficients(self, p):
+        # the CauchyProblem reads p from its classified right-hand side, not p_coef
+        m = len(p)
+        lp = ls.LinearProblem(
+            SQUARE, m, 1, 0, (2,),
+            tuple(tuple(parse_expression(e, Arity(s=0)) for e in row) for row in p),
+            (expr("0"),) * m, 0.0, ((expr("sin(x1)"),) * m,),
+        )
+        want = pp._matrix_sup_norm(lp.p_coef, lp.domain)
+        got = lp.to_cauchy().p_sup
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_q_bound_estimated_when_missing(self):
         lp = linear(SQUARE, 1, 0, (2,), q="x1", Q=5.0)
@@ -412,39 +430,39 @@ class TestClassify:
 
 class TestCatalog:
     def test_heat_with_x_squared(self):
-        case = ls.example_catalog("heat", y00="x1^2",
-                                  domain=Domain(0.0, 0.5, 0.5, ((-1, 1),)))
-        sol, _ = ls.series_solution(replace(case.problem, x_degrees=(8,)), 6)
+        case = ls.example_catalog("heat")
+        lp = replace(case.problem, domain=SQUARE, initial=((expr("x1^2"),),), x_degrees=(8,))
+        sol, _ = ls.series_solution(lp, 6)
         ts = np.linspace(-0.5, 0.5, 5)
         xs = np.linspace(-1, 1, 9)
         got = sol.eval_grid(ts, [xs])[0]
         want = xs[None, :] ** 2 + 2 * ts[:, None]
         assert np.max(np.abs(got - want)) < 1e-12
+        # the oracle of the catalog's data sin(x1): exp(-t) sin(x1)
+        ts, xs = np.linspace(-0.25, 0.25, 5), np.linspace(-PI, PI, 9)
         ok = case.oracle(ts[:, None], xs[None, :])
-        assert np.max(np.abs(ok - want)) < 1e-12
+        assert np.max(np.abs(ok - np.exp(-ts[:, None]) * np.sin(xs[None, :]))) < 1e-12
 
     def test_mixed_dt_dx(self):
-        case = ls.example_catalog("mixed_dt_dx",
-                                  domain=Domain(0.0, 0.5, 0.5, ((-1, 1),)))
+        case = ls.example_catalog("mixed_dt_dx")
         ts = np.linspace(-0.5, 0.5, 5)
         xs = np.linspace(-1, 1, 9)
         want = xs[None, :] * ts[:, None] + ts[:, None] ** 2 / 2
         got = case.oracle(ts[:, None], xs[None, :])
         assert np.max(np.abs(got - want)) < 1e-12
-        sol, _ = ls.series_solution(replace(case.problem, x_degrees=(8,)), 6)
+        sol, _ = ls.series_solution(replace(case.problem, domain=SQUARE, x_degrees=(8,)), 6)
         vals = sol.eval_grid(ts, [xs])[0]
         assert np.max(np.abs(vals - want)) < 1e-12
 
     def test_dt2_dx(self):
-        case = ls.example_catalog("dt2_dx",
-                                  domain=Domain(0.0, 0.5, 0.5, ((-1, 1),)))
+        case = ls.example_catalog("dt2_dx")
         ts = np.linspace(-0.5, 0.5, 5)
         xs = np.linspace(-1, 1, 9)
         want = xs[None, :] ** 2 + xs[None, :] * ts[:, None] ** 2 \
             + ts[:, None] ** 4 / 12
         got = case.oracle(ts[:, None], xs[None, :])
         assert np.max(np.abs(got - want)) < 1e-12
-        sol, _ = ls.series_solution(replace(case.problem, x_degrees=(8,)), 6)
+        sol, _ = ls.series_solution(replace(case.problem, domain=SQUARE, x_degrees=(8,)), 6)
         vals = sol.eval_grid(ts, [xs])[0]
         assert np.max(np.abs(vals - want)) < 1e-12
 

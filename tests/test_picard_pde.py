@@ -1136,8 +1136,8 @@ class TestLeibnizFactors:
         diff = exact_rhs(measured, u, (8, 14)) - exact_rhs(measured, v, (8, 14))
         den = fs.graded_norms_upper(u - v, k_max + L)
         num = np.zeros(k_max + 1)
-        for beta, vals in fs.derivatives_on_grid(
-                diff, [(0, j) for j in range(k_max + 1)], fs.norm_grid(diff)):
+        for beta, vals in fs.grid_derivatives(diff)(
+                [(0, j) for j in range(k_max + 1)], fs.norm_grid(diff)):
             num[beta[1]:] = np.maximum(num[beta[1]:], np.max(np.abs(vals)))
         for k in range(k_max + 1):
             assert num[k] <= fac.at(k) * den[k + L] * (1 + 1e-9)

@@ -9,8 +9,10 @@ and 1) once per tree, in one fresh interpreter per tree with
 The commands and problem files come from ``perfbench/workloads.py`` of the
 repository holding this script, so both trees see the same inputs at the
 same paths.  So that every CLI command is covered, the runs add what the
-benchmark leaves out (extra_commands): ``certify`` on the burgers-1d file,
-which takes the quadratic demo; on linear-2d ``series --terms 20`` and
+benchmark leaves out (extra_commands): on burgers-1d ``certify`` on its
+file, which takes the quadratic demo, and ``certify`` and ``solve`` on
+SINE_TRANSPORT, whose F is not polynomial, so that the sampled Lipschitz
+estimate runs; on linear-2d ``series --terms 20`` and
 ``compare`` in both modes on each file, so the closed form, and a ``solve``
 and a closed form that share one 2-D problem, also meet a t-dependent p
 (``cos_dx1dx1``), plus a ``solve`` of the 2-D quadratic problem
@@ -60,6 +62,19 @@ QUADRATIC_2D = {
 }
 
 
+# sin(y1) d_x1 y1 on [-0.1, 0.1] x [-pi, pi]: not a polynomial in y1, so its
+# Lipschitz factors are sampled (_sampled_lipschitz)
+SINE_TRANSPORT = {
+    "schema_version": 1,
+    "domain": {"t0": 0.0, "a": 0.1, "b": 0.1, "S": [[-math.pi, math.pi]]},
+    "order": {"d": 1, "p": 0, "L": 1},
+    "rhs": "sin(y1)*Dx1(y1)",
+    "initial": ["0.5*sin(x1)"],
+    "solver": {"degrees": {"x": [16]}},
+    "radii": [1.0],
+}
+
+
 def extra_commands(name: str, problem_dir: Path, out_dir: Path) -> list[tuple[list[str], Path]]:
     """(argv, output directory) of the commands a workload adds to the benchmark's.
 
@@ -73,6 +88,10 @@ def extra_commands(name: str, problem_dir: Path, out_dir: Path) -> list[tuple[li
 
     if name == "burgers-1d":
         add("burgers.certify", ["certify", str(problem_dir / "burgers.json")])
+        path = problem_dir / "sine_transport.json"
+        path.write_text(json.dumps(SINE_TRANSPORT, indent=2) + "\n")
+        add("sine_transport.certify", ["certify", str(path)])
+        add("sine_transport.solve", ["solve", str(path)])
     elif name == "linear-2d":
         for path in sorted(problem_dir.glob("*.json")):
             add(f"{path.stem}.series", ["series", str(path), "--terms", "20"])
