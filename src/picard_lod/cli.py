@@ -20,6 +20,21 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
+from . import funcspace as fs
+from .expr import Arity, ParseError, parse_expression
+from .funcspace import Domain, FuncSpaceError, Radii
+from .graded_core import CONVERGED, DIVERGING
+from .linear_series import (
+    GrowthClass, LinearProblem, LinearSeriesError, burgers_demo, example_catalog,
+    picard_closed_form, series_solution,
+)
+from .picard_pde import (
+    BallEscape, CauchyProblem, CertifiedDivergence, PicardError, SolveConfig, apply_P,
+    estimate_and_certify, solve,
+)
+
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
@@ -147,11 +162,6 @@ def load_problem(path: Path):
     <path>: <message>", worded as JSON Schema words it.  All keys are
     checked before any expression is parsed.
     """
-    from .expr import Arity, ParseError, parse_expression
-    from .funcspace import Domain, FuncSpaceError, Radii
-    from .linear_series import GrowthClass, LinearSeriesError
-    from .picard_pde import CauchyProblem, PicardError, SolveConfig
-
     doc = _load_json(path)
     try:
         doc = _object(doc, (), _TOP_KEYS, _TOP_KEYS[:5])
@@ -243,8 +253,6 @@ def _write_norms_csv(out_dir: Path, stem: str, increments: dict) -> Path:
 
 
 def _verdict_exit(verdict: str) -> int:
-    from .graded_core import CONVERGED, DIVERGING
-
     if verdict == CONVERGED:
         return EXIT_OK
     if verdict == DIVERGING:
@@ -253,9 +261,6 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    from .graded_core import DIVERGING
-    from .picard_pde import BallEscape, CertifiedDivergence, solve
-
     path = Path(args.file)
     problem, config = load_problem(path)
     if args.certify_first:
@@ -299,9 +304,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    from .linear_series import burgers_demo
-    from .picard_pde import estimate_and_certify
-
     path = Path(args.file)
     problem, config = load_problem(path)
     out_dir = Path(args.out) if args.out else path.parent
@@ -321,8 +323,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    from .linear_series import LinearProblem, LinearSeriesError, series_solution
-
     path = Path(args.file)
     problem, config = load_problem(path)
     out_dir = Path(args.out) if args.out else path.parent
@@ -349,14 +349,6 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from . import funcspace as fs
-    from .linear_series import (
-        LinearProblem, LinearSeriesError, picard_closed_form, series_solution,
-    )
-    from .picard_pde import apply_P, solve
-
     path = Path(args.file)
     problem, config = load_problem(path)
     out_dir = Path(args.out) if args.out else path.parent
@@ -393,9 +385,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from . import funcspace as fs
-    from .linear_series import LinearSeriesError, example_catalog, series_solution
-
     out_dir = Path(args.out) if args.out else Path.cwd()
     try:
         case = example_catalog(args.case)
@@ -485,10 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except Exception as exc:  # solver errors surface verbatim
+    except Exception as exc:  # CliError and solver errors surface verbatim
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -21,8 +21,7 @@ module constants, not options.  Those below give equispaced norm grids of
 NORM_GRID_FACTOR * degree + 1 points per axis (at least NORM_GRID_MIN, or
 RESIDUAL_GRID_MIN for residuals), CHECK_GRID_POINTS per axis for the
 comparison grids, and Chebyshev extrema for interpolation; the sampled
-Lipschitz grid (LIPSCHITZ_GRID_POINTS) and the t grid of the matrix norm
-(MATRIX_NORM_POINTS) are constants of picard_pde.
+Lipschitz grid (LIPSCHITZ_GRID_POINTS) is a constant of picard_pde.
 """
 
 from __future__ import annotations

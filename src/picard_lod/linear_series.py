@@ -16,7 +16,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import funcspace as fs
 from . import picard_pde as pp
 from .expr import (
     Arity,
@@ -61,9 +60,6 @@ __all__ = [
     "CatalogCase",
     "burgers_demo",
 ]
-
-
-Q_PROBE_ORDER = 6  # x-derivative order up to which a forcing bound left out is probed
 
 
 class LinearSeriesError(Exception):
@@ -123,8 +119,8 @@ class LinearProblem:
     derivative bound ``Q``, ``initial`` the d-by-m initial data table and
     ``x_degrees`` the x degree per axis (None: X_DEGREE on every axis).
     The problem is a view of one CauchyProblem, ``to_cauchy()``, from which
-    the closed form reads i0, p(t), sup_T ||p(t)||, q~ and I_d[q~], each
-    built once.
+    the closed form reads i0, the surrogates P of p(t) and q~ of q that the
+    step applies, the bound p_sup on P, and I_d[q~], each built once.
     """
 
     domain: Domain
@@ -191,34 +187,24 @@ class LinearProblem:
 
     @classmethod
     def from_cauchy(cls, problem: pp.CauchyProblem, Q: float | None = None) -> "LinearProblem":
-        """The view of ``problem``: its to_cauchy() is ``problem`` itself."""
+        """The view of ``problem``: its to_cauchy() is ``problem`` itself.
+
+        Without ``Q`` the view reads ``problem.q_sup``, a bound on every
+        x-derivative of the q~ that the step applies, not of q itself.
+        """
         st = problem.rhs_class.linear
         if st is None:
             raise LinearSeriesError("right-hand side is not of the linear class")
         if sum(st.mu) == 0:
             raise LinearSeriesError("the linear class requires |mu| > 0")
         if Q is None:
-            Q = _probe_q_bound(st.q, problem.domain)
+            Q = problem.q_sup
         view = cls(
             problem.domain, problem.m, problem.d, st.gamma, st.mu,
             st.p, st.q, Q, problem.initial, problem.x_degrees,
         )
         vars(view)["_cauchy"] = problem  # the cached_property, filled in
         return view
-
-
-def _probe_q_bound(q: Sequence[Expr], domain: Domain) -> float:
-    pts = fs.uniform_grid(domain, fs.CHECK_GRID_POINTS)
-    bindings = fs.grid_bindings(pts)
-    shape = tuple(len(g) for g in pts)
-    best = 0.0
-    for e in q:
-        for nu in fs._multi_indices(Q_PROBE_ORDER, domain.s):
-            de = e
-            for dim, order in enumerate(nu, start=1):
-                de = symbolic_partial(de, f"x{dim}", order)
-            best = max(best, fs.sup_abs(fs.eval_on_grid([de], bindings, shape)))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -367,23 +353,25 @@ def series_solution(
 ) -> tuple[SepFunc, dict]:
     """Partial sum of the series solution with a last-term tail diagnostic.
 
-    The diagnostics hold ``t_degree_cut: True`` when a step of the
-    recursions cut its t-degree at DEGREE_CAP (MuEta.cut).
+    With ``growth`` a problem classified as diverging raises, whatever N.
+    ``constant_case`` is True when the p(t) and q~ that the step applies
+    are constants.  The diagnostics hold ``t_degree_cut: True`` when a step
+    of the recursions cut its t-degree at DEGREE_CAP (MuEta.cut).
     """
-    if N < 1:
-        return problem.to_cauchy().i0, {"last_term_sup": 0.0, "terms": 0}
     if growth is not None:
         report = classify_convergence(problem, growth)
         if report.verdict == DIVERGING:
             raise LinearSeriesError(
                 "series requested for a problem classified as diverging"
             )
+    cauchy = problem.to_cauchy()
+    P, q, _ = cauchy.linear_data
+    constant_case = P.shape[-1] == 1 and q.coeffs.size == problem.m
+    if N < 1:
+        return cauchy.i0, {"last_term_sup": 0.0, "terms": 0, "constant_case": constant_case}
     out, terms, cut = _series_terms(problem, N)
-    tail = graded_norm(terms[-1], 0)
-    constant_case = not any(
-        free_variables(e) for e in (*(e for row in problem.p_coef for e in row), *problem.q)
-    )
-    diag = {"last_term_sup": tail, "terms": N, "constant_case": constant_case}
+    diag = {"last_term_sup": graded_norm(terms[-1], 0), "terms": N,
+            "constant_case": constant_case}
     if cut:
         diag["t_degree_cut"] = True
     return out, diag
@@ -421,7 +409,9 @@ def increment_bound_log(
 ) -> float:
     """log of the modelled bound on ||P(i0) - i0||_{k+nL}.
 
-    Uses the simplified display for Tbar <= 1; for Tbar > 1 the explicit
+    p_sup and Q bound the surrogates P and q~ that the step applies
+    (CauchyProblem.linear_data), so the bound is on the increment the
+    iteration computes.  Uses the simplified display for Tbar <= 1; for Tbar > 1 the explicit
     time-power prefactors are restored from the pre-simplified estimate
     ("extended mode").
     """

@@ -90,12 +90,12 @@ EPS_FLOOR = 1e-300
 COLLOC_T_MARGIN = 12
 COLLOC_MIN_X_DEGREE = 8
 COLLOC_NONLINEAR_X_FACTOR = 2
-# sampled Lipschitz estimate: equispaced points per axis, safety factor
+# sampled Lipschitz estimate: equispaced points per axis, random pairs, safety factor
 LIPSCHITZ_GRID_POINTS = 17
+LIPSCHITZ_PAIRS = 64
 LIPSCHITZ_INFLATION = 1.25
-# t points of the coefficient-matrix sup norm of the linear class
-MATRIX_NORM_POINTS = 257
-# highest graded index whose numeric increment norm a certificate reads
+# highest graded index whose numeric increment norm a certificate reads, and
+# the last index of every Lipschitz table
 NUMERIC_K_CAP = 8
 # x degree of the interpolated initial data and forcing unless a problem sets one
 X_DEGREE = 24
@@ -142,7 +142,8 @@ class CauchyProblem:
     ``rhs_class`` is the form of ``rhs``, set once by ``classify_rhs``;
     ``i0``, the Picard starting point, and ``first_iterate``, P(i0), are
     built on first use, as are ``linear_data``, the linear class's step
-    data, and ``p_sup``, its sup over T of the norm of p(t).
+    data, and the bounds read from its coefficients: ``p_sup`` on the norm
+    of the surrogate p(t) over T, and ``q_sup`` on every x-derivative of q~.
     """
 
     domain: Domain
@@ -213,8 +214,29 @@ class CauchyProblem:
 
     @cached_property
     def p_sup(self) -> float:
-        """sup over T of the max-row-sum norm of the linear class's p(t), sampled once."""
-        return _matrix_sup_norm(self.rhs_class.linear.p, self.domain)
+        """An upper bound on sup over T of the max-row-sum norm of the p(t) the step applies.
+
+        |T_a| <= 1 on T, so a row's norm is at most the sum of |P[h, l, a]|
+        over l and a; each addition is rounded up, and a row of one nonzero
+        coefficient comes back exactly.
+        """
+        best = 0.0
+        for row in np.abs(self.linear_data[0]).reshape(self.m, -1):
+            acc = 0.0
+            for v in row[row > 0]:
+                acc = _up(acc + v) if acc else float(v)
+            best = max(best, acc)
+        return best
+
+    @cached_property
+    def q_sup(self) -> float:
+        """An upper bound on the sup of every x-derivative of q~, at every order.
+
+        A derivative past q~'s total x degree vanishes, so the coefficient
+        sums of graded_norms_upper up to that degree bound them all.
+        """
+        q = self.linear_data[1]
+        return float(fs.graded_norms_upper(q, sum(q.degrees[1:]), p=0)[-1])
 
     @cached_property
     def first_iterate(self) -> SepFunc:
@@ -655,27 +677,16 @@ class LipschitzFactors:
         return cls(tuple(vals), meta=meta or {})
 
 
-def _matrix_sup_norm(p_exprs: tuple[tuple[Expr, ...], ...], domain: Domain) -> float:
-    """sup_T of the max-row-sum norm of the t-coefficient matrix."""
-    ts = fs.uniform_grid(domain, MATRIX_NORM_POINTS)[0]
-    bindings = {"t": ts}
-    return float(max(
-        np.max(np.sum(np.abs(fs.eval_on_grid(row, bindings, ts.shape)), axis=0))
-        for row in p_exprs
-    ))
-
-
-def estimate_lipschitz(
-    problem: CauchyProblem, radii: Radii, *, k_max: int = 8, n_pairs: int = 64, seed: int = 0,
-) -> LipschitzFactors:
+def estimate_lipschitz(problem: CauchyProblem, radii: Radii, *, seed: int = 0) -> LipschitzFactors:
     """Lipschitz factors Lambda_k with ||F(u) - F(v)||_k <= Lambda_k ||u - v||_{k+L}.
 
-    Zero for a constant F and exact factors for the linear class.  A
-    polynomial F with constant coefficients (``RhsClass.poly``) gets the
-    certified Leibniz table of _leibniz_lipschitz, for k <= k_max on the ball
-    of ``radii`` around ``problem.i0``.  Any other F is sampled
-    (_sampled_lipschitz, not certified) on the same ball; ``n_pairs`` and
-    ``seed`` only act there.
+    Zero for a constant F, and for the linear class the bound p_sup of the
+    p(t) the step applies.  A polynomial F with constant coefficients
+    (``RhsClass.poly``) gets the certified Leibniz table of
+    _leibniz_lipschitz on the ball of ``radii`` around ``problem.i0``.  Any
+    other F is sampled (_sampled_lipschitz, not certified) on the same ball;
+    ``seed`` only acts there.  Both tables run to k = NUMERIC_K_CAP, the
+    last index a certificate reads.
     """
     rc = problem.rhs_class
     if rc.kind == "constant":
@@ -686,8 +697,8 @@ def estimate_lipschitz(
             problem.p_sup, {"method": "linear_exact", "matrix_norm": "max-row-sum"}
         )
     if rc.poly is not None:
-        return _leibniz_lipschitz(problem, radii, k_max=k_max)
-    return _sampled_lipschitz(problem, radii, k_max=k_max, n_pairs=n_pairs, seed=seed)
+        return _leibniz_lipschitz(problem, radii)
+    return _sampled_lipschitz(problem, radii, seed=seed)
 
 
 def _up(x: float) -> float:
@@ -714,7 +725,7 @@ def _leibniz_product(a: Sequence[float], b: Sequence[float]) -> list[float]:
     return out
 
 
-def _leibniz_lipschitz(problem: CauchyProblem, radii: Radii, *, k_max: int) -> LipschitzFactors:
+def _leibniz_lipschitz(problem: CauchyProblem, radii: Radii) -> LipschitzFactors:
     """Certified Lipschitz factors of a polynomial F from Leibniz's rule.
 
     Each monomial c * w_1 ... w_n, with w_i = d_x^alpha_i d_t^gamma_i u, is
@@ -728,8 +739,9 @@ def _leibniz_lipschitz(problem: CauchyProblem, radii: Radii, *, k_max: int) -> L
     numerator norm takes spatial derivatives only (beta_t = 0), as the
     iteration needs.  Degree 1 gives sum |c| and needs no radii.  Every
     operation on the table is rounded up, so the floats bound the exact
-    values.
+    values.  The table runs to k_max = NUMERIC_K_CAP.
     """
+    k_max = NUMERIC_K_CAP
     poly = problem.rhs_class.poly
     degree = max((len(phs) for terms in poly for _, phs in terms), default=0)
     n_idx = k_max + problem.L + 1
@@ -758,18 +770,17 @@ def _leibniz_lipschitz(problem: CauchyProblem, radii: Radii, *, k_max: int) -> L
     )
 
 
-def _sampled_lipschitz(
-    problem: CauchyProblem, radii: Radii, *, k_max: int = 8, n_pairs: int = 64, seed: int = 0,
-) -> LipschitzFactors:
+def _sampled_lipschitz(problem: CauchyProblem, radii: Radii, *, seed: int = 0) -> LipschitzFactors:
     """Sampled, non-certified Lipschitz factors for F outside the polynomial class.
 
-    Draws random pairs inside the ball around ``problem.i0``, perturbed at
-    its x degrees, measures the ratio of the grid sups
+    Draws LIPSCHITZ_PAIRS random pairs inside the ball around ``problem.i0``,
+    perturbed at its x degrees, measures the ratio of the grid sups
     ||G(u) - G(v)||_k / ||u - v||_{k+L} over the spatial derivatives of the
-    composed right-hand side, and inflates the max over the pairs by a
-    safety factor.
+    composed right-hand side for k <= NUMERIC_K_CAP, and inflates the max
+    over the pairs by a safety factor.
     Sampling metadata is recorded on the result.
     """
+    k_max = NUMERIC_K_CAP
     probe_k = k_max + problem.L + problem.p
     r_hi = radii.value(probe_k)
     if math.isinf(r_hi):
@@ -801,7 +812,7 @@ def _sampled_lipschitz(
         return levels
 
     best = np.zeros(k_max + 1)
-    for _ in range(n_pairs):
+    for _ in range(LIPSCHITZ_PAIRS):
         u, v = random_member(), random_member()
         dens = graded_sweep(u - v, k_max + problem.L, problem.p)
         nums = graded_sweep(eval_G(problem, u) - eval_G(problem, v), k_max, 0)
@@ -812,7 +823,7 @@ def _sampled_lipschitz(
         tuple(best * LIPSCHITZ_INFLATION),
         {
             "method": "sampled",
-            "n_pairs": n_pairs,
+            "n_pairs": LIPSCHITZ_PAIRS,
             "seed": seed,
             "inflation": LIPSCHITZ_INFLATION,
             "certified": False,

@@ -494,17 +494,18 @@ class TestCertifyCommand:
         assert (row["window"], row["margin"], row["rel_floor"]) == (10, 0.05, 1e-14)
 
     def test_growth_certificate_samples_p_once(self, tmp_path, monkeypatch):
-        # the Lipschitz factor and the growth-model increments read one sup_T ||p(t)||
+        # the Lipschitz factor and the growth-model increments read one
+        # interpolant of p(t), the one the linear step applies
         import picard_lod.picard_pde as pp
 
         calls = []
-        original = pp._matrix_sup_norm
+        original = pp._t_interp_matrix
 
-        def spy(p_exprs, domain):
+        def spy(domain, p_exprs):
             calls.append(p_exprs)
-            return original(p_exprs, domain)
+            return original(domain, p_exprs)
 
-        monkeypatch.setattr(pp, "_matrix_sup_norm", spy)
+        monkeypatch.setattr(pp, "_t_interp_matrix", spy)
         p = write_problem(tmp_path / "heat.json")
         assert main(["certify", str(p), "--out", str(tmp_path), "--nmax", "40"]) == EXIT_OK
         assert len(calls) == 1
@@ -628,8 +629,16 @@ class TestSeriesCommand:
         p = write_problem(tmp_path / "heat.json")
         assert main(["series", str(p), "--terms", "0", "--out", str(tmp_path)]) == EXIT_OK
         rep = json.loads((tmp_path / "heat.series.report.json").read_text())
-        assert rep["diagnostics"]["terms"] == 0
+        assert rep["diagnostics"] == {"last_term_sup": 0.0, "terms": 0, "constant_case": True}
         assert rep["solution"]["degrees"][0] == 0  # time-constant
+
+    @pytest.mark.parametrize("terms", ["0", "1"])
+    def test_diverging_classification_is_refused_at_any_terms(self, tmp_path, capsys, terms):
+        # analytic data with d = 1 < L = 2 is classified diverging
+        p = write_problem(tmp_path / "heat.json", growth=[{"kind": "analytic", "C": 1.0}])
+        assert main(["series", str(p), "--terms", terms, "--out", str(tmp_path)]) == EXIT_ERROR
+        assert "classified as diverging" in capsys.readouterr().err
+        assert not (tmp_path / "heat.series.report.json").exists()
 
     def test_parameter_coefficient_is_a_constant_case(self, tmp_path):
         # a*Dx2(y1) with a = 1 is the heat equation, by either route

@@ -1,12 +1,19 @@
 import math
 from dataclasses import replace
 
+import functools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 import picard_lod.funcspace as fs
-from picard_lod.expr import Arity, parse_expression, symbolic_partial
+from picard_lod.expr import (
+    Arity, Binary, Const, Power, Unary, Var, eval_expr, parse_expression, symbolic_partial,
+)
 from picard_lod.funcspace import Domain, Radii, graded_norm, graded_norms_upto
 from picard_lod.graded_core import CONVERGED, DIVERGING, INCONCLUSIVE, exp_or_inf
 import picard_lod.linear_series as ls
@@ -37,6 +44,30 @@ def tval(problem, coefs, t):
     return cheb.chebval(u, coefs)
 
 
+def sampled_row_sum(rows, domain, n=2049):
+    """Max over n equispaced t of max_h sum_l |rows[h][l](t)|: a lower bound on its sup.
+
+    An entry is an expression in t, or an array of Chebyshev coefficients on T.
+    """
+    lo, hi = domain.t_interval
+    ts = np.linspace(lo, hi, n)
+    u = (2 * ts - lo - hi) / (hi - lo)
+
+    def values(e):
+        v = cheb.chebval(u, e) if isinstance(e, np.ndarray) else eval_expr(e, {"t": ts})
+        return np.abs(np.broadcast_to(v, ts.shape))
+
+    return max(float(np.max(sum(values(e) for e in row))) for row in rows)
+
+
+def direct_problem(domain, p, q=None, mu=(2,), x_degrees=None):
+    """The LinearProblem of p(t) d_x^mu y + q with p an m-by-m matrix of expressions."""
+    m, s = len(p), len(mu)
+    q = q or (Const(0.0),) * m
+    return ls.LinearProblem(domain, m, 1, 0, mu, p, q, 0.0,
+                            ((expr("sin(x1)", s=s),) * m,), x_degrees)
+
+
 class TestLinearProblem:
     def test_mu_must_be_positive(self):
         with pytest.raises(ls.LinearSeriesError, match="mu"):
@@ -57,22 +88,21 @@ class TestLinearProblem:
         (("0", "-3*t"), ("cos(t)", "0")),
     ])
     def test_p_sup_of_a_direct_problem_is_that_of_its_coefficients(self, p):
-        # the CauchyProblem reads p from its classified right-hand side, not p_coef
-        m = len(p)
-        lp = ls.LinearProblem(
-            SQUARE, m, 1, 0, (2,),
-            tuple(tuple(parse_expression(e, Arity(s=0)) for e in row) for row in p),
-            (expr("0"),) * m, 0.0, ((expr("sin(x1)"),) * m,),
-        )
-        want = pp._matrix_sup_norm(lp.p_coef, lp.domain)
+        # the CauchyProblem reads p from its classified right-hand side, not
+        # p_coef: |c| for a constant, otherwise at least a fine sample of p
+        lp = direct_problem(SQUARE, tuple(tuple(parse_expression(e, Arity(s=0)) for e in row)
+                                          for row in p))
         got = lp.to_cauchy().p_sup
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        if p == (("2.5",),):
+            assert got == 2.5
+        else:
+            assert got >= sampled_row_sum(lp.p_coef, lp.domain)
 
     def test_q_bound_estimated_when_missing(self):
         lp = linear(SQUARE, 1, 0, (2,), q="x1", Q=5.0)
         cauchy = lp.to_cauchy()
         back = ls.LinearProblem.from_cauchy(cauchy)
-        assert back.Q >= 1.0  # sup over derivative probes of x on [-1, 1]
+        assert back.Q == cauchy.q_sup >= 1.0  # x on [-1, 1] and its derivative 1
 
     def test_from_cauchy_is_a_view_of_the_problem(self):
         ar = Arity(s=2, m=1, L=2, p=0)
@@ -101,6 +131,103 @@ class TestLinearProblem:
         xs = np.linspace(-PI, PI, 61)
         want = np.sin(xs)[None, :] + ts[:, None] * xs[None, :]
         assert np.max(np.abs(sol.eval_grid(ts, [xs])[0] - want)) <= 1e-12
+
+
+# entries of p(t): constants, c cos(w t) and polynomials in t
+P_ENTRIES = st.one_of(
+    st.floats(-4.0, 4.0).map(Const),
+    st.tuples(st.floats(-4.0, 4.0), st.integers(1, 8)).map(
+        lambda a: Binary("*", Const(a[0]), Unary("cos", Binary("*", Const(float(a[1])), Var("t"))))),
+    st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5).map(lambda cs: functools.reduce(
+        lambda e, k: Binary("+", e, Binary("*", Const(cs[k]), Power(Var("t"), k))),
+        range(1, len(cs)), Const(cs[0]))),
+)
+
+
+@st.composite
+def p_matrices(draw):
+    m = draw(st.integers(1, 2))
+    return tuple(tuple(draw(P_ENTRIES) for _ in range(m)) for _ in range(m))
+
+
+@st.composite
+def x_terms(draw, s):
+    """c x_i^k (k <= 4), c sin(w x_i) or c cos(w x_i), times t or not."""
+    x = Var("x", draw(st.integers(1, s)))
+    c = Const(draw(st.floats(-3.0, 3.0)))
+    w = Const(float(draw(st.integers(1, 3))))
+    body = draw(st.sampled_from([
+        *(Power(x, k) for k in range(5)),
+        Unary("sin", Binary("*", w, x)), Unary("cos", Binary("*", w, x)),
+    ]))
+    term = Binary("*", c, body)
+    return Binary("*", Var("t"), term) if draw(st.booleans()) else term
+
+
+@st.composite
+def forced_problems(draw):
+    s = draw(st.integers(1, 2))
+    half = draw(st.sampled_from([0.5, 1.0, PI]))
+    dom = Domain(0.0, 0.25, 0.25, ((-half, half),) * s)
+    q = functools.reduce(lambda a, b: Binary("+", a, b),
+                         draw(st.lists(x_terms(s), min_size=1, max_size=3)))
+    return direct_problem(dom, ((Const(1.0),),), (q,), mu=(1,) * s, x_degrees=(10,) * s)
+
+
+class TestCoefficientBounds:
+    """p_sup and q_sup bound the surrogates P and q~ that the linear step applies."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(p_matrices(), st.floats(-1.0, 1.0), st.floats(0.1, 1.0), st.floats(0.1, 1.0))
+    def test_p_sup_bounds_the_sampled_row_sums(self, p, t0, a, b):
+        lp = direct_problem(Domain(t0, a, b, ((-1.0, 1.0),)), p)
+        cauchy = lp.to_cauchy()
+        P = cauchy.linear_data[0]
+        assert cauchy.p_sup >= sampled_row_sum(P, lp.domain)
+        # P interpolates p to a relative tail of 1e-13
+        assert cauchy.p_sup >= sampled_row_sum(p, lp.domain) * (1 - 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-1e6, 1e6))
+    def test_p_sup_of_a_constant_is_its_magnitude(self, c):
+        assert direct_problem(SQUARE, ((Const(c),),)).to_cauchy().p_sup == abs(c)
+
+    def test_p_sup_rounds_each_addition_up(self):
+        # 1 + 1.1e-16 rounds to 1.0 in floats; the bound must not
+        p = ((Const(1.0), Const(1.1e-16)), (Const(0.0), Const(1.0)))
+        got = direct_problem(SQUARE, p).to_cauchy().p_sup
+        assert Fraction(got) >= Fraction(1.0) + Fraction(1.1e-16)
+
+    @settings(max_examples=60, deadline=None)
+    @given(forced_problems())
+    def test_q_sup_bounds_every_x_derivative_of_q(self, lp):
+        cauchy = lp.to_cauchy()
+        q = cauchy.linear_data[1]
+        s = lp.domain.s
+        betas = [b for b in fs.graded_indices(sum(q.degrees[1:]), s, 0)
+                 if all(o <= d for o, d in zip(b[1:], q.degrees[1:]))]
+        pts = fs.uniform_grid(lp.domain, [9, *[129 // s] * s])
+        sup = max(fs.sup_abs(v) for _, v in fs.grid_derivatives(q)(betas, pts))
+        assert cauchy.q_sup >= sup
+
+    def test_q_sup_reaches_the_highest_derivative(self):
+        # x1^3 on [-1/2, 1/2]: coefficient sums 1/8, 3/4, 3 and 6 for its derivatives
+        dom = Domain(0.0, 0.25, 0.25, ((-0.5, 0.5),))
+        lp = direct_problem(dom, ((Const(1.0),),), (expr("x1^3"),), mu=(1,), x_degrees=(8,))
+        assert 6.0 <= lp.to_cauchy().q_sup <= 6.0 * (1 + 1e-12)
+
+    def test_q_sup_reads_no_time_derivative(self):
+        # q = 3t + x1 with the order p = 1: coefficient sums 2.5 and, for
+        # d_x1 q, 1; d_t q = 3 is not an x-derivative
+        ar = Arity(s=1, m=1, L=2, p=1)
+        prob = pp.CauchyProblem(SQUARE, 1, 2, 1, 2,
+                                (parse_expression("Dx1(Dx1(y1))+3*t+x1", ar),),
+                                ((expr("sin(x1)"),), (expr("0"),)))
+        assert 2.5 <= prob.q_sup <= 2.5 * (1 + 1e-12)
+
+    def test_q_sup_of_zero_forcing_is_zero(self):
+        assert linear(SQUARE, 1, 0, (2,)).to_cauchy().q_sup == 0.0
+        assert ls.LinearProblem.from_cauchy(linear(SQUARE, 1, 0, (2,)).to_cauchy()).Q == 0.0
 
 
 class TestMuEtaRecursions:
@@ -288,6 +415,14 @@ class TestDerivativeTower:
 
 
 class TestSeriesSolution:
+    @pytest.mark.parametrize("p, q, want", [
+        ("2", "0", True), ("2", "3", True), ("cos(t)", "0", False), ("2", "x1", False),
+    ])
+    def test_constant_case_reads_the_surrogates(self, p, q, want):
+        lp = linear(SQUARE, 1, 0, (2,), p=p, q=q, initial=("sin(x1)",))
+        for N in (0, 2):
+            assert ls.series_solution(lp, N)[1]["constant_case"] is want
+
     def test_heat_sine(self):
         dom = Domain(0.0, 0.5, 0.5, ((-PI, PI),))
         lp = linear(dom, 1, 0, (2,), initial=("sin(x1)",))

@@ -702,11 +702,13 @@ class TestEstimateLipschitz:
         fac = pp.estimate_lipschitz(prob, Radii.infinite())
         assert fac.is_zero
 
-    def test_sampled_against_closed_form(self):
+    def test_sampled_against_closed_form(self, monkeypatch):
         # sin(y1) * Dx1(y1) is not a polynomial in y, so it is sampled
+        monkeypatch.setattr(pp, "NUMERIC_K_CAP", 2)
+        monkeypatch.setattr(pp, "LIPSCHITZ_PAIRS", 24)
         prob = burgers_problem(rhs="sin(y1)*Dx1(y1)", x_degrees=(12,))
         radii = Radii.constant(0.5)
-        fac = pp.estimate_lipschitz(prob, radii, k_max=2, n_pairs=24)
+        fac = pp.estimate_lipschitz(prob, radii)
         assert fac.meta["method"] == "sampled" and fac.meta["certified"] is False
         # F(u) - F(v) = (sin u - sin v) u_x + sin v (u_x - v_x) with |sin|,
         # |cos| <= 1: cross-check the measured ratio of sups against
@@ -997,26 +999,38 @@ def test_eval_g_surfaces_division_by_zero():
         pp.eval_G(prob, y)
 
 
-def test_sampled_lipschitz_table_is_pinned():
+def test_sampled_lipschitz_table_is_pinned(monkeypatch):
     # float.hex of the table of sup ratios: a change to the sampler must not
     # move a single bit unless it means to
-    fac = pp._sampled_lipschitz(
-        burgers_problem(x_degrees=(12,)), Radii.constant(0.5), k_max=2, n_pairs=4
-    )
+    monkeypatch.setattr(pp, "NUMERIC_K_CAP", 2)
+    monkeypatch.setattr(pp, "LIPSCHITZ_PAIRS", 4)
+    fac = pp._sampled_lipschitz(burgers_problem(x_degrees=(12,)), Radii.constant(0.5))
     assert [float(v).hex() for v in fac.table] == [
         "0x1.92c9781f1511cp+0", "0x1.a9fa6eebb1ed2p+0", "0x1.a9fa6eebb1ed2p+0",
     ]
 
 
-def test_sampled_table_stays_below_the_leibniz_table():
+def test_sampled_table_stays_below_the_leibniz_table(monkeypatch):
     # ratios of sups measure the factor the certificate uses, so on a
     # polynomial F they stay below its certified table (128 at k = 5, where
     # the max of pointwise ratios read 303)
+    monkeypatch.setattr(pp, "NUMERIC_K_CAP", 6)
     prob, radii = burgers_problem(rhs="-y1*Dx1(y1)"), Radii.constant(1.0)
-    sampled = pp._sampled_lipschitz(prob, radii, k_max=6, n_pairs=64)
-    certified = pp.estimate_lipschitz(prob, radii, k_max=6)
+    sampled = pp._sampled_lipschitz(prob, radii)
+    certified = pp.estimate_lipschitz(prob, radii)
     assert certified.table[5] == pytest.approx(128.0)
     assert all(s <= c for s, c in zip(sampled.table, certified.table))
+
+
+def test_lipschitz_tables_run_to_the_numeric_cap(monkeypatch):
+    # a numeric certificate reads factors up to NUMERIC_K_CAP; a shorter table
+    # would be extended by its last entry, which bounds nothing past it
+    monkeypatch.setattr(pp, "LIPSCHITZ_PAIRS", 2)
+    radii = Radii.constant(1.0)
+    for rhs, method in (("-y1*Dx1(y1)", "leibniz"), ("sin(y1)*Dx1(y1)", "sampled")):
+        fac = pp.estimate_lipschitz(burgers_problem(rhs=rhs, x_degrees=(8,)), radii)
+        assert fac.meta["method"] == method
+        assert len(fac.table) == pp.NUMERIC_K_CAP + 1
 
 
 class TestPolynomialStructure:
@@ -1123,7 +1137,9 @@ class TestLeibnizFactors:
         dom = Domain(0.0, 0.25, 0.25, ((-1.0, 1.0),))
         prob = pp.CauchyProblem(dom, 1, 1, 0, 2, (polynomial(monomials),), ((y0,),), (4,))
         radii, k_max, L = Radii.constant(r), 3, 2
-        fac = pp._leibniz_lipschitz(prob, radii, k_max=k_max)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pp, "NUMERIC_K_CAP", k_max)
+            fac = pp._leibniz_lipschitz(prob, radii)
         assert fac.meta == {"method": "leibniz", "certified": True,
                             "degree": max((len(phs) for _, phs in exact), default=0),
                             "k_max": k_max}
@@ -1161,17 +1177,20 @@ class TestLeibnizFactors:
         with pytest.raises(pp.PicardError, match="finite radii"):
             pp.estimate_lipschitz(burgers_problem(), Radii.infinite())
 
-    def test_burgers_table_in_closed_form(self):
+    def test_burgers_table_in_closed_form(self, monkeypatch):
         # i0 = x on [0, 1]: upper norms 1, 1, 1, ..., so R_j = 1.5; the two
         # telescoped terms of y1 * Dx1(y1) give 2 * 2^k * 1.5
-        fac = pp.estimate_lipschitz(burgers_problem(), Radii.constant(0.5), k_max=4)
+        monkeypatch.setattr(pp, "NUMERIC_K_CAP", 4)
+        fac = pp.estimate_lipschitz(burgers_problem(), Radii.constant(0.5))
         assert fac.table == pytest.approx([3.0 * 2**k for k in range(5)], rel=1e-12)
         assert all(v >= 3.0 * 2**k for k, v in enumerate(fac.table))
 
-    def test_certified_table_is_at_least_the_sampled_one(self):
+    def test_certified_table_is_at_least_the_sampled_one(self, monkeypatch):
+        monkeypatch.setattr(pp, "NUMERIC_K_CAP", 4)
+        monkeypatch.setattr(pp, "LIPSCHITZ_PAIRS", 24)
         prob, radii = burgers_problem(x_degrees=(12,)), Radii.constant(0.5)
-        certified = pp.estimate_lipschitz(prob, radii, k_max=4)
-        sampled = pp._sampled_lipschitz(prob, radii, k_max=4, n_pairs=24)
+        certified = pp.estimate_lipschitz(prob, radii)
+        sampled = pp._sampled_lipschitz(prob, radii)
         assert certified.meta["certified"] and not sampled.meta["certified"]
         assert all(c >= s for c, s in zip(certified.table, sampled.table))
 

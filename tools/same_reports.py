@@ -18,9 +18,10 @@ and a closed form that share one 2-D problem, also meet a t-dependent p
 (``cos_dx1dx1``), plus a ``solve`` of the 2-D quadratic problem
 QUADRATIC_2D, whose right-hand side is collocated and whose residual grid
 spans several t-blocks; and on catalog-1d ``compare`` in both modes on each
-file and ``demo`` on each catalog case.  Compared: every report file byte for
-byte, and each command's exit code, standard output, and standard error
-without its ``elapsed:`` line.  Prints what differs; exits 0 if nothing
+file, ``demo`` on each catalog case, and a growth-model ``certify`` of
+FORCED_HEAT, whose forcing bound Q > 0 enters the increment model.
+Compared: every report file byte for byte, and each command's exit code,
+standard output, and standard error without its ``elapsed:`` line.  Prints what differs; exits 0 if nothing
 does, 1 otherwise.  For a JSON report that differs it prints how far it
 moved: its largest relative move of a number, |old - new| / max(|old|, |new|),
 with the JSON path of that number, and apart from that the paths of the
@@ -75,6 +76,19 @@ SINE_TRANSPORT = {
 }
 
 
+# d_t y = d_x^2 y + cos(x1) on [-0.25, 0.25] x [-pi, pi] with exponential
+# data: its certificate reads Q = CauchyProblem.q_sup of the forcing
+FORCED_HEAT = {
+    "schema_version": 1,
+    "domain": {"t0": 0.0, "a": 0.25, "b": 0.25, "S": [[-math.pi, math.pi]]},
+    "order": {"d": 1, "p": 0, "L": 2},
+    "rhs": "Dx2(y1)+cos(x1)",
+    "initial": ["sin(x1)"],
+    "growth": [{"kind": "exponential", "C": 1.0}],
+    "solver": {"degrees": {"x": [24]}},
+}
+
+
 def extra_commands(name: str, problem_dir: Path, out_dir: Path) -> list[tuple[list[str], Path]]:
     """(argv, output directory) of the commands a workload adds to the benchmark's.
 
@@ -106,6 +120,9 @@ def extra_commands(name: str, problem_dir: Path, out_dir: Path) -> list[tuple[li
             add(f"{case}.compare-generic", ["compare", path])
             add(f"{case}.compare-oracle", ["compare", path, "--against", "oracle"])
             add(f"{case}.demo", ["demo", case])
+        path = problem_dir / "forced_heat.json"
+        path.write_text(json.dumps(FORCED_HEAT, indent=2) + "\n")
+        add("forced_heat.certify", ["certify", str(path)])
     return runs
 
 
