@@ -17,10 +17,16 @@ of values-to-coefficients fits come from bounded per-process caches keyed
 on the exact points, and are read-only, since every caller shares them.
 
 Every sampling grid of the program is built here, and its sizes are
-module constants, not options.  Those below give equispaced norm grids of
-NORM_GRID_FACTOR * degree + 1 points per axis (at least NORM_GRID_MIN, or
-RESIDUAL_GRID_MIN for residuals), CHECK_GRID_POINTS per axis for the
-comparison grids, and Chebyshev extrema for interpolation; the sampled
+module constants, not options.  The norm grid (norm_grid) is the Chebyshev
+extrema cos(j pi / N), j = 0..N, with N = GRID_PER_DEGREE * degree on each
+axis, one midpoint on an axis of degree 0; the residual grid (residual_grid)
+is equispaced, GRID_PER_DEGREE * degree + 1 points per axis and at least
+RESIDUAL_GRID_MIN, since it samples the true p and q, which are not
+polynomials; the comparison grids have CHECK_GRID_POINTS per axis, and
+interpolation takes Chebyshev extrema at the degree.  A norm-grid sup is
+still a lower end of the true sup: the true sup is at most the grid sup
+times 1/cos(pi/8) = 1.082 per axis of positive degree (proved at
+norm_grid), which is the factor an upper end will take.  The sampled
 Lipschitz grid (LIPSCHITZ_GRID_POINTS) is a constant of picard_pde.
 """
 
@@ -49,6 +55,7 @@ __all__ = [
     "chebyshev_nodes",
     "uniform_grid",
     "norm_grid",
+    "residual_grid",
     "grid_bindings",
     "eval_on_grid",
     "sup_abs",
@@ -69,8 +76,7 @@ __all__ = [
 ]
 
 DEGREE_CAP = 128
-NORM_GRID_FACTOR = 4
-NORM_GRID_MIN = 64
+GRID_PER_DEGREE = 4
 RESIDUAL_GRID_MIN = 128
 CHECK_GRID_POINTS = 65
 
@@ -452,10 +458,41 @@ def uniform_grid(dom: Domain, counts: int | Sequence[int]) -> list[np.ndarray]:
     return [np.linspace(lo, hi, n) for (lo, hi), n in zip(dom.intervals(), counts)]
 
 
-def norm_grid(f: SepFunc, min_points: int = NORM_GRID_MIN) -> list[np.ndarray]:
-    """Equispaced grid of NORM_GRID_FACTOR * degree + 1 (at least min_points) per axis."""
+def norm_grid(f: SepFunc) -> list[np.ndarray]:
+    """Chebyshev extrema cos(j pi / N), j = 0..N, N = GRID_PER_DEGREE * degree per axis.
+
+    An axis of degree 0 gets one point, its midpoint.  The grid sup of any
+    D^beta f is a lower end of its sup, and the upper end is within a proven
+    factor of it.  Let p have degree n >= 1 on [-1, 1] and N = 4n.  Then
+    T(theta) = p(cos theta) is an even trigonometric polynomial of degree n,
+    and by evenness and 2 pi-periodicity its values at the 2N angles
+    j pi / N are its values at the N + 1 extrema, which include both ends.
+    Every angle lies within pi / 2N of one of those angles.  Let |T| reach
+    M = ||T|| = ||p|| at theta*, say T(theta*) = M > 0 (else take -p).  The
+    van der Corput-Schaake inequality T'^2 + n^2 T^2 <= n^2 M^2 (Borwein &
+    Erdelyi, Polynomials and Polynomial Inequalities, Springer 1995) says
+    that g = arccos(T / M) changes no faster than n, so at the nearest node
+    theta_j, g <= n pi / 2N = pi / 8 < pi / 2 and
+    T(theta_j) >= M cos(n pi / 2N).  Hence
+    ||p|| <= max_j |p(x_j)| / cos(n pi / 2N) <= max_j |p(x_j)| / cos(pi / 8),
+    and the same holds for every derivative, whose degree is at most n.  On
+    the tensor grid the factor applies axis by axis, since fixing the other
+    coordinates leaves a polynomial in one variable, so
+    sup|D^beta f| <= (1 / cos(pi / 8))^a * grid sup, with a the number of
+    axes of positive degree: 1.082 per axis.  The computed grid values carry
+    evaluation roundoff, which an upper end must add before the factor.
+    """
+    return chebyshev_nodes(f.domain, [GRID_PER_DEGREE * d for d in f.degrees])
+
+
+def residual_grid(f: SepFunc) -> list[np.ndarray]:
+    """Equispaced grid of GRID_PER_DEGREE * degree + 1 (at least RESIDUAL_GRID_MIN) per axis.
+
+    The residual samples the true right-hand side and data, which are not
+    polynomials, so no grid factor applies to it and its grid stays dense.
+    """
     return uniform_grid(
-        f.domain, [max(min_points, NORM_GRID_FACTOR * deg + 1) for deg in f.degrees]
+        f.domain, [max(RESIDUAL_GRID_MIN, GRID_PER_DEGREE * deg + 1) for deg in f.degrees]
     )
 
 

@@ -388,7 +388,7 @@ def residual(problem: CauchyProblem, y: SepFunc) -> ResidualReport:
     of the grid, and the equation with d_t^d y on the full grid, block by
     block of _rhs_on_grid.  One grid_derivatives of y serves both grids.
     """
-    pts = fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)
+    pts = fs.residual_grid(y)
     slice_pts = [np.array([problem.domain.t0]), *pts[1:]]
     zeros_x = [0] * problem.domain.s
     derivatives = fs.grid_derivatives(y)
@@ -950,7 +950,7 @@ def certify_weissinger(
         "k_cap": NUMERIC_K_CAP,
         "n_max": n_max,
         "lambda_meta": factors.meta,
-        "norm_grid": {"factor": fs.NORM_GRID_FACTOR, "min_points": fs.NORM_GRID_MIN},
+        "norm_grid": {"points": "chebyshev_extrema", "per_degree": fs.GRID_PER_DEGREE},
     }
     if norm_source == "numeric":
         i0 = problem.i0

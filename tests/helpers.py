@@ -128,7 +128,7 @@ def whole_grid_residual(problem, y) -> tuple[float, tuple[float, ...]]:
     """
     from picard_lod import funcspace as fs
 
-    pts = fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)
+    pts = fs.residual_grid(y)
     slice_pts = [np.array([problem.domain.t0]), *pts[1:]]
     zeros_x = [0] * problem.domain.s
     derivs = list(fs.grid_derivatives(y)([(j, *zeros_x) for j in range(problem.d)], slice_pts))

@@ -720,6 +720,88 @@ class TestGradedNormsUpper:
         assert graded_norms_upper(f, 2, p=2) == pytest.approx([1.25, 1.25, 2.0])
 
 
+# the fine grid of the norm-grid property: extrema at FINE_PER_DEGREE times
+# the degree, a multiple of the norm grid's, so its nodes contain the norm
+# grid's; degrees are capped so that it has at most FINE_GRID_POINTS points
+FINE_PER_DEGREE = 40
+FINE_GRID_POINTS = 150_000
+
+
+@st.composite
+def norm_grid_cases(draw):
+    """A SepFunc with s in 0..2, m in 1..2 and degrees 0..24, and an order k in 0..6.
+
+    The degrees are drawn axis by axis, in a drawn order, each at most what
+    keeps the fine grid (FINE_PER_DEGREE * degree + 1 points per axis)
+    within FINE_GRID_POINTS, so any one axis can reach 24.  Coefficient
+    magnitudes range from 1e-2 to 1e2, with both signs.
+    """
+    s = draw(st.integers(0, 2))
+    degrees = [0] * (1 + s)
+    budget = FINE_GRID_POINTS
+    for axis in draw(st.permutations(range(1 + s))):
+        degrees[axis] = draw(st.integers(0, min(24, (budget - 1) // FINE_PER_DEGREE)))
+        budget //= FINE_PER_DEGREE * degrees[axis] + 1
+    m = draw(st.integers(1, 2))
+    shape = (m, *[d + 1 for d in degrees])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2, 2, shape)
+    return SepFunc(DOMAINS[s], m, 0, coeffs), draw(st.integers(0, 6))
+
+
+class TestNormGrid:
+    @settings(max_examples=100, deadline=None)
+    @given(norm_grid_cases())
+    def test_grid_sup_is_within_the_proven_factor_of_a_fine_sup(self, case):
+        """Per multi-index, norm-grid sup <= fine sup + a <= factor * (norm-grid sup + a) + a.
+
+        factor is the product over axes of 1 / cos(n pi / 2N), n the degree
+        and N = GRID_PER_DEGREE * n (1 on an axis of degree 0), and the
+        roundoff allowance a is 1e-12 times graded_norms_upper at |beta|: it
+        covers the evaluation error of the two grids and the last-bit
+        differences between their shared nodes.
+        """
+        import picard_lod.funcspace as fs
+
+        f, k = case
+        factor = math.prod(1 / math.cos(n * math.pi / (2 * fs.GRID_PER_DEGREE * n))
+                           for n in f.degrees if n)
+        allowance = 1e-12 * fs.graded_norms_upper(f, k, p=k)
+        betas = fs.graded_indices(k, f.domain.s, k)
+        on_grid = fs.grid_derivatives(f)
+        coarse = {beta: sup_abs(vals) for beta, vals in on_grid(betas, fs.norm_grid(f))}
+        fine_nodes = fs.chebyshev_nodes(f.domain, [FINE_PER_DEGREE * n for n in f.degrees])
+        for beta, vals in on_grid(betas, fine_nodes):
+            a = allowance[sum(beta)]
+            fine = sup_abs(vals)
+            assert coarse[beta] <= fine + a
+            assert fine <= factor * (coarse[beta] + a)
+        # the graded norms read these grid sups
+        want = np.zeros(k + 1)
+        for beta, sup in coarse.items():
+            want[sum(beta):] = np.maximum(want[sum(beta):], sup)
+        assert graded_norms_upto(f, k, p=k).tobytes() == want.tobytes()
+
+    def test_points_per_axis(self):
+        import picard_lod.funcspace as fs
+
+        dom = Domain(0.25, 0.5, 1.0, ((-math.pi, math.pi), (0.0, 3.0)))
+        f = SepFunc(dom, 1, 0, np.ones((1, 3, 1, 25)))
+        t, x1, x2 = fs.norm_grid(f)
+        # 4 * deg + 1 points, both ends of each interval, one midpoint at degree 0
+        assert [len(t), len(x1), len(x2)] == [9, 1, 97]
+        assert (t[0], t[-1]) == (-0.25, 1.25)
+        assert (x2[0], x2[-1]) == (0.0, 3.0)
+        assert x1.tolist() == [0.0]
+        assert np.allclose((x2 - 1.5) / 1.5, -np.cos(np.pi * np.arange(97) / 96),
+                           rtol=0, atol=1e-15)
+        # the residual grid stays equispaced, 4 * deg + 1 and at least 128 per axis
+        assert [len(g) for g in fs.residual_grid(f)] == [128, 128, 128]
+        g = SepFunc(dom, 1, 0, np.ones((1, 41, 1, 2)))
+        assert [len(pts) for pts in fs.residual_grid(g)] == [161, 128, 128]
+        assert fs.residual_grid(g)[0].tolist() == np.linspace(-0.25, 1.25, 161).tolist()
+
+
 def expr_trees(names, depth=4):
     """Expression trees of depth <= depth over the variables ``names``.
 

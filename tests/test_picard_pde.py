@@ -367,7 +367,7 @@ class TestBlockedRhs:
 
         problem, y, grid_min, (rows_res, rows_G) = case
         with mock.patch.object(fs, "RESIDUAL_GRID_MIN", grid_min):
-            pts = fs.norm_grid(y, grid_min)
+            pts = fs.residual_grid(y)
             x_points = math.prod(len(g) for g in pts[1:])
             with mock.patch.object(pp, "RHS_BLOCK_POINTS",
                                    block_points(rows_res, x_points, extra)):
@@ -416,13 +416,13 @@ class TestBlockedRhs:
             (parse_expression(f"exp(800*t)*y1+1/(t-{c!r})", Arity(s=1, m=1, L=1)),),
             ((parse_expression("1+x1^2", Arity(s=1)),),))
         y = problem.i0
-        assert fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)[0][120] == c
+        assert fs.residual_grid(y)[0][120] == c
         monkeypatch.setattr(pp, "RHS_BLOCK_POINTS", 8 * 128)
         with pytest.raises(EvalError, match="division by zero"):
             whole_grid_residual(problem, y)
         with pytest.raises(EvalError, match="division by zero"):
             pp.residual(problem, y)
-        pts = fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)
+        pts = fs.residual_grid(y)
         blocks = pp._rhs_on_grid(problem, y, [pts[0][112:120], *pts[1:]])
         with pytest.raises(NonFiniteValue):
             list(blocks)
@@ -458,7 +458,7 @@ class TestBlockedRhs:
         rng = np.random.default_rng(5)
         coeffs = rng.standard_normal((1, 9, 25, 25)) * 0.5 ** np.arange(9)[:, None, None]
         y = SepFunc(dom, 1, 0, coeffs)
-        assert [len(g) for g in fs.norm_grid(y, fs.RESIDUAL_GRID_MIN)] == [128, 128, 128]
+        assert [len(g) for g in fs.residual_grid(y)] == [128, 128, 128]
         full_grid_bytes = 128**3 * 8
 
         def peak(fn):
