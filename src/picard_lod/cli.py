@@ -4,7 +4,7 @@ Problem files are JSON documents that ``load_problem`` reads key by key,
 each with its type, bound and default (the README's "Problem files"
 table); the first value that breaks them exits 1 with
 "<file>: schema violation at <path>: <message>".  Reports are JSON plus a
-comma-separated iterate-norm table.  Identical problem file + flags + seed
+comma-separated iterate-norm table.  Identical problem file + flags
 produce byte-identical report files (timings go to stderr only).
 
 Exit codes: 0 converged, 1 error (a usage error included), 2 diverging
@@ -206,8 +206,9 @@ def load_problem(path: Path):
             certify_first=_get(sol, ("solver",), "certify_first", "boolean", default=False),
             residual_tol=_get(sol, ("solver",), "residual_tol", "number", 0, above=True,
                               default=1e-7),
-            seed=_get(sol, ("solver",), "seed", "integer", 0, default=0),
         )
+        # checked and ignored: no route draws random numbers
+        _get(sol, ("solver",), "seed", "integer", 0)
     except _Violation as exc:
         where, message = exc.args
         raise CliError(
@@ -314,7 +315,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     else:
         cert = estimate_and_certify(
             problem, config.radii, tuple(config.k_check), args.nmax,
-            growth=config.growth, mode=mode, seed=config.seed,
+            growth=config.growth, mode=mode,
         )
     payload = cert.to_json_dict()
     rp = _write_report(out_dir, f"{path.stem}.certificate", payload)

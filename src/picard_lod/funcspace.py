@@ -26,8 +26,7 @@ polynomials; the comparison grids have CHECK_GRID_POINTS per axis, and
 interpolation takes Chebyshev extrema at the degree.  A norm-grid sup is
 still a lower end of the true sup: the true sup is at most the grid sup
 times 1/cos(pi/8) = 1.082 per axis of positive degree (proved at
-norm_grid), which is the factor an upper end will take.  The sampled
-Lipschitz grid (LIPSCHITZ_GRID_POINTS) is a constant of picard_pde.
+norm_grid), which is the factor an upper end will take.
 """
 
 from __future__ import annotations

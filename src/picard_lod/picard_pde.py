@@ -90,10 +90,6 @@ EPS_FLOOR = 1e-300
 COLLOC_T_MARGIN = 12
 COLLOC_MIN_X_DEGREE = 8
 COLLOC_NONLINEAR_X_FACTOR = 2
-# sampled Lipschitz estimate: equispaced points per axis, random pairs, safety factor
-LIPSCHITZ_GRID_POINTS = 17
-LIPSCHITZ_PAIRS = 64
-LIPSCHITZ_INFLATION = 1.25
 # highest graded index whose numeric increment norm a certificate reads, and
 # the last index of every Lipschitz table
 NUMERIC_K_CAP = 8
@@ -677,16 +673,15 @@ class LipschitzFactors:
         return cls(tuple(vals), meta=meta or {})
 
 
-def estimate_lipschitz(problem: CauchyProblem, radii: Radii, *, seed: int = 0) -> LipschitzFactors:
+def estimate_lipschitz(problem: CauchyProblem, radii: Radii) -> LipschitzFactors:
     """Lipschitz factors Lambda_k with ||F(u) - F(v)||_k <= Lambda_k ||u - v||_{k+L}.
 
     Zero for a constant F, and for the linear class the bound p_sup of the
     p(t) the step applies.  A polynomial F with constant coefficients
     (``RhsClass.poly``) gets the certified Leibniz table of
-    _leibniz_lipschitz on the ball of ``radii`` around ``problem.i0``.  Any
-    other F is sampled (_sampled_lipschitz, not certified) on the same ball;
-    ``seed`` only acts there.  Both tables run to k = NUMERIC_K_CAP, the
-    last index a certificate reads.
+    _leibniz_lipschitz on the ball of ``radii`` around ``problem.i0``, run
+    to k = NUMERIC_K_CAP, the last index a certificate reads.  Every other F
+    has no certified factors here and raises PicardError.
     """
     rc = problem.rhs_class
     if rc.kind == "constant":
@@ -696,9 +691,12 @@ def estimate_lipschitz(problem: CauchyProblem, radii: Radii, *, seed: int = 0) -
         return LipschitzFactors.constant(
             problem.p_sup, {"method": "linear_exact", "matrix_norm": "max-row-sum"}
         )
-    if rc.poly is not None:
-        return _leibniz_lipschitz(problem, radii)
-    return _sampled_lipschitz(problem, radii, seed=seed)
+    if rc.poly is None:
+        raise PicardError(
+            "Lipschitz factors need F linear, or a polynomial in the placeholders "
+            "with constant coefficients and gamma + |alpha| <= L"
+        )
+    return _leibniz_lipschitz(problem, radii)
 
 
 def _up(x: float) -> float:
@@ -767,67 +765,6 @@ def _leibniz_lipschitz(problem: CauchyProblem, radii: Radii) -> LipschitzFactors
         table = [max(x, y) for x, y in zip(table, comp)]
     return LipschitzFactors.from_table(
         table, {"method": "leibniz", "certified": True, "degree": degree, "k_max": k_max},
-    )
-
-
-def _sampled_lipschitz(problem: CauchyProblem, radii: Radii, *, seed: int = 0) -> LipschitzFactors:
-    """Sampled, non-certified Lipschitz factors for F outside the polynomial class.
-
-    Draws LIPSCHITZ_PAIRS random pairs inside the ball around ``problem.i0``,
-    perturbed at its x degrees, measures the ratio of the grid sups
-    ||G(u) - G(v)||_k / ||u - v||_{k+L} over the spatial derivatives of the
-    composed right-hand side for k <= NUMERIC_K_CAP, and inflates the max
-    over the pairs by a safety factor.
-    Sampling metadata is recorded on the result.
-    """
-    k_max = NUMERIC_K_CAP
-    probe_k = k_max + problem.L + problem.p
-    r_hi = radii.value(probe_k)
-    if math.isinf(r_hi):
-        raise PicardError("sampled Lipschitz estimation needs finite radii")
-
-    s = problem.domain.s
-    i0 = problem.i0
-    rng = np.random.default_rng(seed)
-    pts = fs.uniform_grid(problem.domain, LIPSCHITZ_GRID_POINTS)
-
-    def random_member() -> SepFunc:
-        deg = (problem.d, *problem.x_degrees)
-        shape_c = (problem.m, *[dd + 1 for dd in deg])
-        idx = np.indices(shape_c[1:]).sum(axis=0)
-        raw = rng.standard_normal(shape_c) * (0.5 ** idx)
-        pert = SepFunc(problem.domain, problem.m, problem.p, raw)
-        norms = graded_norms_upto(pert, probe_k)
-        scale = min(
-            radii.value(k) / norms[k] for k in range(probe_k + 1) if norms[k] > 0
-        )
-        return i0 + pert * (0.9 * min(1.0, scale) if math.isfinite(scale) else 0.0)
-
-    def graded_sweep(f: SepFunc, k_top: int, t_max: int) -> np.ndarray:
-        # level k: grid max over components and |beta| <= k, beta_t <= t_max
-        levels = np.zeros(k_top + 1)
-        for beta, vals in fs.grid_derivatives(f)(fs.graded_indices(k_top, s, t_max), pts):
-            k_from = sum(beta)
-            levels[k_from:] = np.maximum(levels[k_from:], fs.sup_abs(vals))
-        return levels
-
-    best = np.zeros(k_max + 1)
-    for _ in range(LIPSCHITZ_PAIRS):
-        u, v = random_member(), random_member()
-        dens = graded_sweep(u - v, k_max + problem.L, problem.p)
-        nums = graded_sweep(eval_G(problem, u) - eval_G(problem, v), k_max, 0)
-        for k in range(k_max + 1):
-            if dens[k + problem.L] > 1e-13:
-                best[k] = max(best[k], float(nums[k] / dens[k + problem.L]))
-    return LipschitzFactors.from_table(
-        tuple(best * LIPSCHITZ_INFLATION),
-        {
-            "method": "sampled",
-            "n_pairs": LIPSCHITZ_PAIRS,
-            "seed": seed,
-            "inflation": LIPSCHITZ_INFLATION,
-            "certified": False,
-        },
     )
 
 
@@ -996,12 +933,12 @@ def _require_growth_class(problem: CauchyProblem) -> None:
 
 def estimate_and_certify(
     problem: CauchyProblem, radii: Radii, k_list: Sequence[int], n_max: int, *,
-    mode: str | None, growth: Sequence[Any] | None, seed: int,
+    mode: str | None, growth: Sequence[Any] | None,
 ) -> LodCertificate:
     """Check the growth precondition, then run estimate_lipschitz and certify_weissinger."""
     if growth is not None:
         _require_growth_class(problem)
-    factors = estimate_lipschitz(problem, radii, seed=seed)
+    factors = estimate_lipschitz(problem, radii)
     return certify_weissinger(problem, factors, radii, k_list, n_max, mode=mode, growth=growth)
 
 
@@ -1021,7 +958,6 @@ class SolveConfig:
     lambda_mode: str | None = None
     residual_tol: float = 1e-7
     growth: tuple[Any, ...] | None = None
-    seed: int = 0
     store_iterates: bool = False
 
 
@@ -1080,7 +1016,7 @@ def solve(problem: CauchyProblem, config: SolveConfig | None = None) -> SolveRep
     try:
         certificate = estimate_and_certify(
             problem, cfg.radii, (0,), cfg.certify_n_max,
-            mode=cfg.lambda_mode, growth=cfg.growth, seed=cfg.seed,
+            mode=cfg.lambda_mode, growth=cfg.growth,
         )
     except PicardError as exc:
         note = f"certificate unavailable: {exc}"

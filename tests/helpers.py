@@ -1,10 +1,12 @@
 """Shared test oracles: finite-difference derivatives, bisection roots, the
 numpy formulas that Chebyshev derivatives, grid values, padding and trimming
 must match bit for bit, the whole-grid forms of the right-hand side, of
-eval_G and of residual that the blocked ones must match bit for bit, the
-linear-class step in exact rational arithmetic, a quadrature of the literal
-contraction-constant recursion, and the problem-file format as a JSON
-Schema."""
+eval_G and of residual that the blocked ones must match bit for bit, random
+members of a ball around the initial polynomial, products of functions in
+coefficient space, the linear-class step in exact rational arithmetic, a
+quadrature of the literal contraction-constant recursion, the refusal of an
+F without certified Lipschitz factors, and the problem-file format as a
+JSON Schema."""
 
 from __future__ import annotations
 
@@ -140,6 +142,43 @@ def whole_grid_residual(problem, y) -> tuple[float, tuple[float, ...]]:
     ics = [fs.sup_abs(got - fs.eval_on_grid(row, bindings, shape))
            for row, (_, got) in zip(problem.initial, derivs)]
     return fs.sup_abs(defect), tuple(ics)
+
+
+def ball_member(problem, radii, k_top: int, rng, theta: float, degrees=None):
+    """i0 plus a random perturbation whose upper norms are theta * r_j at most, j <= k_top.
+
+    The perturbation has the (t, x) ``degrees``, by default the problem's t
+    degree d and x degrees, and its coefficient at Chebyshev indices i is
+    standard normal times 2^-|i|.  graded_norms_upper bounds the true norms,
+    so with theta <= 1 the result lies in the ball of ``radii`` around
+    ``problem.i0``.
+    """
+    from picard_lod.funcspace import SepFunc, graded_norms_upper
+
+    degrees = (problem.d, *problem.x_degrees) if degrees is None else degrees
+    shape = tuple(n + 1 for n in degrees)
+    raw = rng.standard_normal((problem.m, *shape)) * 0.5 ** np.indices(shape).sum(axis=0)
+    pert = SepFunc(problem.domain, problem.m, problem.p, raw)
+    upper = graded_norms_upper(pert, k_top)
+    scale = min(radii.value(j) / upper[j] for j in range(k_top + 1))
+    return problem.i0 + pert * (theta * scale)
+
+
+def product_tx(f, g):
+    """f * g for one-component SepFuncs on (t, x1), in coefficients: no interpolation, no aliasing.
+
+    T_i T_k = (T_{i+k} + T_{|i-k|}) / 2 on the t axis and numpy's chebmul on
+    the x axis, so each coefficient's roundoff is relative to the terms it sums.
+    """
+    from picard_lod.funcspace import SepFunc
+
+    (a,), (b,) = f.coeffs, g.coeffs
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
+    for i, k in np.ndindex(a.shape[0], b.shape[0]):
+        row = cheb.chebmul(a[i], b[k]) / 2
+        for n in (i + k, abs(i - k)):
+            out[n, :len(row)] += row
+    return SepFunc(f.domain, 1, f.p, out[None])
 
 
 def moveaxis_trim(coeffs: np.ndarray) -> np.ndarray:
@@ -293,6 +332,11 @@ def bisection_root(f, lo: float, hi: float, iters: int = 200) -> float:
 
 # Frozen oracle values (computed with bisection_root before the build):
 CUBIC_ROOT_005 = 0.049875928231106065  # x + x^3 = 0.05
+
+
+# estimate_lipschitz's message for an F outside the certified classes
+REFUSAL = ("Lipschitz factors need F linear, or a polynomial in the placeholders "
+           "with constant coefficients and gamma + |alpha| <= L")
 
 
 # The problem-file format of picard_lod.cli as a JSON Schema (draft 2020-12),

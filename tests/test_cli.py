@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PROBLEM_SCHEMA
+from helpers import PROBLEM_SCHEMA, REFUSAL
 from picard_lod.cli import (
     EXIT_DIVERGING,
     EXIT_ERROR,
@@ -416,16 +416,25 @@ class TestSolveCommand:
 
 
 class TestCertifyRoutes:
-    # a polynomial F takes the certified Leibniz factors, any other F is sampled
-    @pytest.mark.parametrize("rhs, method", [
-        pytest.param("y1^3+Dx1(y1)", "leibniz", id="y1^3+Dx1(y1)"),
-        pytest.param("sin(y1)*Dx1(y1)", "sampled", id="sin(y1)*Dx1(y1)"),
+    # a polynomial F takes the certified Leibniz factors, any other F is refused
+    @pytest.mark.parametrize("rhs, certified", [
+        pytest.param("y1^3+Dx1(y1)", True, id="y1^3+Dx1(y1)"),
+        pytest.param("sin(y1)*Dx1(y1)", False, id="sin(y1)*Dx1(y1)"),
     ])
-    def test_general_rhs_is_sampled_not_the_demo(self, tmp_path, rhs, method):
-        cert = certify_without_growth(tmp_path, rhs)
-        assert "demo" not in cert["meta"]
-        assert cert["meta"]["lambda_meta"]["method"] == method
-        assert cert["meta"]["lambda_meta"]["certified"] is (method == "leibniz")
+    def test_general_rhs_is_sampled_not_the_demo(self, tmp_path, capsys, rhs, certified):
+        if certified:
+            cert = certify_without_growth(tmp_path, rhs)
+            assert "demo" not in cert["meta"]
+            assert cert["meta"]["lambda_meta"] == {
+                "method": "leibniz", "certified": True, "degree": 3, "k_max": 8}
+            return
+        p = write_problem(tmp_path / "f.json", **{**BURGERS, "rhs": rhs})
+        doc = json.loads(p.read_text())
+        del doc["growth"]
+        p.write_text(json.dumps(doc))
+        assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {REFUSAL}\n"
+        assert not (tmp_path / "f.certificate.report.json").exists()
 
     @pytest.mark.parametrize("rhs", ["-y1*Dx1(y1)", "0.5*y1*Dx1(y1)"])
     def test_quadratic_rhs_reaches_the_demo(self, tmp_path, rhs):
@@ -476,13 +485,26 @@ class TestCertifyRoutes:
         assert meta["lambda_meta"]["method"] == "leibniz"
 
     def test_varying_coefficient_is_sampled_and_needs_radii(self, tmp_path, capsys):
-        # x-dependent coefficients are outside the Leibniz tables
-        p = write_problem(tmp_path / "sx.json", rhs="sin(x1)*Dx2(y1)")
+        # x-dependent coefficients are outside the Leibniz tables, so even
+        # finite radii give no factors
+        p = write_problem(tmp_path / "sx.json", rhs="sin(x1)*Dx2(y1)", radii=[1.0])
         doc = json.loads(p.read_text())
         del doc["growth"]
         p.write_text(json.dumps(doc))
         assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
-        assert "sampled Lipschitz estimation needs finite radii" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {REFUSAL}\n"
+        assert not (tmp_path / "sx.certificate.report.json").exists()
+
+    def test_solve_without_lipschitz_factors_still_iterates(self, tmp_path):
+        p = write_problem(tmp_path / "s.json", **{**BURGERS, "rhs": "sin(y1)*Dx1(y1)"})
+        doc = json.loads(p.read_text())
+        del doc["growth"]
+        p.write_text(json.dumps(doc))
+        assert main(["solve", str(p), "--out", str(tmp_path)]) == EXIT_INCONCLUSIVE
+        report = json.loads((tmp_path / "s.report.json").read_text())
+        assert report["certificate"] is None
+        assert report["certificate_note"] == f"certificate unavailable: {REFUSAL}"
+        assert (report["status"], report["n_steps"]) == ("inconclusive", 10)
 
 
 class TestCertifyCommand:

@@ -11,8 +11,9 @@ repository holding this script, so both trees see the same inputs at the
 same paths.  So that every CLI command is covered, the runs add what the
 benchmark leaves out (extra_commands): on burgers-1d ``certify`` on its
 file, which takes the quadratic demo, and ``certify`` and ``solve`` on
-SINE_TRANSPORT, whose F is not polynomial, so that the sampled Lipschitz
-estimate runs; on linear-2d ``series --terms 20`` and
+SINE_TRANSPORT, whose F is not polynomial, so that the refusal of Lipschitz
+factors runs (``certify`` exits 1, ``solve`` iterates without a
+certificate); on linear-2d ``series --terms 20`` and
 ``compare`` in both modes on each file, so the closed form, and a ``solve``
 and a closed form that share one 2-D problem, also meet a t-dependent p
 (``cos_dx1dx1``), plus a ``solve`` of the 2-D quadratic problem
@@ -63,8 +64,8 @@ QUADRATIC_2D = {
 }
 
 
-# sin(y1) d_x1 y1 on [-0.1, 0.1] x [-pi, pi]: not a polynomial in y1, so its
-# Lipschitz factors are sampled (_sampled_lipschitz)
+# sin(y1) d_x1 y1 on [-0.1, 0.1] x [-pi, pi]: not a polynomial in y1, so
+# estimate_lipschitz refuses it with a PicardError
 SINE_TRANSPORT = {
     "schema_version": 1,
     "domain": {"t0": 0.0, "a": 0.1, "b": 0.1, "S": [[-math.pi, math.pi]]},
