@@ -1147,21 +1147,19 @@ class TestLeibnizFactors:
         assert fac.table == pytest.approx([3.0 * 2**k for k in range(5)], rel=1e-12)
         assert all(v >= 3.0 * 2**k for k, v in enumerate(fac.table))
 
+    def test_certified_table_is_at_least_the_sampled_one(self, monkeypatch):
+        monkeypatch.setattr(pp, "NUMERIC_K_CAP", 4)
+        prob, radii = burgers_problem(x_degrees=(12,)), Radii.constant(0.5)
+        certified = pp.estimate_lipschitz(prob, radii)
+        sampled = sampled_ratio_table(prob, radii, "y1*Dx1(y1)", pairs=24, seed=0)
+        assert certified.meta["certified"]
+        assert all(c >= s for c, s in zip(certified.table, sampled))
+
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(["-y1*Dx1(y1)", "y1^3-0.5*y1*Dx1(y1)^2"]), st.sampled_from([0.5, 1.0]),
            st.integers(0, 2**32 - 1), st.floats(0.05, 1.0), st.floats(0.05, 1.0))
     def test_table_bounds_pairs_in_the_ball(self, rhs, r, seed, th_u, th_v):
-        # the grid sup is at most the true sup and the upper norm at least the
-        # true norm, so the certified bound holds as measured, up to roundoff;
-        # G is composed in coefficients, since collocation noise in the top
-        # coefficients grows by about 1e15 over eight x derivatives
         from picard_lod import funcspace as fs
-
-        def G(y):
-            y_x = fs.partial_derivative(y, (0, 1))
-            if rhs == "-y1*Dx1(y1)":
-                return -product_tx(y, y_x)
-            return product_tx(product_tx(y, y), y) - product_tx(product_tx(y, y_x), y_x) * 0.5
 
         prob, radii = burgers_problem(rhs=rhs, x_degrees=(8,)), Radii.constant(r)
         k_max, L = pp.NUMERIC_K_CAP, prob.L
@@ -1169,10 +1167,61 @@ class TestLeibnizFactors:
         rng = np.random.default_rng(seed)
         u = ball_member(prob, radii, k_max + L, rng, th_u)
         v = ball_member(prob, radii, k_max + L, rng, th_v)
+        G = composed_G(rhs)
         num = fs.graded_norms_upto(G(u) - G(v), k_max, p=0)
         den = fs.graded_norms_upper(u - v, k_max + L)
         for k in range(k_max + 1):
             assert num[k] <= fac.at(k) * den[k + L] * (1 + 1e-12)
+
+
+def composed_G(rhs):
+    """G(y) = F(y) for the polynomial Burgers-type rhs named, composed in coefficients.
+
+    The grid sup of G(u) - G(v) is at most the true sup and the upper norm of
+    u - v at least the true norm, so a certified table bounds their ratio as
+    measured, up to roundoff.  Collocation noise in the top coefficients would
+    grow by about 1e15 over eight x derivatives, hence no interpolation.
+    """
+    from picard_lod import funcspace as fs
+
+    def G(y):
+        y_x = fs.partial_derivative(y, (0, 1))
+        if rhs == "y1*Dx1(y1)":
+            return product_tx(y, y_x)
+        if rhs == "-y1*Dx1(y1)":
+            return -product_tx(y, y_x)
+        assert rhs == "y1^3-0.5*y1*Dx1(y1)^2", rhs
+        return product_tx(product_tx(y, y), y) - product_tx(product_tx(y, y_x), y_x) * 0.5
+
+    return G
+
+
+def sampled_ratio_table(prob, radii, rhs, pairs, seed):
+    """max over seeded pairs u, v in the ball of |G(u) - G(v)|_k / |u - v|_{k+L}, k <= NUMERIC_K_CAP."""
+    from picard_lod import funcspace as fs
+
+    k_max, L, G = pp.NUMERIC_K_CAP, prob.L, composed_G(rhs)
+    rng = np.random.default_rng(seed)
+    table = np.zeros(k_max + 1)
+    for _ in range(pairs):
+        th_u, th_v = rng.uniform(0.05, 1.0, size=2)
+        u = ball_member(prob, radii, k_max + L, rng, th_u)
+        v = ball_member(prob, radii, k_max + L, rng, th_v)
+        num = fs.graded_norms_upto(G(u) - G(v), k_max, p=0)
+        den = fs.graded_norms_upper(u - v, k_max + L)
+        table = np.maximum(table, [num[k] / den[k + L] for k in range(k_max + 1)])
+    return table
+
+
+def test_sampled_table_stays_below_the_leibniz_table(monkeypatch):
+    # ratios of measured sups over pairs in the ball stay below the certified
+    # table of a polynomial F (128 at k = 5)
+    monkeypatch.setattr(pp, "NUMERIC_K_CAP", 6)
+    prob, radii = burgers_problem(rhs="-y1*Dx1(y1)", x_degrees=(8,)), Radii.constant(1.0)
+    sampled = sampled_ratio_table(prob, radii, "-y1*Dx1(y1)", pairs=16, seed=1)
+    certified = pp.estimate_lipschitz(prob, radii)
+    assert certified.table[5] == pytest.approx(128.0)
+    assert all(0.0 < s <= c * (1 + 1e-12) for s, c in zip(sampled, certified.table))
 
 
 # the linear step's coefficients: 0, or a magnitude in [2^-10, 8] of either sign
