@@ -27,8 +27,8 @@ from .expr import Arity, ParseError, parse_expression
 from .funcspace import Domain, FuncSpaceError, Radii
 from .graded_core import CONVERGED, DIVERGING
 from .linear_series import (
-    GrowthClass, LinearProblem, LinearSeriesError, burgers_demo, example_catalog,
-    picard_closed_form, series_solution,
+    GrowthClass, LinearProblem, LinearSeriesError, example_catalog, picard_closed_form,
+    series_solution,
 )
 from .picard_pde import (
     BallEscape, CauchyProblem, CertifiedDivergence, PicardError, SolveConfig, apply_P,
@@ -309,14 +309,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     problem, config = load_problem(path)
     out_dir = Path(args.out) if args.out else path.parent
     mode = {"conservative": "recursion", "paper": "paper", None: None}[args.mode]
-    # the quadratic y * d_x^mu y takes the dedicated divergence demo
-    if problem.rhs_class.kind == "quadratic":
-        cert = burgers_demo(problem, config.radii, tuple(config.k_check), args.nmax)
-    else:
-        cert = estimate_and_certify(
-            problem, config.radii, tuple(config.k_check), args.nmax,
-            growth=config.growth, mode=mode,
-        )
+    cert = estimate_and_certify(
+        problem, config.radii, tuple(config.k_check), args.nmax,
+        growth=config.growth, mode=mode,
+    )
     payload = cert.to_json_dict()
     rp = _write_report(out_dir, f"{path.stem}.certificate", payload)
     print(f"verdict: {cert.verdict}; certificate: {rp}")

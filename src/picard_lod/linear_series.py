@@ -23,7 +23,6 @@ from .expr import (
     Const,
     Expr,
     Placeholder,
-    eval_expr,
     free_variables,
     parse_expression,
     print_expression,
@@ -276,9 +275,8 @@ def _x_derivative_tower(
     row: Sequence[Expr],
     n: int,
     seen: dict[str, SepFunc],
-    h_from: int = 0,
 ) -> Iterator[SepFunc]:
-    """Interpolants of d_x^{h mu} applied to a row of initial data, h = h_from..n.
+    """Interpolants of d_x^{h mu} applied to a row of initial data, h = 1..n.
 
     Step h takes order * h symbolic steps per axis of mu, axes in order.  The
     first axis's chain is extended from step h - 1; the later axes are redone
@@ -289,15 +287,12 @@ def _x_derivative_tower(
     """
     axes = [(f"x{dim}", order) for dim, order in enumerate(problem.mu, start=1) if order]
     chain = list(row)
-    for h in range(n + 1):
-        if h and axes:
-            var, order = axes[0]
-            chain = [symbolic_partial(e, var, order) for e in chain]
+    for h in range(1, n + 1):
+        var, order = axes[0]
+        chain = [symbolic_partial(e, var, order) for e in chain]
         exprs = chain
         for var, order in axes[1:]:
             exprs = [symbolic_partial(e, var, order * h) for e in exprs]
-        if h < h_from:
-            continue
         key = repr(exprs)
         if key not in seen:
             seen[key] = interpolate(
@@ -312,7 +307,7 @@ def _series_terms(problem: LinearProblem, n: int) -> tuple[SepFunc, list[SepFunc
     cauchy = problem.to_cauchy()
     rec = mu_eta_recursions(problem, n)
     seen: dict[str, SepFunc] = {}
-    towers = {j: _x_derivative_tower(problem, problem.initial[j], n, seen, h_from=1)
+    towers = {j: _x_derivative_tower(problem, problem.initial[j], n, seen)
               for j in range(problem.gamma, problem.d)}
     terms: list[SepFunc] = []
     for h in range(1, n + 1):
@@ -509,79 +504,39 @@ class CatalogCase:
     note: str
 
 
-def _series_oracle(
-    y0_exprs: Sequence[Expr],
-    dx_step: int,
-    t_power: Callable[[int, int], tuple[int, int]],
-    n_terms: int = 40,
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Series summation oracle: sum_n d_x^{n dx_step} y0 t^e / e!.
-
-    ``t_power(which, n)`` returns (exponent, factorial argument) for data row ``which``.
-    """
-
-    def oracle(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(np.broadcast(t, x).shape)
-        for which, expr in enumerate(y0_exprs):
-            de = expr
-            for n in range(n_terms):
-                exp_, fact_ = t_power(which, n)
-                vals = np.asarray(eval_expr(de, {"x1": x}), dtype=float)
-                out = out + vals * t ** exp_ / math.factorial(fact_)
-                de = symbolic_partial(de, "x1", dx_step)
-        return out
-
-    return oracle
-
-
 def example_catalog(case: str) -> CatalogCase:
-    """Linear catalog instances with their series-solution oracles.
+    """Linear catalog instances with their closed-form solutions.
 
     Cases: heat (d_t y = d_x^2 y), wave (d_t^2 y = d_x^2 y), transport
     (d_t y = d_x y), mixed_dt_dx (d_t^2 y = d_t d_x y) and dt2_dx
     (d_t^2 y = d_x y), on T = [-0.25, 0.25] around t0 = 0 and x in
-    [-pi, pi].  The wave oracle is the directly computed Picard series
-    (powers t^{2n}/(2n)!), not the displayed one; see the note.
+    [-pi, pi].  The wave solution cos(t) sin(x1) sums the directly computed
+    Picard series (powers t^{2n}/(2n)!), not the displayed one; see the note.
     """
+    # d, gamma, mu, initial data rows, closed-form solution
     specs = {
-        "heat": dict(d=1, gamma=0, mu=(2,), y00="sin(x1)"),
-        "wave": dict(d=2, gamma=0, mu=(2,), y00="sin(x1)", y01="0"),
-        "transport": dict(d=1, gamma=0, mu=(1,), y00="sin(x1)"),
-        "mixed_dt_dx": dict(d=2, gamma=1, mu=(1,), y00="0", y01="x1"),
-        "dt2_dx": dict(d=2, gamma=0, mu=(1,), y00="x1^2", y01="0"),
+        "heat": (1, 0, (2,), ("sin(x1)",), lambda t, x: np.exp(-t) * np.sin(x)),
+        "wave": (2, 0, (2,), ("sin(x1)", "0"), lambda t, x: np.cos(t) * np.sin(x)),
+        "transport": (1, 0, (1,), ("sin(x1)",), lambda t, x: np.sin(x + t)),
+        "mixed_dt_dx": (2, 1, (1,), ("0", "x1"), lambda t, x: x * t + t**2 / 2),
+        "dt2_dx": (2, 0, (1,), ("x1^2", "0"), lambda t, x: x**2 + x * t**2 + t**4 / 12),
     }
     if case not in specs:
         raise LinearSeriesError(
             f"unknown catalog case {case!r}; choose from {sorted(specs)}"
         )
-    spec = specs[case]
-    d, gamma, mu = spec["d"], spec["gamma"], spec["mu"]
-    ax = Arity(s=1)
-    y0 = [parse_expression(spec[key], ax) for key in ("y00", "y01")[:d]]
+    d, gamma, mu, rows, oracle = specs[case]
     prob = LinearProblem(
         Domain(0.0, 0.25, 0.25, ((-math.pi, math.pi),)), 1, d, gamma, mu,
-        ((Const(1.0),),), (Const(0.0),), 0.0, tuple((e,) for e in y0),
+        ((Const(1.0),),), (Const(0.0),), 0.0,
+        tuple((parse_expression(e, Arity(s=1)),) for e in rows),
     )
-    Lstep = sum(mu)
     note = ""
     if case == "wave":
         note = (
             "directly computed Picard series (t-powers t^{2n}/(2n)!); the "
             "displayed series with t^n/n! disagrees with the iteration"
         )
-    if d == 1:  # heat, transport
-        oracle = _series_oracle(y0, Lstep, lambda w, n: (n, n))
-    elif gamma == 0:  # wave, dt2_dx
-        oracle = _series_oracle(y0, Lstep, lambda w, n: (2 * n + w, 2 * n + w))
-    else:  # mixed_dt_dx: y00 free, series over y01 only
-        base = _series_oracle(y0[1:], Lstep, lambda w, n: (n + 1, n + 1))
-
-        def oracle(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-            free = np.asarray(eval_expr(y0[0], {"x1": np.asarray(x, dtype=float)}))
-            return np.broadcast_to(free, np.broadcast(t, x).shape) + base(t, x)
-
     return CatalogCase(case, prob, oracle, note)
 
 
@@ -621,10 +576,7 @@ def burgers_demo(
     L = sum(mu)
     d = problem.d
     tbar = problem.domain.tbar
-
-    def log_model(idx_steps: int) -> float:
-        nL = idx_steps * L
-        return 0.0 if nL <= 0 else sigma * nL * math.log(nL)
+    data = GrowthClass("sigma", sigma=sigma)  # ||i0||_{k+jL} modelled as (jL)^(sigma jL)
 
     rows = []
     hyper_log = 0.0
@@ -641,9 +593,9 @@ def burgers_demo(
             )
             for j in range(n):
                 r = radii.value(k + j * L)
-                model = math.exp(min(log_model(j), 700))
+                model = math.exp(min(data.log_norm(0, j, L), 700))
                 log_bar += math.log(r + model) if not math.isinf(r) else math.inf
-            terms.append(exp_or_inf(log_bar + log_model(n)))
+            terms.append(exp_or_inf(log_bar + data.log_norm(0, n, L)))
         rows.append(weissinger_row(k, terms, meta={"sigma": sigma, "L": L}))
     if sigma == 1.0 and L == 1:
         hyper_log = sum(j * math.log(j) for j in range(1, n_max))

@@ -41,7 +41,8 @@ def write_problem(path: Path, **overrides) -> Path:
     return path
 
 
-# 1-D problem of the quadratic demo; certify's routes depend on the form of F
+# 1-D problem with the data of the quadratic demo (criterion 11) and a sigma
+# growth block, which certify refuses for every F outside the linear class
 BURGERS = dict(
     domain={"t0": 0.0, "a": 0.25, "b": 0.25, "S": [[0.0, 1.0]]},
     order={"d": 1, "p": 0, "L": 1},
@@ -416,17 +417,24 @@ class TestSolveCommand:
 
 
 class TestCertifyRoutes:
-    # a polynomial F takes the certified Leibniz factors, any other F is refused
-    @pytest.mark.parametrize("rhs, certified", [
-        pytest.param("y1^3+Dx1(y1)", True, id="y1^3+Dx1(y1)"),
-        pytest.param("sin(y1)*Dx1(y1)", False, id="sin(y1)*Dx1(y1)"),
+    # a polynomial F takes the certified Leibniz factors, any other F is refused;
+    # degree None marks a refusal, and y1^3 + Dx1(y1) leaves the ball in solve
+    @pytest.mark.parametrize("rhs, degree, solved", [
+        pytest.param("y1^3+Dx1(y1)", 3, False, id="y1^3+Dx1(y1)"),
+        pytest.param("-y1*Dx1(y1)", 2, True, id="-y1*Dx1(y1)"),
+        pytest.param("0.5*y1*Dx1(y1)", 2, True, id="0.5*y1*Dx1(y1)"),
+        pytest.param("sin(y1)*Dx1(y1)", None, False, id="sin(y1)*Dx1(y1)"),
     ])
-    def test_general_rhs_is_sampled_not_the_demo(self, tmp_path, capsys, rhs, certified):
-        if certified:
+    def test_general_rhs_is_sampled_not_the_demo(self, tmp_path, capsys, rhs, degree, solved):
+        if degree is not None:
             cert = certify_without_growth(tmp_path, rhs)
             assert "demo" not in cert["meta"]
             assert cert["meta"]["lambda_meta"] == {
-                "method": "leibniz", "certified": True, "degree": 3, "k_max": 8}
+                "method": "leibniz", "certified": True, "degree": degree, "k_max": 8}
+            if solved:  # solve's certificate reads the same factors and increments
+                main(["solve", str(tmp_path / "f.json"), "--out", str(tmp_path)])
+                report = json.loads((tmp_path / "f.report.json").read_text())
+                assert cert["rows"] == report["certificate"]["rows"]
             return
         p = write_problem(tmp_path / "f.json", **{**BURGERS, "rhs": rhs})
         doc = json.loads(p.read_text())
@@ -436,16 +444,16 @@ class TestCertifyRoutes:
         assert capsys.readouterr().err == f"error: {REFUSAL}\n"
         assert not (tmp_path / "f.certificate.report.json").exists()
 
-    @pytest.mark.parametrize("rhs", ["-y1*Dx1(y1)", "0.5*y1*Dx1(y1)"])
-    def test_quadratic_rhs_reaches_the_demo(self, tmp_path, rhs):
-        cert = certify_without_growth(tmp_path, rhs)
-        assert cert["verdict"] == "diverging"
-        assert "hyperfactorial" in cert["meta"]["witness"]
-
     def test_quadratic_rhs_with_a_varying_coefficient_is_an_error(self, tmp_path, capsys):
+        # refused with its growth block, and without it for want of factors
         p = write_problem(tmp_path / "c.json", **{**BURGERS, "rhs": "x1*y1*Dx1(y1)"})
         assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
-        assert "constant coefficient" in capsys.readouterr().err
+        assert "growth-model increments need the linear class" in capsys.readouterr().err
+        doc = json.loads(p.read_text())
+        del doc["growth"]
+        p.write_text(json.dumps(doc))
+        assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {REFUSAL}\n"
         assert not (tmp_path / "c.certificate.report.json").exists()
 
     def test_growth_on_a_general_rhs_is_an_error(self, tmp_path, capsys):
@@ -556,25 +564,21 @@ class TestCertifyCommand:
         p.write_text(json.dumps(doc))
         assert main(["certify", str(p), "--out", str(tmp_path), "--nmax", "40"]) == EXIT_OK
 
-    def test_quadratic_demo_diverges_with_witness(self, tmp_path):
-        p = write_problem(
-            tmp_path / "burgers.json",
-            domain={"t0": 0.0, "a": 0.25, "b": 0.25, "S": [[0.0, 1.0]]},
-            order={"d": 1, "p": 0, "L": 1},
-            rhs="y1*Dx1(y1)",
-            initial=["x1"],
-            radii=[1.0],
-            growth=[{"kind": "sigma", "sigma": 1.0}],
-        )
-        assert main(["certify", str(p), "--out", str(tmp_path), "--nmax", "20"]) \
-            == EXIT_DIVERGING
-        cert = json.loads((tmp_path / "burgers.certificate.report.json").read_text())
-        assert "hyperfactorial" in cert["meta"]["witness"]
+    def test_sigma_growth_on_a_quadratic_rhs_is_refused(self, tmp_path, capsys):
+        # a growth model bounds increments of the linear class only, whatever sigma
+        for sigma in (1.0, 0.01):
+            p = write_problem(tmp_path / "burgers.json", **{
+                **BURGERS, "rhs": "y1*Dx1(y1)", "growth": [{"kind": "sigma", "sigma": sigma}],
+            })
+            assert main(["certify", str(p), "--out", str(tmp_path), "--nmax", "20"]) \
+                == EXIT_ERROR
+            assert "growth-model increments need the linear class" in capsys.readouterr().err
+            assert not (tmp_path / "burgers.certificate.report.json").exists()
 
     def test_affine_two_placeholders_skips_quadratic_demo(self, tmp_path):
-        # Dx2(y1)+y1 is affine: it takes the Lipschitz path, not burgers_demo,
-        # and its Leibniz factor 1 + 1 needs no radii.  sin(x1) data would be
-        # a stationary solution, whose increments are roundoff alone.
+        # Dx2(y1)+y1 is affine: its Leibniz factor 1 + 1 needs no radii.
+        # sin(x1) data would be a stationary solution, whose increments are
+        # roundoff alone.
         p = write_problem(tmp_path / "heatplus.json", rhs="Dx2(y1)+y1", initial=["cos(2*x1)"])
         doc = json.loads(p.read_text())
         del doc["growth"]

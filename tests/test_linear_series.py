@@ -387,7 +387,7 @@ class TestDerivativeTower:
         for row in lp.initial:
             got = [tree.key for tree in ls._x_derivative_tower(lp, row, 6, seen)]
             want = []
-            for h in range(7):
+            for h in range(1, 7):
                 de = row[0]
                 for dim, order in enumerate(mu, start=1):
                     if order:
@@ -407,8 +407,8 @@ class TestDerivativeTower:
 
         monkeypatch.setattr(ls, "interpolate", spy)
         got = list(ls._x_derivative_tower(lp, lp.initial[0], 20, {}))
-        assert len(got) == 21 and len(calls) <= 4
-        for h, xf in enumerate(got):
+        assert len(got) == 20 and len(calls) <= 4
+        for h, xf in enumerate(got, start=1):
             exprs = [symbolic_partial(lp.initial[0][0], "x1", 2 * h)]
             want = real(exprs, dom, (0, 24), m=1, p=0).trim()
             assert xf.coeffs.tobytes() == want.coeffs.tobytes()
@@ -563,7 +563,27 @@ class TestClassify:
         assert rep.verdict == CONVERGED
 
 
+# the catalog's closed-form solutions on (t, x1)
+CATALOG_SOLUTIONS = {
+    "heat": lambda t, x: np.exp(-t) * np.sin(x),
+    "wave": lambda t, x: np.cos(t) * np.sin(x),
+    "transport": lambda t, x: np.sin(x + t),
+    "mixed_dt_dx": lambda t, x: x * t + t ** 2 / 2,
+    "dt2_dx": lambda t, x: x ** 2 + x * t ** 2 + t ** 4 / 12,
+}
+
+
 class TestCatalog:
+    @pytest.mark.parametrize("name", list(CATALOG_SOLUTIONS))
+    def test_oracle_is_the_closed_form(self, name):
+        case = ls.example_catalog(name)
+        pts = fs.uniform_grid(case.problem.domain, fs.CHECK_GRID_POINTS)
+        grid = fs.grid_bindings(pts)
+        want = CATALOG_SOLUTIONS[name](grid["t"], grid["x1"])
+        assert np.max(np.abs(case.oracle(grid["t"], grid["x1"]) - want)) < 1e-15
+        sol, _ = ls.series_solution(case.problem, 20)
+        assert np.max(np.abs(sol.eval_grid(pts[0], pts[1:])[0] - want)) < 1e-12
+
     def test_heat_with_x_squared(self):
         case = ls.example_catalog("heat")
         lp = replace(case.problem, domain=SQUARE, initial=((expr("x1^2"),),), x_degrees=(8,))
@@ -573,33 +593,21 @@ class TestCatalog:
         got = sol.eval_grid(ts, [xs])[0]
         want = xs[None, :] ** 2 + 2 * ts[:, None]
         assert np.max(np.abs(got - want)) < 1e-12
-        # the oracle of the catalog's data sin(x1): exp(-t) sin(x1)
-        ts, xs = np.linspace(-0.25, 0.25, 5), np.linspace(-PI, PI, 9)
-        ok = case.oracle(ts[:, None], xs[None, :])
-        assert np.max(np.abs(ok - np.exp(-ts[:, None]) * np.sin(xs[None, :]))) < 1e-12
+
+    @staticmethod
+    def _six_terms_on_the_square(name):
+        # polynomial data: the series ends, so six terms are exact on SQUARE too
+        case = ls.example_catalog(name)
+        sol, _ = ls.series_solution(replace(case.problem, domain=SQUARE, x_degrees=(8,)), 6)
+        ts, xs = np.linspace(-0.5, 0.5, 5), np.linspace(-1, 1, 9)
+        want = CATALOG_SOLUTIONS[name](ts[:, None], xs[None, :])
+        assert np.max(np.abs(sol.eval_grid(ts, [xs])[0] - want)) < 1e-12
 
     def test_mixed_dt_dx(self):
-        case = ls.example_catalog("mixed_dt_dx")
-        ts = np.linspace(-0.5, 0.5, 5)
-        xs = np.linspace(-1, 1, 9)
-        want = xs[None, :] * ts[:, None] + ts[:, None] ** 2 / 2
-        got = case.oracle(ts[:, None], xs[None, :])
-        assert np.max(np.abs(got - want)) < 1e-12
-        sol, _ = ls.series_solution(replace(case.problem, domain=SQUARE, x_degrees=(8,)), 6)
-        vals = sol.eval_grid(ts, [xs])[0]
-        assert np.max(np.abs(vals - want)) < 1e-12
+        self._six_terms_on_the_square("mixed_dt_dx")
 
     def test_dt2_dx(self):
-        case = ls.example_catalog("dt2_dx")
-        ts = np.linspace(-0.5, 0.5, 5)
-        xs = np.linspace(-1, 1, 9)
-        want = xs[None, :] ** 2 + xs[None, :] * ts[:, None] ** 2 \
-            + ts[:, None] ** 4 / 12
-        got = case.oracle(ts[:, None], xs[None, :])
-        assert np.max(np.abs(got - want)) < 1e-12
-        sol, _ = ls.series_solution(replace(case.problem, domain=SQUARE, x_degrees=(8,)), 6)
-        vals = sol.eval_grid(ts, [xs])[0]
-        assert np.max(np.abs(vals - want)) < 1e-12
+        self._six_terms_on_the_square("dt2_dx")
 
     def test_wave_note_flags_discrepancy(self):
         case = ls.example_catalog("wave")

@@ -10,10 +10,10 @@ The commands and problem files come from ``perfbench/workloads.py`` of the
 repository holding this script, so both trees see the same inputs at the
 same paths.  So that every CLI command is covered, the runs add what the
 benchmark leaves out (extra_commands): on burgers-1d ``certify`` on its
-file, which takes the quadratic demo, and ``certify`` and ``solve`` on
-SINE_TRANSPORT, whose F is not polynomial, so that the refusal of Lipschitz
-factors runs (``certify`` exits 1, ``solve`` iterates without a
-certificate); on linear-2d ``series --terms 20`` and
+file, whose quadratic F takes the certified Leibniz factors that ``solve``
+takes, and ``certify`` and ``solve`` on SINE_TRANSPORT, whose F is not
+polynomial, so that the refusal of Lipschitz factors runs (``certify``
+exits 1, ``solve`` iterates without a certificate); on linear-2d ``series --terms 20`` and
 ``compare`` in both modes on each file, so the closed form, and a ``solve``
 and a closed form that share one 2-D problem, also meet a t-dependent p
 (``cos_dx1dx1``), plus a ``solve`` of the 2-D quadratic problem
