@@ -6,10 +6,16 @@ over the time interval and each spatial interval (all affinely mapped to
 coefficients.  Every derivative comes from one derivative chain over
 coefficient arrays (_derivative_chain), one cheb_derivative step per
 multi-index, with no SepFunc per derivative; grid_derivatives evaluates
-them on grids, and partial_derivative wraps one in a SepFunc.  The graded
-seminorms take the sup of partial derivatives on a dense sampling grid (the
-grid density is part of every reported norm), a lower bound on the exact
-sup, and graded_norms_upper bounds them from above by coefficient sums.
+them on grids, on the whole grid or on a block of its t-rows, and
+partial_derivative wraps one in a SepFunc.  Every grid evaluation
+(SepFunc.eval_grid, grid_derivatives, the graded norms) is one evaluator,
+_grid_evaluator, whose values for a t-row do not depend on the block of
+rows that computed them, bit for bit, so a large grid of two or more x
+axes can be walked in blocks without holding a derivative at full size.
+The graded seminorms take the sup of partial derivatives on a dense
+sampling grid (the grid density is part of every reported norm), a lower
+bound on the exact sup, and graded_norms_upper bounds them from above by
+coefficient sums.
 Every grid sup of the program is one sup_abs call, and expressions see the
 coordinates of a tensor grid as open (broadcasting) axes, from
 grid_bindings.  The Chebyshev-Vandermonde matrices of grid evaluation and
@@ -176,34 +182,77 @@ def _axis_to_front(ndim: int, axis: int) -> tuple[tuple[int, ...], tuple[int, ..
 
 def _grid_evaluator(
     f: SepFunc, pts: Sequence[np.ndarray]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Evaluate on the tensor grid of pts any coefficient tensor no larger than f's.
+) -> Callable[..., np.ndarray]:
+    """evaluate(coeffs, rows=slice(None)): values on t-rows of the tensor grid of pts.
 
-    Each axis uses one Chebyshev-Vandermonde matrix at f's degree, taken
-    from a bounded per-process cache (_grid_vander) keyed on the exact
-    mapped points, and read-only; a tensor of n coefficients on that axis
-    uses its leading n columns, which the recurrence builds in order, so
-    they equal chebvander(u, n - 1) bit for bit.  Each axis is one gemm, the
-    call that tensordot makes.
+    coeffs is any coefficient tensor no larger than f's.  Each axis uses
+    one Chebyshev-Vandermonde matrix at f's degree, taken from a bounded
+    per-process cache (_grid_vander) keyed on the exact mapped points, and
+    read-only; a tensor of n coefficients on that axis uses its leading n
+    columns, which the recurrence builds in order, so they equal
+    chebvander(u, n - 1) bit for bit.
+
+    The t axis is contracted on the whole t grid in one gemm, of shape
+    (t points, coefficients) by (coefficients, m * x coefficients).  Its
+    output is small, and a tensor evaluated on several row blocks is
+    contracted once: the evaluator keeps it while it lives.  The x axes are
+    then contracted on the requested t-rows alone, in order, each by one
+    np.matmul over the stacked (component, t-row, earlier x) slices, whose
+    shapes do not depend on how many rows there are: V times a matrix on
+    every axis but the last, a matrix times V.T on the last.  Every slice
+    is one BLAS call of fixed shape, so the values of a t-row do not depend
+    on the block that computed them, bit for bit, whatever the kernel's
+    tiling.  The products are written into new C-ordered arrays, so the
+    result is a new C-contiguous array, (m, rows, X1, ..., Xs), made with
+    no transpose copies.  A grid of one x axis is small (at most 513^2
+    points), and a product per t-row would there be a gemv per row, about
+    twice as slow as one gemm: its x axis is one gemm on the whole grid
+    too, kept like the t contraction, and the result is a view of the
+    whole-grid values, read-only for a block of rows.
     """
     if len(pts) != 1 + f.domain.s:
         raise FuncSpaceError("grid rank does not match spatial dimension")
-    steps = []
-    for axis, (u, iv, n) in enumerate(
-        zip(pts, f.domain.intervals(), f.coeffs.shape[1:]), start=1
-    ):
+    vanders = []
+    for u, iv, n in zip(pts, f.domain.intervals(), f.coeffs.shape[1:]):
         u = _to_unit(u, iv)
-        V = _grid_vander(u.tobytes(), u.dtype.str, n)
-        steps.append((axis, V, *_axis_to_front(f.coeffs.ndim, axis)))
+        vanders.append(_grid_vander(u.tobytes(), u.dtype.str, n))
+    V_t, *V_x = vanders
+    kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def evaluate(coeffs: np.ndarray) -> np.ndarray:
-        out = coeffs
-        for axis, V, front, back in steps:
-            n = out.shape[axis]
-            moved = out.transpose(front)
-            prod = np.dot(V[:, :n], moved.reshape(n, -1))
-            out = prod.reshape(V.shape[:1] + moved.shape[1:]).transpose(back)
+    def whole_grid(coeffs: np.ndarray) -> np.ndarray:
+        """The contractions made on the whole grid, shape (T, m, n1, ..., ns) or (T, m, X1)."""
+        hit = kept.get(id(coeffs))
+        if hit is not None and hit[0] is coeffs:
+            return hit[1]
+        m, n, *sizes = coeffs.shape
+        flat = coeffs.transpose(1, 0, *range(2, coeffs.ndim)).reshape(n, -1)
+        out = np.dot(V_t[:, :n], flat).reshape(len(V_t), m, *sizes)
+        if len(V_x) == 1:
+            flat = out.transpose(2, 1, 0).reshape(sizes[0], -1)
+            out = np.dot(V_x[0][:, :sizes[0]], flat).reshape(-1, m, len(V_t)).transpose(2, 1, 0)
         return out
+
+    def evaluate(coeffs: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        part = whole_grid(coeffs)
+        if rows != slice(None):
+            kept[id(coeffs)] = (coeffs, part)
+        out = part[rows].swapaxes(0, 1)
+        if len(V_x) <= 1:
+            if rows != slice(None):
+                out.flags.writeable = False  # later blocks read the kept values
+            return out
+        m, R, *sizes = out.shape
+        grid = [len(V) for V in V_x]
+        # x axes but the last, first to last: V_i times each (n_i, later
+        # coefficients) slice
+        for i, V in enumerate(V_x[:-1]):
+            lead, later = math.prod(grid[:i]), math.prod(sizes[i + 1:])
+            out = np.matmul(V[:, :sizes[i]], out.reshape(m, R, lead, sizes[i], later),
+                            out=np.empty((m, R, lead, grid[i], later)))
+        # the last: each (earlier grid points, n_s) slice times V_s.T
+        out = np.matmul(out.reshape(m, R, -1, sizes[-1]), V_x[-1][:, :sizes[-1]].T,
+                        out=np.empty((m, R, math.prod(grid[:-1]), grid[-1])))
+        return out.reshape(m, R, *grid)
 
     return evaluate
 
@@ -633,24 +682,30 @@ def _derivative_chain(
 
 def grid_derivatives(
     f: SepFunc,
-) -> Callable[[Iterable[Sequence[int]], Sequence[np.ndarray]],
-              Iterator[tuple[tuple[int, ...], np.ndarray]]]:
-    """A function of (betas, pts) that yields (beta, D^beta f on the tensor grid of pts).
+) -> Callable[..., Iterator[tuple[tuple[int, ...], np.ndarray]]]:
+    """on_grid(betas, pts, rows=slice(None)): yields (beta, D^beta f on t-rows of the grid of pts).
 
     Every call shares one _derivative_chain, kept while the function lives,
     so a derivative that several betas or calls name, on one grid or on
-    several, is built once.  The derivatives of one call share one
-    Vandermonde matrix per axis, built at f's degrees.
+    several, is built once.  The values are those of _grid_evaluator on
+    ``rows``, which equal the same rows of a whole-grid evaluation bit for
+    bit.  The evaluator of the last grid is kept, so calls that walk one
+    grid block by block contract each derivative on t once, not once per
+    block.
     """
     derivative = _derivative_chain(f.coeffs, f.domain)
+    last: list = [None, None]
 
     def on_grid(
-        betas: Iterable[Sequence[int]], pts: Sequence[np.ndarray]
+        betas: Iterable[Sequence[int]], pts: Sequence[np.ndarray], rows: slice = slice(None)
     ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-        evaluate = _grid_evaluator(f, pts)
+        key = tuple((g.dtype.str, g.tobytes()) for g in map(np.asarray, pts))
+        if last[0] != key:
+            last[:] = key, _grid_evaluator(f, pts)
+        evaluate = last[1]
         for beta in betas:
             beta = tuple(int(b) for b in beta)
-            yield beta, evaluate(derivative(beta))
+            yield beta, evaluate(derivative(beta), rows)
 
     return on_grid
 

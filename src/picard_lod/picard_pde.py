@@ -283,24 +283,25 @@ def _rhs_on_grid(
     """The right-hand side composed with y on the tensor grid of ``pts``, in blocks of t-rows.
 
     Yields (rows, values), values a new array of shape (m, len(pts[0][rows]),
-    len(x1), ...).  The placeholders' derivatives are evaluated once on the
-    whole grid, through ``derivatives`` (a grid_derivatives of y) when
-    given; only the expressions run per block, on RHS_BLOCK_POINTS grid
-    points at most, or one t-row.  Every operation of an expression is
-    elementwise, so each value is the one a whole-grid evaluation gives, bit
-    for bit.  A block that fails is evaluated again on the whole grid, so
-    the error raised is the one whole-grid evaluation meets first.
+    len(x1), ...).  Each block, of RHS_BLOCK_POINTS grid points at most or
+    one t-row, evaluates the placeholders' derivatives on its rows, through
+    ``derivatives`` (a grid_derivatives of y) when given, and then the
+    expressions.  A t-row's derivative values do not depend on its block,
+    and every operation of an expression is elementwise, so each value is
+    the one a whole-grid evaluation gives, bit for bit.  A block that fails
+    is evaluated again on the whole grid, so the error raised is the one
+    whole-grid evaluation meets first.
     """
     derivatives = derivatives or fs.grid_derivatives(y)
     phs = problem.rhs_class.placeholders
-    values = [(placeholder_key(ph), vals[ph.comp - 1]) for ph, (_, vals) in
-              zip(phs, derivatives([(ph.gamma, *ph.alpha) for ph in phs], pts))]
+    betas = list(dict.fromkeys((ph.gamma, *ph.alpha) for ph in phs))
 
     def evaluate(grid: list[np.ndarray], rows: slice) -> np.ndarray:
         shape = tuple(len(g) for g in grid)
         bindings = fs.grid_bindings(grid)
-        for key, vals in values:
-            bindings[key] = np.broadcast_to(vals[rows], shape)
+        values = dict(derivatives(betas, pts, rows))
+        for ph in phs:
+            bindings[placeholder_key(ph)] = values[(ph.gamma, *ph.alpha)][ph.comp - 1]
         return fs.eval_on_grid(problem.rhs, bindings, shape)
 
     t, xs = pts[0], list(pts[1:])
@@ -327,7 +328,12 @@ def _g_degrees(problem: CauchyProblem, y: SepFunc) -> tuple[int, ...]:
 
 
 def eval_G(problem: CauchyProblem, y: SepFunc) -> SepFunc:
-    """The composed right-hand side G(t, x, y), outside the linear class, as a new interpolant."""
+    """The composed right-hand side G(t, x, y), outside the linear class, as a new interpolant.
+
+    G is sampled at Chebyshev-extrema nodes of _g_degrees, block by block of
+    _rhs_on_grid, each block evaluating the placeholders' derivatives on its
+    own t-rows; a grid of one block is taken as it is, with no copy.
+    """
     degrees = _g_degrees(problem, y)
     pts = fs.chebyshev_nodes(problem.domain, degrees)
     shape = (problem.m, *(len(g) for g in pts))
@@ -381,19 +387,19 @@ def residual(problem: CauchyProblem, y: SepFunc) -> ResidualReport:
     """Max-grid defect of the PDE and of each initial condition.
 
     The initial conditions d_t^j y, j < d, are checked on the slice t = t0
-    of the grid, and the equation with d_t^d y on the full grid, block by
-    block of _rhs_on_grid.  One grid_derivatives of y serves both grids.
+    of the grid, and the equation on the full grid, block by block of
+    _rhs_on_grid: each block evaluates d_t^d y on its own rows, so on a
+    grid of two or more x axes no derivative exists at full size.  One
+    grid_derivatives of y serves both grids.
     """
     pts = fs.residual_grid(y)
     slice_pts = [np.array([problem.domain.t0]), *pts[1:]]
     zeros_x = [0] * problem.domain.s
     derivatives = fs.grid_derivatives(y)
-    # the slice values, then the full-grid defect: other orders of these
-    # evaluations left about 2 MB more resident on 2-D problems
     derivs = list(derivatives([(j, *zeros_x) for j in range(problem.d)], slice_pts))
-    [(_, lhs_vals)] = derivatives([(problem.d, *zeros_x)], pts)
+    lhs = (problem.d, *zeros_x)
     pde_res = fs.sup_abs_blocks(
-        np.subtract(lhs_vals[:, rows], block, out=block)
+        np.subtract(next(derivatives([lhs], pts, rows))[1], block, out=block)
         for rows, block in _rhs_on_grid(problem, y, pts, derivatives)
     )
 

@@ -78,6 +78,37 @@ def tensordot_eval_grid(coeffs: np.ndarray, intervals, grids) -> np.ndarray:
     return out
 
 
+def rowwise_eval_grid(coeffs: np.ndarray, intervals, grids) -> np.ndarray:
+    """Values of a coefficient tensor on the tensor grid of ``grids`` (t first), row by row.
+
+    The t axis is one np.dot on the whole t grid.  Then, for each component
+    and each t-row, the x axes are contracted in order by np.dot of 2-D
+    arrays: V_i times each (n_i, later coefficients) matrix on every axis
+    but the last, and the (earlier grid points, n_s) matrix times V_s.T on
+    the last.  Every Vandermonde matrix is chebvander at the tensor's degree.
+    With at most one x axis the grid is evaluated whole, by
+    tensordot_eval_grid.
+    """
+    if coeffs.ndim <= 3:
+        return tensordot_eval_grid(coeffs, intervals, grids)
+    m, n_t, *sizes = coeffs.shape
+    V_t, *V_x = [cheb.chebvander(to_unit(pts, lo, hi), n - 1)
+                 for pts, (lo, hi), n in zip(grids, intervals, coeffs.shape[1:])]
+    flat = np.moveaxis(coeffs, 1, 0).reshape(n_t, -1)
+    t_vals = np.dot(V_t, flat).reshape(len(V_t), m, *sizes)
+    grid = [len(V) for V in V_x]
+    out = np.empty((m, len(V_t), *grid))
+    for c in range(m):
+        for r in range(len(V_t)):
+            w = t_vals[r, c]
+            for i, V in enumerate(V_x[:-1]):
+                w = w.reshape(-1, sizes[i], int(np.prod(sizes[i + 1:])))
+                w = np.array([np.dot(V, part) for part in w])
+            w = np.dot(w.reshape(-1, sizes[-1]), V_x[-1].T)
+            out[c, r] = w.reshape(grid)
+    return out
+
+
 def np_pad_to_common(*arrays: np.ndarray) -> list[np.ndarray]:
     """Zero-pad every array at the end of each axis to their common shape, by np.pad."""
     shape = tuple(max(sizes) for sizes in zip(*(a.shape for a in arrays)))

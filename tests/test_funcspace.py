@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chebder_partial, tensordot_eval_grid
+from helpers import chebder_partial, rowwise_eval_grid, tensordot_eval_grid, to_unit
 from picard_lod.expr import Arity, parse_expression
 from picard_lod.funcspace import (
     Domain,
@@ -461,6 +461,80 @@ class TestDerivativesOnGrid:
             list(fs.grid_derivatives(f)([(0, 1)], fs.uniform_grid(SQUARE, 3)))
 
 
+BOX = Domain(-0.2, 0.5, 0.25, ((-1.0, 2.0), (0.0, 1.0), (-math.pi / 4, math.pi / 4)))
+
+
+@st.composite
+def blocked_evaluations(draw):
+    """A SepFunc (s in 0..3, m in 1..2, degrees 0..6), betas, a grid and a t-row blocking.
+
+    The grid is equispaced or Chebyshev extrema, 1..9 points per axis; the
+    blocking cuts the t-rows anywhere, down to blocks of one row.
+    """
+    import picard_lod.funcspace as fs
+
+    s = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 2))
+    dom = {**DOMAINS, 3: BOX}[s]
+    degrees = draw(st.lists(st.integers(0, 6), min_size=1 + s, max_size=1 + s))
+    shape = (m, *[d + 1 for d in degrees])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)
+    zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    coeffs[zeros] = np.copysign(0.0, rng.standard_normal(shape))[zeros]
+    f = SepFunc(dom, m, 0, coeffs)
+    counts = draw(st.lists(st.integers(1, 9), min_size=1 + s, max_size=1 + s))
+    if draw(st.booleans()):
+        pts = fs.uniform_grid(dom, counts)
+    else:
+        pts = fs.chebyshev_nodes(dom, [n - 1 for n in counts])
+    betas = draw(st.lists(st.tuples(*[st.integers(0, 3)] * (1 + s)), min_size=1, max_size=4))
+    cuts = draw(st.lists(st.booleans(), min_size=counts[0] - 1, max_size=counts[0] - 1))
+    bounds = [0, *[i + 1 for i, cut in enumerate(cuts) if cut], counts[0]]
+    return f, betas, pts, [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+class TestBlockInvariance:
+    """A t-row's grid values do not depend on the block of rows that computed them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocked_evaluations())
+    def test_blocks_concatenate_to_the_whole_grid(self, case):
+        import picard_lod.funcspace as fs
+
+        f, betas, pts, blocks = case
+        on_grid = fs.grid_derivatives(f)
+        whole = list(on_grid(betas, pts))
+        parts = [list(on_grid(betas, pts, rows)) for rows in blocks]
+        for i, (beta, vals) in enumerate(whole):
+            assert vals.shape == (f.m, *(len(g) for g in pts))
+            blocked = [part[i][1] for part in parts]
+            assert np.concatenate(blocked, axis=1).tobytes() == vals.tobytes()
+            if f.domain.s >= 2:
+                assert all(a.flags.c_contiguous for a in [vals, *blocked])
+            else:  # views of the kept whole-grid values
+                assert not any(b.flags.writeable for b in blocked)
+
+    def test_each_derivative_is_contracted_on_t_once(self, monkeypatch):
+        """Blocks of one grid reuse the t contraction: one gemm per derivative."""
+        import picard_lod.funcspace as fs
+
+        f = SepFunc(CUBE, 1, 0, np.ones((1, 3, 3, 3)))
+        pts = fs.uniform_grid(CUBE, [8, 4, 5])
+        calls = []
+        original = np.dot
+
+        def spy(a, b, *args):
+            calls.append(a.shape)
+            return original(a, b, *args)
+
+        on_grid = fs.grid_derivatives(f)
+        monkeypatch.setattr(np, "dot", spy)
+        for start in range(8):
+            list(on_grid([(0, 0, 0), (1, 0, 1)], pts, slice(start, start + 1)))
+        assert calls == [(8, 3), (8, 2)]
+
+
 @st.composite
 def wide_functions(draw):
     """A SepFunc with s in 0..2, m in 1..2, degrees 0..30 and signed zeros.
@@ -568,11 +642,34 @@ class TestNumpyReference:
     @settings(max_examples=300, deadline=None)
     @given(functions_and_grids())
     def test_eval_grid_is_the_tensordot_formula(self, case):
+        """Byte for byte the row-by-row np.dot order; within roundoff of tensordot.
+
+        Each value is the sum over coefficient indices k of c_k times one
+        Vandermonde entry per axis, computed axis by axis as dot products of
+        lengths n_t, n_1, ..., n_s.  By Higham (Accuracy and Stability of
+        Numerical Algorithms, 2002, (3.5) and Lemma 3.1) any such order
+        gives the exact sum with each term scaled by some 1 + theta,
+        |theta| <= gamma_N = N u / (1 - N u), N = n_t + n_1 + ... + n_s,
+        u = 2^-53.  So two orders differ by at most 2 gamma_N times the sum
+        of |c_k| times the product over axes of max |V|.
+        """
+        from numpy.polynomial import chebyshev as cheb
+
         f, grids = case
         got = f.eval_grid(grids[0], grids[1:])
-        want = tensordot_eval_grid(f.coeffs, f.domain.intervals(), grids)
+        want = rowwise_eval_grid(f.coeffs, f.domain.intervals(), grids)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+        old = tensordot_eval_grid(f.coeffs, f.domain.intervals(), grids)
+        n_sum = sum(f.coeffs.shape[1:])
+        gamma = n_sum * 2.0**-53 / (1 - n_sum * 2.0**-53)
+        v_max = math.prod(
+            float(np.max(np.abs(cheb.chebvander(to_unit(g, *iv), n - 1))))
+            for g, iv, n in zip(grids, f.domain.intervals(), f.coeffs.shape[1:]))
+        for c, (a, b) in enumerate(zip(got, old)):
+            bound = 2 * gamma * float(np.sum(np.abs(f.coeffs[c]))) * v_max
+            assert float(np.max(np.abs(a - b))) <= bound
 
     @settings(max_examples=300, deadline=None)
     @given(integral_cases())

@@ -477,9 +477,11 @@ class TestBlockedRhs:
         got, blocked = peak(pp.residual)
         want, whole = peak(whole_grid_residual)
         assert (got.pde_residual, got.ic_residuals) == want
-        # d_t y and the placeholder stay whole; the expression's values and
-        # their stacked copy exist one block at a time
-        assert blocked <= 2.5 * full_grid_bytes
+        # d_t y, the placeholder, the expression's values and their stacked
+        # copy exist one t-block (2^17 points, a sixteenth of the grid) at a
+        # time; of the whole grid only the t contractions of d_t y and the
+        # placeholder are kept, 25 x 25 coefficients per t-row
+        assert blocked <= 0.5 * full_grid_bytes
         assert whole >= 3.5 * full_grid_bytes
 
 

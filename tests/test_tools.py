@@ -45,3 +45,31 @@ def test_json_moves_of_equal_values_and_of_an_overflow():
     json_moves = _same_reports().json_moves
     assert json_moves({"a": [1, 2.5]}, {"a": [1.0, 2.5]}) == (0.0, "", [])
     assert json_moves([0.0, 1.0], [0.0, math.inf]) == (math.inf, "/1", [])
+
+
+def test_describe_move_names_the_largest_relative_and_absolute_moves():
+    describe = _same_reports().describe_move
+    old = b'{"max_grid_deviation": 1.1e-16, "residual": 2.0e-9, "status": "converged"}'
+    new = b'{"max_grid_deviation": 5.6e-17, "residual": 2.5e-9, "status": "converged"}'
+    assert describe("a.report.json", old, new) == (
+        "a.report.json: contents differ: largest relative move 0.491 at /max_grid_deviation; "
+        "largest absolute move 5e-10 at /residual")
+    assert describe("b.report.json", b'{"x": 1}', b'{"x": 1.0}') == (
+        "b.report.json: contents differ: only in formatting")
+    assert describe("c.txt", b"a", b"b") == "c.txt: contents differ"
+
+
+def test_norms_csv_is_compared_number_by_number():
+    same_reports = _same_reports()
+    old = b"n,k0,k1\n1,0.5,0.25\n2,1e-12,\n"
+    new = b"n,k0,k1\n1,0.5,0.2500001\n2,3e-12,1e-13\n"
+    assert same_reports.norms_table(old.decode()) == {
+        "header": ["n", "k0", "k1"],
+        "rows": [{"n": 1.0, "k0": 0.5, "k1": 0.25}, {"n": 2.0, "k0": 1e-12, "k1": None}]}
+    line = same_reports.describe_move("burgers.norms.csv", old, new)
+    assert line == ("burgers.norms.csv: contents differ: largest relative move 0.667 at "
+                    "/rows/1/k0; largest absolute move 1e-07 at /rows/0/k1; "
+                    "non-numeric differences at /rows/1/k1")
+    short = same_reports.describe_move("burgers.norms.csv", old, b"n,k0,k1\n1,0.5,0.25\n")
+    assert short == ("burgers.norms.csv: contents differ: "
+                     "non-numeric differences at /rows (length 2 -> 1)")

@@ -23,10 +23,12 @@ file, ``demo`` on each catalog case, and a growth-model ``certify`` of
 FORCED_HEAT, whose forcing bound Q > 0 enters the increment model.
 Compared: every report file byte for byte, and each command's exit code,
 standard output, and standard error without its ``elapsed:`` line.  Prints what differs; exits 0 if nothing
-does, 1 otherwise.  For a JSON report that differs it prints how far it
-moved: its largest relative move of a number, |old - new| / max(|old|, |new|),
-with the JSON path of that number, and apart from that the paths of the
-differences that are not numeric (keys, list lengths, strings, bools, null).
+does, 1 otherwise.  For a JSON report or a norms.csv table that differs it
+prints how far it moved: its largest relative move of a number,
+|old - new| / max(|old|, |new|), and its largest absolute move, |old - new|,
+each with the path of that number, and apart from that the paths of the
+differences that are not numeric (keys, list lengths, strings, bools, null,
+empty cells).
 """
 
 from __future__ import annotations
@@ -169,20 +171,19 @@ def report_files(tree: Path) -> dict[str, bytes]:
             for p in sorted(tree.glob("*/reports/**/*")) if p.is_file()}
 
 
-def json_moves(old, new) -> tuple[float, str, list[str]]:
-    """The largest relative move of a number between two JSON values, its path, and
+def json_differences(old, new) -> tuple[list[tuple[str, float, float]], list[str]]:
+    """The numbers that differ between two JSON values, as (path, old, new), and
     the paths of the differences that are not numeric.
 
     A path is the keys and list indices from the root, each after a "/".  Two
-    NaNs are equal; a number that turns non-finite moves by inf.
+    NaNs are equal.
     """
-    worst, where, other = 0.0, "", []
+    moved, other = [], []
 
     def number(v) -> bool:
         return isinstance(v, (int, float)) and not isinstance(v, bool)
 
     def walk(a, b, at: str) -> None:
-        nonlocal worst, where
         if isinstance(a, dict) and isinstance(b, dict):
             for key in sorted(a.keys() | b.keys()):
                 if key in a and key in b:
@@ -193,28 +194,82 @@ def json_moves(old, new) -> tuple[float, str, list[str]]:
             for i, (x, y) in enumerate(zip(a, b)):
                 walk(x, y, f"{at}/{i}")
         elif number(a) and number(b):
-            if a == b or (math.isnan(a) and math.isnan(b)):
-                return
-            scale = max(abs(a), abs(b))
-            rel = abs(a - b) / scale if math.isfinite(scale) else math.inf
-            if not where or rel > worst:
-                worst, where = rel, at
+            if not (a == b or (math.isnan(a) and math.isnan(b))):
+                moved.append((at, a, b))
         elif isinstance(a, list) and isinstance(b, list):
             other.append(f"{at} (length {len(a)} -> {len(b)})")
         elif a != b:
             other.append(at)
 
     walk(old, new, "")
-    return worst, where, other
+    return moved, other
+
+
+def largest(moved: list[tuple[str, float, float]], size) -> tuple[float, str]:
+    """The largest size(old, new) over the moved numbers, and its path ("" if none moved).
+
+    A move whose size is not finite (a number turned non-finite) counts as inf.
+    """
+    worst, where = 0.0, ""
+    for at, a, b in moved:
+        move = size(a, b)
+        move = move if math.isfinite(move) else math.inf
+        if not where or move > worst:
+            worst, where = move, at
+    return worst, where
+
+
+def relative_move(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def absolute_move(a: float, b: float) -> float:
+    return abs(a - b)
+
+
+def json_moves(old, new) -> tuple[float, str, list[str]]:
+    """The largest relative move of a number between two JSON values, its path, and
+    the paths of the differences that are not numeric.
+
+    A relative move is |old - new| / max(|old|, |new|); a number that turns
+    non-finite moves by inf.
+    """
+    moved, other = json_differences(old, new)
+    return (*largest(moved, relative_move), other)
+
+
+def norms_table(text: str) -> dict:
+    """A norms.csv report as JSON: {"header": [...], "rows": [{column: value}]}.
+
+    A cell is a float, or None where it is empty.
+    """
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    return {"header": header,
+            "rows": [{key: float(cell) if cell else None for key, cell in zip(header, row)}
+                     for row in rows]}
 
 
 def describe_move(name: str, old: bytes, new: bytes) -> str:
-    """One line on how far report ``name`` moved from ``old`` to ``new``."""
+    """One line on how far report ``name`` moved from ``old`` to ``new``.
+
+    JSON reports and norms.csv tables are compared number by number: the
+    line names the largest relative and the largest absolute move, each
+    with its path.  A relative move of a number near roundoff says little
+    (1.1e-16 -> 5.6e-17 is a relative move of 0.5), so both are printed.
+    """
     try:
-        worst, where, other = json_moves(json.loads(old), json.loads(new))
+        if name.endswith(".norms.csv"):
+            old_doc, new_doc = norms_table(old.decode()), norms_table(new.decode())
+        else:
+            old_doc, new_doc = json.loads(old), json.loads(new)
     except ValueError:
         return f"{name}: contents differ"
-    parts = [f"largest relative move {worst:.3g} at {where}"] if where else []
+    moved, other = json_differences(old_doc, new_doc)
+    parts = []
+    if moved:
+        for label, size in (("relative", relative_move), ("absolute", absolute_move)):
+            worst, where = largest(moved, size)
+            parts.append(f"largest {label} move {worst:.3g} at {where}")
     if other:
         parts.append("non-numeric differences at " + ", ".join(other))
     return f"{name}: contents differ: " + ("; ".join(parts) or "only in formatting")
