@@ -7,6 +7,12 @@ table); the first value that breaks them exits 1 with
 comma-separated iterate-norm table.  Identical problem file + flags
 produce byte-identical report files (timings go to stderr only).
 
+The argument parser is built once per process, by the first ``main`` call,
+and each command runs as the module's ``cmd_<command>`` looked up at that
+call, so a function put in its place after import is the one that runs.
+Every error leaves through ``main``: it prints "error: <message>" to
+stderr and exits 1.
+
 Exit codes: 0 converged, 1 error (a usage error included), 2 diverging
 certificate, 3 inconclusive.
 """
@@ -14,6 +20,7 @@ certificate, 3 inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import funcspace as fs
-from .expr import Arity, ParseError, parse_expression
+from .expr import Arity, ParseError, ReservedName, parse_expression
 from .funcspace import Domain, FuncSpaceError, Radii
 from .graded_core import CONVERGED, DIVERGING
 from .linear_series import (
@@ -31,8 +38,8 @@ from .linear_series import (
     series_solution,
 )
 from .picard_pde import (
-    BallEscape, CauchyProblem, CertifiedDivergence, PicardError, SolveConfig, apply_P,
-    estimate_and_certify, solve,
+    CauchyProblem, CertifiedDivergence, PicardError, SolveConfig, apply_P, estimate_and_certify,
+    solve,
 )
 
 SCHEMA_VERSION = 1
@@ -225,7 +232,7 @@ def load_problem(path: Path):
         problem = CauchyProblem(dom, m, d, p, L, rhs, initial, x_degrees)
         if growth is not None:
             growth = tuple(GrowthClass(*g) for g in growth)
-    except (FuncSpaceError, ParseError, PicardError, LinearSeriesError) as exc:
+    except (FuncSpaceError, ParseError, ReservedName, PicardError, LinearSeriesError) as exc:
         raise CliError(f"{path}: {exc}") from exc
     radii = Radii.infinite() if radii == "infinite" else Radii.from_list(radii)
     return problem, SolveConfig(radii=radii, growth=growth, **config)
@@ -253,50 +260,44 @@ def _write_norms_csv(out_dir: Path, stem: str, increments: dict) -> Path:
     return path
 
 
-def _verdict_exit(verdict: str) -> int:
-    if verdict == CONVERGED:
-        return EXIT_OK
-    if verdict == DIVERGING:
-        return EXIT_DIVERGING
-    return EXIT_INCONCLUSIVE
+def _load(args: argparse.Namespace) -> tuple[CauchyProblem, SolveConfig, Path, str]:
+    """The problem file of ``args``: (problem, config, output directory, file stem)."""
+    path = Path(args.file)
+    problem, config = load_problem(path)
+    return problem, config, Path(args.out) if args.out else path.parent, path.stem
+
+
+def _linear(problem: CauchyProblem, needs: str) -> LinearProblem:
+    """``problem`` in the linear class, or CliError "<needs>: <why not>"."""
+    try:
+        return LinearProblem.from_cauchy(problem)
+    except LinearSeriesError as exc:
+        raise CliError(f"{needs}: {exc}") from exc
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    problem, config = load_problem(path)
+    problem, config, out_dir, stem = _load(args)
     if args.certify_first:
         config.certify_first = True
     if args.paper_mode:
         config.lambda_mode = "paper"
-    out_dir = Path(args.out) if args.out else path.parent
-    stem = path.stem
     t0 = time.perf_counter()
     try:
         report = solve(problem, config)
     except CertifiedDivergence as exc:
-        payload = {
-            "status": "diverging-certificate",
-            "certificate": exc.certificate.to_json_dict(),
-        }
-        rp = _write_report(out_dir, stem, payload)
+        rp = _write_report(out_dir, stem, {"status": "diverging-certificate",
+                                           "certificate": exc.certificate.to_json_dict()})
         print(f"diverging certificate; report: {rp}")
         return EXIT_DIVERGING
-    except BallEscape as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    payload = report.to_json_dict()
-    rp = _write_report(out_dir, stem, payload)
+    rp = _write_report(out_dir, stem, report.to_json_dict())
     np_ = _write_norms_csv(out_dir, stem, report.increments)
     elapsed = time.perf_counter() - t0
     print(f"status: {report.status}; report: {rp}; norms: {np_}", flush=True)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     if report.converged:
         if report.residual_ok is False:
-            print(
-                "error: converged but the residual exceeds tolerance "
-                "(representation degree looks insufficient)", file=sys.stderr,
-            )
-            return EXIT_ERROR
+            raise CliError("converged but the residual exceeds tolerance "
+                           "(representation degree looks insufficient)")
         return EXIT_OK
     cert = report.certificate
     if cert is not None and cert.verdict == DIVERGING:
@@ -305,39 +306,27 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    problem, config = load_problem(path)
-    out_dir = Path(args.out) if args.out else path.parent
+    problem, config, out_dir, stem = _load(args)
     mode = {"conservative": "recursion", "paper": "paper", None: None}[args.mode]
     cert = estimate_and_certify(
         problem, config.radii, tuple(config.k_check), args.nmax,
         growth=config.growth, mode=mode,
     )
-    payload = cert.to_json_dict()
-    rp = _write_report(out_dir, f"{path.stem}.certificate", payload)
+    rp = _write_report(out_dir, f"{stem}.certificate", cert.to_json_dict())
     print(f"verdict: {cert.verdict}; certificate: {rp}")
-    return _verdict_exit(cert.verdict)
+    return {CONVERGED: EXIT_OK, DIVERGING: EXIT_DIVERGING}.get(cert.verdict, EXIT_INCONCLUSIVE)
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    problem, config = load_problem(path)
-    out_dir = Path(args.out) if args.out else path.parent
-    try:
-        lp = LinearProblem.from_cauchy(problem)
-    except LinearSeriesError as exc:
-        print(
-            f"error: this command needs the linear class "
-            f"p(t)*Dx^mu Dt^gamma y + q: {exc}", file=sys.stderr,
-        )
-        return EXIT_ERROR
+    problem, config, out_dir, stem = _load(args)
+    lp = _linear(problem, "this command needs the linear class p(t)*Dx^mu Dt^gamma y + q")
     sol, diag = series_solution(lp, args.terms, growth=config.growth)
     payload = {
         "terms": args.terms,
         "diagnostics": diag,
         "solution": sol.to_json_dict(),
     }
-    rp = _write_report(out_dir, f"{path.stem}.series", payload)
+    rp = _write_report(out_dir, f"{stem}.series", payload)
     print(
         f"series written with {args.terms} terms "
         f"(last-term sup {diag['last_term_sup']:.3e}); report: {rp}"
@@ -346,14 +335,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    problem, config = load_problem(path)
-    out_dir = Path(args.out) if args.out else path.parent
-    try:
-        lp = LinearProblem.from_cauchy(problem)
-    except LinearSeriesError as exc:
-        print(f"error: comparison needs the linear class: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    problem, config, out_dir, stem = _load(args)
+    lp = _linear(problem, "comparison needs the linear class")
     if args.against == "generic":
         n = args.terms
         y = i0 = problem.i0
@@ -376,18 +359,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "solve_status": rep.status,
             "max_grid_deviation": dev,
         }
-    rp = _write_report(out_dir, f"{path.stem}.compare", payload)
+    rp = _write_report(out_dir, f"{stem}.compare", payload)
     print(f"max deviation: {dev:.6e}; report: {rp}")
     return EXIT_OK
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else Path.cwd()
-    try:
-        case = example_catalog(args.case)
-    except LinearSeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    case = example_catalog(args.case)
     sol, diag = series_solution(case.problem, args.terms)
     dom = case.problem.domain
     pts = fs.uniform_grid(dom, fs.CHECK_GRID_POINTS)
@@ -418,6 +397,7 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="picard-lod",
@@ -433,44 +413,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify-first", action="store_true")
     p.add_argument("--paper-mode", action="store_true",
                    help="use the constant-factor closed form for the contraction constants")
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("certify", help="emit the Weissinger certificate only")
     p.add_argument("file")
     p.add_argument("--out")
     p.add_argument("--mode", choices=["conservative", "paper"], default=None)
     p.add_argument("--nmax", type=_count, default=30)
-    p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("series", help="write the truncated series solution")
     p.add_argument("file")
     p.add_argument("--out")
     p.add_argument("--terms", type=_count, default=20)
-    p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("compare", help="cross-check the series against the generic path")
     p.add_argument("file")
     p.add_argument("--out")
     p.add_argument("--against", choices=["oracle", "generic"], default="generic")
     p.add_argument("--terms", type=_count, default=6)
-    p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("demo", help="run a catalog case end to end")
     p.add_argument("case")
     p.add_argument("--out")
     p.add_argument("--terms", type=_count, default=20)
-    p.set_defaults(fn=cmd_demo)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as exc:  # CliError and solver errors surface verbatim
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

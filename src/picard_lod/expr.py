@@ -30,6 +30,7 @@ __all__ = [
     "EvalError",
     "NonFiniteValue",
     "DerivativeError",
+    "ReservedName",
     "parse_expression",
     "print_expression",
     "eval_expr",
@@ -60,6 +61,10 @@ class NonFiniteValue(EvalError):
 
 class DerivativeError(ExprError):
     pass
+
+
+class ReservedName(ExprError):
+    """A ``params`` key that the grammar reads as a variable, placeholder, function or operator."""
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,9 @@ class Power:
 Expr = Union[Const, Var, Placeholder, Unary, Binary, Power]
 
 _FUNCTIONS = ("sin", "cos", "exp")
+
+# names the grammar reads before it looks at params (_Parser.name)
+_RESERVED_RE = re.compile(r"t|x\d+|y\d+|D[tx]\d*|" + "|".join(_FUNCTIONS))
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +355,13 @@ def parse_expression(
 
     ``params`` binds free names to constants at parse time, so the returned
     tree is closed over ``t``, the spatial variables and the placeholders.
+    A ``params`` key that the grammar reserves raises ReservedName.
     """
-    return _Parser(text, arity, params or {}).parse()
+    params = params or {}
+    for name in params:
+        if _RESERVED_RE.fullmatch(name):
+            raise ReservedName(f"params key {name!r} is a name the grammar reserves")
+    return _Parser(text, arity, params).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -651,33 +651,35 @@ def _derivative_chain(
     orders one at a time, the coefficients equal those of chebder applied
     axis by axis, bit for bit.  Every step is checked for finiteness, as a
     SepFunc is.  Every built array is kept while the returned function
-    lives.  A step from a parent of one coefficient on the step axis gives
+    lives, and no longer: the chain is walked in a loop, so it holds no
+    reference cycle that only the cyclic collector frees.  A step from a parent of one coefficient on the step axis gives
     the zero function, one zero coefficient per axis, built once.
     """
     built = {(0,) * (1 + domain.s): coeffs}
     zero = np.zeros((coeffs.shape[0], *[1] * (1 + domain.s)))
     scales = [1.0 / _halfwidth(iv) for iv in domain.intervals()]
 
-    def build(beta: tuple[int, ...]) -> np.ndarray:
-        if beta not in built:
-            axis = max(i for i, b in enumerate(beta) if b)
-            parent = build(tuple(b - (i == axis) for i, b in enumerate(beta)))
-            if parent.shape[1 + axis] == 1:
-                built[beta] = zero
-            else:
-                step = cheb_derivative(parent, 1, scl=scales[axis], axis=1 + axis)
-                if not np.all(np.isfinite(step)):
-                    raise NonFiniteCoefficients("non-finite coefficients")
-                built[beta] = step
-        return built[beta]
-
-    def checked(beta: Sequence[int]) -> np.ndarray:
+    def derivative(beta: Sequence[int]) -> np.ndarray:
         beta = tuple(int(b) for b in beta)
         if len(beta) != 1 + domain.s or min(beta) < 0:
             raise FuncSpaceError(f"invalid multi-index {beta}")
-        return build(beta)
+        missing = []  # (beta, step axis), from beta down to its nearest built ancestor
+        while beta not in built:
+            axis = max(i for i, b in enumerate(beta) if b)
+            missing.append((beta, axis))
+            beta = tuple(b - (i == axis) for i, b in enumerate(beta))
+        parent = built[beta]
+        for beta, axis in reversed(missing):
+            if parent.shape[1 + axis] == 1:
+                parent = zero
+            else:
+                parent = cheb_derivative(parent, 1, scl=scales[axis], axis=1 + axis)
+                if not np.all(np.isfinite(parent)):
+                    raise NonFiniteCoefficients("non-finite coefficients")
+            built[beta] = parent
+        return parent
 
-    return checked
+    return derivative
 
 
 def grid_derivatives(

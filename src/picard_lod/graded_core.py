@@ -321,11 +321,12 @@ def iterate_to_fixed_point(
 
     Seminorm monotonicity in k is spot-checked on the first iterate; a
     supplied membership predicate is enforced at every step and its absence
-    is reported rather than assumed.
+    is reported rather than assumed.  A k named twice in ``stop.k_check`` is
+    read once.
     """
     if space.P is None:
         raise GradedCoreError("the space handle carries no iteration map")
-    ks = tuple(stop.k_check)
+    ks = tuple(dict.fromkeys(stop.k_check))
     increments: dict[int, list[float]] = {k: [] for k in ks}
     iterates = [y0] if store_iterates else None
     membership = "checked" if space.membership is not None else "unchecked"

@@ -879,8 +879,10 @@ def certify_weissinger(
     literal recursion by default, or the paper's constant-factor closed form
     in "paper" mode (growth-model certificates default to paper mode, which
     is the form the growth analysis is stated in); see log_lambda_bar.
-    ``radii`` is not read (the factors hold their ball); positional callers pass it.
+    ``radii`` is not read (the factors hold their ball); positional callers
+    pass it.  A k named twice in ``k_list`` gives one row.
     """
+    k_list = tuple(dict.fromkeys(k_list))
     norm_source = "growth_model" if growth is not None else "numeric"
     if mode is None:
         mode = "paper" if norm_source == "growth_model" else "recursion"

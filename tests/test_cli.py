@@ -136,6 +136,19 @@ class TestSchema:
         assert main(["solve", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
         assert f"error: {p}: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["t", "x1", "y1", "sin", "Dx2"])
+    def test_params_key_the_grammar_reserves_is_refused(self, tmp_path, capsys, name):
+        # the grammar reads these names before params, so the value would be ignored
+        p = write_problem(tmp_path / "r.json", params={name: 0.5})
+        assert main(["solve", str(p), "--out", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {p}: params key {name!r} is a name the grammar reserves\n")
+        assert not (tmp_path / "r.report.json").exists()
+
+    def test_params_key_outside_the_grammar_still_runs(self, tmp_path):
+        p = write_problem(tmp_path / "a.json", rhs="a_coef*Dx2(y1)", params={"a_coef": 1.0})
+        assert main(["solve", str(p), "--out", str(tmp_path)]) == EXIT_OK
+
 
 # every key of a problem file, each form of rhs and initial, and two growth rows
 FULL = {
@@ -353,6 +366,19 @@ class TestSolveCommand:
             (out2 / "het.report.json").read_bytes()
         assert (out1 / "het.norms.csv").read_bytes() == \
             (out2 / "het.norms.csv").read_bytes()
+
+    def test_a_repeated_k_check_entry_is_read_once(self, tmp_path):
+        outputs = []
+        for name, k_check in (("once", [1, 0]), ("twice", [1, 0, 1])):
+            (tmp_path / name).mkdir()
+            p = write_problem(tmp_path / name / "heat.json",
+                              solver={"tol": 1e-11, "n_max": 10, "k_check": k_check})
+            assert main(["solve", str(p)]) == EXIT_OK
+            assert main(["certify", str(p)]) == EXIT_OK
+            outputs.append([(p.parent / f).read_bytes() for f in (
+                "heat.report.json", "heat.norms.csv", "heat.certificate.report.json")])
+        assert outputs[0] == outputs[1]
+        assert (tmp_path / "twice" / "heat.norms.csv").read_text().startswith("n,k0,k1\n")
 
     def test_growth_on_a_nonlinear_rhs_leaves_a_certificate_note(self, tmp_path):
         # the growth model needs the linear class; solve still iterates
@@ -810,6 +836,66 @@ class TestUsageErrors:
     def test_zero_count_is_valid(self, tmp_path, argv, code):
         p = write_problem(tmp_path / "heat.json")
         assert main([a.format(p=p) for a in argv] + ["--out", str(tmp_path)]) == code
+
+
+class TestOneParserOneErrorExit:
+    """main builds its parser once, runs cmd_<command> as found at the call, and
+    prints every error itself."""
+
+    def test_the_parser_is_built_once_per_process_and_not_at_import(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "from picard_lod.cli import main\n"
+            "at_import = len(built)\n"
+            "codes = [main(['demo', 'laplace']) for _ in range(3)]\n"
+            "print(at_import, built.count('picard-lod'), codes)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"0 1 {[EXIT_ERROR] * 3}"
+
+    def test_a_command_replaced_after_the_first_call_is_the_one_that_runs(
+        self, tmp_path, monkeypatch
+    ):
+        import picard_lod.cli as cli
+
+        p = write_problem(tmp_path / "heat.json")
+        assert main(["certify", str(p), "--out", str(tmp_path)]) == EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "cmd_certify", lambda args: seen.append(args.file) or 42)
+        assert main(["certify", str(p), "--out", str(tmp_path)]) == 42
+        assert seen == [str(p)]
+
+    @pytest.mark.parametrize("command, overrides, line", [
+        ("solve", {**BURGERS, "rhs": "-y1*Dx1(y1)", "radii": [1e-6]},
+         "iterate 1 left the ball at k=0: distance 2.500000e-01 > radius 1.000000e-06"),
+        ("solve", {"solver": {"tol": 1e-11, "n_max": 10, "residual_tol": 1e-300}},
+         "converged but the residual exceeds tolerance "
+         "(representation degree looks insufficient)"),
+        ("series", {**BURGERS, "rhs": "-y1*Dx1(y1)"},
+         "this command needs the linear class p(t)*Dx^mu Dt^gamma y + q: "
+         "right-hand side is not of the linear class"),
+        ("compare", {**BURGERS, "rhs": "-y1*Dx1(y1)"},
+         "comparison needs the linear class: right-hand side is not of the linear class"),
+        ("demo", None, "unknown catalog case 'laplace'; choose from "
+         "['dt2_dx', 'heat', 'mixed_dt_dx', 'transport', 'wave']"),
+    ], ids=["ball-escape", "residual", "series-linear-class", "compare-linear-class",
+            "demo-unknown-case"])
+    def test_an_error_exits_1_with_one_error_line(
+        self, tmp_path, capsys, command, overrides, line
+    ):
+        target = "laplace" if overrides is None else str(
+            write_problem(tmp_path / "f.json", **overrides))
+        assert main([command, target, "--out", str(tmp_path / "out")]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert [e for e in err if e.startswith("error:")] == [f"error: {line}"]
+        assert err[-1] == f"error: {line}"
 
 
 def test_console_script_entry_point(tmp_path):

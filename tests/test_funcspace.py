@@ -460,8 +460,25 @@ class TestDerivativesOnGrid:
                 pytest.raises(NonFiniteCoefficients, match="^non-finite coefficients$"):
             list(fs.grid_derivatives(f)([(0, 1)], fs.uniform_grid(SQUARE, 3)))
 
+    def test_a_chain_leaves_no_cyclic_garbage(self):
+        """The chain holds no reference cycle, so its arrays go when the last caller does."""
+        import gc
 
-BOX = Domain(-0.2, 0.5, 0.25, ((-1.0, 2.0), (0.0, 1.0), (-math.pi / 4, math.pi / 4)))
+        from picard_lod.funcspace import graded_norms_upper
+
+        dom = Domain(0.0, 0.5, 0.5, ((-math.pi, math.pi), (-1.0, 1.0)))
+        f = SepFunc(dom, 1, 0, np.random.default_rng(0).standard_normal((1, 4, 6, 5)))
+        gc.collect()
+        gc.disable()
+        try:
+            graded_norms_upto(f, 5)
+            graded_norms_upper(f, 5)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+BOX =Domain(-0.2, 0.5, 0.25, ((-1.0, 2.0), (0.0, 1.0), (-math.pi / 4, math.pi / 4)))
 
 
 @st.composite

@@ -18,7 +18,7 @@ def test_same_reports_finds_a_tree_identical_to_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.startswith("identical: 5 report files, commands run: 4 ")
+    assert proc.stdout.startswith("identical: 7 report files, commands run: 8 ")
 
 
 def _same_reports():

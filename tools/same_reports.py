@@ -8,19 +8,25 @@ and 1) once per tree, in one fresh interpreter per tree with
 ``PYTHONPATH=<root>/src`` and the BLAS/OpenMP pools pinned to one thread.
 The commands and problem files come from ``perfbench/workloads.py`` of the
 repository holding this script, so both trees see the same inputs at the
-same paths.  So that every CLI command is covered, the runs add what the
-benchmark leaves out (extra_commands): on burgers-1d ``certify`` on its
-file, whose quadratic F takes the certified Leibniz factors that ``solve``
-takes, and ``certify`` and ``solve`` on SINE_TRANSPORT, whose F is not
-polynomial, so that the refusal of Lipschitz factors runs (``certify``
-exits 1, ``solve`` iterates without a certificate); on linear-2d ``series --terms 20`` and
-``compare`` in both modes on each file, so the closed form, and a ``solve``
-and a closed form that share one 2-D problem, also meet a t-dependent p
-(``cos_dx1dx1``), plus a ``solve`` of the 2-D quadratic problem
-QUADRATIC_2D, whose right-hand side is collocated and whose residual grid
-spans several t-blocks; and on catalog-1d ``compare`` in both modes on each
-file, ``demo`` on each catalog case, and a growth-model ``certify`` of
-FORCED_HEAT, whose forcing bound Q > 0 enters the increment model.
+same paths.  So that every CLI command and every error exit is covered,
+the runs add what the benchmark leaves out (extra_commands): on burgers-1d
+``certify`` on its file, whose quadratic F takes the certified Leibniz
+factors that ``solve`` takes; ``certify`` and ``solve`` on SINE_TRANSPORT,
+whose F is not polynomial, so that the refusal of Lipschitz factors runs
+(``certify`` exits 1, ``solve`` iterates without a certificate); and the
+error exits (each exits 1): ``series`` and ``compare`` on SINE_TRANSPORT,
+which is not in the linear class, a ``solve`` of SINE_TRANSPORT with radii
+[1e-6], whose first iterate leaves the ball, and a ``solve`` of the
+workload's file with ``residual_tol`` 1e-300, which converges but fails the
+residual check.  On linear-2d ``series --terms 20`` and ``compare`` in both
+modes on each file, so the closed form, and a ``solve`` and a closed form
+that share one 2-D problem, also meet a t-dependent p (``cos_dx1dx1``),
+plus a ``solve`` of the 2-D quadratic problem QUADRATIC_2D, whose
+right-hand side is collocated and whose residual grid spans several
+t-blocks.  On catalog-1d ``compare`` in both modes on each file, ``demo``
+on each catalog case and on the unknown case ``laplace`` (exits 1), and a
+growth-model ``certify`` of FORCED_HEAT, whose forcing bound Q > 0 enters
+the increment model.
 Compared: every report file byte for byte, and each command's exit code,
 standard output, and standard error without its ``elapsed:`` line.  Prints what differs; exits 0 if nothing
 does, 1 otherwise.  For a JSON report or a norms.csv table that differs it
@@ -103,29 +109,38 @@ def extra_commands(name: str, problem_dir: Path, out_dir: Path) -> list[tuple[li
         out = out_dir / label
         runs.append(([*args, "--out", str(out)], out))
 
+    def write(stem: str, doc: dict) -> str:
+        path = problem_dir / f"{stem}.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        return str(path)
+
     if name == "burgers-1d":
-        add("burgers.certify", ["certify", str(problem_dir / "burgers.json")])
-        path = problem_dir / "sine_transport.json"
-        path.write_text(json.dumps(SINE_TRANSPORT, indent=2) + "\n")
-        add("sine_transport.certify", ["certify", str(path)])
-        add("sine_transport.solve", ["solve", str(path)])
+        burgers = problem_dir / "burgers.json"
+        add("burgers.certify", ["certify", str(burgers)])
+        path = write("sine_transport", SINE_TRANSPORT)
+        add("sine_transport.certify", ["certify", path])
+        add("sine_transport.solve", ["solve", path])
+        add("sine_transport.series", ["series", path])
+        add("sine_transport.compare", ["compare", path])
+        path = write("ball_escape", {**SINE_TRANSPORT, "radii": [1e-6]})
+        add("ball_escape.solve", ["solve", path])
+        doc = json.loads(burgers.read_text())
+        doc["solver"] = {**doc["solver"], "residual_tol": 1e-300}
+        add("residual_fails.solve", ["solve", write("residual_fails", doc)])
     elif name == "linear-2d":
         for path in sorted(problem_dir.glob("*.json")):
             add(f"{path.stem}.series", ["series", str(path), "--terms", "20"])
             add(f"{path.stem}.compare", ["compare", str(path)])
             add(f"{path.stem}.compare-oracle", ["compare", str(path), "--against", "oracle"])
-        path = problem_dir / "quadratic_2d.json"
-        path.write_text(json.dumps(QUADRATIC_2D, indent=2) + "\n")
-        add("quadratic_2d.solve", ["solve", str(path)])
+        add("quadratic_2d.solve", ["solve", write("quadratic_2d", QUADRATIC_2D)])
     elif name == "catalog-1d":
         for case in workloads.CATALOG:
             path = str(problem_dir / f"{case}.json")
             add(f"{case}.compare-generic", ["compare", path])
             add(f"{case}.compare-oracle", ["compare", path, "--against", "oracle"])
             add(f"{case}.demo", ["demo", case])
-        path = problem_dir / "forced_heat.json"
-        path.write_text(json.dumps(FORCED_HEAT, indent=2) + "\n")
-        add("forced_heat.certify", ["certify", str(path)])
+        add("laplace.demo", ["demo", "laplace"])
+        add("forced_heat.certify", ["certify", write("forced_heat", FORCED_HEAT)])
     return runs
 
 
