@@ -7,7 +7,9 @@ coefficients.  Every derivative comes from one derivative chain over
 coefficient arrays (_derivative_chain), one cheb_derivative step per
 multi-index, with no SepFunc per derivative; grid_derivatives evaluates
 them on grids, on the whole grid or on a block of its t-rows, and
-partial_derivative wraps one in a SepFunc.  Every grid evaluation
+partial_derivative wraps one in a SepFunc.  The linear class's step
+I_d[p . D^mu d_t^gamma .] is coefficient arithmetic too: one LinearStep
+per problem, a matrix in t built once and sliced.  Every grid evaluation
 (SepFunc.eval_grid, grid_derivatives, the graded norms) is one evaluator,
 _grid_evaluator, whose values for a t-row do not depend on the block of
 rows that computed them, bit for bit, so a large grid of two or more x
@@ -71,6 +73,7 @@ __all__ = [
     "iterated_time_integral",
     "cheb_derivative",
     "cheb_integral",
+    "LinearStep",
     "graded_norm",
     "graded_norms_upto",
     "graded_norms_upper",
@@ -629,6 +632,125 @@ def cheb_derivative(coef: np.ndarray, m: int, *, scl: float, axis: int = 0) -> n
         der[1:] = (2 * j[2:]) * c[2:]
         c = der
     return c.transpose(back)
+
+
+def _integral_bands(n: int, *, scl: float) -> tuple[np.ndarray, np.ndarray]:
+    """One fold of cheb_integral on coefficient vectors of length n, up to its constant term.
+
+    The fold is the (n + 1, n) banded matrix that takes T_0 to scl T_1, T_1
+    to scl T_2 / 4 and T_j, j >= 2, to scl (T_{j+1} / (2(j+1)) -
+    T_{j-1} / (2(j-1))).  Returned are its two nonzero diagonals, ``below``
+    (entry j at row j + 1, column j) and ``above`` (entry k at row k,
+    column k + 1; above[0] is 0, so row 0 is zero).  The integral from lbnd
+    then sets the constant term to minus sum_j T_j(lbnd) c_j of the result,
+    as cheb_integral does with a chebval.
+    """
+    j = np.arange(n, dtype=float)
+    below = scl / (2 * j + 2)
+    below[0] = scl
+    above = np.zeros(n)
+    above[1:] = -scl / (2 * j[1:])
+    return below, above
+
+
+def _basis_at(x: float, n: int) -> np.ndarray:
+    """T_0(x), ..., T_{n-1}(x) by the three-term recurrence, exact at x in {0, +-1}."""
+    out = [1.0, x]
+    for _ in range(n - 2):
+        out.append(2 * x * out[-1] - out[-2])
+    return np.array(out[:n])
+
+
+class LinearStep:
+    """I_d[p . D^mu d_t^gamma .] on coefficient tensors: the linear class's step.
+
+    A problem has one, picard_pde.CauchyProblem.linear_step, built on first
+    use; apply_P and both recursions of linear_series.mu_eta_recursions read
+    it.  P holds p(t), an m-by-m matrix, as (row, column, t-coefficient).  A
+    tensor is laid out as a SepFunc's coefficients: component, t, then the
+    other axes, of which mu differentiates the leading ones by
+    cheb_derivative (D^mu commutes with the step).  In t the step is
+    linear, and the image of T_i does not depend on the input's length, so
+    one matrix, sliced, serves every input: d_t^gamma, then p(t) through
+    T_a T_i = (T_{a+i} + T_{|a-i|}) / 2 (Toeplitz plus Hankel), cut at
+    DEGREE_CAP in t.  It is built at four times the t-length of the first
+    input longer than it serves, and applied as one 2-D product over
+    (component and t, everything else).  The d-fold integral from t0
+    stays one fold at a time, as in cheb_integral: the banded fold of
+    _integral_bands, then the constant term minus sum_j T_j(lbnd) c_j,
+    summed from the highest j down (a reversed cumulative sum along t),
+    with T_j(lbnd) from the three-term recurrence; a fold of the zero
+    constant stays of length 1.  Against the exact-rational chain, this
+    form keeps chains of steps as near as cheb_integral did
+    (tests/test_picard_pde.py, TestLinearStep).
+    """
+
+    def __init__(self, domain: Domain, d: int, P: np.ndarray, gamma: int):
+        self.domain, self.d, self.P, self.gamma = domain, d, P, gamma
+        self._n = 0  # the longest input t-length the matrices serve
+
+    def _rows(self, n: int) -> tuple[int, bool]:
+        """The product's t-length for input t-length n, and whether DEGREE_CAP cut it."""
+        full = self.P.shape[2] + max(n - self.gamma, 1) - 1
+        return min(full, DEGREE_CAP + 1), full > DEGREE_CAP + 1
+
+    def _build(self, n: int) -> None:
+        lo, hi = self.domain.t_interval
+        der = cheb_derivative(np.eye(n), self.gamma, scl=2.0 / (hi - lo))  # column i: d_t^gamma T_i
+        m, _, n_p = self.P.shape
+        k = len(der)
+        i = np.arange(k)
+        prod = np.zeros((m, m, n_p + k - 1, k))  # prod[h, l, r, i]: T_i of y_l into T_r of row h
+        for a in range(n_p):
+            half = self.P[:, :, a, None] / 2
+            prod[:, :, a + i, i] += half
+            prod[:, :, abs(a - i), i] += half
+        rows, _ = self._rows(n)
+        op = prod[:, :, :rows] if self.gamma == 0 else prod[:, :, :rows] @ der
+        self._op = np.ascontiguousarray(op.transpose(0, 2, 1, 3))  # (h, r, l, i)
+        # the bands and T_j(lbnd) as columns, to scale the rows of (component, t, rest)
+        bands = _integral_bands(rows + self.d - 1, scl=(hi - lo) / 2)
+        self._below, self._above = (band[:, None] for band in bands)
+        self._at_lbnd = _basis_at((2 * self.domain.t0 - lo - hi) / (hi - lo), rows + self.d)[:, None]
+        self._n = n
+
+    def _fold(self, c: np.ndarray) -> np.ndarray:
+        """One fold of the integral from t0 of c, laid out (component, t, rest).
+
+        c is overwritten: it holds the fold's terms, so that a fold allocates
+        only its result.
+        """
+        m, r, x = c.shape
+        if r == 1 and not c.any():
+            return np.zeros_like(c)
+        out = np.empty((m, r + 1, x))
+        np.multiply(self._below[:r], c, out=out[:, 1:])
+        c[:, 2:] *= self._above[1 : r - 1]
+        out[:, 1 : r - 1] += c[:, 2:]
+        np.multiply(self._at_lbnd[r:0:-1], out[:, :0:-1], out=c)
+        out[:, 0] = 0.0 - np.cumsum(c, axis=1, out=c)[:, -1]
+        return out
+
+    def __call__(self, coef: np.ndarray, mu: Sequence[int] = ()) -> tuple[np.ndarray, bool]:
+        """The step of ``coef``, and whether DEGREE_CAP cut a degree of its product.
+
+        The result ends at t-degree DEGREE_CAP + d at most.  Overflow raises
+        NonFiniteCoefficients.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            for axis, (order, (lo, hi)) in enumerate(zip(mu, self.domain.S), start=2):
+                coef = cheb_derivative(coef, order, scl=2.0 / (hi - lo), axis=axis)
+            m, n, *rest = coef.shape
+            if n > self._n:
+                self._build(4 * n)
+            rows, cut = self._rows(n)
+            op = self._op[:, :rows, :, :n].reshape(m * rows, m * n)
+            c = (op @ coef.reshape(m * n, -1)).reshape(m, rows, -1)
+            for _ in range(self.d):
+                c = self._fold(c)
+        if not np.isfinite(c).all():
+            raise NonFiniteCoefficients("non-finite coefficients")
+        return c.reshape(m, -1, *rest), cut
 
 
 def partial_derivative(f: SepFunc, beta: Sequence[int]) -> SepFunc:

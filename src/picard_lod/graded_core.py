@@ -404,10 +404,11 @@ def invert_locally(
     The right-inverse property S(D(v)) = v is verified to PROBE_TOL on the
     probe vectors y and f(x0); each checked alpha_k must be < 1 so that the
     derived radii r_bar stay positive, and every iterate is kept inside the
-    ball of the given radii.
+    ball of the given radii.  A k named twice in ``stop.k_check`` is read
+    once.
     """
     r_of = radii.value if hasattr(radii, "value") else radii
-    ks = tuple(stop.k_check)
+    ks = tuple(dict.fromkeys(stop.k_check))
 
     fx0 = f(x0)
     for v in (y, fx0):

@@ -233,12 +233,15 @@ def mu_eta_recursions(problem: LinearProblem, h_max: int) -> MuEta:
     The base is (j-gamma)!/j! (t-t0)^j, the step I_d[p d_t^gamma .], eta_0 =
     q~, eta_1 = I_d[q~] and eta_{h+1} = I_d[p d_x^mu d_t^gamma eta_h] for
     h >= 1; this reproduces the Picard iterates exactly.  Both recursions
-    run picard_pde._linear_step, the step of the Picard operator: a mu
-    matrix as a tensor (row, t, column), eta as its SepFunc coefficients.
-    p(t), q~ and I_d[q~] are the problem's CauchyProblem.linear_data.
+    run CauchyProblem.linear_step, the step of the Picard operator, which
+    serves every step of both from one matrix: a mu matrix as a tensor
+    (row, t, column) with no x orders, eta as its SepFunc coefficients with
+    the x orders mu.  q~ and I_d[q~] are the problem's
+    CauchyProblem.linear_data.
     """
     cauchy = problem.to_cauchy()
-    P, q, forcing = cauchy.linear_data
+    _, q, forcing = cauchy.linear_data
+    step = cauchy.linear_step
     m = problem.m
     mu: dict[int, list[np.ndarray]] = {}
     cut = False
@@ -252,15 +255,17 @@ def mu_eta_recursions(problem: LinearProblem, h_max: int) -> MuEta:
             cur[h, :, h] = tp
         seq = [cur]
         for _ in range(h_max):
-            cur, cut_h = pp._linear_step(problem.domain, problem.d, P, cur, (problem.gamma,))
+            cur, cut_h = step(cur)
             cut |= cut_h
             seq.append(cur)
-        mu[j] = [np.moveaxis(c, 1, 2) for c in seq]
+        mu[j] = [c.transpose(0, 2, 1) for c in seq]
 
     eta: list[SepFunc] = [q, forcing][: h_max + 1]
-    beta = (problem.gamma, *problem.mu)
     while len(eta) <= h_max:
-        coef, cut_h = pp._linear_step(problem.domain, problem.d, P, eta[-1].coeffs, beta)
+        if not eta[-1].coeffs.any():  # the step is linear: zero forcing stays zero
+            eta.append(eta[-1])
+            continue
+        coef, cut_h = step(eta[-1].coeffs, problem.mu)
         cut |= cut_h
         eta.append(SepFunc(problem.domain, m, cauchy.p, coef).trim())
     return MuEta(mu, eta, cut)

@@ -5,8 +5,9 @@ d_t^j y(t0, .) = y_{0j} is attacked through the integral operator
 P(y) = i0 + (d-fold nested time integral of the composed right-hand side),
 certified by a Weissinger sum over contraction constants with loss of
 derivatives L (the highest spatial order on the right-hand side).  For the
-linear class p(t) d_x^mu d_t^gamma y + q a step of P is exact coefficient
-arithmetic (_linear_step, shared with linear_series); other F are collocated.
+linear class p(t) d_x^mu d_t^gamma y + q a step of P is coefficient
+arithmetic by the problem's one funcspace.LinearStep, shared with linear_series;
+other F are collocated.
 """
 
 from __future__ import annotations
@@ -138,8 +139,9 @@ class CauchyProblem:
     ``rhs_class`` is the form of ``rhs``, set once by ``classify_rhs``;
     ``i0``, the Picard starting point, and ``first_iterate``, P(i0), are
     built on first use, as are ``linear_data``, the linear class's step
-    data, and the bounds read from its coefficients: ``p_sup`` on the norm
-    of the surrogate p(t) over T, and ``q_sup`` on every x-derivative of q~.
+    data, ``linear_step``, its step, and the bounds read from its
+    coefficients: ``p_sup`` on the norm of the surrogate p(t) over T, and
+    ``q_sup`` on every x-derivative of q~.
     """
 
     domain: Domain
@@ -207,6 +209,11 @@ class CauchyProblem:
         q = interpolate(list(st.q), self.domain, (SERIES_T_DEGREE, *self.x_degrees),
                         m=self.m, p=self.p).trim()
         return _t_interp_matrix(self.domain, st.p), q, iterated_time_integral(q, self.d).trim()
+
+    @cached_property
+    def linear_step(self) -> fs.LinearStep:
+        """The linear class's step I_d[p . D^mu d_t^gamma .], p the tensor of linear_data."""
+        return fs.LinearStep(self.domain, self.d, self.linear_data[0], self.rhs_class.linear.gamma)
 
     @cached_property
     def p_sup(self) -> float:
@@ -357,17 +364,17 @@ def eval_G(problem: CauchyProblem, y: SepFunc) -> SepFunc:
 
 
 def apply_P(problem: CauchyProblem, y: SepFunc, i0: SepFunc) -> SepFunc:
-    """One Picard step i0 + I_d[F(y)]: _linear_step, stopped at DEGREE_CAP, or eval_G."""
+    """One Picard step i0 + I_d[F(y)]: the problem's LinearStep, stopped at DEGREE_CAP, or eval_G."""
     st = problem.rhs_class.linear
     if st is None:
         g = eval_G(problem, y)
         out = i0 + iterated_time_integral(g, problem.d)
         return replace(out.trim(), truncation=g.truncation)
-    P, _, forcing = problem.linear_data
-    coef, _ = _linear_step(problem.domain, problem.d, P, y.coeffs, (st.gamma, *st.mu))
+    coef, _ = problem.linear_step(y.coeffs, st.mu)
     if coef.shape[1] - 1 > fs.DEGREE_CAP:
         raise fs.FuncSpaceError(
             f"degree cap {fs.DEGREE_CAP} exceeded by {problem.d}-fold time integral")
+    forcing = problem.linear_data[2]
     return (i0 + SepFunc(problem.domain, problem.m, problem.p, coef) + forcing).trim()
 
 
@@ -441,38 +448,6 @@ def _t_interp_matrix(domain: Domain, p: Sequence[Sequence[Expr]]) -> np.ndarray:
             nonzero = np.flatnonzero(np.any(out, axis=(0, 1)))
             return out[..., : nonzero[-1] + 1 if nonzero.size else 1]
         deg *= 2
-
-
-def _linear_step(domain: Domain, d: int, P: np.ndarray, coef: np.ndarray,
-                 beta: Sequence[int]) -> tuple[np.ndarray, bool]:
-    """I_d[p . D^beta coef] on coefficients: the step of apply_P and of mu_eta_recursions.
-
-    ``coef`` is laid out as a SepFunc's coefficients: component, t, then the
-    remaining axes, of which beta differentiates t and the leading ones.
-    p(t), the tensor P of _t_interp_matrix, multiplies through T_a T_i =
-    (T_{a+i} + T_{|a-i|}) / 2 as one contraction over component and t, cut
-    at DEGREE_CAP in t; the d-fold integral from t0 then ends at degree
-    DEGREE_CAP + d at most.  Returns the coefficients and whether the cut
-    dropped a degree of the product.  Overflow raises NonFiniteCoefficients.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for axis, (order, (lo, hi)) in enumerate(zip(beta, domain.intervals()), start=1):
-            coef = fs.cheb_derivative(coef, order, scl=2.0 / (hi - lo), axis=axis)
-        m, _, n_p = P.shape
-        n = coef.shape[1]
-        i = np.arange(n)
-        op = np.zeros((m, m, n_p + n - 1, n))  # op[h, l, k, i]: T_i of y_l into T_k of row h
-        for a in range(n_p):
-            half = P[:, :, a, None] / 2
-            op[:, :, a + i, i] += half
-            op[:, :, abs(a - i), i] += half
-        prod = np.tensordot(op[:, :, : fs.DEGREE_CAP + 1], coef, axes=([1, 3], [0, 1]))
-        lo, hi = domain.t_interval
-        out = fs.cheb_integral(prod, d, lbnd=(2 * domain.t0 - lo - hi) / (hi - lo),
-                               scl=(hi - lo) / 2, axis=1)
-    if not np.all(np.isfinite(out)):
-        raise fs.NonFiniteCoefficients("non-finite coefficients")
-    return out, op.shape[2] > fs.DEGREE_CAP + 1
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,22 @@ class TestInvertLocally:
             assert row.r_bar > 0
             assert row.maps_ball
 
+    def test_a_repeated_k_is_read_once(self):
+        # criterion 10's toy: k_check (0, 0) gives the one row of (0,)
+        space = scalar_space()
+        results = [
+            invert_locally(
+                space, space, f=lambda x: x + x**3, D=lambda y: y, S=lambda x: x,
+                x0=0.0, y=0.05, radii=lambda k: 0.3,
+                alpha_k=lambda k: 0.27, delta_k=lambda k: 1.0,
+                L=0, L_D=0, stop=IterationStop(k_check, 1e-15, 200),
+            )
+            for k_check in ((0, 0), (0,))
+        ]
+        assert len(results[0].rows) == 1
+        assert results[0].rows == results[1].rows
+        assert results[0].solution == results[1].solution
+
     def test_alpha_not_below_one_rejected(self):
         space = scalar_space()
         with pytest.raises(GradedCoreError, match="alpha"):

@@ -1,8 +1,10 @@
 import collections
 import dataclasses
 import functools
+import gc
 import math
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +40,7 @@ from picard_lod.funcspace import (
     DEGREE_CAP,
     Domain,
     FuncSpaceError,
+    LinearStep,
     NonFiniteCoefficients,
     Radii,
     SepFunc,
@@ -47,6 +50,7 @@ from picard_lod.funcspace import (
     iterated_time_integral,
 )
 from picard_lod.graded_core import CONVERGED, DIVERGING
+import picard_lod.linear_series as ls
 import picard_lod.picard_pde as pp
 
 PI = math.pi
@@ -1239,8 +1243,31 @@ def l1_gap(a, b):
     return float(np.sum(np.abs(a - b)))
 
 
+def exact_l1_gap(got, exact):
+    """The l1 norm of got - exact and of exact, got a float tensor and exact one of Fractions."""
+    shape = tuple(max(u, v) for u, v in zip(got.shape, exact.shape))
+    diff = np.zeros(shape, dtype=object)
+    diff[tuple(slice(n) for n in exact.shape)] = exact
+    diff[tuple(slice(n) for n in got.shape)] -= np.vectorize(Fraction, otypes=[object])(got)
+    return float(sum(abs(v) for v in diff.ravel())), float(sum(abs(v) for v in exact.ravel()))
+
+
+def chain_gaps(domain, d, gamma, P, j, steps):
+    """(l1 gap, exact l1 norm) after each of ``steps`` LinearStep steps, against the
+    exact-rational chain, from the base (j-gamma)!/j! (t-t0)^j of a mu chain."""
+    start = (pp._tpoly_cheb(domain, j) * math.factorial(j - gamma)).reshape(1, -1, 1)
+    step = LinearStep(domain, d, P, gamma)
+    exact = np.vectorize(Fraction, otypes=[object])(start)
+    got, out = start, []
+    for _ in range(steps):
+        exact = fraction_linear_step(P, exact, (gamma,), d, domain.intervals(), domain.t0)
+        got, _ = step(got)
+        out.append(exact_l1_gap(got, exact))
+    return out
+
+
 class TestLinearStep:
-    """_linear_step, I_d[p . D^beta .] on coefficients: apply_P and the closed form share it."""
+    """LinearStep, I_d[p . D^mu d_t^gamma .] on coefficients: apply_P and the closed form share it."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -1260,15 +1287,49 @@ class TestLinearStep:
         beta = [0] * (1 + s)
         for axis in data.draw(st.lists(st.integers(0, s), max_size=2)):
             beta[axis] += 1
-        got, cut = pp._linear_step(dom, d, P, coef, tuple(beta))
+        got, cut = LinearStep(dom, d, P, beta[0])(coef, beta[1:])
         exact = fraction_linear_step(P, coef, beta, d, dom.intervals(), t0)
         assert not cut
-        shape = tuple(max(u, v) for u, v in zip(got.shape, exact.shape))
-        diff = np.zeros(shape, dtype=object)
-        diff[tuple(slice(n) for n in exact.shape)] = exact
-        diff[tuple(slice(n) for n in got.shape)] -= np.vectorize(Fraction, otypes=[object])(got)
-        gap = float(sum(abs(v) for v in diff.ravel()))
-        assert gap <= 1e-13 * float(sum(abs(v) for v in exact.ravel()))
+        gap, norm = exact_l1_gap(got, exact)
+        assert gap <= 1e-13 * norm
+
+    # the relative l1 gap that a chain of 20 steps may reach, per time order d
+    CHAIN_BOUND = {1: 1e-6, 2: 1e-2}
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_a_chain_of_steps_stays_near_the_exact_rational_chain(self, data):
+        """A step's roundoff in the low t-degrees outgrows the chain's own terms, of
+        degree j + h(d - gamma) (about binom(dh, dh/2) eps at step h), so the bound
+        grows with d.  Over 1,000 examples the largest relative gap seen was
+        9.6e-8 for d = 1 and 5.3e-4 for d = 2.  On 400 random chains of the same
+        kind (p uniform in [-2, 2]) a step that folds with cheb_integral reached
+        8.4e-8 and 4.3e-4, and this one 3.9e-8 and 6.1e-4."""
+        d = data.draw(st.integers(1, 2))
+        gamma = data.draw(st.integers(0, d - 1))
+        j = data.draw(st.integers(gamma, d - 1))
+        # t0 at the midpoint of T, off-centre, or near an end (a / b = 1e-3 or 1e3)
+        half = data.draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+        ratio = data.draw(st.sampled_from([1.0, 1 / 3, 3.0, 1e-3, 1e3]))
+        dom = Domain(data.draw(st.sampled_from([0.0, 0.3, -1.0])), half * min(ratio, 1.0),
+                     half / max(ratio, 1.0))
+        n_p = data.draw(st.integers(1, 4))
+        P = data.draw(hnp.arrays(np.float64, (1, 1, n_p), elements=STEP_COEFFICIENTS))
+        for gap, norm in chain_gaps(dom, d, gamma, P, j, 20):
+            assert gap <= self.CHAIN_BOUND[d] * norm
+
+    # (d, gamma, j, the largest relative gap of a step that folds with cheb_integral)
+    @pytest.mark.parametrize("d, gamma, j, folded_gap", [
+        (1, 0, 0, 1.06e-12), (2, 0, 0, 1.24e-6), (2, 0, 1, 2.66e-6), (2, 1, 1, 4.03e-12)])
+    def test_the_catalog_chains_stay_as_near_as_before(self, d, gamma, j, folded_gap):
+        """The mu chains of the catalog's heat and transport (d = 1), wave and
+        dt2_dx (d = 2) and mixed_dt_dx (d = 2, gamma = 1) at a = 1 on
+        [-0.25, 0.25], 20 steps: no step's gap exceeds the largest that folding
+        with cheb_integral gives.  This step's largest are 8.2e-13, 6.2e-7,
+        1.2e-6 and 1.1e-12."""
+        dom = Domain(0.0, 0.25, 0.25)
+        for gap, norm in chain_gaps(dom, d, gamma, np.array([[[1.0]]]), j, 20):
+            assert gap <= folded_gap * norm
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1320,6 +1381,30 @@ class TestLinearStep:
             y = pp.apply_P(problem, y, problem.i0)
         assert len(calls) == 1
 
+    def test_the_operator_is_built_once_per_problem(self, monkeypatch):
+        problem = linear_class_problem("cos(t)*Dx2(y1)+x1")
+        builds = []
+
+        class Counted(LinearStep):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(pp.fs, "LinearStep", Counted)
+        y = problem.first_iterate
+        for _ in range(3):
+            y = pp.apply_P(problem, y, problem.i0)
+        ls.mu_eta_recursions(ls.LinearProblem.from_cauchy(problem), 6)
+        assert len(builds) == 1
+
+    def test_the_operator_is_freed_with_its_problem(self):
+        problem = linear_class_problem("cos(t)*Dx2(y1)+x1")
+        pp.apply_P(problem, problem.i0, problem.i0)
+        ref = weakref.ref(problem.linear_step)
+        del problem
+        gc.collect()
+        assert ref() is None
+
     def test_solve_stops_at_the_degree_cap(self):
         """cos(t) has 17 t-coefficients on the default T; a step of a degree-120
         iterate passes DEGREE_CAP and raises, as iterated_time_integral does."""
@@ -1331,7 +1416,7 @@ class TestLinearStep:
         with pytest.raises(FuncSpaceError, match=f"degree cap {DEGREE_CAP} exceeded"):
             pp.apply_P(problem, y, problem.i0)
         # the step alone only records its cut, which the closed form keeps
-        _, cut = pp._linear_step(problem.domain, 1, problem.linear_data[0], coeffs, (0, 1))
+        _, cut = problem.linear_step(coeffs, (1,))
         assert cut
 
     def test_overflow_raises_without_a_warning(self):
@@ -1341,4 +1426,4 @@ class TestLinearStep:
         dom = Domain(0.0, 1.0, 1.0, ((-1.0, 1.0),))
         with np.errstate(all="raise"):
             with pytest.raises(NonFiniteCoefficients):
-                pp._linear_step(dom, 1, P, coef, (0, 1))
+                LinearStep(dom, 1, P, 0)(coef, (1,))

@@ -2,6 +2,7 @@
 
     python3 tools/same_reports.py OLD_ROOT NEW_ROOT
     python3 tools/same_reports.py OLD_ROOT NEW_ROOT --workload burgers-1d --seed 0
+    python3 tools/same_reports.py OLD_ROOT NEW_ROOT --rule tools/rules/roundoff.json
 
 Runs every command of the benchmark workloads (default: all three, seeds 0
 and 1) once per tree, in one fresh interpreter per tree with
@@ -35,12 +36,20 @@ prints how far it moved: its largest relative move of a number,
 each with the path of that number, and apart from that the paths of the
 differences that are not numeric (keys, list lengths, strings, bools, null,
 empty cells).
+
+With ``--rule FILE`` a report may move within the rule the file states
+(see load_rule and tools/rules/): each moved report is still named, and
+every number that moved outside the rule, and every difference that is not
+numeric, is printed with its path.  The exit code is then 1 only for those,
+and for a command whose exit code, standard output or standard error
+differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import fnmatch
 import io
 import json
 import math
@@ -290,9 +299,103 @@ def describe_move(name: str, old: bytes, new: bytes) -> str:
     return f"{name}: contents differ: " + ("; ".join(parts) or "only in formatting")
 
 
-def compare(old_root: Path, new_root: Path, names: list[str], seeds: list[int]) -> list[str]:
-    """Lines naming every difference between the two trees' runs."""
-    diffs = []
+RULE_CLASSES = ("exact", "absolute", "relative_to_list", "relative")
+
+
+def load_rule(path: Path) -> dict:
+    """A rule file: which move each number of a report may make.
+
+    A JSON object with two maps, each from a pattern to a class:
+    ``"json"`` from path patterns of JSON reports, ``"norms_csv"`` from
+    column names of norms.csv tables.  A class is ``"exact"`` or a one-key
+    object: ``{"absolute": tol}`` (|old - new| <= tol), ``{"relative": tol}``
+    (<= tol * max(|old|, |new|)) or ``{"relative_to_list": tol}`` (<= tol
+    times the largest |entry| of the list that holds the number, old or
+    new; for a norms.csv table, its column).  A path pattern is matched one
+    "/"-separated segment at a time, each with fnmatch, and ``**`` stands
+    for any number of segments.  The first pattern that matches decides; a
+    number that none matches is exact.  Other keys (an ``"about"`` text)
+    are not read.
+    """
+    rule = json.loads(path.read_text())
+    for section in ("json", "norms_csv"):
+        for pattern, cls in rule.get(section, {}).items():
+            name, tol = rule_class(cls)
+            if name not in RULE_CLASSES or not tol >= 0:
+                raise ValueError(f"{path}: {section} pattern {pattern!r}: bad class {cls!r}")
+    return rule
+
+
+def rule_class(cls) -> tuple[str, float]:
+    if isinstance(cls, dict) and len(cls) == 1:
+        (name, tol), = cls.items()
+        return name, float(tol)
+    return cls, 0.0
+
+
+def path_matches(pattern: str, path: str) -> bool:
+    def match(pat: list[str], seg: list[str]) -> bool:
+        if not pat:
+            return not seg
+        if pat[0] == "**":
+            return any(match(pat[1:], seg[i:]) for i in range(len(seg) + 1))
+        return bool(seg) and fnmatch.fnmatchcase(seg[0], pat[0]) and match(pat[1:], seg[1:])
+
+    return match(pattern.split("/"), path.split("/"))
+
+
+def holding_list(doc, path: str) -> list | None:
+    """The list that directly holds the value at ``path``, or None."""
+    *parents, _ = path.split("/")[1:]
+    for key in parents:
+        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+    return doc if isinstance(doc, list) else None
+
+
+def largest_entry(*lists) -> float:
+    return max((abs(v) for values in lists for v in values
+                if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)),
+               default=0.0)
+
+
+def breaches(name: str, old: bytes, new: bytes, rule: dict) -> list[str]:
+    """Lines naming every difference of report ``name`` that ``rule`` does not allow."""
+    csv = name.endswith(".norms.csv")
+    try:
+        if csv:
+            old_doc, new_doc = norms_table(old.decode()), norms_table(new.decode())
+        else:
+            old_doc, new_doc = json.loads(old), json.loads(new)
+    except ValueError:
+        return [f"{name}: contents differ"]
+    moved, other = json_differences(old_doc, new_doc)
+    out = [f"{name}: outside the rule at {at}" for at in other]
+    for at, a, b in moved:
+        if csv:
+            key, patterns = at.rsplit("/", 1)[1], rule.get("norms_csv", {})
+            scale_lists = [[row.get(key) for row in doc["rows"]] for doc in (old_doc, new_doc)]
+        else:
+            key, patterns = at, rule.get("json", {})
+            scale_lists = [holding_list(doc, at) or [] for doc in (old_doc, new_doc)]
+        match = next((p for p in patterns if
+                      (fnmatch.fnmatchcase(key, p) if csv else path_matches(p, key))), None)
+        cls, tol = rule_class(patterns[match]) if match is not None else ("exact", 0.0)
+        scale = {"absolute": 1.0, "relative": max(abs(a), abs(b)),
+                 "relative_to_list": largest_entry(*scale_lists) or max(abs(a), abs(b))}.get(cls)
+        if scale is None or not abs(a - b) <= tol * scale:
+            allowed = cls if cls == "exact" else f"{cls} {tol:g}"
+            out.append(f"{name}: outside the rule at {at}: {a!r} -> {b!r} ({allowed})")
+    return out
+
+
+def compare(old_root: Path, new_root: Path, names: list[str], seeds: list[int],
+            rule: dict | None = None) -> list[str]:
+    """Lines naming every difference between the two trees' runs that ``rule`` does not allow.
+
+    Without a rule every difference counts.  With one, a report that moved
+    within it is named on standard output and counts for nothing.
+    """
+    diffs, within = [], []
     with tempfile.TemporaryDirectory(prefix="same_reports_") as tmp:
         work = Path(tmp) / "run"
         runs, files = [], []
@@ -315,10 +418,19 @@ def compare(old_root: Path, new_root: Path, names: list[str], seeds: list[int]) 
         if name not in new_files or name not in old_files:
             diffs.append(f"{name}: file only in the {'new' if name in new_files else 'old'} tree")
         elif old_files[name] != new_files[name]:
-            diffs.append(describe_move(name, old_files[name], new_files[name]))
+            line = describe_move(name, old_files[name], new_files[name])
+            outside = [] if rule is None else breaches(name, old_files[name], new_files[name], rule)
+            if rule is None or outside:
+                diffs += [line, *outside]
+            else:
+                within.append(line)
+    summary = (f"{len(old_files)} report files, commands run: {len(old_cmds)} "
+               f"({', '.join(names)}; seeds {', '.join(map(str, seeds))})")
+    if within:
+        print("\n".join(f"within the rule: {line}" for line in within))
     if not diffs:
-        print(f"identical: {len(old_files)} report files, commands run: {len(old_cmds)} "
-              f"({', '.join(names)}; seeds {', '.join(map(str, seeds))})")
+        print(f"{'within the rule' if within else 'identical'}: {summary}"
+              + (f"; {len(within)} moved" if within else ""))
     return diffs
 
 
@@ -329,6 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", nargs="+", choices=workloads.WORKLOADS,
                         default=list(workloads.WORKLOADS))
     parser.add_argument("--seed", nargs="+", type=int, default=[0, 1])
+    parser.add_argument("--rule", type=Path, help="a rule file of allowed report moves")
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
@@ -339,7 +452,9 @@ def main(argv: list[str] | None = None) -> int:
     for root in (args.old_root, args.new_root):
         if not (root / "src" / "picard_lod" / "cli.py").is_file():
             parser.error(f"no picard_lod sources under {root / 'src'}")
-    diffs = compare(args.old_root.resolve(), args.new_root.resolve(), args.workload, args.seed)
+    rule = None if args.rule is None else load_rule(args.rule)
+    diffs = compare(args.old_root.resolve(), args.new_root.resolve(), args.workload, args.seed,
+                    rule)
     for line in diffs:
         print(line)
     return 1 if diffs else 0
