@@ -7,17 +7,18 @@ coefficients.  Every derivative comes from one derivative chain over
 coefficient arrays (_derivative_chain), one cheb_derivative step per
 multi-index, with no SepFunc per derivative; grid_derivatives evaluates
 them on grids, on the whole grid or on a block of its t-rows, and
-partial_derivative wraps one in a SepFunc.  The linear class's step
-I_d[p . D^mu d_t^gamma .] is coefficient arithmetic too: one LinearStep
-per problem, a matrix in t built once and sliced.  Every grid evaluation
-(SepFunc.eval_grid, grid_derivatives, the graded norms) is one evaluator,
-_grid_evaluator, whose values for a t-row do not depend on the block of
-rows that computed them, bit for bit, so a large grid of two or more x
-axes can be walked in blocks without holding a derivative at full size.
-The graded seminorms take the sup of partial derivatives on a dense
-sampling grid (the grid density is part of every reported norm), a lower
-bound on the exact sup, and graded_norms_upper bounds them from above by
-coefficient sums.
+partial_derivative wraps one in a SepFunc.  The graded norms, which read
+every multi-index up to an order, sweep by derivative Vandermonde matrices
+instead.  The linear class's step I_d[p . D^mu d_t^gamma .] is
+coefficient arithmetic too: one LinearStep per problem, a matrix in t
+built once and sliced.  Every grid evaluation is one _contract call per
+axis; SepFunc.eval_grid and grid_derivatives go through _grid_evaluator,
+whose values for a t-row do not depend on the block of rows that computed
+them, bit for bit, so a large grid of two or more x axes can be walked in
+blocks without holding a derivative at full size.  The graded seminorms
+take the sup of partial derivatives on a dense sampling grid (the grid
+density is part of every reported norm), a lower bound on the exact sup,
+and graded_norms_upper bounds them from above by coefficient sums.
 Every grid sup of the program is one sup_abs call, and expressions see the
 coordinates of a tensor grid as open (broadcasting) axes, from
 grid_bindings.  The Chebyshev-Vandermonde matrices of grid evaluation and
@@ -183,43 +184,78 @@ def _axis_to_front(ndim: int, axis: int) -> tuple[tuple[int, ...], tuple[int, ..
     return (axis, *range(axis), *rest), (*range(1, axis + 1), 0, *rest)
 
 
-def _grid_evaluator(
-    f: SepFunc, pts: Sequence[np.ndarray]
-) -> Callable[..., np.ndarray]:
-    """evaluate(coeffs, rows=slice(None)): values on t-rows of the tensor grid of pts.
-
-    coeffs is any coefficient tensor no larger than f's.  Each axis uses
-    one Chebyshev-Vandermonde matrix at f's degree, taken from a bounded
-    per-process cache (_grid_vander) keyed on the exact mapped points, and
-    read-only; a tensor of n coefficients on that axis uses its leading n
-    columns, which the recurrence builds in order, so they equal
-    chebvander(u, n - 1) bit for bit.
-
-    The t axis is contracted on the whole t grid in one gemm, of shape
-    (t points, coefficients) by (coefficients, m * x coefficients).  Its
-    output is small, and a tensor evaluated on several row blocks is
-    contracted once: the evaluator keeps it while it lives.  The x axes are
-    then contracted on the requested t-rows alone, in order, each by one
-    np.matmul over the stacked (component, t-row, earlier x) slices, whose
-    shapes do not depend on how many rows there are: V times a matrix on
-    every axis but the last, a matrix times V.T on the last.  Every slice
-    is one BLAS call of fixed shape, so the values of a t-row do not depend
-    on the block that computed them, bit for bit, whatever the kernel's
-    tiling.  The products are written into new C-ordered arrays, so the
-    result is a new C-contiguous array, (m, rows, X1, ..., Xs), made with
-    no transpose copies.  A grid of one x axis is small (at most 513^2
-    points), and a product per t-row would there be a gemv per row, about
-    twice as slow as one gemm: its x axis is one gemm on the whole grid
-    too, kept like the t contraction, and the result is a view of the
-    whole-grid values, read-only for a block of rows.
-    """
+def _axis_vanders(f: SepFunc, pts: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The cached, read-only Chebyshev-Vandermonde matrix of each axis at f's degree on pts."""
     if len(pts) != 1 + f.domain.s:
         raise FuncSpaceError("grid rank does not match spatial dimension")
     vanders = []
     for u, iv, n in zip(pts, f.domain.intervals(), f.coeffs.shape[1:]):
         u = _to_unit(u, iv)
         vanders.append(_grid_vander(u.tobytes(), u.dtype.str, n))
-    V_t, *V_x = vanders
+    return vanders
+
+
+def _contract(vals: np.ndarray, V: np.ndarray, axis: int, s: int) -> np.ndarray:
+    """Axis ``axis`` (0 is t) of vals taken to grid values by V's leading columns, in one call.
+
+    The t axis of (m, n, n1, ..., ns) is one np.dot on the whole t grid,
+    into (T, m, n1, ..., ns); with one x axis, (T, m, n1) goes to
+    (T, m, X1) by one np.dot too.  With two or more, x axis i of
+    (m, R, X1, ..., n_i, ..., ns) ((R, m, ...) for i = 1) is one np.matmul
+    over (component, t-row, earlier x) slices whose shape does not depend
+    on R, into a new C-ordered array.
+    """
+    if axis == 0:
+        m, n, *sizes = vals.shape
+        flat = vals.transpose(1, 0, *range(2, vals.ndim)).reshape(n, -1)
+        return np.dot(V[:, :n], flat).reshape(len(V), m, *sizes)
+    if s == 1:
+        T, m, n = vals.shape
+        flat = vals.transpose(2, 1, 0).reshape(n, -1)
+        return np.dot(V[:, :n], flat).reshape(-1, m, T).transpose(2, 1, 0)
+    if axis == 1:
+        vals = vals.swapaxes(0, 1)
+    m, R, *shape = vals.shape
+    n, earlier = shape[axis - 1], math.prod(shape[:axis - 1])
+    if axis < s:
+        later = math.prod(shape[axis:])
+        out = np.matmul(V[:, :n], vals.reshape(m, R, earlier, n, later),
+                        out=np.empty((m, R, earlier, len(V), later)))
+    else:
+        out = np.matmul(vals.reshape(m, R, earlier, n), V[:, :n].T,
+                        out=np.empty((m, R, earlier, len(V))))
+    return out.reshape(m, R, *shape[:axis - 1], len(V), *shape[axis:])
+
+
+def _grid_evaluator(
+    f: SepFunc, pts: Sequence[np.ndarray]
+) -> Callable[..., np.ndarray]:
+    """evaluate(coeffs, rows=slice(None)): values on t-rows of the tensor grid of pts.
+
+    coeffs is any coefficient tensor no larger than f's.  Each axis uses
+    one Chebyshev-Vandermonde matrix at f's degree (_axis_vanders); a
+    tensor of n coefficients on that axis uses its leading n columns, which
+    the recurrence builds in order, so they equal chebvander(u, n - 1) bit
+    for bit.  Each axis is one _contract call.
+
+    The t axis is contracted on the whole t grid in one gemm, of shape
+    (t points, coefficients) by (coefficients, m * x coefficients).  Its
+    output is small, and a tensor evaluated on several row blocks is
+    contracted once: the evaluator keeps it while it lives.  The x axes are
+    then contracted on the requested t-rows alone, in order, each by one
+    np.matmul over stacked slices whose shapes do not depend on how many
+    rows there are.  Every slice is one BLAS call of fixed shape, so the
+    values of a t-row do not depend on the block that computed them, bit
+    for bit, whatever the kernel's tiling.  The result is a new
+    C-contiguous array, (m, rows, X1, ..., Xs), made with no transpose
+    copies.  A grid of one x axis is small (at most 513^2 points), and a
+    product per t-row would there be a gemv per row, about twice as slow as
+    one gemm: its x axis is one gemm on the whole grid too, kept like the t
+    contraction, and the result is a view of the whole-grid values,
+    read-only for a block of rows.
+    """
+    V_t, *V_x = _axis_vanders(f, pts)
+    s = len(V_x)
     kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def whole_grid(coeffs: np.ndarray) -> np.ndarray:
@@ -227,35 +263,22 @@ def _grid_evaluator(
         hit = kept.get(id(coeffs))
         if hit is not None and hit[0] is coeffs:
             return hit[1]
-        m, n, *sizes = coeffs.shape
-        flat = coeffs.transpose(1, 0, *range(2, coeffs.ndim)).reshape(n, -1)
-        out = np.dot(V_t[:, :n], flat).reshape(len(V_t), m, *sizes)
-        if len(V_x) == 1:
-            flat = out.transpose(2, 1, 0).reshape(sizes[0], -1)
-            out = np.dot(V_x[0][:, :sizes[0]], flat).reshape(-1, m, len(V_t)).transpose(2, 1, 0)
-        return out
+        out = _contract(coeffs, V_t, 0, s)
+        return _contract(out, V_x[0], 1, s) if s == 1 else out
 
     def evaluate(coeffs: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         part = whole_grid(coeffs)
         if rows != slice(None):
             kept[id(coeffs)] = (coeffs, part)
-        out = part[rows].swapaxes(0, 1)
-        if len(V_x) <= 1:
+        out = part[rows]
+        if s <= 1:
+            out = out.swapaxes(0, 1)
             if rows != slice(None):
                 out.flags.writeable = False  # later blocks read the kept values
             return out
-        m, R, *sizes = out.shape
-        grid = [len(V) for V in V_x]
-        # x axes but the last, first to last: V_i times each (n_i, later
-        # coefficients) slice
-        for i, V in enumerate(V_x[:-1]):
-            lead, later = math.prod(grid[:i]), math.prod(sizes[i + 1:])
-            out = np.matmul(V[:, :sizes[i]], out.reshape(m, R, lead, sizes[i], later),
-                            out=np.empty((m, R, lead, grid[i], later)))
-        # the last: each (earlier grid points, n_s) slice times V_s.T
-        out = np.matmul(out.reshape(m, R, -1, sizes[-1]), V_x[-1][:, :sizes[-1]].T,
-                        out=np.empty((m, R, math.prod(grid[:-1]), grid[-1])))
-        return out.reshape(m, R, *grid)
+        for axis, V in enumerate(V_x, start=1):
+            out = _contract(out, V, axis, s)
+        return out
 
     return evaluate
 
@@ -669,11 +692,12 @@ class LinearStep:
     it.  P holds p(t), an m-by-m matrix, as (row, column, t-coefficient).  A
     tensor is laid out as a SepFunc's coefficients: component, t, then the
     other axes, of which mu differentiates the leading ones by
-    cheb_derivative (D^mu commutes with the step).  In t the step is
-    linear, and the image of T_i does not depend on the input's length, so
-    one matrix, sliced, serves every input: d_t^gamma, then p(t) through
-    T_a T_i = (T_{a+i} + T_{|a-i|}) / 2 (Toeplitz plus Hankel), cut at
-    DEGREE_CAP in t.  It is built at four times the t-length of the first
+    cheb_derivative (D^mu commutes with the step; its matrix rounds
+    otherwise, and moved the reports past tools/rules/roundoff.json).  In t
+    the step is linear, and the image of T_i does not depend on the input's
+    length, so one matrix, sliced, serves every input: d_t^gamma, then p(t)
+    through T_a T_i = (T_{a+i} + T_{|a-i|}) / 2 (Toeplitz plus Hankel), cut
+    at DEGREE_CAP in t.  It is built at four times the t-length of the first
     input longer than it serves, and applied as one 2-D product over
     (component and t, everything else).  The d-fold integral from t0
     stays one fold at a time, as in cheb_integral: the banded fold of
@@ -903,14 +927,45 @@ def graded_indices(k_max: int, s: int, t_max: int) -> list[tuple[int, ...]]:
 
 
 def graded_norms_upto(f: SepFunc, k_max: int, *, p: int | None = None) -> np.ndarray:
-    """Vector of graded norms for k = 0..k_max in one sweep."""
-    betas = graded_indices(k_max, f.domain.s, f.p if p is None else p)
+    """Vector of graded norms for k = 0..k_max in one sweep over the norm grid.
+
+    Per axis, V^(j) = V^(j-1)[:, :n-1] D holds d^j T_0, ..., d^j T_{n-1} on
+    the grid, from the evaluator's V^(0) and cheb_derivative's one-step
+    matrix D.  An explicit stack walks the multi-indices axis by axis, t
+    first: each prefix (beta_t, beta_1, ...) is contracted once (_contract)
+    and shared by its children, and the last axis takes one product, then
+    its sup, per beta.  Orders past an axis's degree are skipped.  At
+    beta = 0 the matrices and calls are the evaluator's, so every k = 0
+    norm is its grid sup bit for bit.  Non-finite values raise
+    NonFiniteCoefficients.
+    """
+    s, t_max = f.domain.s, f.p if p is None else p
+    vanders = []  # per axis: V^(0), V^(1), ... up to the highest order swept
+    for axis, (V, n, iv) in enumerate(zip(_axis_vanders(f, norm_grid(f)), f.coeffs.shape[1:],
+                                          f.domain.intervals())):
+        top = min(k_max, n - 1, t_max if axis == 0 else k_max)
+        D = cheb_derivative(np.eye(n), 1, scl=1.0 / _halfwidth(iv)) if top else None
+        orders = [V]
+        for _ in range(top):
+            orders.append((D.T @ orders[-1][:, :len(D)].T).T)  # column-major, as chebvander's
+        vanders.append(orders)
     best = np.zeros(k_max + 1)
-    for beta, vals in grid_derivatives(f)(betas, norm_grid(f)):
+    # (beta through its last axis, the tensor contracted by beta's orders on the axes before it)
+    stack = [((j,), f.coeffs) for j in reversed(range(len(vanders[0])))]
+    while stack:
+        beta, parent = stack.pop()
+        axis, k = len(beta) - 1, sum(beta)
+        vals = _contract(parent, vanders[axis][beta[-1]], axis, s)
+        if axis < s:
+            orders = range(min(k_max - k + 1, len(vanders[axis + 1])))
+            stack += [((*beta, j), vals) for j in reversed(orders)]
+            continue
+        # vals stays bound while the next product is made: freed first, its
+        # pages went back to the system, and came back as page faults
         sup = sup_abs(vals)
         if not math.isfinite(sup):
             raise NonFiniteCoefficients("non-finite derivative values on norm grid")
-        best[sum(beta):] = np.maximum(best[sum(beta):], sup)
+        best[k:] = np.maximum(best[k:], sup)
     return best
 
 

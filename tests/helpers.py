@@ -1,12 +1,12 @@
 """Shared test oracles: finite-difference derivatives, bisection roots, the
 numpy formulas that Chebyshev derivatives, grid values, padding and trimming
-must match bit for bit, the whole-grid forms of the right-hand side, of
-eval_G and of residual that the blocked ones must match bit for bit, random
-members of a ball around the initial polynomial, products of functions in
-coefficient space, the linear-class step in exact rational arithmetic, a
-quadrature of the literal contraction-constant recursion, the refusal of an
-F without certified Lipschitz factors, and the problem-file format as a
-JSON Schema."""
+must match bit for bit, the graded norms one multi-index at a time, the
+whole-grid forms of the right-hand side, of eval_G and of residual that the
+blocked ones must match bit for bit, random members of a ball around the
+initial polynomial, products of functions in coefficient space, the
+linear-class step in exact rational arithmetic, a quadrature of the literal
+contraction-constant recursion, the refusal of an F without certified
+Lipschitz factors, and the problem-file format as a JSON Schema."""
 
 from __future__ import annotations
 
@@ -107,6 +107,22 @@ def rowwise_eval_grid(coeffs: np.ndarray, intervals, grids) -> np.ndarray:
             w = np.dot(w.reshape(-1, sizes[-1]), V_x[-1].T)
             out[c, r] = w.reshape(grid)
     return out
+
+
+def chain_graded_norms(f, k_max: int, *, p: int | None = None) -> np.ndarray:
+    """Graded norms for k = 0..k_max, one multi-index at a time.
+
+    For each beta of graded_indices, the sup over norm_grid(f) of
+    grid_derivatives' values of D^beta f, whose coefficients come from the
+    derivative chain, one cheb_derivative step per multi-index.
+    """
+    from picard_lod import funcspace as fs
+
+    betas = fs.graded_indices(k_max, f.domain.s, f.p if p is None else p)
+    best = np.zeros(k_max + 1)
+    for beta, vals in fs.grid_derivatives(f)(betas, fs.norm_grid(f)):
+        best[sum(beta):] = np.maximum(best[sum(beta):], fs.sup_abs(vals))
+    return best
 
 
 def np_pad_to_common(*arrays: np.ndarray) -> list[np.ndarray]:
