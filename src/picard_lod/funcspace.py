@@ -2,28 +2,33 @@
 
 A SepFunc stores, per component, a tensor of Chebyshev-series coefficients
 over the time interval and each spatial interval (all affinely mapped to
-[-1, 1]).  Differentiation and nested time integration act exactly on
-coefficients.  Every derivative comes from one derivative chain over
-coefficient arrays (_derivative_chain), one cheb_derivative step per
-multi-index, with no SepFunc per derivative; grid_derivatives evaluates
-them on grids, on the whole grid or on a block of its t-rows, and
-partial_derivative wraps one in a SepFunc.  The graded norms, which read
-every multi-index up to an order, sweep by derivative Vandermonde matrices
-instead.  The linear class's step I_d[p . D^mu d_t^gamma .] is
-coefficient arithmetic too: one LinearStep per problem, a matrix in t
-built once and sliced.  Every grid evaluation is one _contract call per
-axis; SepFunc.eval_grid and grid_derivatives go through _grid_evaluator,
-whose values for a t-row do not depend on the block of rows that computed
-them, bit for bit, so a large grid of two or more x axes can be walked in
-blocks without holding a derivative at full size.  The graded seminorms
-take the sup of partial derivatives on a dense sampling grid (the grid
-density is part of every reported norm), a lower bound on the exact sup,
-and graded_norms_upper bounds them from above by coefficient sums.
-Every grid sup of the program is one sup_abs call, and expressions see the
-coordinates of a tensor grid as open (broadcasting) axes, from
-grid_bindings.  The Chebyshev-Vandermonde matrices of grid evaluation and
-of values-to-coefficients fits come from bounded per-process caches keyed
-on the exact points, and are read-only, since every caller shares them.
+[-1, 1]).  Differentiation and nested time integration act on
+coefficients.  Every nested time integral from t0 (iterated_time_integral,
+so the collocated Picard step and the forcing; LinearStep's step; the
+Taylor factors (t - t0)^j / j! of the initial polynomial) is one banded
+fold per order, _fold, whose columns come from a bounded per-process cache
+keyed on the domain and the length.  Every derivative comes from one
+derivative chain over coefficient arrays (_derivative_chain), one
+cheb_derivative step per multi-index, with no SepFunc per derivative;
+grid_derivatives evaluates them on grids, on the whole grid or on a block
+of its t-rows, and partial_derivative wraps one in a SepFunc.  The graded
+norms, which read every multi-index up to an order, sweep by derivative
+Vandermonde matrices instead.  The linear class's step I_d[p . D^mu
+d_t^gamma .] is coefficient arithmetic too: one LinearStep per problem, a
+matrix in t built once and sliced.  Every grid evaluation is one _contract
+call per axis; SepFunc.eval_grid and grid_derivatives go through
+_grid_evaluator, whose values for a t-row do not depend on the block of
+rows that computed them, bit for bit, so a large grid of two or more x
+axes can be walked in blocks without holding a derivative at full size.
+The graded seminorms take the sup of partial derivatives on a dense
+sampling grid (the grid density is part of every reported norm), a lower
+bound on the exact sup, and graded_norms_upper bounds them from above by
+coefficient sums.  Every grid sup of the program is one sup_abs call, and
+expressions see the coordinates of a tensor grid as open (broadcasting)
+axes, from grid_bindings.  The Chebyshev-Vandermonde matrices of grid
+evaluation and of values-to-coefficients fits come from bounded
+per-process caches keyed on the exact points, and are read-only, since
+every caller shares them.
 
 Every sampling grid of the program is built here, and its sizes are
 module constants, not options.  The norm grid (norm_grid) is the Chebyshev
@@ -73,7 +78,6 @@ __all__ = [
     "grid_derivatives",
     "iterated_time_integral",
     "cheb_derivative",
-    "cheb_integral",
     "LinearStep",
     "graded_norm",
     "graded_norms_upto",
@@ -112,6 +116,9 @@ class Domain:
             raise FuncSpaceError("time half-widths a, b must be positive")
         S = tuple((float(lo), float(hi)) for lo, hi in self.S)
         object.__setattr__(self, "S", S)
+        ends = (self.t0, self.a, self.b, *self.t_interval, *(x for iv in S for x in iv))
+        if not all(map(math.isfinite, ends)):
+            raise FuncSpaceError("domain bounds must be finite")
         for lo, hi in S:
             if not lo < hi:
                 raise FuncSpaceError(f"empty spatial interval [{lo}, {hi}]")
@@ -635,7 +642,7 @@ def cheb_derivative(coef: np.ndarray, m: int, *, scl: float, axis: int = 0) -> n
     step j ran.  Every element sees the same operations in the same order.
     An order past the degree gives zeros of length one on the axis (numpy
     gives coef[:1] * 0, which is -0.0 where coef[0] < 0); order 0 returns
-    coef itself.  The twin of cheb_integral.
+    coef itself.
     """
     if m == 0:
         return coef
@@ -657,31 +664,58 @@ def cheb_derivative(coef: np.ndarray, m: int, *, scl: float, axis: int = 0) -> n
     return c.transpose(back)
 
 
-def _integral_bands(n: int, *, scl: float) -> tuple[np.ndarray, np.ndarray]:
-    """One fold of cheb_integral on coefficient vectors of length n, up to its constant term.
+@lru_cache(maxsize=64)
+def _fold_columns(domain: Domain, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of _fold on domain's T, for folds whose results have t-length n at most.
 
-    The fold is the (n + 1, n) banded matrix that takes T_0 to scl T_1, T_1
-    to scl T_2 / 4 and T_j, j >= 2, to scl (T_{j+1} / (2(j+1)) -
-    T_{j-1} / (2(j-1))).  Returned are its two nonzero diagonals, ``below``
-    (entry j at row j + 1, column j) and ``above`` (entry k at row k,
-    column k + 1; above[0] is 0, so row 0 is zero).  The integral from lbnd
-    then sets the constant term to minus sum_j T_j(lbnd) c_j of the result,
-    as cheb_integral does with a chebval.
+    One fold is the banded matrix that takes T_0 to scl T_1, T_1 to
+    scl T_2 / 4 and T_j, j >= 2, to scl (T_{j+1} / (2(j+1)) -
+    T_{j-1} / (2(j-1))), scl the half-width of T.  Returned are its two
+    nonzero diagonals, ``below`` (entry j at row j + 1, column j) and
+    ``above`` (entry k at row k, column k + 1; above[0] is 0, so row 0 is
+    zero), each of length n - 1, and T_0(u0), ..., T_{n-1}(u0) by the
+    three-term recurrence (exact at u0 in {0, +-1}), u0 the image of t0 in
+    [-1, 1].  All three are columns (shape (length, 1)), to scale the t-rows
+    of a (component, t, rest) array.  Every caller shares them, so they are
+    read-only.
     """
-    j = np.arange(n, dtype=float)
+    lo, hi = domain.t_interval
+    scl = (hi - lo) / 2
+    j = np.arange(n - 1, dtype=float)
     below = scl / (2 * j + 2)
     below[0] = scl
-    above = np.zeros(n)
+    above = np.zeros(n - 1)
     above[1:] = -scl / (2 * j[1:])
-    return below, above
-
-
-def _basis_at(x: float, n: int) -> np.ndarray:
-    """T_0(x), ..., T_{n-1}(x) by the three-term recurrence, exact at x in {0, +-1}."""
-    out = [1.0, x]
+    u0 = (2 * domain.t0 - lo - hi) / (hi - lo)
+    at_u0 = [1.0, u0]
     for _ in range(n - 2):
-        out.append(2 * x * out[-1] - out[-2])
-    return np.array(out[:n])
+        at_u0.append(2 * u0 * at_u0[-1] - at_u0[-2])
+    columns = below, above, np.array(at_u0[:n])
+    for col in columns:
+        col.setflags(write=False)
+    return tuple(col[:, None] for col in columns)
+
+
+def _fold(c: np.ndarray, columns: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """One fold of the integral from t0 of c, laid out (component, t, rest).
+
+    The banded fold by ``columns`` (_fold_columns at the result's t-length
+    or more), then the constant term minus sum_j T_j(u0) c_j, summed from
+    the highest j down (a reversed cumulative sum along t).  A fold of the
+    zero constant stays of length 1.  c is overwritten: it holds the fold's
+    terms, so that a fold allocates only its result.
+    """
+    below, above, at_u0 = columns
+    m, r, x = c.shape
+    if r == 1 and not c.any():
+        return np.zeros_like(c)
+    out = np.empty((m, r + 1, x))
+    np.multiply(below[:r], c, out=out[:, 1:])
+    c[:, 2:] *= above[1 : r - 1]
+    out[:, 1 : r - 1] += c[:, 2:]
+    np.multiply(at_u0[r:0:-1], out[:, :0:-1], out=c)
+    out[:, 0] = 0.0 - np.cumsum(c, axis=1, out=c)[:, -1]
+    return out
 
 
 class LinearStep:
@@ -699,19 +733,13 @@ class LinearStep:
     through T_a T_i = (T_{a+i} + T_{|a-i|}) / 2 (Toeplitz plus Hankel), cut
     at DEGREE_CAP in t.  It is built at four times the t-length of the first
     input longer than it serves, and applied as one 2-D product over
-    (component and t, everything else).  The d-fold integral from t0
-    stays one fold at a time, as in cheb_integral: the banded fold of
-    _integral_bands, then the constant term minus sum_j T_j(lbnd) c_j,
-    summed from the highest j down (a reversed cumulative sum along t),
-    with T_j(lbnd) from the three-term recurrence; a fold of the zero
-    constant stays of length 1.  Against the exact-rational chain, this
-    form keeps chains of steps as near as cheb_integral did
-    (tests/test_picard_pde.py, TestLinearStep).
+    (component and t, everything else).  The d-fold integral from t0 is
+    d calls of _fold, as in iterated_time_integral.
     """
 
     def __init__(self, domain: Domain, d: int, P: np.ndarray, gamma: int):
         self.domain, self.d, self.P, self.gamma = domain, d, P, gamma
-        self._n = 0  # the longest input t-length the matrices serve
+        self._n = 0  # the longest input t-length the matrix serves
 
     def _rows(self, n: int) -> tuple[int, bool]:
         """The product's t-length for input t-length n, and whether DEGREE_CAP cut it."""
@@ -732,28 +760,7 @@ class LinearStep:
         rows, _ = self._rows(n)
         op = prod[:, :, :rows] if self.gamma == 0 else prod[:, :, :rows] @ der
         self._op = np.ascontiguousarray(op.transpose(0, 2, 1, 3))  # (h, r, l, i)
-        # the bands and T_j(lbnd) as columns, to scale the rows of (component, t, rest)
-        bands = _integral_bands(rows + self.d - 1, scl=(hi - lo) / 2)
-        self._below, self._above = (band[:, None] for band in bands)
-        self._at_lbnd = _basis_at((2 * self.domain.t0 - lo - hi) / (hi - lo), rows + self.d)[:, None]
         self._n = n
-
-    def _fold(self, c: np.ndarray) -> np.ndarray:
-        """One fold of the integral from t0 of c, laid out (component, t, rest).
-
-        c is overwritten: it holds the fold's terms, so that a fold allocates
-        only its result.
-        """
-        m, r, x = c.shape
-        if r == 1 and not c.any():
-            return np.zeros_like(c)
-        out = np.empty((m, r + 1, x))
-        np.multiply(self._below[:r], c, out=out[:, 1:])
-        c[:, 2:] *= self._above[1 : r - 1]
-        out[:, 1 : r - 1] += c[:, 2:]
-        np.multiply(self._at_lbnd[r:0:-1], out[:, :0:-1], out=c)
-        out[:, 0] = 0.0 - np.cumsum(c, axis=1, out=c)[:, -1]
-        return out
 
     def __call__(self, coef: np.ndarray, mu: Sequence[int] = ()) -> tuple[np.ndarray, bool]:
         """The step of ``coef``, and whether DEGREE_CAP cut a degree of its product.
@@ -770,8 +777,9 @@ class LinearStep:
             rows, cut = self._rows(n)
             op = self._op[:, :rows, :, :n].reshape(m * rows, m * n)
             c = (op @ coef.reshape(m * n, -1)).reshape(m, rows, -1)
+            columns = _fold_columns(self.domain, rows + self.d)
             for _ in range(self.d):
-                c = self._fold(c)
+                c = _fold(c, columns)
         if not np.isfinite(c).all():
             raise NonFiniteCoefficients("non-finite coefficients")
         return c.reshape(m, -1, *rest), cut
@@ -859,52 +867,23 @@ def grid_derivatives(
 
 
 def iterated_time_integral(f: SepFunc, j: int) -> SepFunc:
-    """The j-fold nested antiderivative from t0, exact on coefficients."""
+    """The j-fold nested antiderivative from t0, one _fold at a time.
+
+    Each fold rounds, so the coefficients are within roundoff of the exact
+    integral's, not equal to them.
+    """
     if j < 1:
         raise FuncSpaceError("fold count must be >= 1")
     if f.deg_t + j > DEGREE_CAP:
         raise FuncSpaceError(
             f"degree cap {DEGREE_CAP} exceeded by {j}-fold time integral"
         )
-    iv = f.domain.t_interval
-    u0 = float(_to_unit(np.array(f.domain.t0), iv))
-    coef = cheb_integral(f.coeffs, j, lbnd=u0, scl=_halfwidth(iv), axis=1)
-    return SepFunc(f.domain, f.m, f.p, coef)
-
-
-def cheb_integral(
-    coef: np.ndarray, m: int, *, lbnd: float, scl: float, axis: int = 0
-) -> np.ndarray:
-    """cheb.chebint(coef, m, lbnd=lbnd, scl=scl, axis=axis) with numpy's float operations.
-
-    Per fold numpy runs c *= scl, then tmp[0] = c[0]*0, tmp[1] = c[0],
-    tmp[2] = c[1]/4 and, for j = 2..n-1, tmp[j+1] = c[j]/(2(j+1)) and
-    tmp[j-1] -= c[j]/(2(j-1)); last, tmp[0] += 0 - chebval(lbnd, tmp).
-    Every tmp[j-1] is assigned before its one subtraction, so the loop is
-    two slice operations here.  A fold of the zero constant adds 0 to it
-    instead, as numpy does.  The result has numpy's axis order and strides.
-    """
-    c = np.array(coef, dtype=np.double, ndmin=1)
-    if m == 0:
-        return c
-    c = np.moveaxis(c, axis, 0)
-    for _ in range(m):
-        n = len(c)
-        c *= scl
-        if n == 1 and np.all(c[0] == 0):
-            c[0] += 0
-            continue
-        tmp = np.empty((n + 1,) + c.shape[1:])
-        tmp[0] = c[0] * 0
-        tmp[1] = c[0]
-        if n > 1:
-            tmp[2] = c[1] / 4
-        j = np.arange(2, n).reshape(-1, *[1] * (c.ndim - 1))
-        tmp[3:] = c[2:] / (2 * (j + 1))
-        tmp[1:n - 1] -= c[2:] / (2 * (j - 1))
-        tmp[0] += 0 - cheb.chebval(lbnd, tmp)
-        c = tmp
-    return np.moveaxis(c, 0, axis)
+    m, n, *rest = f.coeffs.shape
+    c = f.coeffs.reshape(m, n, -1).copy()
+    columns = _fold_columns(f.domain, n + j)
+    for _ in range(j):
+        c = _fold(c, columns)
+    return SepFunc(f.domain, f.m, f.p, c.reshape(m, -1, *rest))
 
 
 # ---------------------------------------------------------------------------

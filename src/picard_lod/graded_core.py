@@ -259,13 +259,17 @@ def weissinger_sum(
     k: int,
     n_max: int,
 ) -> WeissingerRow:
-    """Terms, partial sums and verdict of one Weissinger row."""
+    """Terms, partial sums and verdict of one Weissinger row.
+
+    A zero increment gives a zero term, whatever the constant, as in
+    picard_pde's certificate terms: inf * 0 would be NaN.
+    """
     terms = []
     for n in range(n_max + 1):
         inc = float(increment_norms(k + n * constants.L))
         if math.isnan(inc) or inc < 0:
             raise GradedCoreError(f"invalid increment norm at index {k + n * constants.L}")
-        t = constants.alpha(k, n) * inc
+        t = constants.alpha(k, n) * inc if inc else 0.0
         if math.isnan(t):
             raise GradedCoreError(f"non-finite term at n={n}")
         terms.append(t)

@@ -18,8 +18,6 @@ from functools import cached_property
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
-from numpy.polynomial import polynomial as npoly
 
 from . import funcspace as fs
 from .expr import (
@@ -253,12 +251,11 @@ class CauchyProblem:
 
 
 def _tpoly_cheb(domain: Domain, j: int) -> np.ndarray:
-    """Chebyshev coefficients on T of (t - t0)^j / j!."""
-    lo, hi = domain.t_interval
-    mid, w = (lo + hi) / 2.0, (hi - lo) / 2.0
-    lin = np.array([mid - domain.t0, w]) if j > 0 else np.array([1.0])
-    c = npoly.polypow(lin, j) if j > 0 else lin
-    return cheb.poly2cheb(c) / math.factorial(j)
+    """Chebyshev coefficients on T of (t - t0)^j / j!, the j-fold integral from t0 of 1."""
+    if j == 0:
+        return np.ones(1)
+    one = SepFunc(Domain(domain.t0, domain.a, domain.b), 1, 0, np.ones((1, 1)))
+    return iterated_time_integral(one, j).coeffs[0]
 
 
 def initial_polynomial(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _fraction_chebint,
     chain_graded_norms,
     chebder_partial,
     rowwise_eval_grid,
@@ -53,6 +54,20 @@ class TestDomain:
             Domain(0.0, 0.0, 1.0)
         with pytest.raises(FuncSpaceError):
             Domain(0.0, 1.0, 1.0, ((2.0, 2.0),))
+
+    @pytest.mark.parametrize("t0, a, b, S", [
+        (math.nan, 0.1, 0.1, ((-1.0, 1.0),)),
+        (math.inf, 0.1, 0.1, ()),
+        (0.0, math.inf, 0.1, ((-1.0, 1.0),)),
+        (0.0, 0.1, math.inf, ()),
+        (1e308, 0.1, 1e308, ()),  # t0 + b overflows
+        (0.0, 0.1, 0.1, ((-math.inf, 1.0),)),
+        (0.0, 0.1, 0.1, ((-1.0, 1.0), (0.0, math.inf))),
+    ])
+    def test_non_finite_bounds_rejected(self, t0, a, b, S):
+        """A non-finite bound would make every T_j(u0) of the time integral NaN."""
+        with pytest.raises(FuncSpaceError, match="finite"):
+            Domain(t0, a, b, S)
 
 
 class TestInterpolate:
@@ -116,6 +131,38 @@ class TestTimeIntegral:
         f = SepFunc(HALF, 1, 0, np.zeros((1, 128)))
         with pytest.raises(FuncSpaceError, match="cap"):
             iterated_time_integral(f, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_exact_rational_integral(self, data):
+        """Within 1e-13 of the exact-rational j-fold integral in relative l1.  Over
+        14,000 random cases of these draws the largest gap seen was 2.0e-14
+        (t0 near an end, j = 3), and numpy's chebint recurrence gave 1.8e-14
+        on the same case; a few cases in 10,000 pass 1e-14."""
+        from fractions import Fraction
+
+        # t0 at the midpoint of T, off-centre, or near an end (a / b = 1e-3 or 1e3)
+        half = data.draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+        ratio = data.draw(st.sampled_from([1.0, 1 / 3, 3.0, 1e-3, 1e3]))
+        t0 = data.draw(st.sampled_from([0.0, 0.3, -1.0]))
+        s = data.draw(st.integers(0, 1))
+        dom = Domain(t0, half * min(ratio, 1.0), half / max(ratio, 1.0), ((-1.0, 2.5),)[:s])
+        shape = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 41)),
+                 *[data.draw(st.integers(1, 3)) for _ in range(s)])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        f = SepFunc(dom, shape[0], 0, rng.standard_normal(shape))
+        j = data.draw(st.integers(1, 3))
+        got = iterated_time_integral(f, j).coeffs
+
+        lo, hi = map(Fraction, dom.t_interval)
+        lbnd, scl = (2 * Fraction(t0) - lo - hi) / (hi - lo), (hi - lo) / 2
+        exact = np.moveaxis(np.vectorize(Fraction, otypes=[object])(f.coeffs), 1, 0)
+        for _ in range(j):
+            exact = _fraction_chebint(exact, lbnd, scl)
+        exact = np.moveaxis(exact, 0, 1)
+        assert got.shape == exact.shape
+        gap = sum(abs(Fraction(g) - e) for g, e in zip(got.ravel(), exact.ravel()))
+        assert gap <= 1e-13 * sum(abs(e) for e in exact.ravel())
 
 
 class TestGradedNorm:
@@ -603,29 +650,29 @@ def functions_and_grids(draw):
 
 @st.composite
 def integral_cases(draw):
-    """Arguments of cheb.chebint: a rank 1-3 tensor with signed zeros, m in 0..3, any axis.
+    """Arguments of cheb.chebder: a rank 1-3 tensor with signed zeros, m in 0..3, any axis.
 
-    lbnd is -1, 0 or a drawn point of [-1, 1]; coefficient magnitudes range
-    from 1e-8 to 1e8.
+    Coefficient magnitudes range from 1e-8 to 1e8.
     """
     shape = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coeffs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
     zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
     coeffs[zeros] = np.copysign(0.0, rng.standard_normal(shape))[zeros]
-    lbnd = draw(st.sampled_from([-1.0, 0.0]) | st.floats(-1.0, 1.0))
-    return dict(c=coeffs, m=draw(st.integers(0, 3)), lbnd=lbnd,
-                scl=draw(st.floats(0.01, 10.0)), axis=draw(st.integers(0, len(shape) - 1)))
+    return dict(c=coeffs, m=draw(st.integers(0, 3)), scl=draw(st.floats(0.01, 10.0)),
+                axis=draw(st.integers(0, len(shape) - 1)))
 
 
 class TestVandermondeCaches:
-    """Every caller shares the cached Vandermonde matrices, so they are built once, read-only."""
+    """Every caller shares the cached Vandermonde matrices and fold columns, so they are
+    built once, read-only."""
 
     def test_cached_matrices_are_read_only(self):
         import picard_lod.funcspace as fs
 
         u = np.linspace(-1.0, 1.0, 7)
-        for V in (fs._vander(5), fs._grid_vander(u.tobytes(), u.dtype.str, 4)):
+        for V in (fs._vander(5), fs._grid_vander(u.tobytes(), u.dtype.str, 4),
+                  *fs._fold_columns(UNIT_T, 6)):
             with pytest.raises(ValueError, match="read-only"):
                 V[0, 0] = 1.0
 
@@ -715,19 +762,6 @@ class TestNumpyReference:
         else:
             assert got.tobytes() == np.zeros(want.shape).tobytes()
 
-    @settings(max_examples=300, deadline=None)
-    @given(integral_cases())
-    def test_cheb_integral_is_numpy_chebint(self, case):
-        from numpy.polynomial import chebyshev as cheb
-
-        from picard_lod.funcspace import cheb_integral
-
-        want = cheb.chebint(**case)
-        c = case.pop("c")
-        got = cheb_integral(c, case.pop("m"), **case)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
 
 def callers_outside_funcspace(callee):
     """module.function (or module.<module>) of every call of callee outside funcspace.py."""
@@ -764,9 +798,12 @@ def test_partial_derivative_called_only_in_funcspace():
     assert callers_outside_funcspace("partial_derivative") == []
 
 
-@pytest.mark.parametrize("callee", ["chebder", "chebint", "chebvander", "chebpts2"])
+@pytest.mark.parametrize("callee", ["chebder", "chebint", "chebvander", "chebpts2",
+                                    "chebval", "poly2cheb", "polypow"])
 def test_called_only_in_funcspace(callee):
-    """Chebyshev derivatives, integrals and values-to-coefficients fits are funcspace's alone."""
+    """Chebyshev derivatives, integrals, values and values-to-coefficients fits are
+    funcspace's alone; a Taylor factor (t - t0)^j / j! is a time integral, not a
+    monomial-basis power."""
     assert callers_outside_funcspace(callee) == []
 
 

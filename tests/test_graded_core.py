@@ -57,6 +57,13 @@ class TestWeissingerSum:
         assert row.verdict == CONVERGED
         assert row.partial_sums[-1] == 0.0
 
+    def test_fixed_initial_point_with_infinite_constants(self):
+        """A zero increment gives a zero term, as in picard_pde's certificate: inf * 0 is NaN."""
+        c = LodConstants.from_function(0, lambda k, n: math.inf)
+        row = weissinger_sum(c, lambda k: 0.0, 0, 10)
+        assert row.terms == (0.0,) * 11
+        assert row.verdict == CONVERGED
+
     def test_slow_decay_is_inconclusive(self):
         c = LodConstants.from_function(0, lambda k, n: 0.97**n)
         row = weissinger_sum(c, lambda k: 1.0, 0, 30)

@@ -1303,8 +1303,8 @@ class TestLinearStep:
         degree j + h(d - gamma) (about binom(dh, dh/2) eps at step h), so the bound
         grows with d.  Over 1,000 examples the largest relative gap seen was
         9.6e-8 for d = 1 and 5.3e-4 for d = 2.  On 400 random chains of the same
-        kind (p uniform in [-2, 2]) a step that folds with cheb_integral reached
-        8.4e-8 and 4.3e-4, and this one 3.9e-8 and 6.1e-4."""
+        kind (p uniform in [-2, 2]) a step that folds by numpy's chebint
+        recurrence reached 8.4e-8 and 4.3e-4, and this one 3.9e-8 and 6.1e-4."""
         d = data.draw(st.integers(1, 2))
         gamma = data.draw(st.integers(0, d - 1))
         j = data.draw(st.integers(gamma, d - 1))
@@ -1318,15 +1318,15 @@ class TestLinearStep:
         for gap, norm in chain_gaps(dom, d, gamma, P, j, 20):
             assert gap <= self.CHAIN_BOUND[d] * norm
 
-    # (d, gamma, j, the largest relative gap of a step that folds with cheb_integral)
+    # (d, gamma, j, the largest relative gap of a step that folds by chebint's recurrence)
     @pytest.mark.parametrize("d, gamma, j, folded_gap", [
         (1, 0, 0, 1.06e-12), (2, 0, 0, 1.24e-6), (2, 0, 1, 2.66e-6), (2, 1, 1, 4.03e-12)])
     def test_the_catalog_chains_stay_as_near_as_before(self, d, gamma, j, folded_gap):
         """The mu chains of the catalog's heat and transport (d = 1), wave and
         dt2_dx (d = 2) and mixed_dt_dx (d = 2, gamma = 1) at a = 1 on
         [-0.25, 0.25], 20 steps: no step's gap exceeds the largest that folding
-        with cheb_integral gives.  This step's largest are 8.2e-13, 6.2e-7,
-        1.2e-6 and 1.1e-12."""
+        by numpy's chebint recurrence gives.  This step's largest are 8.2e-13,
+        6.2e-7, 1.2e-6 and 1.1e-12."""
         dom = Domain(0.0, 0.25, 0.25)
         for gap, norm in chain_gaps(dom, d, gamma, np.array([[[1.0]]]), j, 20):
             assert gap <= folded_gap * norm
