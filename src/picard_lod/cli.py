@@ -25,6 +25,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -238,10 +239,99 @@ def load_problem(path: Path):
     return problem, SolveConfig(radii=radii, growth=growth, **config)
 
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_float(v: float) -> str:
+    """json's text of a float: its repr, or Infinity, -Infinity and NaN as json writes them."""
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _json_key(key) -> str:
+    """json's text of a dict key, before quoting; TypeError where json raises one."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True or key is False or key is None:
+        return _JSON_CONSTANTS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_chunks(o, indent: str, out: list[str]) -> None:
+    """Append the text of o, nested at ``indent``, to out, as json.dumps(indent=2, sort_keys=True).
+
+    The checks run in json's order, so bools are not ints, a float subclass
+    (np.float64) is a float, and anything else raises json's TypeError.  A
+    list whose items are all floats is formatted by float.__repr__ and one
+    str.join, at C speed; json's pure-Python encoder, which an indent
+    selects, formats it item by item to the same bytes.
+    """
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or o is True or o is False:
+        out.append(_JSON_CONSTANTS[o])
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_json_float(o))
+    elif isinstance(o, (list, tuple, dict)):
+        if not o:
+            out.append("{}" if isinstance(o, dict) else "[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(o, dict):
+            out.append("{\n" + inner)
+            for i, (key, value) in enumerate(sorted(o.items())):
+                if i:
+                    out.append(sep)
+                out.append(encode_basestring_ascii(_json_key(key)) + ": ")
+                _json_chunks(value, inner, out)
+            out.append("\n" + indent + "}")
+            return
+        out.append("[\n" + inner)
+        try:
+            text = sep.join(map(float.__repr__, o))
+        except TypeError:  # an item that is not a float
+            for i, value in enumerate(o):
+                if i:
+                    out.append(sep)
+                _json_chunks(value, inner, out)
+        else:
+            # only inf, -inf and nan have an "n" in their repr
+            out.append(sep.join(map(_json_float, o)) if "n" in text else text)
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _report_json(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), byte for byte, by one recursive writer.
+
+    json.dumps takes its pure-Python encoder when an indent is set, and
+    leaves a reference cycle of closures per call; this writer builds no
+    closure and formats float lists at C speed.  Unlike json it does not
+    look for a container that holds itself, which recurses until Python's
+    recursion limit.
+    """
+    out: list[str] = []
+    _json_chunks(payload, "", out)
+    return "".join(out)
+
+
 def _write_report(out_dir: Path, stem: str, payload: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{stem}.report.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(_report_json(payload) + "\n")
     return path
 
 

@@ -71,6 +71,7 @@ __all__ = [
     "residual_grid",
     "grid_bindings",
     "eval_on_grid",
+    "eval_components",
     "sup_abs",
     "sup_abs_blocks",
     "pad_to_common",
@@ -590,14 +591,27 @@ def grid_bindings(pts: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
     return dict(zip(_axis_names(len(pts) - 1), grids))
 
 
+def eval_components(exprs: Sequence[Expr], bindings: dict) -> list[np.ndarray]:
+    """Values of each expression on the grid of ``bindings``, one float array per expression.
+
+    Each array is as the expression gives it: on an open grid it spans only
+    the axes the expression uses, and it broadcasts to the grid.  Nothing
+    is broadcast, stacked or copied, so a caller that takes one component
+    at a time (a difference, a store into its own array) reads each value
+    once.
+    """
+    return [np.asarray(eval_expr(e, bindings), dtype=float) for e in exprs]
+
+
 def eval_on_grid(
     exprs: Sequence[Expr], bindings: dict, shape: tuple[int, ...]
 ) -> np.ndarray:
-    """Values of each expression on a grid of ``shape``, stacked on a leading axis."""
-    return np.stack([
-        np.broadcast_to(np.asarray(eval_expr(e, bindings), dtype=float), shape)
-        for e in exprs
-    ])
+    """Values of each expression on a grid of ``shape``, stacked on a leading axis.
+
+    The stack copies every value of eval_components once more; a caller that
+    takes the components one at a time uses eval_components itself.
+    """
+    return np.stack([np.broadcast_to(v, shape) for v in eval_components(exprs, bindings)])
 
 
 def sup_abs(vals: np.ndarray) -> float:
@@ -622,9 +636,15 @@ def sup_abs_blocks(blocks: Iterable[np.ndarray]) -> float:
     extremes is sup_abs of all the values, since the largest extreme is the
     largest value and the smallest the smallest.  A NaN in any block makes
     its extremes NaN and propagates through sup_abs, wherever it sits; a
-    Python max over the extremes would depend on their order.
+    Python max over the extremes would depend on their order.  A block is
+    released before the next is drawn, so blocks made on demand never
+    coexist.
     """
-    return sup_abs(np.array([r(b) for b in blocks for r in (np.max, np.min)]))
+    extremes = []
+    for b in blocks:
+        extremes += np.max(b), np.min(b)
+        del b
+    return sup_abs(np.array(extremes))
 
 
 # ---------------------------------------------------------------------------

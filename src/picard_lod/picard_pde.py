@@ -96,7 +96,9 @@ NUMERIC_K_CAP = 8
 X_DEGREE = 24
 SERIES_T_DEGREE = 16  # t degree of the interpolated forcing q of the linear class
 # grid points (1 MB of float64 per component) of one t-block of the right-hand
-# side on a grid, so a large grid holds no full-size expression values
+# side on a grid, so a large grid holds no full-size expression values; 2^15
+# and 2^16, whose blocks fit a 2 MiB L2 cache, measured no faster on linear-2d,
+# and 2^16 raised the process's peak RSS there
 RHS_BLOCK_POINTS = 2 ** 17
 
 
@@ -283,30 +285,33 @@ def _rhs_on_grid(
     y: SepFunc,
     pts: Sequence[np.ndarray],
     derivatives: Callable | None = None,
-) -> Iterator[tuple[slice, np.ndarray]]:
+) -> Iterator[tuple[slice, list[np.ndarray]]]:
     """The right-hand side composed with y on the tensor grid of ``pts``, in blocks of t-rows.
 
-    Yields (rows, values), values a new array of shape (m, len(pts[0][rows]),
-    len(x1), ...).  Each block, of RHS_BLOCK_POINTS grid points at most or
-    one t-row, evaluates the placeholders' derivatives on its rows, through
-    ``derivatives`` (a grid_derivatives of y) when given, and then the
-    expressions.  A t-row's derivative values do not depend on its block,
-    and every operation of an expression is elementwise, so each value is
-    the one a whole-grid evaluation gives, bit for bit.  A block that fails
-    is evaluated again on the whole grid, so the error raised is the one
-    whole-grid evaluation meets first.
+    Yields (rows, values), values[c] component c's values on the block
+    (len(pts[0][rows]), len(x1), ...) as fs.eval_components gives them:
+    broadcastable to the block, neither broadcast nor stacked, so the caller
+    puts each value where it goes in one pass.  Each block, of
+    RHS_BLOCK_POINTS grid points at most or one t-row, evaluates the
+    placeholders' derivatives on its rows, through ``derivatives`` (a
+    grid_derivatives of y) when given, and then the expressions.  A t-row's
+    derivative values do not depend on its block, and every operation of an
+    expression is elementwise, so each value is the one a whole-grid
+    evaluation gives, bit for bit.  A block that fails is evaluated again on
+    the whole grid, so the error raised is the one whole-grid evaluation
+    meets first.  A block is released before the next is evaluated, so the
+    allocator hands its memory to the next block.
     """
     derivatives = derivatives or fs.grid_derivatives(y)
     phs = problem.rhs_class.placeholders
     betas = list(dict.fromkeys((ph.gamma, *ph.alpha) for ph in phs))
 
-    def evaluate(grid: list[np.ndarray], rows: slice) -> np.ndarray:
-        shape = tuple(len(g) for g in grid)
+    def evaluate(grid: list[np.ndarray], rows: slice) -> list[np.ndarray]:
         bindings = fs.grid_bindings(grid)
         values = dict(derivatives(betas, pts, rows))
         for ph in phs:
             bindings[placeholder_key(ph)] = values[(ph.gamma, *ph.alpha)][ph.comp - 1]
-        return fs.eval_on_grid(problem.rhs, bindings, shape)
+        return fs.eval_components(problem.rhs, bindings)
 
     t, xs = pts[0], list(pts[1:])
     step = max(1, RHS_BLOCK_POINTS // math.prod(len(g) for g in xs))
@@ -318,6 +323,7 @@ def _rhs_on_grid(
             evaluate([t, *xs], slice(None))
             raise
         yield rows, block
+        del block  # released before the next block, as the caller releases it
 
 
 def _g_degrees(problem: CauchyProblem, y: SepFunc) -> tuple[int, ...]:
@@ -336,19 +342,15 @@ def eval_G(problem: CauchyProblem, y: SepFunc) -> SepFunc:
 
     G is sampled at Chebyshev-extrema nodes of _g_degrees, block by block of
     _rhs_on_grid, each block evaluating the placeholders' derivatives on its
-    own t-rows; a grid of one block is taken as it is, with no copy.
+    own t-rows; each component's values are written straight into their
+    rows of the one collocation array.
     """
     degrees = _g_degrees(problem, y)
     pts = fs.chebyshev_nodes(problem.domain, degrees)
-    shape = (problem.m, *(len(g) for g in pts))
-    vals = None
-    for rows, block in _rhs_on_grid(problem, y, pts):
-        if block.shape == shape:
-            vals = block  # the grid is one block: no copy
-        else:
-            if vals is None:
-                vals = np.empty(shape)
-            vals[:, rows] = block
+    vals = np.empty((problem.m, *(len(g) for g in pts)))
+    for rows, values in _rhs_on_grid(problem, y, pts):
+        for c, value in enumerate(values):
+            vals[c, rows] = value
     out = fs.from_values(vals, problem.domain, problem.m, problem.p).trim()
     # tail magnitude of the representation, as a truncation indicator
     tail = 0.0
@@ -394,7 +396,11 @@ def residual(problem: CauchyProblem, y: SepFunc) -> ResidualReport:
     of the grid, and the equation on the full grid, block by block of
     _rhs_on_grid: each block evaluates d_t^d y on its own rows, so on a
     grid of two or more x axes no derivative exists at full size.  One
-    grid_derivatives of y serves both grids.
+    grid_derivatives of y serves both grids.  Each component of F is
+    subtracted from its own rows of d_t^d y in place, the one IEEE
+    difference a stacked whole-grid defect holds; a read-only block (the
+    view that a grid of one x axis keeps) gets a new array instead.  No
+    value is stacked, and sup_abs_blocks reduces the defect block by block.
     """
     pts = fs.residual_grid(y)
     slice_pts = [np.array([problem.domain.t0]), *pts[1:]]
@@ -402,14 +408,21 @@ def residual(problem: CauchyProblem, y: SepFunc) -> ResidualReport:
     derivatives = fs.grid_derivatives(y)
     derivs = list(derivatives([(j, *zeros_x) for j in range(problem.d)], slice_pts))
     lhs = (problem.d, *zeros_x)
-    pde_res = fs.sup_abs_blocks(
-        np.subtract(next(derivatives([lhs], pts, rows))[1], block, out=block)
-        for rows, block in _rhs_on_grid(problem, y, pts, derivatives)
-    )
 
+    def defects() -> Iterator[np.ndarray]:
+        for rows, values in _rhs_on_grid(problem, y, pts, derivatives):
+            [(_, block)] = derivatives([lhs], pts, rows)
+            out = block if block.flags.writeable else np.empty(block.shape)
+            for c, value in enumerate(values):
+                np.subtract(block[c], value, out=out[c])
+            del values, block  # no block outlives the next one's evaluation
+            yield out
+            del out
+
+    pde_res = fs.sup_abs_blocks(defects())
     bindings = fs.grid_bindings(slice_pts)
-    shape = tuple(len(g) for g in slice_pts)
-    ics = [fs.sup_abs(got - fs.eval_on_grid(row, bindings, shape))
+    ics = [fs.sup_abs_blocks(got[c] - value
+                             for c, value in enumerate(fs.eval_components(row, bindings)))
            for row, (_, got) in zip(problem.initial, derivs)]
     return ResidualReport(pde_res, tuple(ics))
 

@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -922,3 +923,69 @@ def test_cli_path_does_not_import_jsonschema(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+
+
+JSON_FLOATS = (
+    st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16])
+    | st.floats().map(np.float64)
+)
+JSON_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_FLOATS | st.text()
+    | st.lists(JSON_FLOATS),
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=5)
+        | st.dictionaries(st.integers() | st.booleans(), children, max_size=3)
+        | st.dictionaries(st.floats(), children, max_size=3)
+    ),
+    max_leaves=30,
+)
+
+
+class TestReportWriter:
+    """Reports are written by one recursive writer, byte for byte json.dumps(indent=2, sort_keys=True)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_PAYLOADS)
+    def test_bytes_equal_json_dumps(self, payload):
+        from picard_lod.cli import _report_json
+
+        assert _report_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("payload", [
+        {"n": np.int64(3)},
+        [1.0, np.bool_(True)],
+        {(1, 2): 0.5},
+        {"rows": [{"set": {1}}]},
+        {1: 0.5, "a": 0.5},
+        [1.0, 2.0, object()],
+    ], ids=["np-int", "np-bool-in-float-list", "tuple-key", "nested-set", "mixed-keys",
+            "object-in-float-list"])
+    def test_raises_the_type_error_of_json_dumps(self, payload):
+        from picard_lod.cli import _report_json
+
+        with pytest.raises(TypeError) as want:
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            _report_json(payload)
+        assert str(got.value) == str(want.value)
+
+    def test_a_report_write_leaves_no_cyclic_garbage(self, tmp_path):
+        import gc
+
+        import picard_lod.cli as cli
+
+        payload = {"status": "converged", "norms": [0.5, math.inf, 1e-17],
+                   "rows": [{"k": 0, "terms": [1.0, 2.0], "note": None}]}
+        gc.collect()
+        gc.disable()
+        try:
+            cli._write_report(tmp_path, "r", payload)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+        assert (tmp_path / "r.report.json").read_text() == (
+            json.dumps(payload, indent=2, sort_keys=True) + "\n")

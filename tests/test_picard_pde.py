@@ -405,10 +405,11 @@ class TestBlockedRhs:
         monkeypatch.setattr(pp, "RHS_BLOCK_POINTS", rows * 5 + 4)
         blocks = list(pp._rhs_on_grid(problem, problem.i0, pts))
         assert [b.stop for b, _ in blocks][:-1] == list(range(rows, 128, rows))
-        assert [b.shape[1] for _, b in blocks] == [
-            min(rows, 128 - start) for start in range(0, 128, rows)]
+        # one component, unstacked: its values span the block's t-rows and x1
+        assert [[v.shape for v in values] for _, values in blocks] == [
+            [(min(rows, 128 - start), 5)] for start in range(0, 128, rows)]
         whole = whole_grid_rhs(problem, problem.i0, pts)
-        assert np.concatenate([b for _, b in blocks], axis=1).tobytes() == whole.tobytes()
+        assert np.concatenate([v for _, [v] in blocks]).tobytes() == whole[0].tobytes()
 
     def test_a_failing_block_raises_the_whole_grid_error(self, monkeypatch):
         from picard_lod import funcspace as fs
@@ -453,6 +454,45 @@ class TestBlockedRhs:
         # placeholder Dx2(y1) takes two x steps
         assert sorted(steps) == [1, 1, 2, 2]
 
+    def test_no_stacked_copy_on_a_multi_block_2d_grid(self, monkeypatch):
+        from picard_lod import funcspace as fs
+
+        ar = Arity(s=2, m=2, L=2, p=0)
+        dom = Domain(0.0, 0.2, 0.2, ((-1.0, 1.0), (0.0, PI)))
+        problem = pp.CauchyProblem(
+            dom, 2, 1, 0, 2,
+            (parse_expression("Dx1(Dx1(y1))+y2", ar), parse_expression("cos(t)*Dx2(y2)+x1", ar)),
+            ((parse_expression("sin(x1)", Arity(s=2)), parse_expression("cos(x2)", Arity(s=2))),),
+            (4, 4))
+        rng = np.random.default_rng(3)
+        y = SepFunc(dom, 2, 0, rng.standard_normal((2, 4, 5, 5)) * 0.5 ** np.arange(4)[:, None, None])
+        pts = fs.residual_grid(y)
+        nodes = fs.chebyshev_nodes(dom, pp._g_degrees(problem, y))
+        # five t-rows per residual block and three per eval_G block
+        res_points = 5 * math.prod(len(g) for g in pts[1:])
+        G_points = 3 * math.prod(len(g) for g in nodes[1:])
+        assert len(pts[0]) > 5 * 3 and len(nodes[0]) > 3 * 3  # four blocks at least
+        want_res, want_G = whole_grid_residual(problem, y), whole_grid_eval_G(problem, y)
+
+        stacks = []
+        original = np.stack
+
+        def spy(arrays, *args, **kwargs):
+            stacks.append(len(arrays))
+            return original(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "stack", spy)
+        whole_grid_residual(problem, y)
+        assert stacks  # the spy sees the whole-grid oracle's stacks
+        stacks.clear()
+        monkeypatch.setattr(pp, "RHS_BLOCK_POINTS", res_points)
+        got_res = pp.residual(problem, y)
+        monkeypatch.setattr(pp, "RHS_BLOCK_POINTS", G_points)
+        got_G = pp.eval_G(problem, y)
+        assert stacks == []
+        assert (got_res.pde_residual, got_res.ic_residuals) == want_res
+        assert got_G.coeffs.tobytes() == want_G.coeffs.tobytes()
+
     def test_residual_peak_memory_on_a_2d_grid(self):
         import tracemalloc
 
@@ -481,11 +521,13 @@ class TestBlockedRhs:
         got, blocked = peak(pp.residual)
         want, whole = peak(whole_grid_residual)
         assert (got.pde_residual, got.ic_residuals) == want
-        # d_t y, the placeholder, the expression's values and their stacked
-        # copy exist one t-block (2^17 points, a sixteenth of the grid) at a
-        # time; of the whole grid only the t contractions of d_t y and the
-        # placeholder are kept, 25 x 25 coefficients per t-row
-        assert blocked <= 0.5 * full_grid_bytes
+        # d_t y, the placeholder and the expression's values exist one t-block
+        # (2^17 points, a sixteenth of the grid) at a time, and a block is
+        # released before the next is evaluated; of the whole grid only the t
+        # contractions of d_t y and the placeholder are kept, 25 x 25
+        # coefficients per t-row.  That is about 0.26 of the grid; the peak
+        # reads 0.29
+        assert blocked <= 0.32 * full_grid_bytes
         assert whole >= 3.5 * full_grid_bytes
 
 
