@@ -26,7 +26,6 @@ from .graded_core import (
     a_posteriori_bound,
     invert_locally,
     iterate_to_fixed_point,
-    weissinger_row,
     weissinger_sum,
 )
 from .linear_series import (

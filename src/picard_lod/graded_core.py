@@ -2,8 +2,8 @@
 
 Works over any graded space presented through callbacks: a seminorm family,
 element arithmetic, and an iteration map.  Provides Weissinger-sum
-certificates, the iterate driver, a posteriori tail bounds and local
-inversion.
+certificates, whose every row and term ``weissinger_sum`` builds, the
+iterate driver, a posteriori tail bounds and local inversion.
 
 Verdicts are heuristic window tests over finitely many terms; the engine
 never claims a proof, and every certificate records its window parameters.
@@ -27,7 +27,6 @@ __all__ = [
     "TailBound",
     "IterationStop",
     "IterationResult",
-    "weissinger_row",
     "weissinger_sum",
     "iterate_to_fixed_point",
     "a_posteriori_bound",
@@ -51,7 +50,9 @@ class GradedCoreError(Exception):
 
 
 def exp_or_inf(log_value: float) -> float:
-    """exp of a log-scale term, or +inf where exp would overflow."""
+    """exp of a log-scale term, or +inf where exp would overflow; NaN raises."""
+    if math.isnan(log_value):
+        raise GradedCoreError("NaN log-scale term")
     return math.exp(log_value) if log_value < 700 else math.inf
 
 
@@ -83,12 +84,15 @@ class GradedSpaceHandle:
 class LodConstants:
     """Contraction constants alpha(k, n) with loss L per application.
 
-    alpha(k, 0) is always 1 regardless of the underlying rule; a
-    zero constant (a map that does not depend on its argument) is allowed.
+    Kept in both scales: ``from_function`` takes alpha, ``from_log`` takes
+    log alpha and reads alpha as exp_or_inf of it.  alpha(k, 0) is always 1
+    regardless of the underlying rule; a zero constant (a map that does not
+    depend on its argument) is allowed, with log alpha = -inf.
     """
 
     L: int
     _alpha: Callable[[int, int], float] = field(compare=False)
+    _log_alpha: Callable[[int, int], float] = field(compare=False)
 
     def alpha(self, k: int, n: int) -> float:
         if n == 0:
@@ -98,9 +102,19 @@ class LodConstants:
             raise GradedCoreError(f"alpha({k},{n}) must be nonnegative, got {a}")
         return a
 
+    def log_alpha(self, k: int, n: int) -> float:
+        return float(self._log_alpha(k, n)) if n else 0.0
+
     @classmethod
     def from_function(cls, L: int, fn: Callable[[int, int], float]) -> "LodConstants":
-        return cls(L, fn)
+        def log_fn(k: int, n: int) -> float:  # NaN for a negative alpha: exp_or_inf refuses it
+            a = float(fn(k, n))
+            return math.log(a) if a > 0 else -math.inf if a == 0 else math.nan
+        return cls(L, fn, log_fn)
+
+    @classmethod
+    def from_log(cls, L: int, log_fn: Callable[[int, int], float]) -> "LodConstants":
+        return cls(L, lambda k, n: exp_or_inf(log_fn(k, n)), log_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -242,38 +256,37 @@ class LodCertificate:
         }
 
 
-def weissinger_row(
-    k: int,
-    terms: Sequence[float],
-    *,
-    meta: dict | None = None,
-) -> WeissingerRow:
-    """The Weissinger row of given terms, with its windowed verdict."""
-    verdict, ratio = series_verdict(terms)
-    return WeissingerRow(k, tuple(terms), verdict, ratio, {} if meta is None else meta)
-
-
 def weissinger_sum(
     constants: LodConstants,
     increment_norms: Callable[[int], float],
     k: int,
     n_max: int,
+    *, meta: dict | None = None, log_norms: bool = False,
 ) -> WeissingerRow:
-    """Terms, partial sums and verdict of one Weissinger row.
+    """Terms alpha(k,n) * ||P(y0)-y0||_{k+nL}, n <= n_max, with their verdict.
 
-    A zero increment gives a zero term, whatever the constant, as in
-    picard_pde's certificate terms: inf * 0 would be NaN.
+    ``increment_norms`` maps the index k + nL to the increment's norm, or
+    with ``log_norms`` to its log.  One term rule: a zero increment gives a
+    zero term, whatever the constant (inf * 0 would be NaN); otherwise the
+    term is the plain product while alpha and the norm are finite, and past
+    that, or for a log norm, exp_or_inf(log alpha + log norm).
     """
     terms = []
     for n in range(n_max + 1):
         inc = float(increment_norms(k + n * constants.L))
-        if math.isnan(inc) or inc < 0:
+        if math.isnan(inc) or (inc < 0 and not log_norms):
             raise GradedCoreError(f"invalid increment norm at index {k + n * constants.L}")
-        t = constants.alpha(k, n) * inc if inc else 0.0
-        if math.isnan(t):
-            raise GradedCoreError(f"non-finite term at n={n}")
-        terms.append(t)
-    return weissinger_row(k, terms)
+        if inc == (-math.inf if log_norms else 0.0):
+            terms.append(0.0)
+            continue
+        a = math.inf if log_norms else constants.alpha(k, n)  # a log norm stays in logs
+        if a < math.inf and inc < math.inf:
+            terms.append(a * inc)
+        else:
+            log_inc = inc if log_norms else math.log(inc)
+            terms.append(exp_or_inf(constants.log_alpha(k, n) + log_inc))
+    verdict, ratio = series_verdict(terms)
+    return WeissingerRow(k, tuple(terms), verdict, ratio, {} if meta is None else meta)
 
 
 def a_posteriori_bound(

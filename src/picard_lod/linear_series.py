@@ -40,8 +40,8 @@ from .graded_core import (
     DIVERGING,
     INCONCLUSIVE,
     LodCertificate,
-    exp_or_inf,
-    weissinger_row,
+    LodConstants,
+    weissinger_sum,
 )
 
 __all__ = [
@@ -84,10 +84,10 @@ class GrowthClass:
 
     def __post_init__(self) -> None:
         if self.kind in ("exponential", "analytic"):
-            if self.C is None or self.C <= 0:
+            if not (self.C is not None and 0 < self.C < math.inf):
                 raise LinearSeriesError(f"{self.kind} class needs C > 0")
         elif self.kind == "sigma":
-            if self.sigma is None or self.sigma <= 0:
+            if not (self.sigma is not None and 0 < self.sigma < math.inf):
                 raise LinearSeriesError("sigma class needs sigma > 0")
         elif self.kind != "free":
             raise LinearSeriesError(f"unknown growth kind {self.kind!r}")
@@ -576,32 +576,29 @@ def burgers_demo(
             + ", ".join(print_expression(c) for c in rc.coef)
         )
     c = max(abs(c.value) for c in rc.coef)
-    log_2c = math.log(2.0 * c) if c else 0.0  # with c = 0 only n = 0 reads it
     mu = rc.mu
     L = sum(mu)
     d = problem.d
     tbar = problem.domain.tbar
     data = GrowthClass("sigma", sigma=sigma)  # ||i0||_{k+jL} modelled as (jL)^(sigma jL)
 
-    rows = []
+    def log_bar(k: int, n: int) -> float:
+        if not c:
+            return -math.inf  # F = 0 * y * d_x^mu y vanishes
+        out = n * d * math.log(tbar) - math.lgamma(n * d + 1) + n * math.log(2.0 * c)
+        for j in range(n):
+            r = radii.value(k + j * L)
+            model = math.exp(min(data.log_norm(0, j, L), 700))
+            out += math.log(r + model) if not math.isinf(r) else math.inf
+        return out
+
+    constants = LodConstants.from_log(L, log_bar)
+    rows = [  # the model reads only stage * L, which is idx - k
+        weissinger_sum(constants, lambda idx: data.log_norm(0, idx - k, 1), k, n_max,
+                       meta={"sigma": sigma, "L": L}, log_norms=True)
+        for k in k_list
+    ]
     hyper_log = 0.0
-    for k in k_list:
-        terms = []
-        for n in range(n_max + 1):
-            if n and not c:
-                terms.append(0.0)  # F = 0 * y * d_x^mu y vanishes
-                continue
-            log_bar = (
-                n * d * math.log(tbar)
-                - math.lgamma(n * d + 1)
-                + n * log_2c
-            )
-            for j in range(n):
-                r = radii.value(k + j * L)
-                model = math.exp(min(data.log_norm(0, j, L), 700))
-                log_bar += math.log(r + model) if not math.isinf(r) else math.inf
-            terms.append(exp_or_inf(log_bar + data.log_norm(0, n, L)))
-        rows.append(weissinger_row(k, terms, meta={"sigma": sigma, "L": L}))
     if sigma == 1.0 and L == 1:
         hyper_log = sum(j * math.log(j) for j in range(1, n_max))
     return LodCertificate.from_rows(rows, {

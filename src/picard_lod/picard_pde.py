@@ -50,9 +50,9 @@ from .graded_core import (
     GradedSpaceHandle,
     IterationStop,
     LodCertificate,
-    exp_or_inf,
+    LodConstants,
     iterate_to_fixed_point,
-    weissinger_row,
+    weissinger_sum,
 )
 
 __all__ = [
@@ -822,26 +822,13 @@ def lambda_bar(
     n: int,
     mode: str = "recursion",
 ) -> float:
-    return math.exp(log_lambda_bar(factors, d, L, domain, mode)(k, n))
+    """LambdaBar_{k,n}, or +inf where exp of its log would overflow."""
+    return LodConstants.from_log(L, log_lambda_bar(factors, d, L, domain, mode)).alpha(k, n)
 
 
 # ---------------------------------------------------------------------------
 # Certification
 # ---------------------------------------------------------------------------
-
-
-def _numeric_term(log_bar: float, norm: float, idx: int) -> float:
-    """LambdaBar * ||P(i0) - i0||_idx from log LambdaBar, without overflow.
-
-    While exp(log_bar) is finite the term is the plain product; past that it
-    is taken in logs, so a zero norm still gives a zero term.
-    """
-    if not norm >= 0:
-        raise PicardError(f"invalid increment norm at index {idx}")
-    if norm == 0.0:
-        return 0.0
-    bar = exp_or_inf(log_bar)
-    return bar * norm if bar < math.inf else exp_or_inf(log_bar + math.log(norm))
 
 
 def certify_weissinger(
@@ -872,8 +859,8 @@ def certify_weissinger(
     if mode is None:
         mode = "paper" if norm_source == "growth_model" else "recursion"
     L = problem.L
-    log_bar = log_lambda_bar(factors, problem.d, L, problem.domain, mode)
-    rows = []
+    constants = LodConstants.from_log(
+        L, log_lambda_bar(factors, problem.d, L, problem.domain, mode))
     meta = {
         "mode": mode,
         "norm_source": norm_source,
@@ -891,25 +878,20 @@ def certify_weissinger(
         if any(v < 0 for v in n_hi_of.values()):
             raise PicardError(f"some k in {k_list} exceeds the numeric norm cap {NUMERIC_K_CAP}")
         norms = graded_norms_upto(inc, max(k + n_hi_of[k] * L for k in k_list))
-        for k in k_list:
-            n_hi = n_hi_of[k]
-            terms = [_numeric_term(log_bar(k, n), float(norms[k + n * L]), k + n * L)
-                     for n in range(n_hi + 1)]
-            rows.append(weissinger_row(
-                k, terms, meta={"truncated_at_n": n_hi if n_hi < n_max else None},
-            ))
+        rows = [weissinger_sum(constants, norms.__getitem__, k, n_hi,
+                               meta={"truncated_at_n": n_hi if n_hi < n_max else None})
+                for k, n_hi in n_hi_of.items()]
     else:
         from . import linear_series as ls
 
         _require_growth_class(problem)
         lp = ls.LinearProblem.from_cauchy(problem)
         growth = tuple(growth)
-        for k in k_list:
-            terms = [exp_or_inf(log_bar(k, n) + ls.increment_bound_log(lp, growth, k, n))
-                     for n in range(n_max + 1)]
-            rows.append(weissinger_row(
-                k, terms, meta={"growth": [getattr(g, "kind", "?") for g in growth]},
-            ))
+        kinds = tuple(getattr(g, "kind", "?") for g in growth)
+        rows = [weissinger_sum(constants,
+                               lambda idx: ls.increment_bound_log(lp, growth, k, (idx - k) // L),
+                               k, n_max, meta={"growth": list(kinds)}, log_norms=True)
+                for k in k_list]
     return LodCertificate.from_rows(rows, meta)
 
 

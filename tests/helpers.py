@@ -6,7 +6,8 @@ blocked ones must match bit for bit, random members of a ball around the
 initial polynomial, products of functions in coefficient space, the
 linear-class step in exact rational arithmetic, a quadrature of the literal
 contraction-constant recursion, the refusal of an F without certified
-Lipschitz factors, and the problem-file format as a JSON Schema."""
+Lipschitz factors, the problem-file format as a JSON Schema, and the callers
+of a function outside the one module that should own it."""
 
 from __future__ import annotations
 
@@ -498,3 +499,29 @@ PROBLEM_SCHEMA = {
         },
     },
 }
+
+
+def callers_outside(module: str, callee: str) -> list[str]:
+    """module.function (or module.<module>) of every call of callee in the
+    package outside ``module``.py."""
+    import ast
+    from pathlib import Path
+
+    import picard_lod
+
+    def calls(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == callee:
+                yield where
+        for child in ast.iter_child_nodes(node):
+            yield from calls(child, where)
+
+    callers = []
+    for path in sorted(Path(picard_lod.__file__).parent.glob("*.py")):
+        if path.stem != module:
+            tree = ast.parse(path.read_text())
+            callers += [f"{path.stem}.{fn}" for fn in calls(tree, "<module>")]
+    return callers

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     _fraction_chebint,
+    callers_outside,
     chain_graded_norms,
     chebder_partial,
     rowwise_eval_grid,
@@ -763,31 +764,6 @@ class TestNumpyReference:
             assert got.tobytes() == np.zeros(want.shape).tobytes()
 
 
-def callers_outside_funcspace(callee):
-    """module.function (or module.<module>) of every call of callee outside funcspace.py."""
-    import ast
-    from pathlib import Path
-
-    import picard_lod
-
-    def calls(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name == callee:
-                yield where
-        for child in ast.iter_child_nodes(node):
-            yield from calls(child, where)
-
-    callers = []
-    for path in sorted(Path(picard_lod.__file__).parent.glob("*.py")):
-        if path.name != "funcspace.py":
-            tree = ast.parse(path.read_text())
-            callers += [f"{path.stem}.{fn}" for fn in calls(tree, "<module>")]
-    return callers
-
-
 def test_partial_derivative_called_only_in_funcspace():
     """Every derivative on a grid goes through funcspace.grid_derivatives.
 
@@ -795,7 +771,7 @@ def test_partial_derivative_called_only_in_funcspace():
     raw arrays with funcspace.cheb_derivative, so no module outside
     funcspace calls partial_derivative.
     """
-    assert callers_outside_funcspace("partial_derivative") == []
+    assert callers_outside("funcspace", "partial_derivative") == []
 
 
 @pytest.mark.parametrize("callee", ["chebder", "chebint", "chebvander", "chebpts2",
@@ -804,7 +780,7 @@ def test_called_only_in_funcspace(callee):
     """Chebyshev derivatives, integrals, values and values-to-coefficients fits are
     funcspace's alone; a Taylor factor (t - t0)^j / j! is a time integral, not a
     monomial-basis power."""
-    assert callers_outside_funcspace(callee) == []
+    assert callers_outside("funcspace", callee) == []
 
 
 @st.composite

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from picard_lod.graded_core import (
     CONVERGED,
@@ -11,14 +13,14 @@ from picard_lod.graded_core import (
     IterationStop,
     LodConstants,
     a_posteriori_bound,
+    exp_or_inf,
     invert_locally,
     iterate_to_fixed_point,
     series_verdict,
-    weissinger_row,
     weissinger_sum,
 )
 
-from helpers import CUBIC_ROOT_005
+from helpers import CUBIC_ROOT_005, callers_outside
 
 
 def scalar_space(P=None, membership=None):
@@ -89,9 +91,76 @@ class TestWeissingerSum:
     def test_row_builder_matches_sum(self):
         c = LodConstants.from_function(1, lambda k, n: 0.5**n)
         inc = {idx: 1.0 / (idx + 1) for idx in range(40)}
-        row = weissinger_sum(c, inc.__getitem__, 2, 30)
+        row = weissinger_sum(c, inc.__getitem__, 2, 30, meta={"tag": 1})
         terms = [c.alpha(2, n) * inc[2 + n] for n in range(31)]
-        assert weissinger_row(2, terms) == row
+        assert row.terms == tuple(terms)
+        assert (row.verdict, row.ratio_estimate) == series_verdict(terms)
+        assert row.meta == {"tag": 1}
+
+    def test_from_log_reads_alpha_as_exp_or_inf(self):
+        c = LodConstants.from_log(1, lambda k, n: 800.0 if n > 1 else -math.inf)
+        assert (c.alpha(0, 0), c.alpha(0, 1), c.alpha(0, 2)) == (1.0, 0.0, math.inf)
+        assert (c.log_alpha(0, 0), c.log_alpha(0, 2)) == (0.0, 800.0)
+        nan = LodConstants.from_log(0, lambda k, n: math.nan)
+        with pytest.raises(GradedCoreError, match="NaN"):
+            nan.alpha(0, 1)
+        with pytest.raises(GradedCoreError, match="NaN"):
+            weissinger_sum(nan, lambda idx: 0.0, 0, 1, log_norms=True)
+        negative = LodConstants.from_function(0, lambda k, n: -1.0)
+        with pytest.raises(GradedCoreError, match="NaN"):
+            weissinger_sum(negative, lambda idx: 0.0, 0, 1, log_norms=True)
+
+    def test_invalid_increments_raise(self):
+        c = LodConstants.from_function(0, lambda k, n: 0.5**n)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(GradedCoreError, match="invalid increment norm at index 0"):
+                weissinger_sum(c, lambda idx, v=bad: v, 0, 3)
+        with pytest.raises(GradedCoreError, match="invalid increment norm"):
+            weissinger_sum(c, lambda idx: math.nan, 0, 3, log_norms=True)
+
+
+def reference_numeric_term(log_bar, norm):
+    """A numeric certificate term from log alpha and a norm, written out apart
+    from the library: zero for a zero norm, the product while exp(log_bar) is
+    finite, logs past that; exp reads inf from 700 up."""
+    if norm == 0.0:
+        return 0.0
+    bar = math.exp(log_bar) if log_bar < 700 else math.inf
+    if bar < math.inf:
+        return bar * norm
+    s = log_bar + math.log(norm)
+    return math.exp(s) if s < 700 else math.inf
+
+
+LOG_ALPHAS = st.one_of(
+    st.sampled_from([-math.inf, math.inf]),
+    st.floats(-800.0, 800.0, allow_nan=False, allow_infinity=False),
+)
+NORMS = st.one_of(
+    st.sampled_from([0.0, 5e-324]),
+    st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+)
+
+
+class TestTermRule:
+    @settings(max_examples=400, deadline=None)
+    @example([(0.0, 1.0), (750.0, 5e-324), (-math.inf, 1e300), (math.inf, 0.0)])
+    @given(st.lists(st.tuples(LOG_ALPHAS, NORMS), min_size=2, max_size=6))
+    def test_terms_match_the_reference_in_both_forms(self, pairs):
+        log_alphas = [0.0] + [la for la, _ in pairs[1:]]  # alpha(k, 0) is 1
+        norms = [nm for _, nm in pairs]
+        c = LodConstants.from_log(1, lambda k, n: log_alphas[n])
+        n_max = len(pairs) - 1
+        lin = weissinger_sum(c, lambda idx: norms[idx], 0, n_max)
+        assert lin.terms == tuple(
+            reference_numeric_term(la, nm) for la, nm in zip(log_alphas, norms)
+        )
+        log_norms = [math.log(nm) if nm else -math.inf for nm in norms]
+        log = weissinger_sum(c, lambda idx: log_norms[idx], 0, n_max, log_norms=True)
+        assert log.terms == tuple(
+            0.0 if ln == -math.inf else exp_or_inf(la + ln)
+            for la, ln in zip(log_alphas, log_norms)
+        )
 
 
 class TestIterateToFixedPoint:
@@ -263,6 +332,19 @@ class TestInvertLocally:
                 alpha_k=lambda k: 0.5, delta_k=lambda k: 2.0,
                 L=0, L_D=0, stop=IterationStop((0,), 1e-13, 5),
             )
+
+
+@pytest.mark.parametrize("callee", ["WeissingerRow", "series_verdict", "exp_or_inf"])
+def test_rows_and_terms_built_only_in_graded_core(callee):
+    """Every certificate row and term comes from graded_core.weissinger_sum."""
+    assert callers_outside("graded_core", callee) == []
+
+
+def test_exp_or_inf_refuses_nan():
+    assert exp_or_inf(-math.inf) == 0.0
+    assert exp_or_inf(700.0) == math.inf
+    with pytest.raises(GradedCoreError, match="NaN"):
+        exp_or_inf(math.nan)
 
 
 def test_series_verdict_handles_overflow():

@@ -464,8 +464,17 @@ class TestSeriesSolution:
         assert max(res.ic_residuals) <= 1e-7
 
 
+@pytest.mark.parametrize("kind, name", [("exponential", "C"), ("analytic", "C"), ("sigma", "sigma")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_growth_constants_must_be_finite_and_positive(kind, name, bad):
+    # a NaN C would read as a diverging certificate of infinite terms
+    with pytest.raises(ls.LinearSeriesError, match=f"needs {name} > 0"):
+        ls.GrowthClass(kind, **{name: bad})
+
+
 class TestIncrementBound:
-    # the growth-model rows of certify_weissinger read exp_or_inf of the log bound
+    # the growth-model rows of certify_weissinger are built by weissinger_sum
+    # from the log bound, so a term is exp_or_inf of log LambdaBar plus it
     def test_zero_data(self):
         lp = linear(SQUARE, 1, 0, (1,))
         g = [ls.GrowthClass("exponential", C=1e-12)]

@@ -778,6 +778,13 @@ class TestLambdaRecursion:
         for mode in ("recursion", "paper"):
             assert pp.lambda_bar(fac, 3, 1, dom, 0, 0, mode) == 1.0
 
+    def test_overflow_reads_inf(self):
+        # log LambdaBar = 5 log 1e200 + 5 log 0.5 - log 5! = 2294.3 at k = 0, n = 5
+        fac = pp.LipschitzFactors.constant(1e200)
+        dom = Domain(0.0, 0.5, 0.5, ((-1, 1),))
+        assert pp.log_lambda_bar(fac, 1, 1, dom)(0, 5) == pytest.approx(2294.3, abs=0.05)
+        assert pp.lambda_bar(fac, 1, 1, dom, 0, 5) == math.inf
+
     def test_hand_unrolled_constant_case(self):
         fac = pp.LipschitzFactors.constant(2.0)
         dom = Domain(0.0, 0.5, 0.5)
