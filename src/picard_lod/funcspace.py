@@ -26,9 +26,10 @@ bound on the exact sup, and graded_norms_upper bounds them from above by
 coefficient sums.  Every grid sup of the program is one sup_abs call, and
 expressions see the coordinates of a tensor grid as open (broadcasting)
 axes, from grid_bindings.  The Chebyshev-Vandermonde matrices of grid
-evaluation and of values-to-coefficients fits come from bounded
-per-process caches keyed on the exact points, and are read-only, since
-every caller shares them.
+evaluation on caller points and of values-to-coefficients fits come from
+bounded per-process caches keyed on the exact points, and are read-only,
+since every caller shares them.  Points a caller hands in (eval_grid on a
+user array included) stay on that path.
 
 Every sampling grid of the program is built here, and its sizes are
 module constants, not options.  The norm grid (norm_grid) is the Chebyshev
@@ -41,6 +42,15 @@ interpolation takes Chebyshev extrema at the degree.  A norm-grid sup is
 still a lower end of the true sup: the true sup is at most the grid sup
 times 1/cos(pi/8) = 1.082 per axis of positive degree (proved at
 norm_grid), which is the factor an upper end will take.
+
+Every grid axis (_axis, keyed on interval, count and kind), the norm-grid
+Vandermonde matrix V^(0) of the graded norms (_norm_vander, keyed on
+interval and coefficient count) and every derivative matrix
+(_derivative_matrix, which LinearStep reads too) is built once per process
+by the operations a fresh build runs, so a hit is that build bit for bit,
+and shared read-only.  Each cache is bounded by its entry count and by the
+largest array it takes, its docstring states its worst-case bytes, and
+larger arrays are built afresh.
 """
 
 from __future__ import annotations
@@ -93,6 +103,12 @@ DEGREE_CAP = 128
 GRID_PER_DEGREE = 4
 RESIDUAL_GRID_MIN = 128
 CHECK_GRID_POINTS = 65
+# entries of the per-process caches of sampling-grid axes, norm-grid
+# Vandermonde matrices and derivative matrices (_axis, _norm_vander,
+# _derivative_matrix); larger arrays than these caches hold are built afresh
+AXIS_CACHE_SIZE = 256
+NORM_VANDER_CACHE_SIZE = 64
+DERIVATIVE_CACHE_SIZE = 32
 
 
 class FuncSpaceError(Exception):
@@ -176,6 +192,27 @@ def _grid_vander(raw: bytes, dtype: str, n: int) -> np.ndarray:
     return V
 
 
+@lru_cache(maxsize=NORM_VANDER_CACHE_SIZE)
+def _cached_norm_vander(key: tuple[float, ...], n: int) -> np.ndarray:
+    interval = key[:2]
+    u = _to_unit(_axis(interval, GRID_PER_DEGREE * (n - 1), True), interval)
+    V = cheb.chebvander(u, n - 1)
+    V.setflags(write=False)
+    return V
+
+
+def _norm_vander(interval: tuple[float, float], n: int) -> np.ndarray:
+    """chebvander at degree n - 1 on the norm-grid axis of interval, read-only.
+
+    The matrices that _axis_vanders gives on that axis, bit for bit, by the
+    same operations.  For n <= DEGREE_CAP + 1 they are built once per
+    process, in a cache of NORM_VANDER_CACHE_SIZE entries keyed on
+    (interval, n): at most 64 * 513 * 129 * 8 bytes = 33.9 MB, and
+    (4n - 3) n 8 bytes an entry, 8.8 kB at degree 16.
+    """
+    return _bounded(_cached_norm_vander, n <= DEGREE_CAP + 1, _key(interval), n)
+
+
 def _values_to_coeffs(vals: np.ndarray, axis: int) -> np.ndarray:
     """Invert chebvander sampling at Chebyshev extrema along one axis."""
     n = vals.shape[axis]
@@ -193,11 +230,17 @@ def _axis_to_front(ndim: int, axis: int) -> tuple[tuple[int, ...], tuple[int, ..
 
 
 def _axis_vanders(f: SepFunc, pts: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The cached, read-only Chebyshev-Vandermonde matrix of each axis at f's degree on pts."""
+    """The cached, read-only Chebyshev-Vandermonde matrix of each axis at f's degree on pts.
+
+    Every axis must be a 1-D array of finite points.
+    """
     if len(pts) != 1 + f.domain.s:
         raise FuncSpaceError("grid rank does not match spatial dimension")
     vanders = []
     for u, iv, n in zip(pts, f.domain.intervals(), f.coeffs.shape[1:]):
+        u = np.asarray(u)
+        if u.ndim != 1 or not np.isfinite(u).all():
+            raise FuncSpaceError("each grid axis must be a 1-D array of finite points")
         u = _to_unit(u, iv)
         vanders.append(_grid_vander(u.tobytes(), u.dtype.str, n))
     return vanders
@@ -523,21 +566,52 @@ def _axis_names(s: int) -> list[str]:
     return ["t", *[f"x{i}" for i in range(1, s + 1)]]
 
 
-def chebyshev_nodes(dom: Domain, degrees: Sequence[int]) -> list[np.ndarray]:
-    """Physical tensor-product interpolation nodes for the given degrees."""
-    pts = []
-    for deg, iv in zip(degrees, dom.intervals()):
-        u = _nodes(deg)
-        lo, hi = iv
-        pts.append((lo + hi) / 2 + (hi - lo) / 2 * u)
+def _key(interval: tuple[float, float]) -> tuple[float, ...]:
+    """interval as a cache key, with the sign of each end: -0.0 == 0.0, but they build different bits."""
+    return (*interval, *(math.copysign(1.0, x) for x in interval))
+
+
+def _bounded(cached: Callable, fits: bool, *args) -> np.ndarray:
+    """cached(*args), or the same build uncached where the array is larger than the cache holds."""
+    return (cached if fits else cached.__wrapped__)(*args)
+
+
+@lru_cache(maxsize=AXIS_CACHE_SIZE)
+def _cached_axis(key: tuple[float, ...], count: int, extrema: bool) -> np.ndarray:
+    lo, hi = key[:2]
+    if extrema:
+        pts = (lo + hi) / 2 + (hi - lo) / 2 * _nodes(count)
+    else:
+        pts = np.linspace(lo, hi, count)
+    pts.setflags(write=False)
     return pts
 
 
+def _axis(interval: tuple[float, float], count: int, extrema: bool) -> np.ndarray:
+    """One grid axis on interval, read-only: the Chebyshev extrema at degree count, or count
+    equispaced points.
+
+    Every sampling grid of the program is made of these.  Axes of at most
+    GRID_PER_DEGREE * DEGREE_CAP + 1 = 513 points are built once per process,
+    in a cache of AXIS_CACHE_SIZE entries keyed on (interval, count, kind):
+    at most 256 * 513 * 8 bytes = 1.05 MB.  A hit returns the array a fresh
+    build gives, bit for bit, and shared by every caller.
+    """
+    points = count + 1 if extrema else count
+    fits = points <= GRID_PER_DEGREE * DEGREE_CAP + 1
+    return _bounded(_cached_axis, fits, _key(interval), count, extrema)
+
+
+def chebyshev_nodes(dom: Domain, degrees: Sequence[int]) -> list[np.ndarray]:
+    """Physical tensor-product interpolation nodes for the given degrees, read-only."""
+    return [_axis(iv, deg, True) for deg, iv in zip(degrees, dom.intervals())]
+
+
 def uniform_grid(dom: Domain, counts: int | Sequence[int]) -> list[np.ndarray]:
-    """Equispaced points on every axis (t first): one count for all, or one per axis."""
+    """Equispaced points on every axis (t first), read-only: one count for all, or one per axis."""
     if isinstance(counts, int):
         counts = [counts] * (1 + dom.s)
-    return [np.linspace(lo, hi, n) for (lo, hi), n in zip(dom.intervals(), counts)]
+    return [_axis(iv, n, False) for iv, n in zip(dom.intervals(), counts)]
 
 
 def norm_grid(f: SepFunc) -> list[np.ndarray]:
@@ -684,6 +758,24 @@ def cheb_derivative(coef: np.ndarray, m: int, *, scl: float, axis: int = 0) -> n
     return c.transpose(back)
 
 
+@lru_cache(maxsize=DERIVATIVE_CACHE_SIZE)
+def _cached_derivative_matrix(n: int, order: int, scl: float) -> np.ndarray:
+    D = cheb_derivative(np.eye(n), order, scl=scl)
+    D.setflags(write=False)
+    return D
+
+
+def _derivative_matrix(n: int, order: int, scl: float) -> np.ndarray:
+    """cheb_derivative(np.eye(n), order, scl=scl), read-only: column i holds d^order T_i.
+
+    Every derivative matrix of the program is this one.  For
+    n <= DEGREE_CAP + 1 it is built once per process, in a cache of
+    DERIVATIVE_CACHE_SIZE entries keyed on (n, order, scl): at most
+    32 * 129^2 * 8 bytes = 4.3 MB.
+    """
+    return _bounded(_cached_derivative_matrix, n <= DEGREE_CAP + 1, n, order, scl)
+
+
 @lru_cache(maxsize=64)
 def _fold_columns(domain: Domain, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The columns of _fold on domain's T, for folds whose results have t-length n at most.
@@ -768,7 +860,7 @@ class LinearStep:
 
     def _build(self, n: int) -> None:
         lo, hi = self.domain.t_interval
-        der = cheb_derivative(np.eye(n), self.gamma, scl=2.0 / (hi - lo))  # column i: d_t^gamma T_i
+        der = _derivative_matrix(n, self.gamma, 2.0 / (hi - lo))  # column i: d_t^gamma T_i
         m, _, n_p = self.P.shape
         k = len(der)
         i = np.arange(k)
@@ -929,22 +1021,24 @@ def graded_norms_upto(f: SepFunc, k_max: int, *, p: int | None = None) -> np.nda
     """Vector of graded norms for k = 0..k_max in one sweep over the norm grid.
 
     Per axis, V^(j) = V^(j-1)[:, :n-1] D holds d^j T_0, ..., d^j T_{n-1} on
-    the grid, from the evaluator's V^(0) and cheb_derivative's one-step
-    matrix D.  An explicit stack walks the multi-indices axis by axis, t
-    first: each prefix (beta_t, beta_1, ...) is contracted once (_contract)
-    and shared by its children, and the last axis takes one product, then
-    its sup, per beta.  Orders past an axis's degree are skipped.  At
+    the grid, from the cached V^(0) (_norm_vander, the evaluator's matrix
+    on the norm grid, bit for bit) and the cached one-step matrix D
+    (_derivative_matrix); only the products are built per call.  An
+    explicit stack walks the multi-indices axis by axis, t first: each
+    prefix (beta_t, beta_1, ...) is contracted once (_contract) and shared
+    by its children, and the last axis takes one product, then its sup,
+    per beta.  Orders past an axis's degree are skipped.  At
     beta = 0 the matrices and calls are the evaluator's, so every k = 0
     norm is its grid sup bit for bit.  Non-finite values raise
     NonFiniteCoefficients.
     """
     s, t_max = f.domain.s, f.p if p is None else p
     vanders = []  # per axis: V^(0), V^(1), ... up to the highest order swept
-    for axis, (V, n, iv) in enumerate(zip(_axis_vanders(f, norm_grid(f)), f.coeffs.shape[1:],
-                                          f.domain.intervals())):
+    for axis, (n, iv) in enumerate(zip(f.coeffs.shape[1:], f.domain.intervals())):
         top = min(k_max, n - 1, t_max if axis == 0 else k_max)
-        D = cheb_derivative(np.eye(n), 1, scl=1.0 / _halfwidth(iv)) if top else None
-        orders = [V]
+        orders = [_norm_vander(iv, n)]
+        if top:
+            D = _derivative_matrix(n, 1, 1.0 / _halfwidth(iv))
         for _ in range(top):
             orders.append((D.T @ orders[-1][:, :len(D)].T).T)  # column-major, as chebvander's
         vanders.append(orders)

@@ -664,6 +664,25 @@ def integral_cases(draw):
                 axis=draw(st.integers(0, len(shape) - 1)))
 
 
+@st.composite
+def cache_keys(draw):
+    """An interval of width 1e-6..1e6 with a zero end of both signs (or no zero end), a
+    degree 0..DEGREE_CAP, a point count 1..513 and a derivative order 0..3."""
+    from picard_lod.funcspace import DEGREE_CAP
+
+    width = 10.0 ** draw(st.floats(-6.0, 6.0))
+    zero = draw(st.sampled_from(["lo", "hi", "none"]))
+    if zero == "lo":
+        intervals = [(0.0, width), (-0.0, width)]
+    elif zero == "hi":
+        intervals = [(-width, 0.0), (-width, -0.0)]
+    else:
+        lo = draw(st.floats(-1e6, 1e6))
+        intervals = [(lo, lo + width)]
+    return (intervals, draw(st.integers(0, DEGREE_CAP)), draw(st.integers(1, 513)),
+            draw(st.integers(0, 3)))
+
+
 class TestVandermondeCaches:
     """Every caller shares the cached Vandermonde matrices and fold columns, so they are
     built once, read-only."""
@@ -695,11 +714,65 @@ class TestVandermondeCaches:
             return original(x, deg)
 
         monkeypatch.setattr(cheb, "chebvander", spy)
-        fs._vander.cache_clear()
-        fs._grid_vander.cache_clear()
+        keyed = (fs._cached_axis, fs._cached_norm_vander, fs._cached_derivative_matrix)
+        for cache in (fs._vander, fs._grid_vander, *keyed):
+            cache.cache_clear()
         report = pp.solve(problem, pp.SolveConfig(radii=Radii.constant(1.0), n_max=30))
         assert report.status == "converged"
         assert keys and len(keys) == len(set(keys))
+        # every miss built a new key, and none was evicted and built again
+        for cache in keyed:
+            info = cache.cache_info()
+            assert info.misses == info.currsize > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(cache_keys())
+    def test_cached_arrays_are_fresh_builds(self, case):
+        """Each cached axis, V^(0) and D equals a fresh build bit for bit, whichever sign
+        of zero an end has, and is read-only."""
+        from numpy.polynomial import chebyshev as cheb
+
+        import picard_lod.funcspace as fs
+
+        intervals, deg, count, order = case
+        got = [(fs._axis(iv, deg, True), fs._axis(iv, count, False),
+                fs._norm_vander(iv, deg + 1),
+                fs._derivative_matrix(deg + 1, order, 1.0 / ((iv[1] - iv[0]) / 2.0)))
+               for iv in intervals]
+        for iv, arrays in zip(intervals, got):
+            lo, hi = iv
+            extrema = [(lo + hi) / 2 + (hi - lo) / 2 * (cheb.chebpts2(n + 1) if n else np.zeros(1))
+                       for n in (deg, fs.GRID_PER_DEGREE * deg)]
+            fresh = (extrema[0], np.linspace(lo, hi, count),
+                     cheb.chebvander(to_unit(extrema[1], lo, hi), deg),
+                     cheb.chebder(np.eye(deg + 1), order, scl=1.0 / ((hi - lo) / 2.0)))
+            for a, b in zip(arrays, fresh):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+
+    def test_caller_points_leave_the_keyed_caches_unchanged(self):
+        import picard_lod.funcspace as fs
+
+        keyed = (fs._cached_axis, fs._cached_norm_vander, fs._cached_derivative_matrix)
+        f = SepFunc(SQUARE, 1, 0, np.arange(12.0).reshape(1, 3, 4))
+        t, x = np.linspace(-0.5, 0.5, 7), np.linspace(-1.0, 1.0, 9)
+        before = [cache.cache_info() for cache in keyed]
+        f.eval_grid(t, [x])
+        list(fs.grid_derivatives(f)([(1, 1)], [t, x]))
+        assert [cache.cache_info() for cache in keyed] == before
+
+
+@pytest.mark.parametrize("t, x", [
+    (np.zeros((1, 2)), np.zeros(3)),         # a 2-D t axis
+    (np.array(0.0), np.zeros(3)),            # a 0-d t axis
+    (np.zeros(2), np.zeros((3, 1))),         # a 2-D x axis
+    (np.array([0.0, np.nan]), np.zeros(3)),  # a NaN point
+    (np.zeros(2), np.array([0.0, np.inf])),  # an infinite point
+])
+def test_eval_grid_refuses_malformed_axes(t, x):
+    f = SepFunc(SQUARE, 1, 0, np.ones((1, 2, 2)))
+    with pytest.raises(FuncSpaceError, match="1-D array of finite points"):
+        f.eval_grid(t, [x])
 
 
 class TestNumpyReference:
@@ -775,11 +848,12 @@ def test_partial_derivative_called_only_in_funcspace():
 
 
 @pytest.mark.parametrize("callee", ["chebder", "chebint", "chebvander", "chebpts2",
-                                    "chebval", "poly2cheb", "polypow"])
+                                    "chebval", "poly2cheb", "polypow", "linspace", "meshgrid"])
 def test_called_only_in_funcspace(callee):
     """Chebyshev derivatives, integrals, values and values-to-coefficients fits are
     funcspace's alone; a Taylor factor (t - t0)^j / j! is a time integral, not a
-    monomial-basis power."""
+    monomial-basis power; every sampling grid of the program is built there, which
+    its grid caches rely on."""
     assert callers_outside("funcspace", callee) == []
 
 

@@ -809,6 +809,40 @@ class TestLambdaRecursion:
             closed = math.exp(pp.paper_lambda_bar_log(fac, 1, 2, dom.tbar, k, n))
             assert rec == pytest.approx(closed, rel=1e-8)
 
+    def test_logs_each_factor_once_with_the_same_bits(self, monkeypatch):
+        """log_lambda_bar equals the form that logs Lambda_{k+jL} anew for every j, bit for bit."""
+
+        def reference(fac, d, L, tbar, k, n):
+            if n == 0:
+                return 0.0
+            if fac.is_zero:
+                return -math.inf
+            acc = n * d * math.log(tbar) - math.lgamma(n * d + 1)
+            for j in range(n):
+                acc += math.log(fac.at(k + j * L))
+            return acc
+
+        dom = Domain(0.0, 0.3, 0.7, ((-1, 1),))
+        tables = [pp.LipschitzFactors.from_table((0.7, 1.1, 1.3, 2.9, 40.0)),
+                  pp.LipschitzFactors.constant(3.5), pp.LipschitzFactors.constant(0.0)]
+        for fac in tables:
+            for d in (1, 2, 3):
+                scaled = dom.tbar * max(dom.tbar ** (j - 1) / math.factorial(j)
+                                        for j in range(1, d + 1))
+                for L in (0, 1, 2):
+                    for mode, (dd, tbar) in (("paper", (d, dom.tbar)), ("recursion", (1, scaled))):
+                        calls = []
+                        at = pp.LipschitzFactors.at
+                        monkeypatch.setattr(pp.LipschitzFactors, "at",
+                                            lambda self, i: calls.append(i) or at(self, i))
+                        log_bar = pp.log_lambda_bar(fac, d, L, dom, mode)
+                        got = [log_bar(k, n) for k in range(9) for n in range(31)]
+                        monkeypatch.undo()
+                        want = [reference(fac, dd, L, tbar, k, n)
+                                for k in range(9) for n in range(31)]
+                        assert [x.hex() for x in got] == [x.hex() for x in want]
+                        assert len(calls) == len(set(calls))
+
     def test_conservative_dominates_paper_for_d2(self):
         fac = pp.LipschitzFactors.constant(1.0)
         dom = Domain(0.0, 0.25, 0.25, ((-1, 1),))
