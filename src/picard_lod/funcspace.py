@@ -26,10 +26,10 @@ bound on the exact sup, and graded_norms_upper bounds them from above by
 coefficient sums.  Every grid sup of the program is one sup_abs call, and
 expressions see the coordinates of a tensor grid as open (broadcasting)
 axes, from grid_bindings.  The Chebyshev-Vandermonde matrices of grid
-evaluation on caller points and of values-to-coefficients fits come from
-bounded per-process caches keyed on the exact points, and are read-only,
-since every caller shares them.  Points a caller hands in (eval_grid on a
-user array included) stay on that path.
+evaluation and of values-to-coefficients fits come from bounded
+per-process caches keyed on the exact points, and are read-only, since
+every caller shares them.  Points a caller hands in (eval_grid on a user
+array included) take only that path, never the keyed caches below.
 
 Every sampling grid of the program is built here, and its sizes are
 module constants, not options.  The norm grid (norm_grid) is the Chebyshev
@@ -43,14 +43,13 @@ still a lower end of the true sup: the true sup is at most the grid sup
 times 1/cos(pi/8) = 1.082 per axis of positive degree (proved at
 norm_grid), which is the factor an upper end will take.
 
-Every grid axis (_axis, keyed on interval, count and kind), the norm-grid
-Vandermonde matrix V^(0) of the graded norms (_norm_vander, keyed on
-interval and coefficient count) and every derivative matrix
-(_derivative_matrix, which LinearStep reads too) is built once per process
-by the operations a fresh build runs, so a hit is that build bit for bit,
-and shared read-only.  Each cache is bounded by its entry count and by the
-largest array it takes, its docstring states its worst-case bytes, and
-larger arrays are built afresh.
+Every grid axis (_axis, keyed on interval, count and kind) and every
+derivative matrix (_derivative_matrix, which LinearStep and the graded
+norms read) is built once per process by the operations a fresh build
+runs, so a hit is that build bit for bit, and shared read-only.  Each
+cache is bounded by its entry count and by the largest array it takes,
+its docstring states its worst-case bytes, and larger arrays are built
+afresh.
 """
 
 from __future__ import annotations
@@ -103,11 +102,10 @@ DEGREE_CAP = 128
 GRID_PER_DEGREE = 4
 RESIDUAL_GRID_MIN = 128
 CHECK_GRID_POINTS = 65
-# entries of the per-process caches of sampling-grid axes, norm-grid
-# Vandermonde matrices and derivative matrices (_axis, _norm_vander,
-# _derivative_matrix); larger arrays than these caches hold are built afresh
+# entries of the per-process caches of sampling-grid axes and derivative
+# matrices (_axis, _derivative_matrix); larger arrays than these caches hold
+# are built afresh
 AXIS_CACHE_SIZE = 256
-NORM_VANDER_CACHE_SIZE = 64
 DERIVATIVE_CACHE_SIZE = 32
 
 
@@ -190,27 +188,6 @@ def _grid_vander(raw: bytes, dtype: str, n: int) -> np.ndarray:
     V = cheb.chebvander(np.frombuffer(raw, dtype=dtype), n - 1)
     V.setflags(write=False)
     return V
-
-
-@lru_cache(maxsize=NORM_VANDER_CACHE_SIZE)
-def _cached_norm_vander(key: tuple[float, ...], n: int) -> np.ndarray:
-    interval = key[:2]
-    u = _to_unit(_axis(interval, GRID_PER_DEGREE * (n - 1), True), interval)
-    V = cheb.chebvander(u, n - 1)
-    V.setflags(write=False)
-    return V
-
-
-def _norm_vander(interval: tuple[float, float], n: int) -> np.ndarray:
-    """chebvander at degree n - 1 on the norm-grid axis of interval, read-only.
-
-    The matrices that _axis_vanders gives on that axis, bit for bit, by the
-    same operations.  For n <= DEGREE_CAP + 1 they are built once per
-    process, in a cache of NORM_VANDER_CACHE_SIZE entries keyed on
-    (interval, n): at most 64 * 513 * 129 * 8 bytes = 33.9 MB, and
-    (4n - 3) n 8 bytes an entry, 8.8 kB at degree 16.
-    """
-    return _bounded(_cached_norm_vander, n <= DEGREE_CAP + 1, _key(interval), n)
 
 
 def _values_to_coeffs(vals: np.ndarray, axis: int) -> np.ndarray:
@@ -1021,24 +998,22 @@ def graded_norms_upto(f: SepFunc, k_max: int, *, p: int | None = None) -> np.nda
     """Vector of graded norms for k = 0..k_max in one sweep over the norm grid.
 
     Per axis, V^(j) = V^(j-1)[:, :n-1] D holds d^j T_0, ..., d^j T_{n-1} on
-    the grid, from the cached V^(0) (_norm_vander, the evaluator's matrix
-    on the norm grid, bit for bit) and the cached one-step matrix D
-    (_derivative_matrix); only the products are built per call.  An
-    explicit stack walks the multi-indices axis by axis, t first: each
-    prefix (beta_t, beta_1, ...) is contracted once (_contract) and shared
-    by its children, and the last axis takes one product, then its sup,
-    per beta.  Orders past an axis's degree are skipped.  At
+    the grid, from the evaluator's V^(0) and _derivative_matrix's one-step
+    matrix D.  An explicit stack walks the multi-indices axis by axis, t
+    first: each prefix (beta_t, beta_1, ...) is contracted once (_contract)
+    and shared by its children, and the last axis takes one product, then
+    its sup, per beta.  Orders past an axis's degree are skipped.  At
     beta = 0 the matrices and calls are the evaluator's, so every k = 0
     norm is its grid sup bit for bit.  Non-finite values raise
     NonFiniteCoefficients.
     """
     s, t_max = f.domain.s, f.p if p is None else p
     vanders = []  # per axis: V^(0), V^(1), ... up to the highest order swept
-    for axis, (n, iv) in enumerate(zip(f.coeffs.shape[1:], f.domain.intervals())):
+    for axis, (V, n, iv) in enumerate(zip(_axis_vanders(f, norm_grid(f)), f.coeffs.shape[1:],
+                                          f.domain.intervals())):
         top = min(k_max, n - 1, t_max if axis == 0 else k_max)
-        orders = [_norm_vander(iv, n)]
-        if top:
-            D = _derivative_matrix(n, 1, 1.0 / _halfwidth(iv))
+        D = _derivative_matrix(n, 1, 1.0 / _halfwidth(iv)) if top else None
+        orders = [V]
         for _ in range(top):
             orders.append((D.T @ orders[-1][:, :len(D)].T).T)  # column-major, as chebvander's
         vanders.append(orders)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -650,6 +650,14 @@ class LipschitzFactors:
         """Factor at index k."""
         return max(self.table[min(k, len(self.table) - 1)], EPS_FLOOR)
 
+    @cached_property
+    def _logs(self) -> tuple[float, ...]:
+        return tuple(math.log(self.at(k)) for k in range(len(self.table)))
+
+    def log_at(self, k: int) -> float:
+        """log of the factor at index k, math.log(self.at(k)); each entry is logged once."""
+        return self._logs[min(k, len(self._logs) - 1)]
+
     @classmethod
     def constant(cls, value: float, meta: dict | None = None) -> "LipschitzFactors":
         v = float(value)
@@ -765,21 +773,16 @@ def _leibniz_lipschitz(problem: CauchyProblem, radii: Radii) -> LipschitzFactors
 
 
 def paper_lambda_bar_log(
-    factors: LipschitzFactors, d: int, L: int, tbar: float, k: int, n: int,
-    log_at: Callable[[int], float] | None = None,
+    factors: LipschitzFactors, d: int, L: int, tbar: float, k: int, n: int
 ) -> float:
-    """log of the constant-factor closed form Tbar^{nd}/(nd)! prod Lambda_{k+jL}.
-
-    log_at(i) is log Lambda_i, math.log(factors.at(i)) when not given.
-    """
+    """log of the constant-factor closed form Tbar^{nd}/(nd)! prod Lambda_{k+jL}."""
     if n == 0:
         return 0.0
     if factors.is_zero:
         return -math.inf
-    log_at = log_at or (lambda i: math.log(factors.at(i)))
     acc = n * d * math.log(tbar) - math.lgamma(n * d + 1)
     for j in range(n):
-        acc += log_at(k + j * L)
+        acc += factors.log_at(k + j * L)
     return acc
 
 
@@ -807,17 +810,15 @@ def log_lambda_bar(
     branch j+1 over branch j is tau/(m+j) <= 1, so branch 1 is the maximum at
     every level.  For d = 1 it is exact at any Tbar; past Tbar = 2 with
     d >= 2 it is an upper bound that grows looser with Tbar.
-    A zero factor gives -inf for every n > 0.  The function logs each
-    Lambda_i once, the first time a (k, n) reads it.
+    A zero factor gives -inf for every n > 0.
     """
     tbar = domain.tbar
-    log_at = cache(lambda i: math.log(factors.at(i)))
     if mode == "paper":
-        return lambda k, n: paper_lambda_bar_log(factors, d, L, tbar, k, n, log_at)
+        return lambda k, n: paper_lambda_bar_log(factors, d, L, tbar, k, n)
     if mode != "recursion":
         raise PicardError(f"unknown lambda mode {mode!r}")
     scaled = tbar * max(tbar ** (j - 1) / math.factorial(j) for j in range(1, d + 1))
-    return lambda k, n: paper_lambda_bar_log(factors, 1, L, scaled, k, n, log_at)
+    return lambda k, n: paper_lambda_bar_log(factors, 1, L, scaled, k, n)
 
 
 def lambda_bar(

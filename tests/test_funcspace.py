@@ -714,7 +714,7 @@ class TestVandermondeCaches:
             return original(x, deg)
 
         monkeypatch.setattr(cheb, "chebvander", spy)
-        keyed = (fs._cached_axis, fs._cached_norm_vander, fs._cached_derivative_matrix)
+        keyed = (fs._cached_axis, fs._cached_derivative_matrix)
         for cache in (fs._vander, fs._grid_vander, *keyed):
             cache.cache_clear()
         report = pp.solve(problem, pp.SolveConfig(radii=Radii.constant(1.0), n_max=30))
@@ -728,15 +728,19 @@ class TestVandermondeCaches:
     @settings(max_examples=200, deadline=None)
     @given(cache_keys())
     def test_cached_arrays_are_fresh_builds(self, case):
-        """Each cached axis, V^(0) and D equals a fresh build bit for bit, whichever sign
-        of zero an end has, and is read-only."""
+        """Each cached axis, the norm-grid V^(0) built on it and D equal a fresh build bit
+        for bit, whichever sign of zero an end has, and are read-only."""
         from numpy.polynomial import chebyshev as cheb
 
         import picard_lod.funcspace as fs
 
         intervals, deg, count, order = case
-        got = [(fs._axis(iv, deg, True), fs._axis(iv, count, False),
-                fs._norm_vander(iv, deg + 1),
+
+        def norm_vander(iv):
+            f = SepFunc(Domain(0.0, 1.0, 1.0, (iv,)), 1, 0, np.zeros((1, 1, deg + 1)))
+            return fs._axis_vanders(f, fs.norm_grid(f))[1]
+
+        got = [(fs._axis(iv, deg, True), fs._axis(iv, count, False), norm_vander(iv),
                 fs._derivative_matrix(deg + 1, order, 1.0 / ((iv[1] - iv[0]) / 2.0)))
                for iv in intervals]
         for iv, arrays in zip(intervals, got):
@@ -750,10 +754,38 @@ class TestVandermondeCaches:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
 
+    def test_arrays_past_the_gate_are_built_uncached(self):
+        """An axis of 514 points and a derivative matrix of DEGREE_CAP + 2 columns are the
+        fresh build, read-only, and leave their caches as they were; the largest arrays
+        that fit are cached."""
+        from numpy.polynomial import chebyshev as cheb
+
+        import picard_lod.funcspace as fs
+
+        cap = fs.GRID_PER_DEGREE * fs.DEGREE_CAP + 1  # 513 points: the longest axis cached
+        lo, hi = -0.0, 3.0
+        for count, extrema, fresh in (  # cap + 1 points, equispaced or extrema at degree cap
+                (cap + 1, False, lambda: np.linspace(lo, hi, cap + 1)),
+                (cap, True, lambda: (lo + hi) / 2 + (hi - lo) / 2 * cheb.chebpts2(cap + 1))):
+            fs._cached_axis.cache_clear()
+            a = fs._axis((lo, hi), count, extrema)
+            assert a.tobytes() == fresh().tobytes() and not a.flags.writeable
+            assert fs._cached_axis.cache_info().currsize == 0
+            fs._axis((lo, hi), count - 1, extrema)
+            assert fs._cached_axis.cache_info().currsize == 1
+        n = fs.DEGREE_CAP + 2
+        fs._cached_derivative_matrix.cache_clear()
+        D = fs._derivative_matrix(n, 2, 0.5)
+        assert D.tobytes() == cheb.chebder(np.eye(n), 2, scl=0.5).tobytes()
+        assert not D.flags.writeable
+        assert fs._cached_derivative_matrix.cache_info().currsize == 0
+        fs._derivative_matrix(n - 1, 2, 0.5)
+        assert fs._cached_derivative_matrix.cache_info().currsize == 1
+
     def test_caller_points_leave_the_keyed_caches_unchanged(self):
         import picard_lod.funcspace as fs
 
-        keyed = (fs._cached_axis, fs._cached_norm_vander, fs._cached_derivative_matrix)
+        keyed = (fs._cached_axis, fs._cached_derivative_matrix)
         f = SepFunc(SQUARE, 1, 0, np.arange(12.0).reshape(1, 3, 4))
         t, x = np.linspace(-0.5, 0.5, 7), np.linspace(-1.0, 1.0, 9)
         before = [cache.cache_info() for cache in keyed]

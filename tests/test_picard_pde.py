@@ -810,7 +810,8 @@ class TestLambdaRecursion:
             assert rec == pytest.approx(closed, rel=1e-8)
 
     def test_logs_each_factor_once_with_the_same_bits(self, monkeypatch):
-        """log_lambda_bar equals the form that logs Lambda_{k+jL} anew for every j, bit for bit."""
+        """log_lambda_bar equals the form that logs Lambda_{k+jL} anew for every j, bit for bit;
+        a factor object logs its table once, and later closures read those logs."""
 
         def reference(fac, d, L, tbar, k, n):
             if n == 0:
@@ -825,23 +826,22 @@ class TestLambdaRecursion:
         dom = Domain(0.0, 0.3, 0.7, ((-1, 1),))
         tables = [pp.LipschitzFactors.from_table((0.7, 1.1, 1.3, 2.9, 40.0)),
                   pp.LipschitzFactors.constant(3.5), pp.LipschitzFactors.constant(0.0)]
-        for fac in tables:
-            for d in (1, 2, 3):
-                scaled = dom.tbar * max(dom.tbar ** (j - 1) / math.factorial(j)
-                                        for j in range(1, d + 1))
-                for L in (0, 1, 2):
-                    for mode, (dd, tbar) in (("paper", (d, dom.tbar)), ("recursion", (1, scaled))):
-                        calls = []
-                        at = pp.LipschitzFactors.at
-                        monkeypatch.setattr(pp.LipschitzFactors, "at",
-                                            lambda self, i: calls.append(i) or at(self, i))
-                        log_bar = pp.log_lambda_bar(fac, d, L, dom, mode)
-                        got = [log_bar(k, n) for k in range(9) for n in range(31)]
-                        monkeypatch.undo()
-                        want = [reference(fac, dd, L, tbar, k, n)
+        cases = []
+        for d in (1, 2, 3):
+            scaled = dom.tbar * max(dom.tbar ** (j - 1) / math.factorial(j) for j in range(1, d + 1))
+            for L in (0, 1, 2):
+                for mode, (dd, tbar) in (("paper", (d, dom.tbar)), ("recursion", (1, scaled))):
+                    for fac in tables:
+                        want = [reference(fac, dd, L, tbar, k, n).hex()
                                 for k in range(9) for n in range(31)]
-                        assert [x.hex() for x in got] == [x.hex() for x in want]
-                        assert len(calls) == len(set(calls))
+                        cases.append((fac, d, L, mode, want))
+        for fac in tables:
+            assert [fac.log_at(i).hex() for i in range(12)] == \
+                [math.log(fac.at(i)).hex() for i in range(12)]
+        monkeypatch.setattr(pp.LipschitzFactors, "at", lambda self, i: pytest.fail("relogged"))
+        for fac, d, L, mode, want in cases:
+            log_bar = pp.log_lambda_bar(fac, d, L, dom, mode)
+            assert [log_bar(k, n).hex() for k in range(9) for n in range(31)] == want
 
     def test_conservative_dominates_paper_for_d2(self):
         fac = pp.LipschitzFactors.constant(1.0)
